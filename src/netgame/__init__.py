@@ -30,10 +30,7 @@ from .analysis import (
     sophisticated_sufficient,
 )
 from .behavior import (
-    AgentOutcome,
     best_response,
-    evaluate_agent,
-    expected_utility_under_truth,
     population_average_action,
     utility,
 )
@@ -44,7 +41,6 @@ from .equilibrium import (
     benchmark_expectation,
     infinite_naive,
     infinite_sophisticated,
-    infinite_sophisticated_alt,
     solve_direct,
     solve_iterative,
     type_probabilities,

@@ -83,67 +83,6 @@ def benchmark_curve(delta2, eps, alpha, cost, etheta):
     return etheta / denom
 
 
-# ---------------------------------------------------------------------------
-# Auxiliary evaluators behind the convexity conditions, with derivatives.
-# The variant sophisticated closed form factors as
-#     etheta * (soph_gain + alpha*(1-sigma) * soph_gain * naive_gain * exposure)
-# and the curvature conditions come from differentiating these pieces.
-# ---------------------------------------------------------------------------
-
-def observed_share_d1(delta2, eps):
-    """d/d(delta2) of the observed high share: (1+eps)/(1+eps*delta2)^2."""
-    return (1 + eps) / (1 + eps * delta2) ** 2
-
-
-def observed_share_d2(delta2, eps):
-    """Second derivative of the observed high share."""
-    return -2 * eps * (1 + eps) / (1 + eps * delta2) ** 3
-
-
-def soph_gain(delta2, eps, alpha, cost, sigma):
-    """1 / (c - a(1 + eps*delta2) sigma^2)."""
-    return 1 / (cost - alpha * (1 + eps * delta2) * sigma**2)
-
-
-def soph_gain_d1(delta2, eps, alpha, cost, sigma):
-    return alpha * eps * sigma**2 * soph_gain(delta2, eps, alpha, cost, sigma) ** 2
-
-
-def soph_gain_d2(delta2, eps, alpha, cost, sigma):
-    return (2 * alpha**2 * eps**2 * sigma**4
-            * soph_gain(delta2, eps, alpha, cost, sigma) ** 3)
-
-
-def naive_gain(delta2, eps, alpha, cost):
-    """1 / (c - a(1 + eps*u(delta2)))."""
-    return 1 / (cost - alpha * (1 + eps * observed_high_share(delta2, eps)))
-
-
-def naive_gain_d1(delta2, eps, alpha, cost):
-    g = naive_gain(delta2, eps, alpha, cost)
-    return alpha * eps * observed_share_d1(delta2, eps) * g**2
-
-
-def naive_gain_d2(delta2, eps, alpha, cost):
-    g = naive_gain(delta2, eps, alpha, cost)
-    u1 = observed_share_d1(delta2, eps)
-    u2 = observed_share_d2(delta2, eps)
-    return alpha * eps * (u2 / g + 2 * alpha * eps * u1**2) * g**3
-
-
-def exposure(delta2, eps, sigma):
-    """1 + sigma + eps*(sigma*delta2 + u(delta2))."""
-    return 1 + sigma + eps * (sigma * delta2 + observed_high_share(delta2, eps))
-
-
-def exposure_d1(delta2, eps, sigma):
-    return eps * (sigma + observed_share_d1(delta2, eps))
-
-
-def exposure_d2(delta2, eps, sigma):
-    return eps * observed_share_d2(delta2, eps)
-
-
 def naive_convexity_rhs(delta2, eps):
     """Threshold for c/a below which the naive curve is convex:
     (1 + eps*u(delta2)) + (1+eps)/(1+eps*delta2)."""

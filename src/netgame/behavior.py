@@ -6,8 +6,6 @@ The best response is therefore linear in the held expectation, and inflated
 expectations translate one-for-one into inflated actions.
 """
 
-from dataclasses import dataclass
-
 from .equilibrium import EquilibriumSolution, type_probabilities
 from .population import DegreeModel, GameParams, degree_ratios
 
@@ -19,52 +17,15 @@ def best_response(theta, degree, expectation, model: DegreeModel, params: GamePa
 
 
 def utility(action, theta, degree, expectation, model: DegreeModel, params: GameParams):
-    """Payoff theta*x + (alpha/d_1)*x*degree*expectation - c*x^2/2."""
+    """Payoff theta*x + (alpha/d_1)*x*degree*expectation - c*x^2/2.
+
+    Evaluated at the expectation that actually prevails, it scores an action
+    chosen under a wrong one; that never beats the best response there.
+    """
     a = params.alpha / model.degrees[0]
     return (theta * action
             + a * action * degree * expectation
             - params.cost * action * action / 2)
-
-
-def expected_utility_under_truth(action, theta, degree, true_expectation,
-                                 model: DegreeModel, params: GameParams):
-    """Payoff of a (possibly misperception-driven) action at the expectation
-    that actually prevails.
-
-    Never exceeds the payoff of the best response to ``true_expectation``;
-    the gap is the cost of acting on a wrong estimate.
-    """
-    return utility(action, theta, degree, true_expectation, model, params)
-
-
-@dataclass(frozen=True)
-class AgentOutcome:
-    """Action and payoffs of one agent given the expectation it holds."""
-
-    theta: float
-    degree: int
-    rule: str
-    action: float
-    realized_expectation: float
-    utility: float
-    expected_utility_under_truth: float
-
-
-def evaluate_agent(theta, degree, rule, expectation, true_expectation,
-                   model: DegreeModel, params: GameParams) -> AgentOutcome:
-    """Best-respond to ``expectation`` and score the action both ways:
-    at the held expectation and at the one that actually prevails."""
-    action = best_response(theta, degree, expectation, model, params)
-    return AgentOutcome(
-        theta=theta,
-        degree=degree,
-        rule=rule,
-        action=action,
-        realized_expectation=expectation,
-        utility=utility(action, theta, degree, expectation, model, params),
-        expected_utility_under_truth=expected_utility_under_truth(
-            action, theta, degree, true_expectation, model, params),
-    )
 
 
 def population_average_action(model: DegreeModel, params: GameParams,

@@ -8,7 +8,8 @@ Subcommands:
   pi              dump the interaction-expectation matrix as labeled CSV
 
 Options may come from a config file of ``key = value`` lines (lists
-comma-separated); flags override the file, which overrides the preset.
+comma-separated); flags override the file, which overrides the preset, which
+overrides the command's entry in ``DEFAULTS``.
 CSV output is comma-separated with a header row and LF line endings; every
 CSV has a JSON twin carrying the same rows.  Files are written atomically.
 """
@@ -25,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import naive_curve, sigma_sweep, sophisticated_curve
-from .behavior import best_response, expected_utility_under_truth, utility
+from .analysis import _two_class_model, naive_curve, sigma_sweep, sophisticated_curve
+from .behavior import best_response, utility
 from .equilibrium import (
     ConvergenceError,
     average_expectation,
@@ -36,12 +37,7 @@ from .equilibrium import (
     solve_direct,
 )
 from .estimators import NAIVE, SOPHISTICATED, bias_surface, debias_shares
-from .netsim import (
-    generate,
-    monte_carlo_estimator_check,
-    write_edgelist,
-    write_metadata,
-)
+from .netsim import monte_carlo_estimator_check, write_edgelist, write_metadata
 from .population import (
     DegreeModel,
     GameParams,
@@ -68,6 +64,18 @@ PRESETS = {
     },
 }
 
+# Per-command defaults: the last layer of option resolution.
+DEFAULTS = {
+    "precision": {**PRESETS["spread"], "grid": "41"},
+    "sophistication": {**PRESETS["example"], "grid": "101"},
+    "outcomes": {**PRESETS["example"], "grid": "101"},
+    "bias": {"eps": "1,99", "grid": "1001"},
+    "simulate": {**PRESETS["example"], "n": "100000", "trials": "20", "seed": "0",
+                 "tol": "0.01", "simple": "false"},
+    "solve": {**PRESETS["spread"], "sigma": "0.5"},
+    "pi": {"model": "2,4:0.5,0.5", "sigma": "1", "alpha": "1", "etheta": "1"},
+}
+
 SWEEP_KINDS = ("precision", "sophistication", "outcomes", "bias")
 
 
@@ -89,25 +97,37 @@ def _read_config(path) -> dict:
 
 
 class _Options:
-    """Flag > config file > preset > built-in default."""
+    """Flag > config file > preset > the command's defaults."""
 
-    def __init__(self, args):
-        self.args = vars(args)
-        self.config = _read_config(args.config) if getattr(args, "config", None) else {}
-        preset = getattr(args, "preset", None)
-        if preset is not None and preset not in PRESETS:
-            raise ModelError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-        self.preset = PRESETS.get(preset, {})
+    def __init__(self, args, defaults):
+        config = _read_config(args.config) if args.config else {}
+        if args.preset is not None and args.preset not in PRESETS:
+            raise ModelError(f"unknown preset {args.preset!r}; have {sorted(PRESETS)}")
+        self.layers = (vars(args), config, PRESETS.get(args.preset, {}), defaults)
 
-    def get(self, key, default=None):
-        flag = self.args.get(key)
-        if flag is not None:
-            return flag
-        if key in self.config:
-            return self.config[key]
-        if key in self.preset:
-            return self.preset[key]
-        return default
+    def get(self, key, parse=str):
+        """``parse`` applied to the first layer that sets ``key``; None if none does."""
+        value = next((layer[key] for layer in self.layers
+                      if layer.get(key) is not None), None)
+        try:
+            return None if value is None else parse(value)
+        except ModelError:              # a ValueError that already says what is wrong
+            raise
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            raise ModelError(f"option {key}: cannot read {value!r}") from exc
+
+    def game(self, sigma):
+        """The model and its game parameters at sophistication share ``sigma``.
+
+        Where no layer sets ``c``, the cost is twice the stability bound
+        alpha * d_K/d_1.
+        """
+        model = self.get("model", _parse_model)
+        alpha = self.get("alpha", float)
+        cost = self.get("c", float)
+        if cost is None:
+            cost = 2.0 * alpha * model.degrees[-1] / model.degrees[0]
+        return model, GameParams(self.get("etheta", float), alpha, cost, sigma, model)
 
 
 def _scalar(text, exact=False):
@@ -118,20 +138,25 @@ def _scalar(text, exact=False):
 
 
 def _scalar_list(text) -> list:
-    if isinstance(text, (int, float)):
-        return [float(text)]
-    return [float(part) for part in str(text).split(",") if part != ""]
+    return [float(part) for part in text.split(",") if part != ""]
 
 
 def _d1_list(text):
     finite, infinite = [], False
-    for part in str(text).split(","):
+    for part in text.split(","):
         part = part.strip()
         if part == "inf":
             infinite = True
         elif part:
             finite.append(int(part))
     return finite, infinite
+
+
+def _boolean(text) -> bool:
+    text = str(text).lower()            # a bare flag arrives as True
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
 
 
 def _parse_model(text, exact=False) -> DegreeModel:
@@ -145,7 +170,8 @@ def _parse_model(text, exact=False) -> DegreeModel:
     return DegreeModel(degrees, shares)
 
 
-def _grid(count: int) -> np.ndarray:
+def _grid(text) -> np.ndarray:
+    count = int(text)
     if count < 2:
         raise ModelError("grid needs at least two points")
     return np.linspace(0.0, 1.0, count)
@@ -199,10 +225,9 @@ def _write_table(out: Path, name: str, columns, rows, meta) -> None:
 # ---------------------------------------------------------------------------
 
 def _example_checks(exact: bool) -> list:
-    model = _parse_model(PRESETS["example"]["model"], exact)
-    etheta = _scalar(PRESETS["example"]["etheta"], exact)
-    alpha = _scalar(PRESETS["example"]["alpha"], exact)
-    cost = _scalar(PRESETS["example"]["c"], exact)
+    preset = PRESETS["example"]
+    model = _parse_model(preset["model"], exact)
+    etheta, alpha, cost = (_scalar(preset[key], exact) for key in ("etheta", "alpha", "c"))
     params = GameParams(etheta, alpha, cost, 1, model)
     d_lo, d_hi = model.degrees
 
@@ -229,11 +254,9 @@ def _example_checks(exact: bool) -> list:
         ("utility_benchmark_high",
          utility(act_b_hi, etheta, d_hi, bench, model, params), 0.75),
         ("expected_utility_naive_low",
-         expected_utility_under_truth(act_n_lo, etheta, d_lo, bench, model, params),
-         0.3819),
+         utility(act_n_lo, etheta, d_lo, bench, model, params), 0.3819),
         ("expected_utility_naive_high",
-         expected_utility_under_truth(act_n_hi, etheta, d_hi, bench, model, params),
-         0.7291),
+         utility(act_n_hi, etheta, d_hi, bench, model, params), 0.7291),
     ]
     checks = []
     for name, value, expected in rational:
@@ -285,23 +308,23 @@ def cmd_example(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+def _game_meta(opts, params) -> dict:
+    return {"model": opts.get("model"), "alpha": params.alpha, "c": params.cost,
+            "etheta": params.mean_preference}
+
+
 def _sweep_precision(opts, out: Path):
-    eps = float(opts.get("eps", "2"))
-    alpha = float(opts.get("alpha", "1.2"))
-    cost = float(opts.get("c", "3.7"))
-    etheta = float(opts.get("etheta", "1"))
-    sigmas = _scalar_list(opts.get("sigma", "0,0.5,1"))
-    finite, infinite = _d1_list(opts.get("d1", "2,4,8,inf"))
-    grid = _grid(int(opts.get("grid", 41)))[1:-1]
+    eps, alpha, cost, etheta = (opts.get(key, float)
+                                for key in ("eps", "alpha", "c", "etheta"))
+    sigmas = opts.get("sigma", _scalar_list)
+    finite, infinite = opts.get("d1", _d1_list)
+    grid = opts.get("grid", _grid)[1:-1]
     columns = ("sigma", "d1", "delta2", "rule", "value", "flag")
     rows = []
     for sigma in sigmas:
         solutions = {}
         for d1 in finite:
-            d2 = d1 * (1 + eps)
-            if abs(d2 - round(d2)) > 1e-9:
-                raise ModelError(f"d1 = {d1} with eps = {eps}: non-integer top degree")
-            model = DegreeModel((d1, int(round(d2))), (0.5, 0.5))
+            model = _two_class_model(d1, eps)
             params = GameParams(etheta, alpha, cost, sigma, model)
             solutions[d1] = (model, solve_direct(build_pi(model, params), params))
         for delta2 in map(float, grid):
@@ -331,30 +354,23 @@ def _sweep_precision(opts, out: Path):
 
 
 def _sweep_sophistication(opts, out: Path):
-    model = _parse_model(opts.get("model", PRESETS["example"]["model"]))
-    alpha = float(opts.get("alpha", PRESETS["example"]["alpha"]))
-    cost = float(opts.get("c", PRESETS["example"]["c"]))
-    etheta = float(opts.get("etheta", PRESETS["example"]["etheta"]))
-    sigmas = _grid(int(opts.get("grid", 101)))
+    model, params = opts.game(0.0)
+    sigmas = opts.get("grid", _grid)
     columns = ("sigma", "naive", "sophisticated", "benchmark")
     rows = [(r.sigma, r.naive, r.sophisticated, r.benchmark)
-            for r in sigma_sweep(model, alpha, cost, etheta, sigmas)]
-    meta = {"model": opts.get("model", PRESETS["example"]["model"]),
-            "alpha": alpha, "c": cost, "etheta": etheta}
-    _write_table(out, "sophistication", columns, rows, meta)
+            for r in sigma_sweep(model, params.alpha, params.cost,
+                                 params.mean_preference, sigmas)]
+    _write_table(out, "sophistication", columns, rows, _game_meta(opts, params))
     return rows
 
 
 def _sweep_outcomes(opts, out: Path):
-    model = _parse_model(opts.get("model", PRESETS["example"]["model"]))
-    alpha = float(opts.get("alpha", PRESETS["example"]["alpha"]))
-    cost = float(opts.get("c", PRESETS["example"]["c"]))
-    etheta = float(opts.get("etheta", PRESETS["example"]["etheta"]))
-    sigmas = _grid(int(opts.get("grid", 101)))
+    sigmas = opts.get("grid", _grid)
     columns = ("sigma", "rule", "degree", "action", "expected_utility")
     rows = []
     for sigma in sigmas:
-        params = GameParams(etheta, alpha, cost, float(sigma), model)
+        model, params = opts.game(float(sigma))
+        etheta = params.mean_preference
         bench = benchmark_expectation(model, params)
         held = {
             NAIVE: infinite_naive(model, params),
@@ -364,18 +380,15 @@ def _sweep_outcomes(opts, out: Path):
         for rule, expectation in held.items():
             for d in model.degrees:
                 action = best_response(etheta, d, expectation, model, params)
-                eu = expected_utility_under_truth(action, etheta, d, bench,
-                                                  model, params)
+                eu = utility(action, etheta, d, bench, model, params)
                 rows.append((float(sigma), rule, d, float(action), float(eu)))
-    meta = {"model": opts.get("model", PRESETS["example"]["model"]),
-            "alpha": alpha, "c": cost, "etheta": etheta}
-    _write_table(out, "outcomes", columns, rows, meta)
+    _write_table(out, "outcomes", columns, rows, _game_meta(opts, params))
     return rows
 
 
 def _sweep_bias(opts, out: Path):
-    eps_list = _scalar_list(opts.get("eps", "1,99"))
-    grid = _grid(int(opts.get("grid", 1001)))
+    eps_list = opts.get("eps", _scalar_list)
+    grid = opts.get("grid", _grid)
     columns = ("eps", "delta2", "bias")
     rows = []
     summary = []
@@ -393,7 +406,7 @@ def _sweep_bias(opts, out: Path):
 
 
 def cmd_sweep(args) -> int:
-    opts = _Options(args)
+    opts = _Options(args, DEFAULTS[args.kind])
     out = _out_dir(opts)
     runner = {
         "precision": _sweep_precision,
@@ -411,13 +424,11 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    opts = _Options(args)
-    model = _parse_model(opts.get("model", PRESETS["example"]["model"]))
-    n = int(opts.get("n", 100000))
-    trials = int(opts.get("trials", 20))
-    seed = int(opts.get("seed", 0))
-    simple = bool(opts.get("simple", False))
-    tol = float(opts.get("tol", 0.01))
+    opts = _Options(args, DEFAULTS["simulate"])
+    model = opts.get("model", _parse_model)
+    n, trials, seed = (opts.get(key, int) for key in ("n", "trials", "seed"))
+    simple = opts.get("simple", _boolean)
+    tol = opts.get("tol", float)
 
     report = monte_carlo_estimator_check(model, n, trials=trials, seed=seed,
                                          simple=simple)
@@ -466,9 +477,8 @@ def cmd_simulate(args) -> int:
     if opts.get("out") or os.environ.get("NETGAME_OUT"):
         out = _out_dir(opts)
         _atomic_write(out / "simulate.json", text)
-        net = generate(model, n, seed=[seed, 0], simple=simple)
-        write_edgelist(net, out / "edges.txt")
-        write_metadata(net, out / "edges.meta.json")
+        write_edgelist(report.first_network, out / "edges.txt")
+        write_metadata(report.first_network, out / "edges.meta.json")
     return 0 if passed else 1
 
 
@@ -477,13 +487,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    opts = _Options(args)
-    model = _parse_model(opts.get("model", PRESETS["spread"]["model"]))
-    alpha = float(opts.get("alpha", PRESETS["spread"]["alpha"]))
-    cost = float(opts.get("c", PRESETS["spread"]["c"]))
-    etheta = float(opts.get("etheta", PRESETS["spread"]["etheta"]))
-    sigma = float(opts.get("sigma", 0.5))
-    params = GameParams(etheta, alpha, cost, sigma, model)
+    opts = _Options(args, DEFAULTS["solve"])
+    model, params = opts.game(opts.get("sigma", float))
     solution = solve_direct(build_pi(model, params), params)
     columns = ("label", "rule", "degree", "observed", "expectation")
     rows = [
@@ -491,8 +496,7 @@ def cmd_solve(args) -> int:
          "/".join(repr(float(v)) for v in t.observed.values), float(x))
         for t, x in zip(solution.system.types, solution.xi)
     ]
-    meta = {"model": opts.get("model", PRESETS["spread"]["model"]),
-            "alpha": alpha, "c": cost, "etheta": etheta, "sigma": sigma,
+    meta = {**_game_meta(opts, params), "sigma": params.sigma,
             "method": solution.method, "residual": solution.residual}
     out = _out_dir(opts)
     _write_table(out, "solution", columns, rows, meta)
@@ -505,13 +509,8 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_pi(args) -> int:
-    opts = _Options(args)
-    model = _parse_model(opts.get("model", "2,4:0.5,0.5"))
-    sigma = float(opts.get("sigma", 1))
-    alpha = float(opts.get("alpha", 1))
-    default_cost = 2.0 * alpha * model.degrees[-1] / model.degrees[0]
-    cost = float(opts.get("c", default_cost))
-    params = GameParams(float(opts.get("etheta", 1)), alpha, cost, sigma, model)
+    opts = _Options(args, DEFAULTS["pi"])
+    model, params = opts.game(opts.get("sigma", float))
     system = build_pi(model, params)
     rows = pi_csv_rows(system)
     buf = io.StringIO()
@@ -569,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials")
     p_sim.add_argument("--seed")
     p_sim.add_argument("--tol")
-    p_sim.add_argument("--simple", action="store_true",
+    p_sim.add_argument("--simple", action="store_true", default=None,
                        help="repair self-loops and multi-edges")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -82,7 +82,7 @@ def solve_direct(system: ExpectationMatrix, params: GameParams,
             "singular type system; stability requires alpha * d_K/d_1 < cost"
         ) from exc
     res = _fixed_point_residual(system, params, xi)
-    if res > residual_tol:
+    if not res <= residual_tol:  # also catches NaN
         raise ConvergenceError(
             f"direct solve residual {res:.3e} exceeds {residual_tol:.1e}", res
         )
@@ -161,34 +161,6 @@ def benchmark_expectation(model: DegreeModel, params: GameParams):
     if denom <= 0:
         raise StabilityError("benchmark expectations diverge: cost too low")
     return params.mean_preference / denom
-
-
-def infinite_sophisticated_alt(model: DegreeModel, params: GameParams,
-                               observed_share2=None):
-    """Alternative closed-form variant of the sophisticated expectation.
-
-    Two degree classes only.  This variant weights the naive block by the
-    naive agents' own degree beliefs instead of the sophisticated observer's,
-    so it disagrees with :func:`infinite_sophisticated` for sigma strictly
-    between 0 and 1 (e.g. 0.5 vs 0.4833 at sigma = 0 under the worked-example
-    parameters) while agreeing at sigma = 1 and for equal degrees.  Kept as a
-    labeled variant for comparison; never used by the solvers.
-    """
-    if model.K != 2:
-        raise ModelError("the variant closed form needs exactly two degree classes")
-    eps = model.epsilon
-    delta2 = model.shares[1]
-    u = biased_neighbor_share(model)[1] if observed_share2 is None else observed_share2
-    naive_denom = params.cost - params.alpha * (1 + eps * u)
-    if naive_denom <= 0:
-        raise StabilityError("naive expectations diverge: cost too low for alpha")
-    x_n = params.mean_preference / naive_denom
-    denom = params.cost - params.alpha * (1 + eps * delta2) * params.sigma ** 2
-    if denom <= 0:
-        raise StabilityError("variant sophisticated expectations diverge")
-    load = 1 + params.sigma + eps * (params.sigma * delta2 + u)
-    return (params.mean_preference
-            + params.alpha * (1 - params.sigma) * x_n * load) / denom
 
 
 def type_probabilities(model: DegreeModel, types, sigma=None) -> np.ndarray:

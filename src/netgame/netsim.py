@@ -182,6 +182,7 @@ class MonteCarloReport:
     assortativity: np.ndarray
     predicted_naive: tuple
     predicted_sophisticated: tuple
+    first_network: SampledNetwork      # trial 0's draw, kept for export
 
     @property
     def naive_mean(self) -> np.ndarray:
@@ -204,6 +205,8 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     """
     if n < 2:
         raise ModelError("need at least two nodes")
+    if trials < 1:
+        raise ModelError("need at least one trial")
     K = model.K
     degrees = [float(d) for d in model.degrees]
     naive_out = np.empty((trials, K))
@@ -225,6 +228,10 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
                 continue
             sd_acc[("naive", d)].append(float(summary.shares[mask, -1].std()))
             sd_acc[("sophisticated", d)].append(float(soph_nodes[mask].std()))
+        if t == 0:
+            first = net
+        # release this trial's arrays before the next draw allocates its own
+        del net, summary, weighted, soph_nodes, mask
     node_sd = {key: float(np.mean(vals)) for key, vals in sd_acc.items() if vals}
     return MonteCarloReport(
         model=model, n=n, trials=trials, seed=seed,
@@ -234,6 +241,7 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
         assortativity=assort,
         predicted_naive=tuple(float(v) for v in biased_neighbor_share(model)),
         predicted_sophisticated=tuple(float(s) for s in model.shares),
+        first_network=first,
     )
 
 

@@ -10,6 +10,7 @@ Values may be floats or :class:`fractions.Fraction`; every operation here is
 plain arithmetic, so exact inputs give exact outputs.
 """
 
+import math
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
@@ -97,6 +98,9 @@ class GameParams:
     model: InitVar[DegreeModel]
 
     def __post_init__(self, model):
+        for name in ("mean_preference", "alpha", "cost", "sigma"):
+            if not math.isfinite(float(getattr(self, name))):
+                raise ModelError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.mean_preference < 0:
             raise ModelError("mean preference must be non-negative")
         if self.alpha < 0:

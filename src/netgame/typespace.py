@@ -124,6 +124,9 @@ class ExpectationMatrix:
         L = len(self.types)
         if pi.shape != (L, L) or d_diag.shape != (L,):
             raise ModelError("matrix shapes must match the type count")
+        # a NaN or infinite entry makes the sum non-finite; no L x L mask needed
+        if not (np.isfinite(pi.sum()) and np.isfinite(d_diag).all()):
+            raise ModelError("interaction expectations and degree ratios must be finite")
         if (pi < 0).any():
             raise ModelError("interaction expectations must be non-negative")
         sums = pi.sum(axis=1)

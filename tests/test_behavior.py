@@ -8,8 +8,6 @@ from netgame import (
     GameParams,
     best_response,
     build_pi,
-    evaluate_agent,
-    expected_utility_under_truth,
     infinite_naive,
     infinite_sophisticated,
     population_average_action,
@@ -74,20 +72,19 @@ class TestUtility:
 class TestExpectedUtilityUnderTruth:
     def test_naive_losses(self):
         p = params(0)
-        low = expected_utility_under_truth(Fraction(15, 36), THETA, 4, BENCH,
-                                           MODEL, p)
-        high = expected_utility_under_truth(Fraction(21, 36), THETA, 6, BENCH,
-                                            MODEL, p)
+        low = utility(Fraction(15, 36), THETA, 4, BENCH, MODEL, p)
+        high = utility(Fraction(21, 36), THETA, 6, BENCH, MODEL, p)
         assert float(low) == pytest.approx(0.3819, abs=5e-4)
         assert float(high) == pytest.approx(0.7291, abs=5e-4)
         assert float(low) < 0.3912
         assert float(high) < 0.75
 
     def test_no_loss_at_benchmark_action(self):
+        # acting on the true expectation attains the maximal payoff b^2 / 2c
         p = params(1)
         act = best_response(THETA, 4, BENCH, MODEL, p)
-        assert expected_utility_under_truth(act, THETA, 4, BENCH, MODEL, p) == \
-            utility(act, THETA, 4, BENCH, MODEL, p)
+        b = THETA + p.alpha / 4 * 4 * BENCH
+        assert utility(act, THETA, 4, BENCH, MODEL, p) == b * b / (2 * p.cost)
 
     def test_envelope_property(self):
         p = params(0)
@@ -96,28 +93,20 @@ class TestExpectedUtilityUnderTruth:
             best_u = utility(best_act, THETA, d, BENCH, MODEL, p)
             for held in (0.3, 0.45, 0.5, 0.6):
                 act = best_response(THETA, d, held, MODEL, p)
-                eu = expected_utility_under_truth(act, THETA, d, BENCH, MODEL, p)
+                eu = utility(act, THETA, d, BENCH, MODEL, p)
                 assert eu <= best_u + 1e-15
                 if abs(float(act) - float(best_act)) > 1e-12:
                     assert eu < best_u
 
 
 class TestOutcomes:
-    def test_evaluate_agent_fields(self):
-        p = params(0)
-        out = evaluate_agent(THETA, 6, "naive", NAIVE_EXP, BENCH, MODEL, p)
-        assert out.action == Fraction(21, 36)
-        assert out.realized_expectation == NAIVE_EXP
-        assert float(out.expected_utility_under_truth) == pytest.approx(
-            0.7291, abs=5e-4)
-        assert out.action >= THETA / p.cost
-
     def test_higher_degree_higher_action_and_utility(self):
         p = params(1)
-        low = evaluate_agent(THETA, 4, "sophisticated", BENCH, BENCH, MODEL, p)
-        high = evaluate_agent(THETA, 6, "sophisticated", BENCH, BENCH, MODEL, p)
-        assert high.action > low.action
-        assert high.utility > low.utility
+        low = best_response(THETA, 4, BENCH, MODEL, p)
+        high = best_response(THETA, 6, BENCH, MODEL, p)
+        assert high > low
+        assert utility(high, THETA, 6, BENCH, MODEL, p) > \
+            utility(low, THETA, 4, BENCH, MODEL, p)
 
     def test_naive_action_dominates_sophisticated(self):
         for s in np.linspace(0.0, 1.0, 11):

@@ -1,9 +1,21 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netgame.cli import main
+from netgame.cli import (
+    DEFAULTS,
+    PRESETS,
+    _boolean,
+    _Options,
+    _scalar_list,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -188,3 +200,128 @@ class TestConfigAndErrors:
         code, _ = run(capsys, "sweep", "bias", "--eps", "1", "--grid", "11")
         assert code == 0
         assert (tmp_path / "envout" / "bias.csv").exists()
+
+
+class TestResolverDefects:
+    def test_config_simple_true_is_read(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("simple = true\n")
+        code, out = run(capsys, "simulate", "--config", str(cfg), "--n", "2000",
+                        "--trials", "1", "--tol", "0.5", "--json")
+        assert code == 0
+        assert json.loads(out)["mode"] == "simple"
+
+    def test_config_simple_rejects_other_words(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("simple = yes\n")
+        assert main(["simulate", "--config", str(cfg), "--n", "2000"]) == 2
+        assert "simple" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "pi"])
+    def test_list_preset_sigma_exits_two(self, command, capsys):
+        assert main([command, "--preset", "spread"]) == 2
+        assert "sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "precision"], ["sweep", "sophistication"], ["sweep", "outcomes"],
+        ["solve"], ["pi"],
+    ])
+    def test_unreadable_alpha_exits_two(self, argv, tmp_path, capsys):
+        assert main([*argv, "--alpha", "abc", "--out", str(tmp_path)]) == 2
+        assert "alpha" in capsys.readouterr().err
+
+    def test_nan_etheta_exits_two_without_csv(self, tmp_path, capsys):
+        assert main(["solve", "--etheta", "nan", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "solution.csv").exists()
+
+    def test_infinite_cost_exits_two(self, tmp_path, capsys):
+        assert main(["solve", "--c", "inf", "--out", str(tmp_path)]) == 2
+
+    def test_simulate_draws_each_network_once(self, tmp_path, capsys, monkeypatch):
+        import netgame.cli
+        import netgame.netsim
+        calls = []
+        real = netgame.netsim.generate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(netgame.netsim, "generate", counting)
+        # the CLI must not hold its own reference to generate for a second draw
+        monkeypatch.setattr(netgame.cli, "generate", counting, raising=False)
+        code, _ = run(capsys, "simulate", "--n", "2000", "--trials", "3",
+                      "--seed", "4", "--tol", "0.5", "--out", str(tmp_path))
+        assert code == 0
+        assert calls == [[4, 0], [4, 1], [4, 2]]
+        meta = json.loads((tmp_path / "edges.meta.json").read_text())
+        assert meta["seed"] == [4, 0]
+
+
+def _spelled_out(argv):
+    """``argv`` plus its command's DEFAULTS entries, as flags it accepts."""
+    name = argv[-1]
+    flags = []
+    for key, value in DEFAULTS[name].items():
+        if key == "simple":
+            extra = ["--simple"] if _boolean(value) else []
+        else:
+            extra = [f"--{key}", value]
+        # argparse would read --c as an abbreviation of --config on simulate
+        parsed, unknown = build_parser().parse_known_args([*argv, *extra])
+        if extra and not unknown and vars(parsed).get(key) is not None:
+            flags += extra
+    return [*argv, *flags]
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestResolverDefaults:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "precision"], ["sweep", "sophistication"], ["sweep", "outcomes"],
+        ["sweep", "bias"], ["simulate"], ["solve"], ["pi"],
+    ])
+    def test_defaults_match_spelled_out_flags(self, argv, tmp_path, capsys):
+        bare, full = tmp_path / "bare", tmp_path / "full"
+        code, out_bare = run(capsys, *argv, "--out", str(bare))
+        assert code == 0
+        code, out_full = run(capsys, *_spelled_out(argv), "--out", str(full))
+        assert code == 0
+        assert out_bare.replace(str(bare), "") == out_full.replace(str(full), "")
+        assert _snapshot(bare) == _snapshot(full)
+
+    # one float, one list, one int and the boolean key
+    KEYS = [
+        (["sweep", "precision"], "alpha", float,
+         st.floats(0.0, 10.0).map(repr)),
+        (["sweep", "precision"], "sigma", _scalar_list,
+         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3).map(
+             lambda xs: ",".join(map(repr, xs)))),
+        (["sweep", "precision"], "grid", int, st.integers(2, 500).map(str)),
+        (["simulate"], "simple", _boolean, st.sampled_from(["true", "false"])),
+    ]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_precedence(self, data):
+        argv, key, parse, values = data.draw(st.sampled_from(self.KEYS))
+        flag = data.draw(st.none() | values)
+        if key == "simple" and flag == "false":
+            flag = None                         # the bare flag can only switch it on
+        config = data.draw(st.none() | values)
+        preset = data.draw(st.sampled_from([None, *sorted(PRESETS)]))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text("" if config is None else f"{key} = {config}\n")
+            full = [*argv, "--config", str(cfg)]
+            if preset is not None:
+                full += ["--preset", preset]
+            if flag is not None:
+                full += ["--simple"] if key == "simple" else [f"--{key}", flag]
+            opts = _Options(build_parser().parse_args(full), DEFAULTS[argv[-1]])
+            layers = [flag, config, PRESETS.get(preset, {}).get(key),
+                      DEFAULTS[argv[-1]][key]]
+            expected = parse(next(v for v in layers if v is not None))
+            assert opts.get(key, parse) == expected

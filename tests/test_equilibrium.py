@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from netgame import (
     build_pi,
     infinite_naive,
     infinite_sophisticated,
-    infinite_sophisticated_alt,
     biased_neighbor_share,
     solve_direct,
     solve_iterative,
@@ -103,6 +103,14 @@ class TestSolvers:
             solve_direct(system, params)
         with pytest.raises(ConvergenceError):
             solve_iterative(system, params, max_iter=2000)
+
+    def test_residual_gate_rejects_nan(self):
+        # parameters that skipped GameParams validation must not yield NaN xi
+        _, params, system = fig_system()
+        raw = SimpleNamespace(alpha=params.alpha, cost=params.cost,
+                              mean_preference=float("nan"))
+        with pytest.raises(ConvergenceError):
+            solve_direct(system, raw)
 
     def test_max_iter_error_carries_residual(self):
         model, params, system = fig_system()
@@ -215,25 +223,6 @@ class TestBenchmark:
         params = example_params(0.5)
         assert infinite_naive(EXAMPLE, params) > \
             benchmark_expectation(EXAMPLE, params)
-
-
-class TestAltClosedForm:
-    def test_full_sophistication_matches_benchmark(self):
-        params = example_params(1, exact=True)
-        assert infinite_sophisticated_alt(EXAMPLE_EXACT, params) == Fraction(15, 36)
-
-    def test_sigma_zero_documented_disagreement(self):
-        # the variant gives 1/2 where the canonical form gives 29/60
-        params = example_params(0, exact=True)
-        assert infinite_sophisticated_alt(EXAMPLE_EXACT, params) == Fraction(1, 2)
-        assert infinite_sophisticated(EXAMPLE_EXACT, params) == Fraction(29, 60)
-
-    def test_degenerate_ratio_collapses_to_naive(self):
-        model = DegreeModel((4, 6), (1 - 1e-9, 1e-9))
-        for s in (0.0, 0.3, 0.7, 1.0):
-            params = GameParams(0.5, 4.0, 6.0, s, model)
-            assert infinite_sophisticated_alt(model, params) == pytest.approx(
-                infinite_naive(model, params), abs=1e-6)
 
 
 class TestAveraging:

@@ -128,6 +128,16 @@ class TestMonteCarloCheck:
         assert np.allclose(report.naive_estimates,
                            report.sophisticated_estimates, atol=1e-7)
 
+    def test_first_network_is_trial_zero(self):
+        report = monte_carlo_estimator_check(EXAMPLE, 2000, trials=3, seed=9)
+        again = generate(EXAMPLE, 2000, seed=[9, 0])
+        assert report.first_network.seed == [9, 0]
+        assert np.array_equal(report.first_network.edges, again.edges)
+
+    def test_needs_a_trial(self):
+        with pytest.raises(ModelError):
+            monte_carlo_estimator_check(EXAMPLE, 2000, trials=0)
+
     def test_trial_streams_differ(self):
         report = monte_carlo_estimator_check(EXAMPLE, 5000, trials=3, seed=4)
         assert len({round(float(v), 12)

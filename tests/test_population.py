@@ -81,6 +81,26 @@ class TestGameParams:
         with pytest.raises(ModelError):
             GameParams(0.5, 1, 6, 1.5, m)
 
+    def test_rejects_non_finite_fields(self):
+        m = DegreeModel((4, 6), (0.6, 0.4))
+        good = [0.5, 1.0, 6.0, 0.5]
+        for field in range(4):
+            for bad in (math.nan, math.inf, -math.inf):
+                values = list(good)
+                values[field] = bad
+                with pytest.raises(ModelError):
+                    GameParams(*values, m)
+
+    @given(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 3),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_always_raises(self, bad, field, sigma):
+        m = DegreeModel((4, 6), (0.6, 0.4))
+        values = [0.5, 1.0, 6.0, sigma]
+        values[field] = bad
+        with pytest.raises(ModelError):
+            GameParams(*values, m)
+
 
 class TestBiasedNeighborShare:
     def test_worked_example(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from netgame import (
     DegreeModel,
+    ExpectationMatrix,
     GameParams,
     ModelError,
     ObservedShares,
@@ -172,6 +173,18 @@ class TestBuildPi:
         system = build_pi(m, _stable_params(m))
         for q, t in enumerate(system.types):
             assert system.d_diag[q] == t.degree / 2
+
+    def test_rejects_non_finite_entries(self):
+        m = DegreeModel((2, 4), (0.5, 0.5))
+        system = build_pi(m, _stable_params(m))
+        pi = system.pi.copy()
+        pi[0, 0] = np.nan                       # a naive row, naive column
+        with pytest.raises(ModelError):
+            ExpectationMatrix(system.types, pi, system.d_diag)
+        d_diag = system.d_diag.copy()
+        d_diag[-1] = np.inf
+        with pytest.raises(ModelError):
+            ExpectationMatrix(system.types, system.pi, d_diag)
 
     def test_three_class_rows_sum_to_one(self):
         m = DegreeModel((1, 2, 3), (0.3, 0.4, 0.3))
