@@ -83,6 +83,16 @@ def benchmark_curve(delta2, eps, alpha, cost, etheta):
     return etheta / denom
 
 
+def observed_share_d1(delta2, eps):
+    """d/d(delta2) of the observed high share: (1+eps)/(1+eps*delta2)^2."""
+    return (1 + eps) / (1 + eps * delta2) ** 2
+
+
+def observed_share_d2(delta2, eps):
+    """Second derivative of the observed high share."""
+    return -2 * eps * (1 + eps) / (1 + eps * delta2) ** 3
+
+
 def naive_convexity_rhs(delta2, eps):
     """Threshold for c/a below which the naive curve is convex:
     (1 + eps*u(delta2)) + (1+eps)/(1+eps*delta2)."""

@@ -52,6 +52,25 @@ class TestCurves:
 
 
 class TestAuxiliaryEvaluators:
+    # finite-difference cross-checks of the closed-form derivatives
+
+    CASES = [(0.5, 4.0, 6.0, 1.0), (2.0, 1.2, 3.7, 0.5), (2.0, 1.2, 3.7, 0.9)]
+
+    def _fd1(self, f, x, h=1e-6):
+        return (f(x + h) - f(x - h)) / (2 * h)
+
+    def _fd2(self, f, x, h=1e-4):
+        return (f(x + h) - 2 * f(x) + f(x - h)) / h**2
+
+    @pytest.mark.parametrize("eps,alpha,cost,sigma", CASES)
+    @pytest.mark.parametrize("x", [0.2, 0.5, 0.8])
+    def test_observed_share_derivatives(self, eps, alpha, cost, sigma, x):
+        f = lambda t: an.observed_high_share(t, eps)
+        assert an.observed_share_d1(x, eps) == pytest.approx(
+            self._fd1(f, x), rel=1e-6)
+        assert an.observed_share_d2(x, eps) == pytest.approx(
+            self._fd2(f, x), rel=1e-4)
+
     def test_rhs_is_constant_two_plus_eps(self):
         # the two condition terms always total 2 + eps
         for eps in (0.5, 2.0, 7.0):
