@@ -89,6 +89,7 @@ from .typespace import (
     build_pi,
     draw_probability,
     enumerate_types,
+    multinomial_pmf,
     pi_csv_rows,
 )
 

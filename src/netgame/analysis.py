@@ -26,7 +26,7 @@ from .equilibrium import (
 )
 from .estimators import NAIVE, SOPHISTICATED, observed_high_share
 from .population import DegreeModel, GameParams, ModelError
-from .typespace import build_pi
+from .typespace import build_pi, multinomial_pmf
 
 DIFF_STEP = 1e-4
 BAND_FACTOR = 10.0
@@ -280,18 +280,17 @@ def bernstein(func, degree: int):
 
     Reproduces linear functions exactly and, for convex f, B_d(f) >= B_{md}(f)
     pointwise on (0, 1) for every integer m >= 1 (lower degree lies higher).
+    Each weight is :func:`multinomial_pmf` of the two-class lattice at
+    (1 - x, x), so x must lie in [0, 1].
     """
     if degree < 1:
         raise ModelError("Bernstein degree must be at least 1")
-    lattice = [k / degree for k in range(degree + 1)]
-    fvals = [float(func(x)) for x in lattice]
-    coeffs = [math.comb(degree, k) for k in range(degree + 1)]
+    fvals = np.array([float(func(k / degree)) for k in range(degree + 1)])
+    # the same (low, high) lattice as a two-class row of the expectation matrix
+    counts = [(degree - k, k) for k in range(degree + 1)]
 
     def b(x):
-        acc = 0.0
-        for k, (c, fv) in enumerate(zip(coeffs, fvals)):
-            acc += c * x**k * (1 - x) ** (degree - k) * fv
-        return acc
+        return float(multinomial_pmf(counts, [(1 - x, x)])[0] @ fvals)
 
     return b
 

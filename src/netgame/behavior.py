@@ -41,7 +41,7 @@ def population_average_action(model: DegreeModel, params: GameParams,
     if isinstance(expectation_or_solution, EquilibriumSolution):
         sol = expectation_or_solution
         types = sol.system.types
-        w = type_probabilities(model, types, sigma=params.sigma)
+        w = type_probabilities(model, sol.system, sigma=params.sigma)
         total = 0.0
         for t, weight, exp in zip(types, w, sol.xi):
             action = best_response(params.mean_preference, t.degree, exp,

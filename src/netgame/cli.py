@@ -84,8 +84,13 @@ SWEEP_KINDS = ("precision", "sophistication", "outcomes", "bias")
 # ---------------------------------------------------------------------------
 
 def _read_config(path) -> dict:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ModelError(f"cannot read config file {path}: {reason}") from None
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -208,16 +213,25 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _json_text(payload) -> str:
+    """Indented, key-sorted JSON; a NaN or infinity is an error, not a bare token."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ModelError(f"cannot write JSON: {exc}") from None
+
+
 def _write_table(out: Path, name: str, columns, rows, meta) -> None:
+    payload = {"command": name, "columns": list(columns), "rows": [list(r) for r in rows]}
+    payload.update(meta)
+    text = _json_text(payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_cell(v) for v in row])
     _atomic_write(out / f"{name}.csv", buf.getvalue())
-    payload = {"command": name, "columns": list(columns), "rows": [list(r) for r in rows]}
-    payload.update(meta)
-    _atomic_write(out / f"{name}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out / f"{name}.json", text)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +307,7 @@ def cmd_example(args) -> int:
     if args.json:
         report = {"command": "example", "exact": bool(args.exact),
                   "passed": passed, "checks": checks}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report), end="")
     else:
         width = max(len(c["name"]) for c in checks)
         for c in checks:
@@ -461,7 +475,7 @@ def cmd_simulate(args) -> int:
         },
         "passed": bool(passed),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload)
     if args.json:
         print(text, end="")
     else:
@@ -533,8 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netgame",
         description="Network-game equilibria under degree-biased neighbor sampling",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help):
+        # no abbreviations: "--c" must never be read as "--config"
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def common(p):
         p.add_argument("--config", help="key = value option file")
@@ -542,13 +561,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default $NETGAME_OUT)")
         p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
-    p_example = sub.add_parser("example", help="check the worked example values")
+    p_example = command("example", "check the worked example values")
     p_example.add_argument("--exact", action="store_true",
                            help="exact rational arithmetic")
     p_example.add_argument("--json", action="store_true")
     p_example.set_defaults(func=cmd_example)
 
-    p_sweep = sub.add_parser("sweep", help="emit figure data as CSV + JSON")
+    p_sweep = command("sweep", "emit figure data as CSV + JSON")
     p_sweep.add_argument("kind", choices=SWEEP_KINDS)
     common(p_sweep)
     p_sweep.add_argument("--model", help="degrees:shares, e.g. 4,6:0.6,0.4")
@@ -561,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", help="grid point count")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo estimator checks")
+    p_sim = command("simulate", "Monte-Carlo estimator checks")
     common(p_sim)
     p_sim.add_argument("--model")
     p_sim.add_argument("--n")
@@ -572,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="repair self-loops and multi-edges")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_solve = sub.add_parser("solve", help="solve one finite type system")
+    p_solve = command("solve", "solve one finite type system")
     common(p_solve)
     p_solve.add_argument("--model")
     p_solve.add_argument("--sigma")
@@ -581,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--etheta")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_pi = sub.add_parser("pi", help="dump the expectation matrix as CSV")
+    p_pi = command("pi", "dump the expectation matrix as CSV")
     common(p_pi)
     p_pi.add_argument("--model")
     p_pi.add_argument("--sigma")

@@ -23,7 +23,7 @@ from .population import (
     biased_neighbor_share,
     degree_ratios,
 )
-from .typespace import ExpectationMatrix, draw_probability
+from .typespace import ExpectationMatrix, multinomial_pmf, type_columns
 
 RESIDUAL_TOL = 1e-8
 
@@ -73,7 +73,9 @@ def solve_direct(system: ExpectationMatrix, params: GameParams,
     degraded expectations.
     """
     a_c = float(params.alpha) / float(params.cost)
-    m = np.eye(system.L) - a_c * system.pi * system.d_diag
+    # I - (alpha/c) Pi D with a single L x L temporary
+    m = system.pi * (-a_c * system.d_diag)
+    m.flat[::system.L + 1] += 1.0
     b = np.full(system.L, float(params.mean_preference) / float(params.cost))
     try:
         xi = np.linalg.solve(m, b)
@@ -169,15 +171,22 @@ def type_probabilities(model: DegreeModel, types, sigma=None) -> np.ndarray:
     Class share times the multinomial chance of the observed neighbor counts
     under the biased sampling law; multiplied by the rule share when ``sigma``
     is given, otherwise conditional on the rule (each rule block sums to one).
+    ``types`` is a sequence of agent types or an :class:`ExpectationMatrix`,
+    whose per-type columns are then reused instead of read again.
     """
+    if isinstance(types, ExpectationMatrix):
+        counts, degrees, sophisticated = types.columns
+    else:
+        counts, degrees, sophisticated = type_columns(types)
+    support = np.array(model.degrees)
+    cls = np.minimum(np.searchsorted(support, degrees), len(support) - 1)
+    if (support[cls] != degrees).any():
+        raise ModelError("every type's degree must lie in the model's support")
     tilde = [float(v) for v in biased_neighbor_share(model)]
-    share_of = {d: float(s) for d, s in zip(model.degrees, model.shares)}
-    w = np.empty(len(types))
-    for q, t in enumerate(types):
-        p = share_of[t.degree] * draw_probability(t.observed.counts, tilde)
-        if sigma is not None:
-            p *= float(sigma) if t.rule == SOPHISTICATED else 1.0 - float(sigma)
-        w[q] = p
+    shares = np.array([float(s) for s in model.shares])
+    w = shares[cls] * multinomial_pmf(counts, [tilde])[0]
+    if sigma is not None:
+        w *= np.where(sophisticated, float(sigma), 1.0 - float(sigma))
     return w
 
 
@@ -188,14 +197,14 @@ def average_expectation(solution: EquilibriumSolution, model: DegreeModel,
     With ``rule`` given the average runs over that rule's types under the true
     sampling weights; otherwise the rule blocks are mixed by ``sigma``.
     """
-    types = solution.system.types
+    system = solution.system
     if rule is None:
         if sigma is None:
             raise ModelError("need a sophistication share to mix the rule blocks")
-        w = type_probabilities(model, types, sigma=sigma)
+        w = type_probabilities(model, system, sigma=sigma)
     else:
         if rule not in (NAIVE, SOPHISTICATED):
             raise ModelError(f"unknown updating rule {rule!r}")
-        w = type_probabilities(model, types)
-        w *= np.array([1.0 if t.rule == rule else 0.0 for t in types])
+        w = type_probabilities(model, system)
+        w *= system.columns[2] == (rule == SOPHISTICATED)
     return float(w @ solution.xi)

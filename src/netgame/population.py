@@ -18,6 +18,14 @@ SHARE_TOL = 1e-12
 _COUNT_TOL = 1e-9
 
 
+def _positive_integer(x) -> bool:
+    """True for a whole number >= 1; False for NaN, infinities and non-numbers."""
+    try:
+        return x == int(x) and int(x) >= 1
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 class ModelError(ValueError):
     """A model, parameter set, or observation violates its invariants."""
 
@@ -36,7 +44,7 @@ class DegreeModel:
     def __post_init__(self):
         degrees = []
         for d in self.degrees:
-            if d != int(d) or int(d) < 1:
+            if not _positive_integer(d):
                 raise ModelError(f"degrees must be positive integers, got {d!r}")
             degrees.append(int(d))
         object.__setattr__(self, "degrees", tuple(degrees))
@@ -127,7 +135,7 @@ class ObservedShares:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
         n = self.sample_size
-        if n != int(n) or int(n) < 1:
+        if not _positive_integer(n):
             raise ModelError(f"sample size must be a positive integer, got {n!r}")
         object.__setattr__(self, "sample_size", int(n))
         if len(self.values) < 2:

@@ -7,6 +7,7 @@ import netgame.analysis as an
 from netgame import (
     DegreeModel,
     GameParams,
+    ModelError,
     bernstein,
     bernstein_interpolate,
     build_pi,
@@ -143,6 +144,26 @@ class TestBernstein:
         f = lambda x: x * x
         assert bernstein(f, 2)(0.5) == pytest.approx(0.375, abs=1e-12)
         assert bernstein(f, 4)(0.5) == pytest.approx(0.3125, abs=1e-12)
+
+    def test_large_degree_reproduces_linear_functions(self):
+        b = bernstein(lambda x: 3 * x - 1, 1500)
+        for x in (0.0, 0.3, 0.77, 1.0):
+            assert b(x) == pytest.approx(3 * x - 1, abs=1e-12)
+
+    def test_rejects_points_outside_the_unit_interval(self):
+        with pytest.raises(ModelError):
+            bernstein(lambda x: x, 3)(1.5)
+
+    def test_two_class_pi_block_is_the_bernstein_operator(self):
+        # a naive observer with shares (1/2, 1/2) believes degree 6 with
+        # weight 1/2 and draws that block's lattice by the same multinomial
+        model = DegreeModel((2, 6), (0.5, 0.5))
+        system = build_pi(model, GameParams(1.0, 1.0, 7.0, 0.4, model))
+        row = system.row("naive", 2, (1, 1))
+        f = lambda x: x * x + 0.2
+        block = sum(row[system.index("naive", 6, (6 - k, k))] * f(k / 6)
+                    for k in range(7))
+        assert block / 0.5 == pytest.approx(bernstein(f, 6)(0.5), abs=1e-15)
 
     def test_lattice_interpolation_exact(self):
         values = [0.3, 0.1, 0.4, 0.15]

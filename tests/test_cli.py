@@ -237,6 +237,28 @@ class TestResolverDefects:
     def test_infinite_cost_exits_two(self, tmp_path, capsys):
         assert main(["solve", "--c", "inf", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--c", "6"], ["solve", "--sig", "0.5"], ["pi", "--conf", "x.cfg"],
+    ])
+    def test_no_option_abbreviations(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_config_exits_two(self, name, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+    def test_nan_in_payload_exits_two_without_files(self, tmp_path, capsys, monkeypatch):
+        import netgame.cli
+        monkeypatch.setattr(netgame.cli, "average_expectation", lambda *a, **k: float("nan"))
+        code = main(["sweep", "precision", "--d1", "2", "--grid", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("precision.*"))
+
     def test_simulate_draws_each_network_once(self, tmp_path, capsys, monkeypatch):
         import netgame.cli
         import netgame.netsim
@@ -267,7 +289,7 @@ def _spelled_out(argv):
             extra = ["--simple"] if _boolean(value) else []
         else:
             extra = [f"--{key}", value]
-        # argparse would read --c as an abbreviation of --config on simulate
+        # simulate has no --c flag; parse_known_args leaves it unknown
         parsed, unknown = build_parser().parse_known_args([*argv, *extra])
         if extra and not unknown and vars(parsed).get(key) is not None:
             flags += extra

@@ -10,6 +10,7 @@ from netgame import (
     ConvergenceError,
     DegreeModel,
     GameParams,
+    ModelError,
     StabilityError,
     average_expectation,
     benchmark_expectation,
@@ -234,6 +235,19 @@ class TestAveraging:
             w = type_probabilities(model, system.types)
             mask = np.array([t.rule == rule for t in system.types])
             assert w[mask].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_system_columns_give_the_same_weights(self):
+        model, _, system = fig_system(sigma=0.3)
+        for sigma in (None, 0.3):
+            from_types = type_probabilities(model, system.types, sigma=sigma)
+            from_system = type_probabilities(model, system, sigma=sigma)
+            assert np.array_equal(from_types, from_system)
+
+    def test_rejects_types_outside_the_support(self):
+        model, _, system = fig_system(sigma=0.3)
+        other = DegreeModel((3, 6), (0.5, 0.5))
+        with pytest.raises(ModelError):
+            type_probabilities(other, system)
 
     def test_fig_span(self):
         # averaged sophisticated expectations stay between E[theta]/c and the

@@ -54,6 +54,11 @@ class TestDegreeModel:
         with pytest.raises(ModelError):
             DegreeModel((1, 2, 3), (0.3, 0.3, 0.4)).epsilon
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 2.5, None])
+    def test_rejects_non_integer_degrees(self, bad):
+        with pytest.raises(ModelError):
+            DegreeModel((1, bad), (0.5, 0.5))
+
     def test_exact_mode(self):
         m = DegreeModel((4, 6), (Fraction(3, 5), Fraction(2, 5)))
         assert m.exact
@@ -173,6 +178,11 @@ class TestObservedShares:
     def test_rejects_off_lattice(self):
         with pytest.raises(ModelError):
             ObservedShares((0.3, 0.7), 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sample_size(self, bad):
+        with pytest.raises(ModelError):
+            ObservedShares((0.5, 0.5), bad)
 
     def test_counts_roundtrip(self):
         obs = ObservedShares.from_counts((3, 1))

@@ -18,6 +18,7 @@ from netgame import (
     build_pi,
     draw_probability,
     enumerate_types,
+    multinomial_pmf,
     pi_csv_rows,
 )
 
@@ -208,6 +209,97 @@ class TestDrawProbability:
     def test_zero_probability_cell(self):
         assert draw_probability((1, 1), (1.0, 0.0)) == 0.0
         assert draw_probability((2, 0), (1.0, 0.0)) == 1.0
+
+
+    def test_large_degree_does_not_overflow(self):
+        exact = Fraction(math.comb(1100, 550), 2 ** 1100)
+        got = draw_probability((550, 550), (0.5, 0.5))
+        assert abs(got / float(exact) - 1) <= 1e-12
+
+
+def _exact_pmf(counts, probs):
+    coeff, rem = 1, sum(counts)
+    for c in counts:
+        coeff *= math.comb(rem, c)
+        rem -= c
+    p = Fraction(coeff)
+    for c, q in zip(counts, probs):
+        p *= Fraction(q) ** c
+    return p
+
+
+def _lattice(total, K):
+    return [c for c in itertools.product(range(total + 1), repeat=K) if sum(c) == total]
+
+
+@st.composite
+def probability_rows(draw, K):
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                            min_size=K, max_size=K).filter(lambda r: sum(r) > 0))
+        rows.append([v / sum(raw) for v in raw])
+    return rows
+
+
+class TestMultinomialPmf:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_exact_fractions(self, data):
+        K = data.draw(st.integers(2, 4))
+        counts = data.draw(st.lists(st.lists(st.integers(0, 6), min_size=K, max_size=K),
+                                    min_size=1, max_size=5))
+        probs = data.draw(probability_rows(K))
+        got = multinomial_pmf(counts, probs)
+        assert got.shape == (len(probs), len(counts))
+        for i, row in enumerate(probs):
+            for j, c in enumerate(counts):
+                exact = _exact_pmf(c, row)
+                if exact == 0:
+                    assert got[i, j] == 0.0
+                else:
+                    assert got[i, j] == pytest.approx(float(exact), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_full_lattice_sums_to_one(self, data):
+        K = data.draw(st.integers(2, 4))
+        total = data.draw(st.integers(0, 9))
+        probs = data.draw(probability_rows(K))
+        sums = multinomial_pmf(_lattice(total, K), probs).sum(axis=1)
+        assert np.max(np.abs(sums - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("counts,probs", [
+        ([(1, -1)], [(0.5, 0.5)]),
+        ([(1.5, 0.5)], [(0.5, 0.5)]),
+        ([(1, 1)], [(1.5, -0.5)]),
+        ([(1, 1)], [(np.nan, 0.5)]),
+        ([(1, 1, 0)], [(0.5, 0.5)]),
+    ])
+    def test_rejects_bad_input(self, counts, probs):
+        with pytest.raises(ModelError):
+            multinomial_pmf(counts, probs)
+
+    def test_build_pi_matches_entrywise_reference(self):
+        # the per-entry definition, evaluated exactly for every (observer, target)
+        m = DegreeModel((1, 2, 4), (0.3, 0.4, 0.3))
+        system = build_pi(m, _stable_params(m, sigma=0.35))
+        for p, obs in enumerate(system.types):
+            for q, tgt in enumerate(system.types):
+                weight = (believed_rule_share(obs.rule, tgt.rule, 0.35)
+                          * believed_degree_share(obs.rule, obs.observed, tgt.degree,
+                                                  m.degrees))
+                ref = float(weight) * float(_exact_pmf(tgt.observed.counts,
+                                                       obs.observed.values))
+                assert system.pi[p, q] == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_large_degree_system_passes_matrix_checks(self):
+        m = DegreeModel((2, 1100), (0.5, 0.5))
+        system = build_pi(m, _stable_params(m, sigma=0.5))
+        assert system.L == 2 * (3 + 1101)
+        assert np.max(np.abs(system.pi.sum(axis=1) - 1.0)) <= 1e-12
+        # re-running the constructor repeats every check on the same data
+        ExpectationMatrix(system.types, system.pi, system.d_diag)
 
 
 class TestCsvDump:
