@@ -14,7 +14,6 @@ from .analysis import (
     MonotonicityReport,
     PrecisionSweepResult,
     SigmaRow,
-    benchmark_curve,
     bernstein,
     bernstein_interpolate,
     convexity_check,

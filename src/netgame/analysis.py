@@ -30,6 +30,9 @@ from .typespace import build_pi, multinomial_pmf
 
 DIFF_STEP = 1e-4
 BAND_FACTOR = 10.0
+# the interior points 0.01, ..., 0.99 where the curves are checked
+CHECK_GRID = np.linspace(0.0, 1.0, 101)[1:-1]
+CHECK_GRID.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -73,24 +76,6 @@ def sophisticated_curve(delta2, eps, alpha, cost, sigma, etheta):
     """Sophisticated expectation as a function of the true high share."""
     return sophisticated_value_at_observed(observed_high_share(delta2, eps),
                                            eps, alpha, cost, sigma, etheta)
-
-
-def benchmark_curve(delta2, eps, alpha, cost, etheta):
-    """Full-information expectation E[theta]/(c - a(1 + eps*delta2))."""
-    denom = cost - alpha * (1 + eps * delta2)
-    if denom <= 0:
-        raise ModelError("benchmark expectation undefined: locally unstable")
-    return etheta / denom
-
-
-def observed_share_d1(delta2, eps):
-    """d/d(delta2) of the observed high share: (1+eps)/(1+eps*delta2)^2."""
-    return (1 + eps) / (1 + eps * delta2) ** 2
-
-
-def observed_share_d2(delta2, eps):
-    """Second derivative of the observed high share."""
-    return -2 * eps * (1 + eps) / (1 + eps * delta2) ** 3
 
 
 def naive_convexity_rhs(delta2, eps):
@@ -164,23 +149,18 @@ class ConvexityReport:
         return bool(self.naive_agree.all())
 
 
-def convexity_check(eps, alpha, cost, sigma=1.0, etheta=1.0, grid=None,
-                    h=DIFF_STEP, band_factor=BAND_FACTOR) -> ConvexityReport:
+def convexity_check(eps, alpha, cost, sigma=1.0, etheta=1.0) -> ConvexityReport:
     """Compare measured curvature of the large-sample curves with the
-    analytic condition, point by point.
+    analytic condition at each point of ``CHECK_GRID``.
 
+    Second differences use the step ``DIFF_STEP``; points within
+    ``BAND_FACTOR * DIFF_STEP`` of condition equality are inconclusive.
     The naive curve is convex exactly where c/a < (1 + eps*u) +
     (1+eps)/(1+eps*delta2); with alpha*eps == 0 both curves are flat and the
     sign test is vacuous (reported as degenerate).
     """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)[1:-1]
-    grid = np.asarray(grid, dtype=float)
-    if (grid <= 0).any() or (grid >= 1).any():
-        raise ModelError("curvature grid must be strictly interior to (0, 1)")
-    if h <= 0 or 2 * h >= float(grid.min()):
-        raise ModelError("step too large for the grid")
-    band = band_factor * h
+    grid, h = CHECK_GRID, DIFF_STEP
+    band = BAND_FACTOR * h
     npts = len(grid)
     naive_second = np.full(npts, np.nan)
     soph_second = np.full(npts, np.nan)
@@ -232,13 +212,11 @@ class MonotonicityReport:
                     and (self.soph_first[ok] > 0).all())
 
 
-def monotonicity_check(eps, alpha, cost, sigma=1.0, etheta=1.0,
-                       grid=None) -> MonotonicityReport:
-    """First differences of both curves; flags the flat alpha*eps == 0 case
-    (the boundary of monotone) instead of calling it increasing."""
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)[1:-1]
-    grid = np.asarray(grid, dtype=float)
+def monotonicity_check(eps, alpha, cost, sigma=1.0, etheta=1.0) -> MonotonicityReport:
+    """First differences of both curves over ``CHECK_GRID``; flags the flat
+    alpha*eps == 0 case (the boundary of monotone) instead of calling it
+    increasing."""
+    grid = CHECK_GRID
     stable = np.array([_stable_soph(x, eps, alpha, cost, sigma) for x in grid])
     naive_vals = np.array([
         naive_curve(x, eps, alpha, cost, etheta) if stable[i] else np.nan

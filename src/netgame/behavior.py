@@ -40,14 +40,10 @@ def population_average_action(model: DegreeModel, params: GameParams,
     """
     if isinstance(expectation_or_solution, EquilibriumSolution):
         sol = expectation_or_solution
-        types = sol.system.types
         w = type_probabilities(model, sol.system, sigma=params.sigma)
-        total = 0.0
-        for t, weight, exp in zip(types, w, sol.xi):
-            action = best_response(params.mean_preference, t.degree, exp,
-                                   model, params)
-            total += float(weight) * float(action)
-        return total
+        actions = best_response(params.mean_preference, sol.system.columns[1], sol.xi,
+                                model, params)
+        return float(w @ actions)
     expectation = expectation_or_solution
     _, e1, _ = degree_ratios(model)
     return (params.mean_preference / params.cost

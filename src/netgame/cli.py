@@ -84,6 +84,8 @@ SWEEP_KINDS = ("precision", "sophistication", "outcomes", "bias")
 # ---------------------------------------------------------------------------
 
 def _read_config(path) -> dict:
+    """The file's ``key = value`` pairs; a key no command reads is an error."""
+    known = {"out"}.union(*DEFAULTS.values(), *PRESETS.values())
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -96,8 +98,10 @@ def _read_config(path) -> dict:
             continue
         if "=" not in line:
             raise ModelError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise ModelError(f"{path}:{lineno}: unknown option {key!r}")
+        out[key] = value
     return out
 
 
@@ -221,16 +225,18 @@ def _json_text(payload) -> str:
         raise ModelError(f"cannot write JSON: {exc}") from None
 
 
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _write_table(out: Path, name: str, columns, rows, meta) -> None:
     payload = {"command": name, "columns": list(columns), "rows": [list(r) for r in rows]}
     payload.update(meta)
     text = _json_text(payload)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    _atomic_write(out / f"{name}.csv", buf.getvalue())
+    _atomic_write(out / f"{name}.csv",
+                  _csv_text([columns, *([_cell(v) for v in row] for row in rows)]))
     _atomic_write(out / f"{name}.json", text)
 
 
@@ -526,16 +532,13 @@ def cmd_pi(args) -> int:
     opts = _Options(args, DEFAULTS["pi"])
     model, params = opts.game(opts.get("sigma", float))
     system = build_pi(model, params)
-    rows = pi_csv_rows(system)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    text = _csv_text(pi_csv_rows(system))
     if opts.get("out") or os.environ.get("NETGAME_OUT"):
         out = _out_dir(opts)
-        _atomic_write(out / "pi.csv", buf.getvalue())
+        _atomic_write(out / "pi.csv", text)
         print(f"wrote {system.L}x{system.L} matrix to {out / 'pi.csv'}")
     else:
-        print(buf.getvalue(), end="")
+        print(text, end="")
     return 0
 
 
@@ -559,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value option file")
         p.add_argument("--preset", help=f"one of {sorted(PRESETS)}")
         p.add_argument("--out", help="output directory (default $NETGAME_OUT)")
-        p.add_argument("--json", action="store_true", help="machine-readable stdout")
 
     p_example = command("example", "check the worked example values")
     p_example.add_argument("--exact", action="store_true",
@@ -582,6 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = command("simulate", "Monte-Carlo estimator checks")
     common(p_sim)
+    p_sim.add_argument("--json", action="store_true", help="machine-readable stdout")
     p_sim.add_argument("--model")
     p_sim.add_argument("--n")
     p_sim.add_argument("--trials")

@@ -23,7 +23,7 @@ from .population import (
     biased_neighbor_share,
     degree_ratios,
 )
-from .typespace import ExpectationMatrix, multinomial_pmf, type_columns
+from .typespace import ExpectationMatrix, multinomial_pmf
 
 RESIDUAL_TOL = 1e-8
 
@@ -64,12 +64,11 @@ def _fixed_point_residual(system, params, xi) -> float:
     return float(np.max(np.abs(xi - rhs)))
 
 
-def solve_direct(system: ExpectationMatrix, params: GameParams,
-                 residual_tol: float = RESIDUAL_TOL) -> EquilibriumSolution:
+def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSolution:
     """Solve the type system by a dense LU factorization.
 
     The residual of the fixed-point equation is checked after the solve and
-    anything above ``residual_tol`` raises rather than returning silently
+    anything above ``RESIDUAL_TOL`` raises rather than returning silently
     degraded expectations.
     """
     a_c = float(params.alpha) / float(params.cost)
@@ -84,9 +83,9 @@ def solve_direct(system: ExpectationMatrix, params: GameParams,
             "singular type system; stability requires alpha * d_K/d_1 < cost"
         ) from exc
     res = _fixed_point_residual(system, params, xi)
-    if not res <= residual_tol:  # also catches NaN
+    if not res <= RESIDUAL_TOL:  # also catches NaN
         raise ConvergenceError(
-            f"direct solve residual {res:.3e} exceeds {residual_tol:.1e}", res
+            f"direct solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}", res
         )
     return EquilibriumSolution(xi, system, "direct", res)
 
@@ -165,19 +164,15 @@ def benchmark_expectation(model: DegreeModel, params: GameParams):
     return params.mean_preference / denom
 
 
-def type_probabilities(model: DegreeModel, types, sigma=None) -> np.ndarray:
-    """True occurrence probability of each type.
+def type_probabilities(model: DegreeModel, system: ExpectationMatrix,
+                       sigma=None) -> np.ndarray:
+    """True occurrence probability of each type of ``system``.
 
     Class share times the multinomial chance of the observed neighbor counts
     under the biased sampling law; multiplied by the rule share when ``sigma``
     is given, otherwise conditional on the rule (each rule block sums to one).
-    ``types`` is a sequence of agent types or an :class:`ExpectationMatrix`,
-    whose per-type columns are then reused instead of read again.
     """
-    if isinstance(types, ExpectationMatrix):
-        counts, degrees, sophisticated = types.columns
-    else:
-        counts, degrees, sophisticated = type_columns(types)
+    counts, degrees, sophisticated = system.columns
     support = np.array(model.degrees)
     cls = np.minimum(np.searchsorted(support, degrees), len(support) - 1)
     if (support[cls] != degrees).any():

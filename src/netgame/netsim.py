@@ -19,6 +19,8 @@ import numpy as np
 from .estimators import debias_shares
 from .population import DegreeModel, ModelError, ObservedShares, biased_neighbor_share
 
+MAX_ROUNDS = 200  # re-draw rounds of simple mode before giving up
+
 
 @dataclass(frozen=True)
 class SampledNetwork:
@@ -58,13 +60,12 @@ def class_counts(model: DegreeModel, n: int) -> list:
     return counts
 
 
-def generate(model: DegreeModel, n: int, seed, simple: bool = False,
-             max_rounds: int = 200) -> SampledNetwork:
+def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledNetwork:
     """Draw a configuration-model network with the model's degree mix.
 
     Stubs (one per unit of degree) are shuffled and paired consecutively.
     In simple mode, pairs forming self-loops or duplicate edges are pooled
-    and re-drawn for up to ``max_rounds`` rounds.
+    and re-drawn for up to ``MAX_ROUNDS`` rounds.
     """
     if n < 2:
         raise ModelError("need at least two nodes")
@@ -92,7 +93,7 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False,
     accepted: list = []
     seen: set = set()
     pool = stubs
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         pool = rng.permutation(pool)
         rejected: list = []
         for u, v in pool.reshape(-1, 2):
@@ -117,7 +118,7 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False,
             rejected.append(u)
             rejected.append(v)
         pool = np.array(rejected, dtype=np.int64)
-    raise ModelError(f"no simple realization found within {max_rounds} rounds")
+    raise ModelError(f"no simple realization found within {MAX_ROUNDS} rounds")
 
 
 @dataclass(frozen=True)
@@ -249,12 +250,12 @@ def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
     """Mean deviation of the average neighbor shares from the sampling law,
     per network size, with the fitted log-log slope (about -1/2).
 
+    ``trials_per_n`` gives the trial count for each entry of ``ns``.
     Returns (ns, mean absolute deviations, slope).
     """
     tilde = np.array([float(v) for v in biased_neighbor_share(model)])
     devs = []
-    for i, n in enumerate(ns):
-        trials = trials_per_n[i] if not np.isscalar(trials_per_n) else trials_per_n
+    for i, (n, trials) in enumerate(zip(ns, trials_per_n, strict=True)):
         acc = []
         for t in range(trials):
             net = generate(model, int(n), seed=[seed, i, t])
@@ -271,8 +272,7 @@ def write_edgelist(net: SampledNetwork, path) -> None:
     hi = np.maximum(net.edges[:, 0], net.edges[:, 1])
     order = np.lexsort((hi, lo))
     with open(path, "w", newline="\n") as fh:
-        for i in order:
-            fh.write(f"{lo[i]} {hi[i]}\n")
+        fh.writelines(f"{a} {b}\n" for a, b in zip(lo[order].tolist(), hi[order].tolist()))
 
 
 def write_metadata(net: SampledNetwork, path) -> None:

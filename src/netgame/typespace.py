@@ -11,7 +11,7 @@ observers think everyone is naive).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,12 +50,9 @@ class AgentType:
 def enumerate_types(model: DegreeModel) -> list:
     """All agent types: naive block first, then ascending degree, then the
     lattice order of the observed shares (highest class ascending)."""
-    out = []
-    for rule in RULES:
-        for d in model.degrees:
-            for obs in feasible_observed_shares(d, model.K):
-                out.append(AgentType(rule, d, obs))
-    return out
+    lattices = [(d, feasible_observed_shares(d, model.K)) for d in model.degrees]
+    return [AgentType(rule, d, obs)
+            for rule in RULES for d, lattice in lattices for obs in lattice]
 
 
 def believed_degree_share(rule, observed: ObservedShares, target_degree, degrees):
@@ -142,25 +139,24 @@ class ExpectationMatrix:
     """Interaction expectations ``pi`` plus the degree-ratio diagonal.
 
     ``pi[p, q]`` is the probability observer type p assigns to interacting
-    with target type q; ``d_diag[q]`` is the target's degree ratio d_j/d_1.
-    ``columns`` holds the per-type arrays of :func:`type_columns`.
-    Rows sum to one, all entries are non-negative, and naive rows put zero
-    mass on sophisticated columns.
+    with target type q; ``d_diag[q]`` is the target's degree ratio d_j/d_1,
+    derived from the types.  ``columns`` holds the per-type arrays of
+    :func:`type_columns`.  Rows sum to one, all entries are non-negative, and
+    naive rows put zero mass on sophisticated columns.
     """
 
     types: tuple
     pi: np.ndarray
-    d_diag: np.ndarray
+    d_diag: np.ndarray = field(init=False)
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
-        d_diag = np.asarray(self.d_diag, dtype=float)
         L = len(self.types)
-        if pi.shape != (L, L) or d_diag.shape != (L,):
-            raise ModelError("matrix shapes must match the type count")
+        if pi.shape != (L, L):
+            raise ModelError("matrix shape must match the type count")
         # a NaN or infinite entry makes the sum non-finite; no L x L mask needed
-        if not (np.isfinite(pi.sum()) and np.isfinite(d_diag).all()):
-            raise ModelError("interaction expectations and degree ratios must be finite")
+        if not np.isfinite(pi.sum()):
+            raise ModelError("interaction expectations must be finite")
         if (pi < 0).any():
             raise ModelError("interaction expectations must be non-negative")
         sums = pi.sum(axis=1)
@@ -169,6 +165,7 @@ class ExpectationMatrix:
         counts, degrees, sophisticated = type_columns(self.types)
         if sophisticated.any() and pi[np.ix_(~sophisticated, sophisticated)].any():
             raise ModelError("naive observers cannot place mass on sophisticated types")
+        d_diag = degrees / degrees.min()
         pi.setflags(write=False)
         d_diag.setflags(write=False)
         object.__setattr__(self, "types", tuple(self.types))
@@ -228,7 +225,7 @@ def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
             start = r * half + cols[0]
             np.multiply((w_rule * deg_shares[:, k])[:, None], pmf,
                         out=pi[:, start:start + len(cols)])
-    return ExpectationMatrix(tuple(types), pi, degrees / model.degrees[0])
+    return ExpectationMatrix(tuple(types), pi)
 
 
 def pi_csv_rows(system: ExpectationMatrix) -> list:

@@ -12,6 +12,7 @@ from netgame import (
     infinite_sophisticated,
     population_average_action,
     solve_direct,
+    type_probabilities,
     utility,
 )
 
@@ -146,3 +147,13 @@ class TestPopulationAverage:
         lo = best_response(1.0, 2, float(sol.xi.min()), model, p)
         hi = best_response(1.0, 6, float(sol.xi.max()), model, p)
         assert lo <= avg <= hi
+
+    def test_finite_solution_matches_the_per_type_sum(self):
+        model = DegreeModel((2, 6), (0.6, 0.4))
+        p = GameParams(1.0, 1.2, 3.7, 0.3, model)
+        sol = solve_direct(build_pi(model, p), p)
+        w = type_probabilities(model, sol.system, sigma=0.3)
+        per_type = sum(float(wq) * best_response(1.0, t.degree, float(x), model, p)
+                       for t, wq, x in zip(sol.system.types, w, sol.xi))
+        assert population_average_action(model, p, sol) == pytest.approx(
+            per_type, rel=0, abs=1e-12)

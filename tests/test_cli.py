@@ -246,6 +246,28 @@ class TestResolverDefects:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["sweep", "bias"], ["solve"], ["pi"]])
+    def test_json_belongs_to_example_and_simulate(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--json", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 1.2\nalhpa = 3\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "'alhpa'" in err and str(cfg) in err
+        assert not (tmp_path / "solution.csv").exists()
+
+    def test_config_key_of_another_command_is_accepted(self, tmp_path, capsys):
+        # one file can serve several commands: solve ignores simulate's n
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 1\nn = 5000\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "solution.json").read_text())["alpha"] == 1.0
+
     @pytest.mark.parametrize("name", ["missing.cfg", "."])
     def test_unreadable_config_exits_two(self, name, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2

@@ -229,19 +229,12 @@ class TestBenchmark:
 class TestAveraging:
     def test_weights_sum_to_one(self):
         model, params, system = fig_system(sigma=0.3)
-        w_all = type_probabilities(model, system.types, sigma=0.3)
+        w_all = type_probabilities(model, system, sigma=0.3)
         assert w_all.sum() == pytest.approx(1.0, abs=1e-12)
         for rule in ("naive", "sophisticated"):
-            w = type_probabilities(model, system.types)
+            w = type_probabilities(model, system)
             mask = np.array([t.rule == rule for t in system.types])
             assert w[mask].sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_system_columns_give_the_same_weights(self):
-        model, _, system = fig_system(sigma=0.3)
-        for sigma in (None, 0.3):
-            from_types = type_probabilities(model, system.types, sigma=sigma)
-            from_system = type_probabilities(model, system, sigma=sigma)
-            assert np.array_equal(from_types, from_system)
 
     def test_rejects_types_outside_the_support(self):
         model, _, system = fig_system(sigma=0.3)

@@ -69,6 +69,19 @@ class TestEnumerateTypes:
         assert [t.degree for t in types[:8]] == [2, 2, 2, 4, 4, 4, 4, 4]
         assert [t.observed.values[1] for t in types[:3]] == [0.0, 0.5, 1.0]
 
+    def test_rule_blocks_share_one_lattice_per_degree(self, monkeypatch):
+        import netgame.typespace
+        calls = []
+        real = netgame.typespace.feasible_observed_shares
+        monkeypatch.setattr(netgame.typespace, "feasible_observed_shares",
+                            lambda d, K: calls.append(d) or real(d, K))
+        m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
+        types = enumerate_types(m)
+        assert calls == [2, 3, 5]
+        half = len(types) // 2
+        for naive, soph in zip(types[:half], types[half:]):
+            assert soph.degree == naive.degree and soph.observed is naive.observed
+
     def test_index_bijection(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
         params = _stable_params(m)
@@ -175,17 +188,20 @@ class TestBuildPi:
         for q, t in enumerate(system.types):
             assert system.d_diag[q] == t.degree / 2
 
+    def test_d_diag_is_derived_from_the_types(self):
+        m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
+        built = build_pi(m, _stable_params(m, sigma=0.5))
+        system = ExpectationMatrix(built.types, built.pi)
+        assert system.d_diag.tolist() == [t.degree / 2 for t in system.types]
+        assert np.array_equal(system.d_diag, built.d_diag)
+
     def test_rejects_non_finite_entries(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
         system = build_pi(m, _stable_params(m))
         pi = system.pi.copy()
         pi[0, 0] = np.nan                       # a naive row, naive column
         with pytest.raises(ModelError):
-            ExpectationMatrix(system.types, pi, system.d_diag)
-        d_diag = system.d_diag.copy()
-        d_diag[-1] = np.inf
-        with pytest.raises(ModelError):
-            ExpectationMatrix(system.types, system.pi, d_diag)
+            ExpectationMatrix(system.types, pi)
 
     def test_three_class_rows_sum_to_one(self):
         m = DegreeModel((1, 2, 3), (0.3, 0.4, 0.3))
@@ -299,7 +315,7 @@ class TestMultinomialPmf:
         assert system.L == 2 * (3 + 1101)
         assert np.max(np.abs(system.pi.sum(axis=1) - 1.0)) <= 1e-12
         # re-running the constructor repeats every check on the same data
-        ExpectationMatrix(system.types, system.pi, system.d_diag)
+        ExpectationMatrix(system.types, system.pi)
 
 
 class TestCsvDump:
