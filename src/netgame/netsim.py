@@ -3,11 +3,12 @@
 Stub matching keeps self-loops and multi-edges by default (the classic
 construction, and the fast path for large n); ``simple=True`` re-draws
 offending stub pairs a bounded number of times, occasionally dissolving a few
-accepted edges to escape dead ends, which is plenty at desk scale.  Node
-counts per class come from largest-remainder rounding with ties going to the
-lower degree class; if the resulting stub total is odd, one stub is removed
-from the last node of the highest-degree class (that node's realized degree
-drops by one, and the network records the adjustment).
+accepted edges to escape dead ends.  Each simple-mode round judges all of its
+pairs at once with array operations; the dissolve step draws its edges one at
+a time.  Node counts per class come from largest-remainder rounding with ties
+going to the lower degree class; if the resulting stub total is odd, one stub
+is removed from the last node of the highest-degree class (that node's
+realized degree drops by one, and the network records the adjustment).
 """
 
 import json
@@ -20,6 +21,7 @@ from .estimators import debias_shares
 from .population import DegreeModel, ModelError, ObservedShares, biased_neighbor_share
 
 MAX_ROUNDS = 200  # re-draw rounds of simple mode before giving up
+WRITE_ROWS = 1 << 14  # edge-list lines formatted per write; bounds the Python ints held
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,12 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
 
     Stubs (one per unit of degree) are shuffled and paired consecutively.
     In simple mode, pairs forming self-loops or duplicate edges are pooled
-    and re-drawn for up to ``MAX_ROUNDS`` rounds.
+    and re-drawn for up to ``MAX_ROUNDS`` rounds.  A round rejects, as array
+    operations over its pairs, every self-loop, every edge accepted in an
+    earlier round and every repeat of an edge first drawn earlier in the
+    round; the rejected stubs return to the pool in pool order, followed by
+    the stubs of a few accepted edges dissolved one at a time.  Edges come
+    out as ``(lo, hi)`` in acceptance order.
     """
     if n < 2:
         raise ModelError("need at least two nodes")
@@ -90,34 +97,44 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
         return SampledNetwork(model, node_class, node_degree, edges,
                               seed, simple, parity_adjusted)
 
-    accepted: list = []
-    seen: set = set()
+    accepted = np.empty(0, dtype=np.int64)  # edge keys lo * n + hi, in acceptance order
+    known = accepted                          # the same keys, sorted
     pool = stubs
     for _ in range(MAX_ROUNDS):
         pool = rng.permutation(pool)
-        rejected: list = []
-        for u, v in pool.reshape(-1, 2):
-            key = (u, v) if u <= v else (v, u)
-            if u == v or key in seen:
-                rejected.append(u)
-                rejected.append(v)
-            else:
-                seen.add(key)
-                accepted.append(key)
-        if not rejected:
-            edges = np.array(accepted, dtype=np.int64)
+        u, v = pool[0::2], pool[1::2]
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        # A pair is kept when it is no self-loop, its edge was not accepted in
+        # an earlier round, and no earlier pair of this round has the same key.
+        # Ties are broken by the smallest pair index of each run of equal keys,
+        # since a stable argsort of int64 keys is several times slower.
+        order = np.argsort(keys)
+        ranked = keys[order]
+        runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        first = np.zeros(len(keys), dtype=bool)
+        first[np.minimum.reduceat(order, runs)] = True
+        # -1 past the end of ``known`` matches no key, so positions beyond the
+        # largest accepted key read as "not accepted".
+        earlier = np.append(known, -1)[np.searchsorted(known, keys)] == keys
+        keep = (u != v) & first & ~earlier
+        fresh = keys[keep]
+        accepted = np.concatenate((accepted, fresh))
+        known = np.sort(np.concatenate((known, fresh)))
+        rejected = pool.reshape(-1, 2)[~keep].ravel()
+        if not len(rejected):
+            edges = np.column_stack((accepted // n, accepted % n))
             return SampledNetwork(model, node_class, node_degree, edges,
                                   seed, simple, parity_adjusted)
         # Dead ends (e.g. two stubs of the same node left) need fresh material:
         # dissolve a few accepted edges back into the pool before retrying.
         n_back = min(len(accepted), max(1, len(rejected) // 2))
-        for _ in range(n_back):
+        back = np.empty(n_back, dtype=np.int64)
+        for i in range(n_back):
             idx = int(rng.integers(len(accepted)))
-            u, v = accepted.pop(idx)
-            seen.discard((u, v))
-            rejected.append(u)
-            rejected.append(v)
-        pool = np.array(rejected, dtype=np.int64)
+            back[i] = accepted[idx]
+            accepted = np.delete(accepted, idx)
+        known = np.delete(known, np.searchsorted(known, back))
+        pool = np.concatenate((rejected, np.column_stack((back // n, back % n)).ravel()))
     raise ModelError(f"no simple realization found within {MAX_ROUNDS} rounds")
 
 
@@ -157,16 +174,21 @@ def empirical_neighbor_shares(net: SampledNetwork) -> NeighborShareSummary:
 def degree_assortativity(net: SampledNetwork) -> float:
     """Pearson correlation of degrees across edge endpoints (both directions).
 
-    Configuration-model realizations hover near zero; returns 0.0 for regular
-    graphs, where no sorting is measurable.
+    Computed from the symmetric table of edge-end pairs of realized degrees,
+    not classes: a parity-adjusted node counts at degree d_K - 1.
+    Configuration-model realizations hover near zero; returns 0.0 when only
+    one degree value occurs, where no sorting is measurable.
     """
-    du = net.node_degree[net.edges[:, 0]].astype(float)
-    dv = net.node_degree[net.edges[:, 1]].astype(float)
-    x = np.concatenate([du, dv])
-    y = np.concatenate([dv, du])
-    if np.ptp(x) == 0:
+    values, index = np.unique(net.node_degree, return_inverse=True)
+    D = len(values)
+    if D == 1:
         return 0.0
-    return float(np.corrcoef(x, y)[0, 1])
+    pairs = np.bincount(index[net.edges[:, 0]] * D + index[net.edges[:, 1]],
+                        minlength=D * D).reshape(D, D)
+    table = pairs + pairs.T
+    ends = table.sum(axis=1)
+    dev = values - ends @ values / ends.sum()
+    return float(dev @ table @ dev / (ends @ dev**2))
 
 
 @dataclass(frozen=True)
@@ -271,8 +293,11 @@ def write_edgelist(net: SampledNetwork, path) -> None:
     lo = np.minimum(net.edges[:, 0], net.edges[:, 1])
     hi = np.maximum(net.edges[:, 0], net.edges[:, 1])
     order = np.lexsort((hi, lo))
+    pairs = np.column_stack((lo[order], hi[order]))
     with open(path, "w", newline="\n") as fh:
-        fh.writelines(f"{a} {b}\n" for a, b in zip(lo[order].tolist(), hi[order].tolist()))
+        for start in range(0, len(pairs), WRITE_ROWS):
+            rows = pairs[start:start + WRITE_ROWS]
+            fh.write(("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def write_metadata(net: SampledNetwork, path) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -15,8 +16,42 @@ from netgame import (
     write_edgelist,
     write_metadata,
 )
+from netgame.netsim import MAX_ROUNDS
 
 EXAMPLE = DegreeModel((4, 6), (0.6, 0.4))
+
+
+def _sequential_simple_reference(stubs, rng):
+    """Simple-mode stub matching one pair at a time, as ``generate`` once did.
+
+    Returns the accepted ``(lo, hi)`` edges in acceptance order and the number
+    of rounds drawn; every round after the first follows a dissolve step.
+    """
+    accepted: list = []
+    seen: set = set()
+    pool = stubs
+    for rounds in range(1, MAX_ROUNDS + 1):
+        pool = rng.permutation(pool)
+        rejected: list = []
+        for u, v in pool.reshape(-1, 2):
+            key = (u, v) if u <= v else (v, u)
+            if u == v or key in seen:
+                rejected.append(u)
+                rejected.append(v)
+            else:
+                seen.add(key)
+                accepted.append(key)
+        if not rejected:
+            return np.array(accepted, dtype=np.int64), rounds
+        n_back = min(len(accepted), max(1, len(rejected) // 2))
+        for _ in range(n_back):
+            idx = int(rng.integers(len(accepted)))
+            u, v = accepted.pop(idx)
+            seen.discard((u, v))
+            rejected.append(u)
+            rejected.append(v)
+        pool = np.array(rejected, dtype=np.int64)
+    raise ModelError(f"no simple realization found within {MAX_ROUNDS} rounds")
 
 
 class TestClassCounts:
@@ -70,6 +105,50 @@ class TestGenerate:
         b = generate(EXAMPLE, 200, seed=9)
         assert np.array_equal(a.edges, b.edges)
 
+    def test_simple_seed_reproducibility(self):
+        a = generate(EXAMPLE, 200, seed=9, simple=True)
+        b = generate(EXAMPLE, 200, seed=9, simple=True)
+        assert np.array_equal(a.edges, b.edges)
+        assert not np.array_equal(
+            a.edges, generate(EXAMPLE, 200, seed=10, simple=True).edges)
+
+    def test_simple_mode_gives_up(self):
+        # degree sequence 1, 1, 3, 3 has no simple realization
+        with pytest.raises(ModelError, match=f"^no simple realization found "
+                                             f"within {MAX_ROUNDS} rounds$"):
+            generate(DegreeModel((1, 3), (0.5, 0.5)), 4, seed=0, simple=True)
+
+
+class TestSimpleOracle:
+    """Simple mode matches the pair-at-a-time reference edge for edge."""
+
+    @pytest.mark.parametrize("degrees, shares, n, seed, rounds", [
+        ((4, 6), (0.6, 0.4), 10, 0, 5),
+        ((4, 6), (0.6, 0.4), 10, 3, 25),
+        ((4, 6), (0.6, 0.4), 13, 0, 12),
+        ((4, 6), (0.6, 0.4), 200, 1, 2),
+        ((1, 2, 3), (0.5, 0.3, 0.2), 10, 0, 1),
+        ((1, 2, 3), (0.5, 0.3, 0.2), 13, 0, 3),
+        ((1, 3), (0.5, 0.5), 30, 3, 9),
+        ((3, 10), (0.5, 0.5), 30, 2, 26),
+        ((5, 9), (0.5, 0.5), 13, 0, 153),
+        ((2, 5, 9), (0.5, 0.3, 0.2), 12, 1, 155),
+        ((8, 11), (0.5, 0.5), 30, 0, 6),
+    ])
+    def test_matches_sequential_reference(self, degrees, shares, n, seed, rounds):
+        net = generate(DegreeModel(degrees, shares), n, seed=seed, simple=True)
+        stubs = np.repeat(np.arange(n), net.node_degree)
+        edges, drawn = _sequential_simple_reference(stubs, np.random.default_rng(seed))
+        assert drawn == rounds
+        assert net.edges.shape == edges.shape
+        assert np.array_equal(net.edges, edges)
+
+    def test_pinned_example_network(self):
+        net = generate(EXAMPLE, 100000, seed=[1, 0], simple=True)
+        digest = hashlib.sha256(np.ascontiguousarray(net.edges, dtype="<i8").tobytes())
+        assert digest.hexdigest() == \
+            "e800ef4075513dacc82872e93e0dce92ce1edea93dd156fa375ee77ba1c6d136"
+
 
 class TestEmpiricalShares:
     def test_average_matches_sampling_law(self):
@@ -106,6 +185,16 @@ class TestAssortativity:
         m = DegreeModel((2, 4), (1 - 1e-9, 1e-9))
         net = generate(m, 500, seed=8)
         assert degree_assortativity(net) == 0.0
+
+    @pytest.mark.parametrize("degrees", [(1, 2, 3), (1, 2, 5)])
+    def test_parity_adjusted_matches_corrcoef(self, degrees):
+        # the adjusted node's degree d_K - 1 joins a class degree or stands alone
+        net = generate(DegreeModel(degrees, (0.5, 0.3, 0.2)), 1001, seed=11)
+        assert net.parity_adjusted
+        du = net.node_degree[net.edges[:, 0]].astype(float)
+        dv = net.node_degree[net.edges[:, 1]].astype(float)
+        expected = np.corrcoef(np.concatenate([du, dv]), np.concatenate([dv, du]))[0, 1]
+        assert abs(degree_assortativity(net) - expected) <= 1e-12
 
 
 class TestMonteCarloCheck:
