@@ -23,6 +23,7 @@ from .analysis import (
     naive_curve,
     naive_convexity_rhs,
     piecewise_linear,
+    population_precision_sweep,
     precision_sweep,
     sigma_sweep,
     sophisticated_curve,

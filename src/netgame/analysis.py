@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import (
+    _type_weights,
     benchmark_expectation,
     infinite_naive,
     infinite_sophisticated,
@@ -402,6 +403,71 @@ def precision_sweep(eps, alpha, cost, sigma, etheta, d1_list) -> PrecisionSweepR
         etheta=float(etheta), d1_list=tuple(d1_list), rows=tuple(rows),
         convexity=convexity,
     )
+
+
+def _rule_averages(weights, solution, sigma) -> list:
+    """Naive, sophisticated and sigma-mixed averages of ``solution.xi`` per
+    row of ``weights``, as (naive, sophisticated, mixed) tuples.
+
+    Each value is one row dot, as ``average_expectation`` takes it: a single
+    matrix product sums in another order and moves the last bits.
+    """
+    sophisticated = solution.system.columns[2]
+    rule_weights = (~sophisticated, sophisticated,
+                    np.where(sophisticated, float(sigma), 1.0 - float(sigma)))
+    return list(zip(*([float(w @ solution.xi) for w in weights * r]
+                      for r in rule_weights)))
+
+
+def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) -> list:
+    """Population-average expectations by sophistication share, lowest degree
+    and true high share, next to their large-sample limit.
+
+    ``d1_list`` holds lowest degrees and may hold ``math.inf`` for the
+    closed forms; ``grid`` holds true high shares delta2 inside (0, 1).  For
+    each sigma and delta2, every finite d1 in the given order adds a naive, a
+    sophisticated and a sigma-mixed ("all") average of its solved system
+    under the true shares (1 - delta2, delta2), equal to what
+    :func:`netgame.equilibrium.average_expectation` returns; then ``inf``
+    adds the three closed-form values, or one "unstable" row where they are
+    undefined.  Returns rows (sigma, d1, delta2, rule, value, flag).
+
+    The type weights depend on neither sigma nor the solution, so one kernel
+    call per d1 weighs the whole grid, and every sigma reuses it.
+    """
+    finite = [int(d) for d in d1_list if float(d) != math.inf]
+    infinite = len(finite) < len(d1_list)
+    grid = [float(x) for x in grid]
+    weights = {}
+    rows = []
+    for sigma in sigmas:
+        averages = {}
+        for d1 in finite:
+            model = _two_class_model(d1, eps)
+            params = GameParams(etheta, alpha, cost, sigma, model)
+            solution = solve_direct(build_pi(model, params), params)
+            if d1 not in weights:
+                points = [DegreeModel(model.degrees, (1 - x, x)) for x in grid]
+                weights[d1] = _type_weights(points, solution.system)
+            averages[d1] = _rule_averages(weights[d1], solution, sigma)
+        for i, delta2 in enumerate(grid):
+            for d1 in finite:
+                naive, sophisticated, mixed = averages[d1][i]
+                rows.append((sigma, d1, delta2, NAIVE, naive, ""))
+                rows.append((sigma, d1, delta2, SOPHISTICATED, sophisticated, ""))
+                rows.append((sigma, d1, delta2, "all", mixed, ""))
+            if infinite:
+                try:
+                    nv = naive_curve(delta2, eps, alpha, cost, etheta)
+                    sv = sophisticated_curve(delta2, eps, alpha, cost, sigma, etheta)
+                except ModelError:
+                    rows.append((sigma, "inf", delta2, "all", "", "unstable"))
+                    continue
+                rows.append((sigma, "inf", delta2, NAIVE, float(nv), ""))
+                rows.append((sigma, "inf", delta2, SOPHISTICATED, float(sv), ""))
+                rows.append((sigma, "inf", delta2, "all",
+                             float((1 - sigma) * nv + sigma * sv), ""))
+    return rows
 
 
 # ---------------------------------------------------------------------------

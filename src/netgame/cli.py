@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -26,11 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _two_class_model, naive_curve, sigma_sweep, sophisticated_curve
+from .analysis import population_precision_sweep, sigma_sweep
 from .behavior import best_response, utility
 from .equilibrium import (
     ConvergenceError,
-    average_expectation,
     benchmark_expectation,
     infinite_naive,
     infinite_sophisticated,
@@ -338,35 +338,10 @@ def _sweep_precision(opts, out: Path):
                                 for key in ("eps", "alpha", "c", "etheta"))
     sigmas = opts.get("sigma", _scalar_list)
     finite, infinite = opts.get("d1", _d1_list)
-    grid = opts.get("grid", _grid)[1:-1]
+    rows = population_precision_sweep(eps, alpha, cost, etheta, sigmas,
+                                      finite + ([math.inf] if infinite else []),
+                                      opts.get("grid", _grid)[1:-1])
     columns = ("sigma", "d1", "delta2", "rule", "value", "flag")
-    rows = []
-    for sigma in sigmas:
-        solutions = {}
-        for d1 in finite:
-            model = _two_class_model(d1, eps)
-            params = GameParams(etheta, alpha, cost, sigma, model)
-            solutions[d1] = (model, solve_direct(build_pi(model, params), params))
-        for delta2 in map(float, grid):
-            for d1 in finite:
-                base_model, solution = solutions[d1]
-                point = DegreeModel(base_model.degrees, (1 - delta2, delta2))
-                for rule in (NAIVE, SOPHISTICATED):
-                    rows.append((sigma, d1, delta2, rule,
-                                 average_expectation(solution, point, rule=rule), ""))
-                rows.append((sigma, d1, delta2, "all",
-                             average_expectation(solution, point, sigma=sigma), ""))
-            if infinite:
-                try:
-                    nv = naive_curve(delta2, eps, alpha, cost, etheta)
-                    sv = sophisticated_curve(delta2, eps, alpha, cost, sigma, etheta)
-                except ModelError:
-                    rows.append((sigma, "inf", delta2, "all", "", "unstable"))
-                    continue
-                rows.append((sigma, "inf", delta2, NAIVE, float(nv), ""))
-                rows.append((sigma, "inf", delta2, SOPHISTICATED, float(sv), ""))
-                rows.append((sigma, "inf", delta2, "all",
-                             float((1 - sigma) * nv + sigma * sv), ""))
     meta = {"eps": eps, "alpha": alpha, "c": cost, "etheta": etheta,
             "sigmas": sigmas, "d1": finite + (["inf"] if infinite else [])}
     _write_table(out, "precision", columns, rows, meta)

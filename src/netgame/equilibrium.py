@@ -164,6 +164,24 @@ def benchmark_expectation(model: DegreeModel, params: GameParams):
     return params.mean_preference / denom
 
 
+def _type_weights(models, system: ExpectationMatrix) -> np.ndarray:
+    """True occurrence probability of each type of ``system`` under each model.
+
+    Row i is model i's class share times the multinomial chance of the
+    observed neighbor counts under its biased sampling law, conditional on the
+    rule (each rule block of a row sums to one).  The models share one degree
+    support, so a single :func:`multinomial_pmf` call weighs every row.
+    """
+    counts, degrees, _ = system.columns
+    support = np.array(models[0].degrees)
+    cls = np.minimum(np.searchsorted(support, degrees), len(support) - 1)
+    if (support[cls] != degrees).any():
+        raise ModelError("every type's degree must lie in the model's support")
+    tilde = [[float(v) for v in biased_neighbor_share(m)] for m in models]
+    shares = np.array([[float(s) for s in m.shares] for m in models])
+    return shares[:, cls] * multinomial_pmf(counts, tilde)
+
+
 def type_probabilities(model: DegreeModel, system: ExpectationMatrix,
                        sigma=None) -> np.ndarray:
     """True occurrence probability of each type of ``system``.
@@ -171,17 +189,12 @@ def type_probabilities(model: DegreeModel, system: ExpectationMatrix,
     Class share times the multinomial chance of the observed neighbor counts
     under the biased sampling law; multiplied by the rule share when ``sigma``
     is given, otherwise conditional on the rule (each rule block sums to one).
+    The one-model case of ``_type_weights``, which also weighs every grid
+    point of :func:`netgame.analysis.population_precision_sweep` at once.
     """
-    counts, degrees, sophisticated = system.columns
-    support = np.array(model.degrees)
-    cls = np.minimum(np.searchsorted(support, degrees), len(support) - 1)
-    if (support[cls] != degrees).any():
-        raise ModelError("every type's degree must lie in the model's support")
-    tilde = [float(v) for v in biased_neighbor_share(model)]
-    shares = np.array([float(s) for s in model.shares])
-    w = shares[cls] * multinomial_pmf(counts, [tilde])[0]
+    w = _type_weights([model], system)[0]
     if sigma is not None:
-        w *= np.where(sophisticated, float(sigma), 1.0 - float(sigma))
+        w *= np.where(system.columns[2], float(sigma), 1.0 - float(sigma))
     return w
 
 
@@ -190,7 +203,8 @@ def average_expectation(solution: EquilibriumSolution, model: DegreeModel,
     """Population-weighted average of the per-type expectations.
 
     With ``rule`` given the average runs over that rule's types under the true
-    sampling weights; otherwise the rule blocks are mixed by ``sigma``.
+    sampling weights; otherwise the rule blocks are mixed by ``sigma``.  The
+    weights come from :func:`type_probabilities`, so from ``_type_weights``.
     """
     system = solution.system
     if rule is None:

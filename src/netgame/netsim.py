@@ -62,12 +62,39 @@ def class_counts(model: DegreeModel, n: int) -> list:
     return counts
 
 
+def _check_graphical(node_degree: np.ndarray) -> None:
+    """Raise ``ModelError`` unless some simple graph has these node degrees.
+
+    Erdos-Gallai: with the degrees d_1 >= ... >= d_n, every k needs
+    sum_{i<=k} d_i <= k(k-1) + sum_{i>k} min(d_i, k).  Past the top degree
+    the left side is at most k(k-1), so only k = 1 .. d_1 are tested.
+    """
+    n = len(node_degree)
+    per_value = np.bincount(node_degree)
+    top = len(per_value) - 1
+    prefix = np.concatenate(([0], np.cumsum(np.repeat(np.arange(top, -1, -1),
+                                                      per_value[::-1]))))
+    k = np.arange(1, top + 1)
+    at_least = n - np.cumsum(per_value)[:-1]  # nodes of degree >= k
+    # past position k, a node of degree >= k adds k, any other its degree
+    split = np.maximum(k, at_least)
+    lhs = prefix[k]
+    rhs = k * (k - 1) + k * (split - k) + prefix[-1] - prefix[split]
+    bad = np.flatnonzero(lhs > rhs)
+    if len(bad):
+        i = bad[0]
+        raise ModelError(f"no simple realization exists: Erdos-Gallai fails at "
+                         f"k = {k[i]} ({lhs[i]} > {rhs[i]})")
+
+
 def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledNetwork:
     """Draw a configuration-model network with the model's degree mix.
 
     Stubs (one per unit of degree) are shuffled and paired consecutively.
-    In simple mode, pairs forming self-loops or duplicate edges are pooled
-    and re-drawn for up to ``MAX_ROUNDS`` rounds.  A round rejects, as array
+    Simple mode first rejects, before drawing anything, a degree sequence
+    that no simple graph has (Erdos-Gallai).  Then pairs forming self-loops
+    or duplicate edges are pooled and re-drawn for up to ``MAX_ROUNDS``
+    rounds.  A round rejects, as array
     operations over its pairs, every self-loop, every edge accepted in an
     earlier round and every repeat of an edge first drawn earlier in the
     round; the rejected stubs return to the pool in pool order, followed by
@@ -90,6 +117,8 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
         node_degree[victims[-1]] -= 1
         parity_adjusted = True
 
+    if simple:
+        _check_graphical(node_degree)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), node_degree)
     if not simple:

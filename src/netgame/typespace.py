@@ -11,7 +11,7 @@ observers think everyone is naive).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -148,8 +148,10 @@ class ExpectationMatrix:
     types: tuple
     pi: np.ndarray
     d_diag: np.ndarray = field(init=False)
+    # build_pi passes the columns it already read, so the types are read once
+    _columns: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _columns):
         pi = np.asarray(self.pi, dtype=float)
         L = len(self.types)
         if pi.shape != (L, L):
@@ -162,7 +164,7 @@ class ExpectationMatrix:
         sums = pi.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
             raise ModelError("every row of the expectation matrix must sum to 1")
-        counts, degrees, sophisticated = type_columns(self.types)
+        counts, degrees, sophisticated = _columns or type_columns(self.types)
         if sophisticated.any() and pi[np.ix_(~sophisticated, sophisticated)].any():
             raise ModelError("naive observers cannot place mass on sophisticated types")
         d_diag = degrees / degrees.min()
@@ -225,7 +227,7 @@ def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
             start = r * half + cols[0]
             np.multiply((w_rule * deg_shares[:, k])[:, None], pmf,
                         out=pi[:, start:start + len(cols)])
-    return ExpectationMatrix(tuple(types), pi)
+    return ExpectationMatrix(tuple(types), pi, _columns=(counts, degrees, sophisticated))
 
 
 def pi_csv_rows(system: ExpectationMatrix) -> list:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from netgame import (
     DegreeModel,
     GameParams,
     ModelError,
+    average_expectation,
     bernstein,
     bernstein_interpolate,
     build_pi,
@@ -17,6 +20,7 @@ from netgame import (
     monotonicity_check,
     naive_curve,
     piecewise_linear,
+    population_precision_sweep,
     precision_sweep,
     sigma_sweep,
     solve_direct,
@@ -206,6 +210,60 @@ class TestPrecisionSweep:
         vals = lattice_values(sol, "naive", 6)
         assert len(vals) == 7
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+def _per_call_precision_rows(eps, alpha, cost, etheta, sigmas, d1_list, grid):
+    """The precision study with one ``average_expectation`` call per value."""
+    finite = [d for d in d1_list if d != math.inf]
+    rows = []
+    for sigma in sigmas:
+        solutions = {}
+        for d1 in finite:
+            model = an._two_class_model(d1, eps)
+            params = GameParams(etheta, alpha, cost, sigma, model)
+            solutions[d1] = (model, solve_direct(build_pi(model, params), params))
+        for delta2 in map(float, grid):
+            for d1 in finite:
+                model, solution = solutions[d1]
+                point = DegreeModel(model.degrees, (1 - delta2, delta2))
+                for rule in ("naive", "sophisticated"):
+                    rows.append((sigma, d1, delta2, rule,
+                                 average_expectation(solution, point, rule=rule), ""))
+                rows.append((sigma, d1, delta2, "all",
+                             average_expectation(solution, point, sigma=sigma), ""))
+            if math.inf in d1_list:
+                try:
+                    nv = naive_curve(delta2, eps, alpha, cost, etheta)
+                    sv = sophisticated_curve(delta2, eps, alpha, cost, sigma, etheta)
+                except ModelError:
+                    rows.append((sigma, "inf", delta2, "all", "", "unstable"))
+                    continue
+                rows.append((sigma, "inf", delta2, "naive", nv, ""))
+                rows.append((sigma, "inf", delta2, "sophisticated", sv, ""))
+                rows.append((sigma, "inf", delta2, "all", (1 - sigma) * nv + sigma * sv, ""))
+    return rows
+
+
+class TestPopulationPrecisionSweep:
+    @pytest.mark.parametrize("eps, alpha, cost, sigmas, d1_list, grid", [
+        (2.0, 1.2, 3.7, [0.0, 0.5, 1.0], [2, 4, 8, math.inf], np.linspace(0, 1, 9)[1:-1]),
+        (2.0, 1.1, 3.5, [0.0, 1.0], [math.inf, 3, 2], [0.05, 0.37, 0.5, 0.93]),
+        (1.0, 0.9, 2.0, [0.25], [1, 5, 5], np.linspace(0, 1, 41)[1:-1]),
+        (0.5, 2.0, 3.5, [1.0, 0.0], [2], [0.6]),
+        # no finite system, so the closed forms may leave the stable region
+        (2.0, 1.5, 3.7, [0.5], [math.inf], np.linspace(0, 1, 11)[1:-1]),
+    ])
+    def test_matches_per_call_averages_bit_for_bit(self, eps, alpha, cost, sigmas,
+                                                  d1_list, grid):
+        got = population_precision_sweep(eps, alpha, cost, 1.0, sigmas, d1_list, grid)
+        assert got == _per_call_precision_rows(eps, alpha, cost, 1.0, sigmas,
+                                               d1_list, grid)
+
+    def test_unstable_limit_rows(self):
+        rows = population_precision_sweep(2.0, 1.5, 3.7, 1.0, [0.5], [math.inf],
+                                          [0.1, 0.9])
+        assert [r[3:] for r in rows if r[2] == 0.9] == [("all", "", "unstable")]
+        assert [r[3] for r in rows if r[2] == 0.1] == ["naive", "sophisticated", "all"]
 
 
 class TestSigmaSweep:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -110,6 +111,32 @@ class TestSweeps:
         finite = [r for r in rows if r[1] == 2 and r[3] == "naive"]
         infinite = [r for r in rows if r[1] == "inf" and r[3] == "naive"]
         assert finite and infinite
+
+
+    def test_precision_sweep_bytes_are_pinned(self, tmp_path, capsys):
+        code, _ = run(capsys, "sweep", "precision", "--preset", "spread",
+                      "--grid", "9", "--out", str(tmp_path))
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("precision.csv", "precision.json")}
+        assert digests == {
+            "precision.csv":
+                "4d811da6134fd028f18186dba5556746ce0b51685c9c64a4d6e4271071558a4b",
+            "precision.json":
+                "119b7ccd709f127c025e3caf2e6f15adec7a88b35faf079e4079033a11da1b9a",
+        }
+
+    def test_precision_sweep_weighs_once_per_lowest_degree(self, tmp_path, capsys,
+                                                           monkeypatch):
+        import netgame.equilibrium
+        calls = []
+        real = netgame.equilibrium.multinomial_pmf
+        monkeypatch.setattr(netgame.equilibrium, "multinomial_pmf",
+                            lambda c, p: calls.append(len(p)) or real(c, p))
+        code, _ = run(capsys, "sweep", "precision", "--d1", "2,4,inf", "--sigma",
+                      "0,0.5,1", "--grid", "7", "--out", str(tmp_path))
+        assert code == 0
+        assert calls == [5, 5]  # one call per finite d1, one row per interior point
 
 
 class TestSimulate:
@@ -275,7 +302,8 @@ class TestResolverDefects:
 
     def test_nan_in_payload_exits_two_without_files(self, tmp_path, capsys, monkeypatch):
         import netgame.cli
-        monkeypatch.setattr(netgame.cli, "average_expectation", lambda *a, **k: float("nan"))
+        monkeypatch.setattr(netgame.cli, "population_precision_sweep",
+                            lambda *a, **k: [(0.0, 2, 0.5, "naive", float("nan"), "")])
         code = main(["sweep", "precision", "--d1", "2", "--grid", "3", "--out", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err

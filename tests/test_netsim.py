@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from netgame import (
     write_edgelist,
     write_metadata,
 )
-from netgame.netsim import MAX_ROUNDS
+from netgame.netsim import MAX_ROUNDS, _check_graphical
 
 EXAMPLE = DegreeModel((4, 6), (0.6, 0.4))
 
@@ -113,10 +114,39 @@ class TestGenerate:
             a.edges, generate(EXAMPLE, 200, seed=10, simple=True).edges)
 
     def test_simple_mode_gives_up(self):
-        # degree sequence 1, 1, 3, 3 has no simple realization
+        # graphical (seeds 0, 2 and 3 find a realization), but seed 1 runs out
         with pytest.raises(ModelError, match=f"^no simple realization found "
                                              f"within {MAX_ROUNDS} rounds$"):
+            generate(DegreeModel((5, 9), (0.5, 0.5)), 13, seed=1, simple=True)
+
+    def test_non_graphical_sequence_fails_at_once(self, monkeypatch):
+        # degree sequence 3, 3, 1, 1: the two 3s need 6 edge ends, k(k-1) +
+        # min(1, 2) + min(1, 2) = 4 can take them
+        monkeypatch.setattr(np.random, "default_rng", None)  # no round is drawn
+        with pytest.raises(ModelError, match=r"^no simple realization exists: "
+                                             r"Erdos-Gallai fails at k = 2 \(6 > 4\)$"):
             generate(DegreeModel((1, 3), (0.5, 0.5)), 4, seed=0, simple=True)
+
+    def test_graphicality_matches_the_textbook_test(self):
+        def first_failure(seq):
+            d = sorted(seq, reverse=True)
+            for k in range(1, len(d) + 1):
+                lhs, rhs = sum(d[:k]), k * (k - 1) + sum(min(x, k) for x in d[k:])
+                if lhs > rhs:
+                    return f"k = {k} ({lhs} > {rhs})"
+            return None
+
+        for n in range(2, 8):
+            for seq in itertools.combinations_with_replacement(range(1, n), n):
+                if sum(seq) % 2:
+                    continue
+                expected = first_failure(seq)
+                try:
+                    _check_graphical(np.array(seq))
+                    got = None
+                except ModelError as exc:
+                    got = str(exc).split("fails at ")[1]
+                assert got == expected, seq
 
 
 class TestSimpleOracle:

@@ -188,6 +188,16 @@ class TestBuildPi:
         for q, t in enumerate(system.types):
             assert system.d_diag[q] == t.degree / 2
 
+    def test_build_pi_reads_the_type_columns_once(self, monkeypatch):
+        import netgame.typespace
+        calls = []
+        real = netgame.typespace.type_columns
+        monkeypatch.setattr(netgame.typespace, "type_columns",
+                            lambda types: calls.append(len(types)) or real(types))
+        m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
+        system = build_pi(m, _stable_params(m, sigma=0.5))
+        assert calls == [system.L]
+
     def test_d_diag_is_derived_from_the_types(self):
         m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
         built = build_pi(m, _stable_params(m, sigma=0.5))
