@@ -11,18 +11,13 @@ precision diagnostics plus a CLI for reproducible data sweeps.
 
 from .analysis import (
     ConvexityReport,
-    MonotonicityReport,
     PrecisionSweepResult,
     SigmaRow,
-    bernstein,
-    bernstein_interpolate,
     convexity_check,
     lattice_values,
     mle_high_share,
-    monotonicity_check,
     naive_curve,
     naive_convexity_rhs,
-    piecewise_linear,
     population_precision_sweep,
     precision_sweep,
     sigma_sweep,
@@ -31,7 +26,6 @@ from .analysis import (
 )
 from .behavior import (
     best_response,
-    population_average_action,
     utility,
 )
 from .equilibrium import (
@@ -50,11 +44,8 @@ from .estimators import (
     RULES,
     SOPHISTICATED,
     Estimate,
-    bias_argmax,
     bias_surface,
     debias_shares,
-    log_likelihood,
-    naive_estimate,
     observed_high_share,
     sophisticated_mle,
 )
@@ -84,10 +75,8 @@ from .population import (
 from .typespace import (
     AgentType,
     ExpectationMatrix,
-    believed_degree_share,
     believed_rule_share,
     build_pi,
-    draw_probability,
     enumerate_types,
     multinomial_pmf,
     pi_csv_rows,

@@ -3,9 +3,8 @@
 Everything here works on the large-sample closed forms for two degree classes
 parameterized by the excess ratio eps = d_2/d_1 - 1.  The checks are
 numerical by design: second central differences against the analytic
-convexity condition, piecewise-linear/Bernstein machinery for the
-lower-precision comparison, and sweeps over the lowest degree and the
-sophistication share.
+convexity condition, and sweeps over the lowest degree (finite systems
+against the closed forms) and over the sophistication share.
 
 The evaluators take raw scalars rather than validated parameter objects so
 that configurations violating the global stability condition can still be
@@ -27,7 +26,7 @@ from .equilibrium import (
 )
 from .estimators import NAIVE, SOPHISTICATED, observed_high_share
 from .population import DegreeModel, GameParams, ModelError
-from .typespace import build_pi, multinomial_pmf
+from .typespace import build_pi
 
 DIFF_STEP = 1e-4
 BAND_FACTOR = 10.0
@@ -93,7 +92,7 @@ def sophisticated_sufficient(delta2, eps, alpha, cost, sigma) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Convexity and monotonicity reports
+# Convexity report
 # ---------------------------------------------------------------------------
 
 def _stable_naive(x, eps, alpha, cost):
@@ -196,97 +195,6 @@ def convexity_check(eps, alpha, cost, sigma=1.0, etheta=1.0) -> ConvexityReport:
     )
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """First differences of both rules' curves over an interior grid."""
-
-    grid: np.ndarray
-    naive_first: np.ndarray
-    soph_first: np.ndarray
-    stable: np.ndarray
-    flat: bool
-
-    @property
-    def increasing(self) -> bool:
-        ok = self.stable[:-1] & self.stable[1:]
-        return bool((self.naive_first[ok] > 0).all()
-                    and (self.soph_first[ok] > 0).all())
-
-
-def monotonicity_check(eps, alpha, cost, sigma=1.0, etheta=1.0) -> MonotonicityReport:
-    """First differences of both curves over ``CHECK_GRID``; flags the flat
-    alpha*eps == 0 case (the boundary of monotone) instead of calling it
-    increasing."""
-    grid = CHECK_GRID
-    stable = np.array([_stable_soph(x, eps, alpha, cost, sigma) for x in grid])
-    naive_vals = np.array([
-        naive_curve(x, eps, alpha, cost, etheta) if stable[i] else np.nan
-        for i, x in enumerate(grid)
-    ])
-    soph_vals = np.array([
-        sophisticated_curve(x, eps, alpha, cost, sigma, etheta)
-        if stable[i] else np.nan for i, x in enumerate(grid)
-    ])
-    return MonotonicityReport(
-        grid=grid,
-        naive_first=np.diff(naive_vals),
-        soph_first=np.diff(soph_vals),
-        stable=stable,
-        flat=alpha * eps == 0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Piecewise-linear interpolation and the Bernstein operator
-# ---------------------------------------------------------------------------
-
-def piecewise_linear(values):
-    """Piecewise-linear interpolant of ``values`` on {0, 1/d, ..., 1}."""
-    values = [float(v) for v in values]
-    if len(values) < 2:
-        raise ModelError("need at least two lattice values")
-    knots = np.linspace(0.0, 1.0, len(values))
-
-    def s(x):
-        return float(np.interp(x, knots, values))
-
-    return s
-
-
-def bernstein(func, degree: int):
-    """Degree-``degree`` Bernstein operator applied to a function on [0, 1]:
-    B_d(f)(x) = sum_k C(d,k) x^k (1-x)^(d-k) f(k/d).
-
-    Reproduces linear functions exactly and, for convex f, B_d(f) >= B_{md}(f)
-    pointwise on (0, 1) for every integer m >= 1 (lower degree lies higher).
-    Each weight is :func:`multinomial_pmf` of the two-class lattice at
-    (1 - x, x), so x must lie in [0, 1].
-    """
-    if degree < 1:
-        raise ModelError("Bernstein degree must be at least 1")
-    fvals = np.array([float(func(k / degree)) for k in range(degree + 1)])
-    # the same (low, high) lattice as a two-class row of the expectation matrix
-    counts = [(degree - k, k) for k in range(degree + 1)]
-
-    def b(x):
-        return float(multinomial_pmf(counts, [(1 - x, x)])[0] @ fvals)
-
-    return b
-
-
-def bernstein_interpolate(values, degree: int):
-    """Interpolate lattice values and return (S, B_degree(S)).
-
-    ``values`` live on {0, 1/degree, ..., 1}; S is their piecewise-linear
-    interpolant and the operator evaluates S back at the same lattice, so
-    B agrees with the plain Bernstein sum of the lattice values.
-    """
-    if len(values) != degree + 1:
-        raise ModelError("need degree + 1 lattice values")
-    s = piecewise_linear(values)
-    return s, bernstein(s, degree)
-
-
 # ---------------------------------------------------------------------------
 # Precision sweep: finite systems against the large-sample curves
 # ---------------------------------------------------------------------------
@@ -348,6 +256,8 @@ class PrecisionSweepResult:
 
 
 def _two_class_model(d1: int, eps) -> DegreeModel:
+    if not math.isfinite(eps):
+        raise ModelError(f"excess ratio must be finite, got {eps}")
     d2 = d1 * (1 + eps)
     if abs(d2 - round(d2)) > 1e-9:
         raise ModelError(f"d1 = {d1} with eps = {eps} gives a non-integer top degree")
@@ -369,8 +279,8 @@ def precision_sweep(eps, alpha, cost, sigma, etheta, d1_list) -> PrecisionSweepR
     d1_list = sorted(int(d) for d in d1_list)
     if len(d1_list) < 2:
         raise ModelError("need at least two lowest degrees to compare precision")
-    convexity = convexity_check(eps, alpha, cost, sigma=sigma, etheta=etheta)
     base = _two_class_model(d1_list[0], eps)
+    convexity = convexity_check(eps, alpha, cost, sigma=sigma, etheta=etheta)
     targets = {
         k: [i / base.degrees[k] for i in range(1, base.degrees[k])]
         for k in range(2)

@@ -6,8 +6,7 @@ The best response is therefore linear in the held expectation, and inflated
 expectations translate one-for-one into inflated actions.
 """
 
-from .equilibrium import EquilibriumSolution, type_probabilities
-from .population import DegreeModel, GameParams, degree_ratios
+from .population import DegreeModel, GameParams
 
 
 def best_response(theta, degree, expectation, model: DegreeModel, params: GameParams):
@@ -26,25 +25,3 @@ def utility(action, theta, degree, expectation, model: DegreeModel, params: Game
     return (theta * action
             + a * action * degree * expectation
             - params.cost * action * action / 2)
-
-
-def population_average_action(model: DegreeModel, params: GameParams,
-                              expectation_or_solution):
-    """Average best response across the population at theta = E[theta].
-
-    A scalar input means every agent holds that expectation, so the average is
-    E[theta]/c + (alpha/c) * E[rho] * expectation; at the full-information
-    benchmark this reproduces the benchmark expectation itself.  For a solved
-    finite system the per-type best responses are weighted by the true type
-    probabilities (rule blocks mixed by the sophistication share).
-    """
-    if isinstance(expectation_or_solution, EquilibriumSolution):
-        sol = expectation_or_solution
-        w = type_probabilities(model, sol.system, sigma=params.sigma)
-        actions = best_response(params.mean_preference, sol.system.columns[1], sol.xi,
-                                model, params)
-        return float(w @ actions)
-    expectation = expectation_or_solution
-    _, e1, _ = degree_ratios(model)
-    return (params.mean_preference / params.cost
-            + params.alpha * e1 * expectation / params.cost)

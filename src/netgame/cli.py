@@ -158,6 +158,8 @@ def _d1_list(text):
             infinite = True
         elif part:
             finite.append(int(part))
+    if not (finite or infinite):
+        raise ModelError(f"option d1: no lowest degree in {text!r}")
     return finite, infinite
 
 
@@ -198,8 +200,12 @@ def _out_dir(opts) -> Path:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    # mkstemp makes the file 0600; give it the mode a plain open would
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
     try:
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)

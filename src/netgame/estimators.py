@@ -7,7 +7,6 @@ by its degree and renormalizes, which inverts the sampling bias exactly and
 maximizes the multinomial likelihood of the observed neighbor counts.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,11 +34,6 @@ class Estimate:
             raise ModelError("estimated shares must lie in [0, 1]")
 
 
-def naive_estimate(obs: ObservedShares) -> Estimate:
-    """The observed neighbor shares taken at face value."""
-    return Estimate(tuple(obs.values), NAIVE)
-
-
 def debias_shares(values, degrees) -> tuple:
     """Divide shares by their degree and renormalize (the bias-inverting map).
 
@@ -58,37 +52,6 @@ def debias_shares(values, degrees) -> tuple:
 def sophisticated_mle(obs: ObservedShares, degrees) -> Estimate:
     """Degree-debiased maximum-likelihood estimate of the population shares."""
     return Estimate(debias_shares(obs.values, degrees), SOPHISTICATED)
-
-
-def log_likelihood(delta, counts, degrees) -> float:
-    """Multinomial log-likelihood of neighbor counts under candidate shares.
-
-    The per-draw probability of class k is the degree-weighted share
-    d_k * delta_k / sum(d * delta) -- what a random neighbor draw actually
-    follows -- so the argmax over the simplex is ``sophisticated_mle``.  This
-    evaluator exists as an independent check of that closed form.  Candidate
-    shares on the simplex boundary yield -inf when the vanishing class was
-    observed at least once.
-    """
-    if not len(delta) == len(counts) == len(degrees):
-        raise ModelError("delta, counts and degrees must have equal length")
-    for c in counts:
-        if c != int(c) or c < 0:
-            raise ModelError(f"counts must be non-negative integers, got {c!r}")
-    weights = [float(d) * float(s) for d, s in zip(degrees, delta)]
-    total = sum(weights)
-    if total <= 0:
-        raise ModelError("candidate shares must have positive total degree mass")
-    n = sum(int(c) for c in counts)
-    ll = math.lgamma(n + 1) - sum(math.lgamma(int(c) + 1) for c in counts)
-    for c, w in zip(counts, weights):
-        if c == 0:
-            continue
-        p = w / total
-        if p <= 0:
-            return float("-inf")
-        ll += c * math.log(p)
-    return ll
 
 
 def observed_high_share(delta2, epsilon):
@@ -115,10 +78,3 @@ def bias_surface(epsilon, grid=None) -> list:
         grid = [Fraction(i, 1000) if isinstance(epsilon, Fraction) else i / 1000
                 for i in range(1001)]
     return [(x, observed_high_share(x, epsilon) - x) for x in grid]
-
-
-def bias_argmax(epsilon) -> float:
-    """True high share at which the naive bias peaks: (sqrt(1+eps) - 1)/eps."""
-    if epsilon <= 0:
-        raise ModelError("excess ratio must be positive")
-    return (math.sqrt(1 + epsilon) - 1) / epsilon

@@ -259,6 +259,8 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
         raise ModelError("need at least two nodes")
     if trials < 1:
         raise ModelError("need at least one trial")
+    if seed < 0:
+        raise ModelError(f"seed must be non-negative, got {seed}")
     K = model.K
     degrees = [float(d) for d in model.degrees]
     naive_out = np.empty((trials, K))

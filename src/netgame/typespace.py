@@ -55,21 +55,6 @@ def enumerate_types(model: DegreeModel) -> list:
             for rule in RULES for d, lattice in lattices for obs in lattice]
 
 
-def believed_degree_share(rule, observed: ObservedShares, target_degree, degrees):
-    """Population share the observer assigns to agents of ``target_degree``.
-
-    A sophisticated observer uses its bias-corrected estimate; a naive one
-    reads the observed share directly.  Sums to one over the degree support.
-    """
-    try:
-        j = list(degrees).index(target_degree)
-    except ValueError:
-        raise ModelError(f"degree {target_degree!r} not in the support") from None
-    if rule == SOPHISTICATED:
-        return sophisticated_mle(observed, degrees).values[j]
-    return observed.values[j]
-
-
 def believed_rule_share(observer_rule, target_rule, sigma):
     """Probability the observer assigns to the target using each rule.
 
@@ -116,11 +101,6 @@ def multinomial_pmf(counts, probs) -> np.ndarray:
     for k in np.flatnonzero(zero.any(axis=0)):
         out[np.ix_(zero[:, k], whole[:, k] > 0)] = -np.inf
     return np.exp(out, out=out)
-
-
-def draw_probability(counts, probs) -> float:
-    """Multinomial probability of drawing ``counts`` with cell ``probs``."""
-    return float(multinomial_pmf([counts], [probs])[0, 0])
 
 
 def type_columns(types) -> tuple:

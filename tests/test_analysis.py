@@ -11,15 +11,12 @@ from netgame import (
     GameParams,
     ModelError,
     average_expectation,
-    bernstein,
-    bernstein_interpolate,
     build_pi,
     convexity_check,
     infinite_sophisticated,
     lattice_values,
-    monotonicity_check,
+    multinomial_pmf,
     naive_curve,
-    piecewise_linear,
     population_precision_sweep,
     precision_sweep,
     sigma_sweep,
@@ -29,6 +26,32 @@ from netgame import (
 
 FIG = dict(eps=2.0, alpha=1.2, cost=3.7, etheta=1.0)
 EX = dict(eps=0.5, alpha=4.0, cost=6.0, etheta=0.5)
+
+
+def _bernstein(func, degree):
+    """Degree-``degree`` Bernstein operator applied to a function on [0, 1]:
+    B_d(f)(x) = sum_k C(d,k) x^k (1-x)^(d-k) f(k/d).
+
+    Each weight is ``multinomial_pmf`` of the same (low, high) lattice as a
+    two-class block of the expectation matrix, at cell probabilities (1 - x, x).
+    """
+    fvals = np.array([float(func(k / degree)) for k in range(degree + 1)])
+    counts = [(degree - k, k) for k in range(degree + 1)]
+    return lambda x: float(multinomial_pmf(counts, [(1 - x, x)])[0] @ fvals)
+
+
+def _interpolant(values):
+    """Piecewise-linear interpolant of ``values`` on {0, 1/d, ..., 1}."""
+    knots = np.linspace(0.0, 1.0, len(values))
+    return lambda x: float(np.interp(x, knots, values))
+
+
+def _curves(eps, alpha, cost, sigma, etheta):
+    """Both large-sample curves over ``CHECK_GRID``; an unstable point raises."""
+    grid = an.CHECK_GRID
+    return (np.array([naive_curve(x, eps, alpha, cost, etheta) for x in grid]),
+            np.array([sophisticated_curve(x, eps, alpha, cost, sigma, etheta)
+                      for x in grid]))
 
 
 class TestCurves:
@@ -102,42 +125,42 @@ class TestConvexityCheck:
 
 
 class TestMonotonicityCheck:
+    # every grid point is locally stable at these parameters, so both curves
+    # are defined on the whole grid
     def test_fig_parameters_increasing(self):
-        report = monotonicity_check(**FIG, sigma=0.0)
-        assert report.increasing
-        assert not report.flat
+        for curve in _curves(**FIG, sigma=0.0):
+            assert (np.diff(curve) > 0).all()
 
     def test_example_parameters_increasing(self):
-        report = monotonicity_check(**EX, sigma=0.5)
-        assert report.increasing
+        for curve in _curves(**EX, sigma=0.5):
+            assert (np.diff(curve) > 0).all()
 
     def test_zero_complementarity_flat(self):
-        report = monotonicity_check(2.0, 0.0, 3.7, sigma=0.5)
-        assert report.flat
-        assert np.nanmax(np.abs(report.naive_first)) == 0
+        for curve in _curves(2.0, 0.0, 3.7, sigma=0.5, etheta=1.0):
+            assert (np.diff(curve) == 0).all()
 
 
 class TestBernstein:
     def test_reproduces_linear_functions(self):
         f = lambda x: 2 * x + 1
         for d in (1, 2, 5, 9):
-            b = bernstein(f, d)
+            b = _bernstein(f, d)
             for x in np.linspace(0, 1, 7):
                 assert b(x) == pytest.approx(f(x), abs=1e-12)
 
     def test_square_function_elevation_values(self):
         f = lambda x: x * x
-        assert bernstein(f, 2)(0.5) == pytest.approx(0.375, abs=1e-12)
-        assert bernstein(f, 4)(0.5) == pytest.approx(0.3125, abs=1e-12)
+        assert _bernstein(f, 2)(0.5) == pytest.approx(0.375, abs=1e-12)
+        assert _bernstein(f, 4)(0.5) == pytest.approx(0.3125, abs=1e-12)
 
     def test_large_degree_reproduces_linear_functions(self):
-        b = bernstein(lambda x: 3 * x - 1, 1500)
+        b = _bernstein(lambda x: 3 * x - 1, 1500)
         for x in (0.0, 0.3, 0.77, 1.0):
             assert b(x) == pytest.approx(3 * x - 1, abs=1e-12)
 
     def test_rejects_points_outside_the_unit_interval(self):
         with pytest.raises(ModelError):
-            bernstein(lambda x: x, 3)(1.5)
+            _bernstein(lambda x: x, 3)(1.5)
 
     def test_two_class_pi_block_is_the_bernstein_operator(self):
         # a naive observer with shares (1/2, 1/2) believes degree 6 with
@@ -148,16 +171,19 @@ class TestBernstein:
         f = lambda x: x * x + 0.2
         block = sum(row[system.index("naive", 6, (6 - k, k))] * f(k / 6)
                     for k in range(7))
-        assert block / 0.5 == pytest.approx(bernstein(f, 6)(0.5), abs=1e-15)
+        assert block / 0.5 == pytest.approx(_bernstein(f, 6)(0.5), abs=1e-15)
 
     def test_lattice_interpolation_exact(self):
+        # the operator reads the interpolant only at the lattice, so it is the
+        # plain Bernstein sum of the lattice values, exact at both ends
         values = [0.3, 0.1, 0.4, 0.15]
-        s, b = bernstein_interpolate(values, 3)
-        for k, v in enumerate(values):
-            assert s(k / 3) == pytest.approx(v, abs=1e-12)
-            assert b(1.0 if k == 3 else k / 3) == b(k / 3)
-        assert b(0.0) == pytest.approx(values[0], abs=1e-12)
-        assert b(1.0) == pytest.approx(values[-1], abs=1e-12)
+        b = _bernstein(_interpolant(values), 3)
+        for x in (0.0, 0.2, 0.5, 0.9, 1.0):
+            plain = sum(math.comb(3, k) * x**k * (1 - x)**(3 - k) * v
+                        for k, v in enumerate(values))
+            assert b(x) == pytest.approx(plain, abs=1e-12)
+        assert b(0.0) == values[0]
+        assert b(1.0) == values[-1]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 16), st.integers(2, 3),
@@ -171,9 +197,9 @@ class TestBernstein:
         values = values[:d + 1]
         while len(values) < d + 1:
             values.append(2 * values[-1] - values[-2] + 0.1)
-        s = piecewise_linear(values)
-        b_lo = bernstein(s, d)
-        b_hi = bernstein(s, m * d)
+        s = _interpolant(values)
+        b_lo = _bernstein(s, d)
+        b_hi = _bernstein(s, m * d)
         for x in np.linspace(0.05, 0.95, 9):
             assert b_lo(x) >= b_hi(x) - 1e-12
 
@@ -202,6 +228,11 @@ class TestPrecisionSweep:
         sweep = precision_sweep(2.0, 0.0, 3.7, 0.5, 1.0, [2, 4])
         vals = {round(r.value, 14) for r in sweep.rows}
         assert vals == {round(1.0 / 3.7, 14)}
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_ratio(self, eps):
+        with pytest.raises(ModelError):
+            precision_sweep(eps, 1.2, 3.7, 0.5, 1.0, [2, 4])
 
     def test_lattice_values_ordered_by_share(self):
         model = DegreeModel((2, 6), (0.6, 0.4))

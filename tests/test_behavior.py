@@ -7,12 +7,8 @@ from netgame import (
     DegreeModel,
     GameParams,
     best_response,
-    build_pi,
     infinite_naive,
     infinite_sophisticated,
-    population_average_action,
-    solve_direct,
-    type_probabilities,
     utility,
 )
 
@@ -120,40 +116,22 @@ class TestOutcomes:
 
 
 class TestPopulationAverage:
+    # the population's average action: best responses weighted by degree share
     def test_benchmark_fixed_point(self):
         p = params(1)
-        avg = population_average_action(MODEL, p, BENCH)
+        avg = sum(s * best_response(THETA, d, BENCH, MODEL, p)
+                  for d, s in zip(MODEL.degrees, MODEL.shares))
         assert avg == Fraction(15, 36)
-        # same thing as the share-weighted sum of the worked actions
-        manual = Fraction(6, 10) * Fraction(13, 36) + Fraction(4, 10) * Fraction(18, 36)
-        assert avg == manual
 
     def test_all_naive_average(self):
         p = params(0)
-        avg = population_average_action(MODEL, p, NAIVE_EXP)
-        manual = Fraction(6, 10) * Fraction(15, 36) + Fraction(4, 10) * Fraction(21, 36)
-        assert avg == manual == Fraction(29, 60)
+        avg = sum(s * best_response(THETA, d, NAIVE_EXP, MODEL, p)
+                  for d, s in zip(MODEL.degrees, MODEL.shares))
+        assert avg == Fraction(29, 60)
 
     def test_zero_complementarity(self):
         model = DegreeModel((2, 6), (0.6, 0.4))
         p = GameParams(1.0, 0.0, 3.7, 0.5, model)
-        assert population_average_action(model, p, 0.7) == pytest.approx(1 / 3.7)
-
-    def test_finite_solution_weighting(self):
-        model = DegreeModel((2, 6), (0.6, 0.4))
-        p = GameParams(1.0, 1.2, 3.7, 0.3, model)
-        sol = solve_direct(build_pi(model, p), p)
-        avg = population_average_action(model, p, sol)
-        lo = best_response(1.0, 2, float(sol.xi.min()), model, p)
-        hi = best_response(1.0, 6, float(sol.xi.max()), model, p)
-        assert lo <= avg <= hi
-
-    def test_finite_solution_matches_the_per_type_sum(self):
-        model = DegreeModel((2, 6), (0.6, 0.4))
-        p = GameParams(1.0, 1.2, 3.7, 0.3, model)
-        sol = solve_direct(build_pi(model, p), p)
-        w = type_probabilities(model, sol.system, sigma=0.3)
-        per_type = sum(float(wq) * best_response(1.0, t.degree, float(x), model, p)
-                       for t, wq, x in zip(sol.system.types, w, sol.xi))
-        assert population_average_action(model, p, sol) == pytest.approx(
-            per_type, rel=0, abs=1e-12)
+        avg = sum(s * best_response(1.0, d, 0.7, model, p)
+                  for d, s in zip(model.degrees, model.shares))
+        assert avg == pytest.approx(1 / 3.7)

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -186,6 +188,16 @@ class TestSolveDump:
         code = main(["solve", "--preset", "example", "--sigma", "0.5"])
         assert code == 2
 
+    def test_outputs_take_the_mode_of_a_plain_open(self, tmp_path, capsys):
+        old = os.umask(0o022)
+        try:
+            code, _ = run(capsys, "solve", "--out", str(tmp_path))
+        finally:
+            os.umask(old)
+        assert code == 0
+        for name in ("solution.csv", "solution.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
+
 
 class TestPiDump:
     def test_labeled_header(self, tmp_path, capsys):
@@ -221,6 +233,18 @@ class TestConfigAndErrors:
         code = main(["sweep", "sophistication", "--model", "2,6:0.5,0.5",
                      "--alpha", "2", "--c", "3"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "precision", "--eps", "nan"],
+        ["sweep", "precision", "--eps", "inf"],
+        ["sweep", "precision", "--d1", ","],
+        ["simulate", "--n", "50", "--trials", "1", "--seed", "-1"],
+    ], ids=["precision-eps-nan", "precision-eps-inf", "precision-empty-d1",
+            "simulate-negative-seed"])
+    def test_bad_input_exits_two_without_output(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NETGAME_OUT", str(tmp_path / "envout"))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,18 +8,37 @@ from hypothesis import strategies as st
 
 from netgame import (
     DegreeModel,
+    GameParams,
     ObservedShares,
-    bias_argmax,
     bias_surface,
     biased_neighbor_share,
+    build_pi,
     debias_shares,
     generate,
     empirical_neighbor_shares,
-    log_likelihood,
-    naive_estimate,
     observed_high_share,
     sophisticated_mle,
 )
+
+
+def _log_likelihood(delta, counts, degrees):
+    """Multinomial log-likelihood of neighbor counts under candidate shares.
+
+    A random neighbor is of class k with probability d_k * delta_k / sum(d * delta),
+    so the argmax over the simplex should be ``sophisticated_mle``: this is the
+    independent check of that closed form.  It is -inf where a class that was
+    observed has no mass.
+    """
+    weights = [d * s for d, s in zip(degrees, delta)]
+    total = sum(weights)
+    ll = math.lgamma(sum(counts) + 1) - sum(math.lgamma(c + 1) for c in counts)
+    for c, w in zip(counts, weights):
+        if c == 0:
+            continue
+        if w == 0:
+            return float("-inf")
+        ll += c * math.log(w / total)
+    return ll
 
 
 class TestNaiveEstimate:
@@ -28,9 +48,14 @@ class TestNaiveEstimate:
         ((0.25, 0.5, 0.25), 4),
     ])
     def test_identity(self, values, size):
-        est = naive_estimate(ObservedShares(values, size))
-        assert est.values == values
-        assert est.rule == "naive"
+        # a naive observer takes its observed shares at face value: its row of
+        # the expectation matrix weighs each degree's columns by that share
+        degrees = tuple(size * (k + 1) for k in range(len(values)))
+        model = DegreeModel(degrees, (1 / len(values),) * len(values))
+        system = build_pi(model, GameParams(1.0, 1.0, 2.0 * len(values), 0.5, model))
+        row = system.row("naive", size, ObservedShares(values, size).counts)
+        mass = [row[system.columns[1] == d].sum() for d in degrees]
+        assert mass == pytest.approx(values, abs=1e-12)
 
 
 class TestSophisticatedMLE:
@@ -62,28 +87,28 @@ class TestLogLikelihood:
         # brute-force over the two-class simplex at step 1e-4
         counts, degrees = (1, 1), (4, 6)
         grid = np.arange(1e-4, 1.0, 1e-4)
-        values = [log_likelihood((1 - t, t), counts, degrees) for t in grid]
+        values = [_log_likelihood((1 - t, t), counts, degrees) for t in grid]
         best = grid[int(np.argmax(values))]
         assert best == pytest.approx(0.4, abs=1e-4)
 
     def test_single_class_sample_pushes_to_boundary(self):
         counts, degrees = (5, 0), (4, 6)
-        lo = log_likelihood((0.9, 0.1), counts, degrees)
-        hi = log_likelihood((0.999, 0.001), counts, degrees)
+        lo = _log_likelihood((0.9, 0.1), counts, degrees)
+        hi = _log_likelihood((0.999, 0.001), counts, degrees)
         assert hi > lo
-        assert log_likelihood((0.0, 1.0), counts, degrees) == float("-inf")
+        assert _log_likelihood((0.0, 1.0), counts, degrees) == float("-inf")
 
     def test_gradient_vanishes_at_mle(self):
         counts, degrees = (3, 2), (4, 6)
         obs = ObservedShares.from_counts(counts)
         t_star = sophisticated_mle(obs, degrees).values[1]
         h = 1e-6
-        up = log_likelihood((1 - t_star - h, t_star + h), counts, degrees)
-        dn = log_likelihood((1 - t_star + h, t_star - h), counts, degrees)
+        up = _log_likelihood((1 - t_star - h, t_star + h), counts, degrees)
+        dn = _log_likelihood((1 - t_star + h, t_star - h), counts, degrees)
         assert abs(up - dn) / (2 * h) < 1e-6
 
     def test_boundary_with_observation_is_minus_inf(self):
-        assert log_likelihood((1.0, 0.0), (1, 1), (4, 6)) == float("-inf")
+        assert _log_likelihood((1.0, 0.0), (1, 1), (4, 6)) == float("-inf")
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 6))
@@ -93,9 +118,9 @@ class TestLogLikelihood:
         counts, degrees = (n1, n2), (3, 5)
         t_star = debias_shares(ObservedShares.from_counts(counts).values,
                                degrees)[1]
-        best = log_likelihood((1 - t_star, t_star), counts, degrees)
+        best = _log_likelihood((1 - t_star, t_star), counts, degrees)
         for t in (0.05, 0.3, 0.7, 0.95):
-            assert best >= log_likelihood((1 - t, t), counts, degrees) - 1e-12
+            assert best >= _log_likelihood((1 - t, t), counts, degrees) - 1e-12
 
 
 class TestBiasSurface:
@@ -129,9 +154,8 @@ class TestBiasSurface:
 
     def test_analytic_argmax_matches_grid(self):
         for eps in (0.5, 1.0, 2.0, 99.0):
-            pairs = bias_surface(eps)
-            grid_best = max(pairs, key=lambda p: p[1])[0]
-            assert bias_argmax(eps) == pytest.approx(grid_best, abs=1e-3)
+            grid_best = max(bias_surface(eps), key=lambda p: p[1])[0]
+            assert (math.sqrt(1 + eps) - 1) / eps == pytest.approx(grid_best, abs=1e-3)
 
 
 class TestMonteCarloConsistency:

@@ -257,6 +257,10 @@ class TestMonteCarloCheck:
         with pytest.raises(ModelError):
             monte_carlo_estimator_check(EXAMPLE, 2000, trials=0)
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ModelError):
+            monte_carlo_estimator_check(EXAMPLE, 50, trials=1, seed=-1)
+
     def test_trial_streams_differ(self):
         report = monte_carlo_estimator_check(EXAMPLE, 5000, trials=3, seed=4)
         assert len({round(float(v), 12)

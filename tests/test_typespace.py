@@ -12,11 +12,8 @@ from netgame import (
     ExpectationMatrix,
     GameParams,
     ModelError,
-    ObservedShares,
-    believed_degree_share,
     believed_rule_share,
     build_pi,
-    draw_probability,
     enumerate_types,
     multinomial_pmf,
     pi_csv_rows,
@@ -90,31 +87,36 @@ class TestEnumerateTypes:
             assert system.index(t.rule, t.degree, t.observed.counts) == q
 
 
+def _degree_mass(model, rule, counts, sigma=1.0):
+    """Mass that one row of ``build_pi`` puts on each degree's columns: the
+    population share that observer believes each degree has."""
+    system = build_pi(model, _stable_params(model, sigma=sigma))
+    row = system.row(rule, sum(counts), counts)
+    return [row[system.columns[1] == d].sum() for d in model.degrees]
+
+
 class TestBelievedShares:
+    M = DegreeModel((2, 4), (0.5, 0.5))
+
     def test_sophisticated_corrects(self):
-        obs = ObservedShares((0.5, 0.5), 2)
-        assert believed_degree_share("sophisticated", obs, 4, (2, 4)) == \
+        assert _degree_mass(self.M, "sophisticated", (1, 1))[1] == \
             pytest.approx(1 / 3, abs=1e-12)
 
     def test_naive_reads_off(self):
-        obs = ObservedShares((0.5, 0.5), 2)
-        assert believed_degree_share("naive", obs, 4, (2, 4)) == 0.5
+        assert _degree_mass(self.M, "naive", (1, 1))[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_no_observed_mass(self):
-        obs = ObservedShares((1.0, 0.0), 2)
-        assert believed_degree_share("sophisticated", obs, 4, (2, 4)) == 0.0
+        assert _degree_mass(self.M, "sophisticated", (2, 0))[1] == 0.0
 
     def test_unknown_degree_raises(self):
-        obs = ObservedShares((0.5, 0.5), 2)
+        system = build_pi(self.M, _stable_params(self.M))
         with pytest.raises(ModelError):
-            believed_degree_share("naive", obs, 3, (2, 4))
+            system.index("naive", 3, (2, 1))
 
     def test_sums_to_one_over_degrees(self):
-        obs = ObservedShares((0.25, 0.5, 0.25), 4)
-        degrees = (2, 4, 8)
+        m = DegreeModel((2, 4, 8), (0.3, 0.4, 0.3))
         for rule in ("naive", "sophisticated"):
-            total = sum(believed_degree_share(rule, obs, d, degrees)
-                        for d in degrees)
+            total = sum(_degree_mass(m, rule, (1, 2, 1), sigma=0.35))
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -221,25 +223,23 @@ class TestBuildPi:
 
 
 class TestDrawProbability:
+    # one-row cases: count vectors under a single cell-probability row
     def test_binomial_case(self):
-        assert draw_probability((1, 1), (0.5, 0.5)) == pytest.approx(0.5)
-        assert draw_probability((0, 4), (0.5, 0.5)) == pytest.approx(0.0625)
+        got = multinomial_pmf([(1, 1), (0, 4)], [(0.5, 0.5)])[0]
+        assert got.tolist() == pytest.approx([0.5, 0.0625])
 
     def test_multinomial_sums_to_one(self):
-        probs = (0.2, 0.5, 0.3)
-        total = sum(draw_probability(c, probs)
-                    for c in itertools.product(range(6), repeat=3)
-                    if sum(c) == 5)
+        counts = [c for c in itertools.product(range(6), repeat=3) if sum(c) == 5]
+        total = multinomial_pmf(counts, [(0.2, 0.5, 0.3)]).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_probability_cell(self):
-        assert draw_probability((1, 1), (1.0, 0.0)) == 0.0
-        assert draw_probability((2, 0), (1.0, 0.0)) == 1.0
-
+        got = multinomial_pmf([(1, 1), (2, 0)], [(1.0, 0.0)])[0]
+        assert got.tolist() == [0.0, 1.0]
 
     def test_large_degree_does_not_overflow(self):
         exact = Fraction(math.comb(1100, 550), 2 ** 1100)
-        got = draw_probability((550, 550), (0.5, 0.5))
+        got = multinomial_pmf([(550, 550)], [(0.5, 0.5)])[0, 0]
         assert abs(got / float(exact) - 1) <= 1e-12
 
 
@@ -252,6 +252,17 @@ def _exact_pmf(counts, probs):
     for c, q in zip(counts, probs):
         p *= Fraction(q) ** c
     return p
+
+
+def _believed_degree_share(rule, observed, target_degree, degrees):
+    """Population share an observer assigns to agents of ``target_degree``:
+    the observed share if naive; if sophisticated, the observed shares divided
+    by their degrees and renormalized."""
+    j = list(degrees).index(target_degree)
+    if rule == "naive":
+        return observed.values[j]
+    weights = [v / d for v, d in zip(observed.values, degrees)]
+    return weights[j] / sum(weights)
 
 
 def _lattice(total, K):
@@ -313,8 +324,8 @@ class TestMultinomialPmf:
         for p, obs in enumerate(system.types):
             for q, tgt in enumerate(system.types):
                 weight = (believed_rule_share(obs.rule, tgt.rule, 0.35)
-                          * believed_degree_share(obs.rule, obs.observed, tgt.degree,
-                                                  m.degrees))
+                          * _believed_degree_share(obs.rule, obs.observed, tgt.degree,
+                                                   m.degrees))
                 ref = float(weight) * float(_exact_pmf(tgt.observed.counts,
                                                        obs.observed.values))
                 assert system.pi[p, q] == pytest.approx(ref, rel=1e-13, abs=0.0)
