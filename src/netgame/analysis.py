@@ -47,7 +47,7 @@ def mle_high_share(u, eps):
 def naive_value_at_observed(u, eps, alpha, cost, etheta):
     """Naive expectation at observed high share u: E[theta]/(c - a(1+eps*u))."""
     denom = cost - alpha * (1 + eps * u)
-    if denom <= 0:
+    if np.any(denom <= 0):
         raise ModelError("naive expectation undefined: locally unstable")
     return etheta / denom
 
@@ -61,7 +61,7 @@ def sophisticated_value_at_observed(u, eps, alpha, cost, sigma, etheta):
     believed = 1 + eps * mle_high_share(u, eps)
     x_n = naive_value_at_observed(u, eps, alpha, cost, etheta)
     denom = cost - sigma * alpha * believed
-    if denom <= 0:
+    if np.any(denom <= 0):
         raise ModelError("sophisticated expectation undefined: locally unstable")
     return (etheta + (1 - sigma) * alpha * believed * x_n) / denom
 
@@ -85,24 +85,16 @@ def naive_convexity_rhs(delta2, eps):
             + (1 + eps) / (1 + eps * delta2))
 
 
-def sophisticated_sufficient(delta2, eps, alpha, cost, sigma) -> bool:
+def sophisticated_sufficient(delta2, eps, alpha, cost, sigma):
     """Sufficient condition for the sophisticated curve to be convex:
-    c < 2a(1 + eps*delta2) sigma^2 (given the naive curve is convex)."""
+    c < 2a(1 + eps*delta2) sigma^2 (given the naive curve is convex),
+    elementwise when ``delta2`` is an array."""
     return cost < 2 * alpha * (1 + eps * delta2) * sigma**2
 
 
 # ---------------------------------------------------------------------------
 # Convexity report
 # ---------------------------------------------------------------------------
-
-def _stable_naive(x, eps, alpha, cost):
-    return cost - alpha * (1 + eps * observed_high_share(x, eps)) > 0
-
-
-def _stable_soph(x, eps, alpha, cost, sigma):
-    return (_stable_naive(x, eps, alpha, cost)
-            and cost - sigma * alpha * (1 + eps * x) > 0)
-
 
 @dataclass(frozen=True)
 class ConvexityReport:
@@ -161,29 +153,22 @@ def convexity_check(eps, alpha, cost, sigma=1.0, etheta=1.0) -> ConvexityReport:
     """
     grid, h = CHECK_GRID, DIFF_STEP
     band = BAND_FACTOR * h
-    npts = len(grid)
-    naive_second = np.full(npts, np.nan)
-    soph_second = np.full(npts, np.nan)
-    naive_stable = np.zeros(npts, dtype=bool)
-    soph_stable = np.zeros(npts, dtype=bool)
-    rhs = np.array([float(naive_convexity_rhs(x, eps)) for x in grid])
+    stencil = np.stack([grid - h, grid, grid + h])
+    # a point is checked only where its whole stencil is locally stable
+    naive_stable = (cost - alpha * (1 + eps * observed_high_share(stencil, eps))
+                    > 0).all(axis=0)
+    soph_stable = naive_stable & (cost - sigma * alpha * (1 + eps * stencil) > 0).all(axis=0)
+    naive_second = np.full(len(grid), np.nan)
+    soph_second = np.full(len(grid), np.nan)
+    f = naive_curve(stencil[:, naive_stable], eps, alpha, cost, etheta)
+    naive_second[naive_stable] = (f[0] - 2 * f[1] + f[2]) / h**2
+    f = sophisticated_curve(stencil[:, soph_stable], eps, alpha, cost, sigma, etheta)
+    soph_second[soph_stable] = (f[0] - 2 * f[1] + f[2]) / h**2
+    rhs = naive_convexity_rhs(grid, eps)
     degenerate = alpha * eps == 0
-    for i, x in enumerate(grid):
-        stencil = (x - h, x, x + h)
-        if all(_stable_naive(s, eps, alpha, cost) for s in stencil):
-            naive_stable[i] = True
-            f = [naive_curve(s, eps, alpha, cost, etheta) for s in stencil]
-            naive_second[i] = (f[0] - 2 * f[1] + f[2]) / h**2
-        if all(_stable_soph(s, eps, alpha, cost, sigma) for s in stencil):
-            soph_stable[i] = True
-            f = [sophisticated_curve(s, eps, alpha, cost, sigma, etheta)
-                 for s in stencil]
-            soph_second[i] = (f[0] - 2 * f[1] + f[2]) / h**2
     ratio = cost / alpha if alpha > 0 else math.inf
     inconclusive = np.abs(ratio - rhs) <= band
-    sufficient = np.array([
-        sophisticated_sufficient(x, eps, alpha, cost, sigma) for x in grid
-    ])
+    sufficient = sophisticated_sufficient(grid, eps, alpha, cost, sigma)
     return ConvexityReport(
         eps=float(eps), alpha=float(alpha), cost=float(cost), sigma=float(sigma),
         etheta=float(etheta), h=float(h), band=float(band), grid=grid,
@@ -255,9 +240,15 @@ class PrecisionSweepResult:
         return sorted({r.share for r in self.rows if r.class_index == class_index})
 
 
-def _two_class_model(d1: int, eps) -> DegreeModel:
+def _check_excess_ratio(eps) -> None:
     if not math.isfinite(eps):
         raise ModelError(f"excess ratio must be finite, got {eps}")
+    if eps <= 0:
+        raise ModelError(f"excess ratio eps = d_2/d_1 - 1 must be positive, got {eps}")
+
+
+def _two_class_model(d1: int, eps) -> DegreeModel:
+    _check_excess_ratio(eps)
     d2 = d1 * (1 + eps)
     if abs(d2 - round(d2)) > 1e-9:
         raise ModelError(f"d1 = {d1} with eps = {eps} gives a non-integer top degree")
@@ -345,6 +336,7 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     The type weights depend on neither sigma nor the solution, so one kernel
     call per d1 weighs the whole grid, and every sigma reuses it.
     """
+    _check_excess_ratio(eps)
     finite = [int(d) for d in d1_list if float(d) != math.inf]
     infinite = len(finite) < len(d1_list)
     grid = [float(x) for x in grid]

@@ -9,7 +9,8 @@ Subcommands:
 
 Options may come from a config file of ``key = value`` lines (lists
 comma-separated); flags override the file, which overrides the preset, which
-overrides the command's entry in ``DEFAULTS``.
+overrides the command's entry in ``DEFAULTS``.  That entry lists every option
+the command reads, and the command takes a flag for each of them and no other.
 CSV output is comma-separated with a header row and LF line endings; every
 CSV has a JSON twin carrying the same rows.  Files are written atomically.
 """
@@ -33,7 +34,6 @@ from .equilibrium import (
     ConvergenceError,
     benchmark_expectation,
     infinite_naive,
-    infinite_sophisticated,
     solve_direct,
 )
 from .estimators import NAIVE, SOPHISTICATED, bias_surface, debias_shares
@@ -64,19 +64,38 @@ PRESETS = {
     },
 }
 
-# Per-command defaults: the last layer of option resolution.
+# The options each runnable command reads, with its defaults: the last layer
+# of option resolution, and the flags the command accepts.  None marks an
+# option that is read but has no default.
 DEFAULTS = {
-    "precision": {**PRESETS["spread"], "grid": "41"},
+    "precision": {**{k: v for k, v in PRESETS["spread"].items() if k != "model"},
+                  "grid": "41"},
     "sophistication": {**PRESETS["example"], "grid": "101"},
     "outcomes": {**PRESETS["example"], "grid": "101"},
     "bias": {"eps": "1,99", "grid": "1001"},
-    "simulate": {**PRESETS["example"], "n": "100000", "trials": "20", "seed": "0",
-                 "tol": "0.01", "simple": "false"},
-    "solve": {**PRESETS["spread"], "sigma": "0.5"},
-    "pi": {"model": "2,4:0.5,0.5", "sigma": "1", "alpha": "1", "etheta": "1"},
+    "simulate": {"model": PRESETS["example"]["model"], "n": "100000", "trials": "20",
+                 "seed": "0", "tol": "0.01", "simple": "false"},
+    "solve": {**{k: PRESETS["spread"][k] for k in ("model", "alpha", "c", "etheta")},
+              "sigma": "0.5"},
+    "pi": {"model": "2,4:0.5,0.5", "sigma": "1", "alpha": "1", "c": None, "etheta": "1"},
 }
 
-SWEEP_KINDS = ("precision", "sophistication", "outcomes", "bias")
+# Help for each option's flag; a command lists its flags in this order.
+FLAG_HELP = {
+    "model": "degrees:shares, e.g. 4,6:0.6,0.4",
+    "sigma": "sophistication share (precision: a comma-separated list)",
+    "alpha": "complementarity level",
+    "c": "action cost (pi: unset means 2 * alpha * d_K/d_1)",
+    "etheta": "mean preference E[theta]",
+    "eps": "excess ratio d_2/d_1 - 1 (bias: a comma-separated list)",
+    "d1": "comma-separated lowest degrees, 'inf' allowed",
+    "grid": "grid point count",
+    "n": "nodes per network",
+    "trials": "networks to draw",
+    "seed": "random seed",
+    "tol": "largest gap of a trial's estimate that passes",
+    "simple": "repair self-loops and multi-edges",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +166,17 @@ def _scalar(text, exact=False):
 
 
 def _scalar_list(text) -> list:
-    return [float(part) for part in text.split(",") if part != ""]
+    values = [float(part) for part in text.split(",") if part != ""]
+    if not values:
+        raise ValueError(text)
+    return values
+
+
+def _tolerance(text) -> float:
+    tol = float(text)
+    if not 0 <= tol < math.inf:
+        raise ModelError(f"option tol: must be finite and non-negative, got {text}")
+    return tol
 
 
 def _d1_list(text):
@@ -340,6 +369,7 @@ def _game_meta(opts, params) -> dict:
 
 
 def _sweep_precision(opts, out: Path):
+    """finite systems against their large-sample limit, by lowest degree"""
     eps, alpha, cost, etheta = (opts.get(key, float)
                                 for key in ("eps", "alpha", "c", "etheta"))
     sigmas = opts.get("sigma", _scalar_list)
@@ -355,6 +385,7 @@ def _sweep_precision(opts, out: Path):
 
 
 def _sweep_sophistication(opts, out: Path):
+    """expectations by sophistication share"""
     model, params = opts.game(0.0)
     sigmas = opts.get("grid", _grid)
     columns = ("sigma", "naive", "sophisticated", "benchmark")
@@ -366,28 +397,25 @@ def _sweep_sophistication(opts, out: Path):
 
 
 def _sweep_outcomes(opts, out: Path):
+    """actions and utilities by sophistication share"""
     sigmas = opts.get("grid", _grid)
+    model, params = opts.game(0.0)
+    etheta = params.mean_preference
     columns = ("sigma", "rule", "degree", "action", "expected_utility")
     rows = []
-    for sigma in sigmas:
-        model, params = opts.game(float(sigma))
-        etheta = params.mean_preference
-        bench = benchmark_expectation(model, params)
-        held = {
-            NAIVE: infinite_naive(model, params),
-            SOPHISTICATED: infinite_sophisticated(model, params),
-            "benchmark": bench,
-        }
+    for r in sigma_sweep(model, params.alpha, params.cost, etheta, sigmas):
+        held = {NAIVE: r.naive, SOPHISTICATED: r.sophisticated, "benchmark": r.benchmark}
         for rule, expectation in held.items():
             for d in model.degrees:
                 action = best_response(etheta, d, expectation, model, params)
-                eu = utility(action, etheta, d, bench, model, params)
-                rows.append((float(sigma), rule, d, float(action), float(eu)))
+                eu = utility(action, etheta, d, r.benchmark, model, params)
+                rows.append((r.sigma, rule, d, float(action), float(eu)))
     _write_table(out, "outcomes", columns, rows, _game_meta(opts, params))
     return rows
 
 
 def _sweep_bias(opts, out: Path):
+    """the estimator-gap surface"""
     eps_list = opts.get("eps", _scalar_list)
     grid = opts.get("grid", _grid)
     columns = ("eps", "delta2", "bias")
@@ -406,16 +434,18 @@ def _sweep_bias(opts, out: Path):
     return rows
 
 
+SWEEPS = {
+    "precision": _sweep_precision,
+    "sophistication": _sweep_sophistication,
+    "outcomes": _sweep_outcomes,
+    "bias": _sweep_bias,
+}
+
+
 def cmd_sweep(args) -> int:
     opts = _Options(args, DEFAULTS[args.kind])
     out = _out_dir(opts)
-    runner = {
-        "precision": _sweep_precision,
-        "sophistication": _sweep_sophistication,
-        "outcomes": _sweep_outcomes,
-        "bias": _sweep_bias,
-    }[args.kind]
-    rows = runner(opts, out)
+    rows = SWEEPS[args.kind](opts, out)
     print(f"wrote {len(rows)} rows to {out / (args.kind + '.csv')}")
     return 0
 
@@ -429,7 +459,7 @@ def cmd_simulate(args) -> int:
     model = opts.get("model", _parse_model)
     n, trials, seed = (opts.get(key, int) for key in ("n", "trials", "seed"))
     simple = opts.get("simple", _boolean)
-    tol = opts.get("tol", float)
+    tol = opts.get("tol", _tolerance)
 
     report = monte_carlo_estimator_check(model, n, trials=trials, seed=seed,
                                          simple=simple)
@@ -527,6 +557,22 @@ def cmd_pi(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _command(sub, name, help, func, json_help=None):
+    """Subcommand ``name``: the common options, then one flag per DEFAULTS key."""
+    # no abbreviations: "--c" must never be read as "--config"
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p.add_argument("--config", help="key = value option file")
+    p.add_argument("--preset", help=f"one of {sorted(PRESETS)}")
+    p.add_argument("--out", help="output directory (default $NETGAME_OUT)")
+    if json_help:
+        p.add_argument("--json", action="store_true", help=json_help)
+    for key in sorted(DEFAULTS[name], key=list(FLAG_HELP).index):
+        # --simple is a bare switch: it can only turn the mode on
+        switch = {"action": "store_true", "default": None} if key == "simple" else {}
+        p.add_argument(f"--{key}", help=FLAG_HELP[key], **switch)
+    p.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netgame",
@@ -535,64 +581,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help):
-        # no abbreviations: "--c" must never be read as "--config"
-        return sub.add_parser(name, help=help, allow_abbrev=False)
-
-    def common(p):
-        p.add_argument("--config", help="key = value option file")
-        p.add_argument("--preset", help=f"one of {sorted(PRESETS)}")
-        p.add_argument("--out", help="output directory (default $NETGAME_OUT)")
-
-    p_example = command("example", "check the worked example values")
+    p_example = sub.add_parser("example", help="check the worked example values",
+                               allow_abbrev=False)
     p_example.add_argument("--exact", action="store_true",
                            help="exact rational arithmetic")
     p_example.add_argument("--json", action="store_true")
     p_example.set_defaults(func=cmd_example)
 
-    p_sweep = command("sweep", "emit figure data as CSV + JSON")
-    p_sweep.add_argument("kind", choices=SWEEP_KINDS)
-    common(p_sweep)
-    p_sweep.add_argument("--model", help="degrees:shares, e.g. 4,6:0.6,0.4")
-    p_sweep.add_argument("--alpha")
-    p_sweep.add_argument("--c")
-    p_sweep.add_argument("--etheta")
-    p_sweep.add_argument("--sigma", help="comma-separated sophistication shares")
-    p_sweep.add_argument("--d1", help="comma-separated lowest degrees, 'inf' allowed")
-    p_sweep.add_argument("--eps", help="excess ratio(s)")
-    p_sweep.add_argument("--grid", help="grid point count")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep = sub.add_parser("sweep", help="emit figure data as CSV + JSON",
+                             allow_abbrev=False)
+    kinds = p_sweep.add_subparsers(dest="kind", required=True)
+    for kind, runner in SWEEPS.items():
+        _command(kinds, kind, runner.__doc__, cmd_sweep)
 
-    p_sim = command("simulate", "Monte-Carlo estimator checks")
-    common(p_sim)
-    p_sim.add_argument("--json", action="store_true", help="machine-readable stdout")
-    p_sim.add_argument("--model")
-    p_sim.add_argument("--n")
-    p_sim.add_argument("--trials")
-    p_sim.add_argument("--seed")
-    p_sim.add_argument("--tol")
-    p_sim.add_argument("--simple", action="store_true", default=None,
-                       help="repair self-loops and multi-edges")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_solve = command("solve", "solve one finite type system")
-    common(p_solve)
-    p_solve.add_argument("--model")
-    p_solve.add_argument("--sigma")
-    p_solve.add_argument("--alpha")
-    p_solve.add_argument("--c")
-    p_solve.add_argument("--etheta")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_pi = command("pi", "dump the expectation matrix as CSV")
-    common(p_pi)
-    p_pi.add_argument("--model")
-    p_pi.add_argument("--sigma")
-    p_pi.add_argument("--alpha")
-    p_pi.add_argument("--c")
-    p_pi.add_argument("--etheta")
-    p_pi.set_defaults(func=cmd_pi)
-
+    _command(sub, "simulate", "Monte-Carlo estimator checks", cmd_simulate,
+             json_help="machine-readable stdout")
+    _command(sub, "solve", "solve one finite type system", cmd_solve)
+    _command(sub, "pi", "dump the expectation matrix as CSV", cmd_pi)
     return parser
 
 

@@ -79,6 +79,32 @@ class TestCurves:
                 assert an.mle_high_share(u, eps) == pytest.approx(d2, abs=1e-12)
 
 
+def _pointwise_second_differences(eps, alpha, cost, sigma, etheta):
+    """The convexity stencil one grid point at a time: per rule, the second
+    differences (NaN where not stable) and the stable mask."""
+    h = an.DIFF_STEP
+    out = []
+    for curve, stable, args in [
+        (naive_curve,
+         lambda s: cost - alpha * (1 + eps * an.observed_high_share(s, eps)) > 0,
+         (eps, alpha, cost, etheta)),
+        (sophisticated_curve,
+         lambda s: (cost - alpha * (1 + eps * an.observed_high_share(s, eps)) > 0
+                    and cost - sigma * alpha * (1 + eps * s) > 0),
+         (eps, alpha, cost, sigma, etheta)),
+    ]:
+        second = np.full(len(an.CHECK_GRID), np.nan)
+        mask = np.zeros(len(an.CHECK_GRID), dtype=bool)
+        for i, x in enumerate(an.CHECK_GRID):
+            stencil = (x - h, x, x + h)
+            if all(stable(s) for s in stencil):
+                f = [curve(s, *args) for s in stencil]
+                second[i] = (f[0] - 2 * f[1] + f[2]) / h**2
+                mask[i] = True
+        out += [second, mask]
+    return out
+
+
 class TestAuxiliaryEvaluators:
     def test_rhs_is_constant_two_plus_eps(self):
         # the two condition terms always total 2 + eps
@@ -116,6 +142,20 @@ class TestConvexityCheck:
         report = convexity_check(2.0, 1.2, 1.8, sigma=1.0)
         assert 0 < report.naive_stable.sum() < len(report.grid)
         assert report.ok
+
+    @pytest.mark.parametrize("eps, alpha, cost, sigma, etheta", [
+        (2.0, 1.2, 3.7, 1.0, 1.0),      # stable everywhere
+        (2.0, 1.2, 1.8, 0.5, 1.0),      # stable at 9 of 99 points
+        (0.5, 4.0, 5.0, 0.3, 0.5),      # stable at 39 of 99 points
+        (2.0, 1.2, 1.0, 1.0, 1.0),      # nowhere stable
+        (1e-8, 0.0, 3.7, 0.0, 1.0),     # degenerate: no complementarity
+    ])
+    def test_matches_pointwise_stencil_bit_for_bit(self, eps, alpha, cost, sigma, etheta):
+        report = convexity_check(eps, alpha, cost, sigma=sigma, etheta=etheta)
+        got = [report.naive_second, report.naive_stable,
+               report.soph_second, report.soph_stable]
+        want = _pointwise_second_differences(eps, alpha, cost, sigma, etheta)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_sufficient_condition_implies_convex_sophisticated(self):
         for eps, ratio in [(0.5, 1.5), (2.0, 1.5), (2.0, 3.083)]:

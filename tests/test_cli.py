@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -19,6 +20,8 @@ from netgame.cli import (
     build_parser,
     main,
 )
+
+POSITIVE_EPS = "excess ratio eps = d_2/d_1 - 1 must be positive"
 
 
 def run(capsys, *argv):
@@ -128,6 +131,19 @@ class TestSweeps:
                 "119b7ccd709f127c025e3caf2e6f15adec7a88b35faf079e4079033a11da1b9a",
         }
 
+    @pytest.mark.parametrize("preset, digests", [
+        ("example", ("bfbd61bcdc286a29236ad15ebe6619a490b313fb884dfa2e33c431a07583be0b",
+                     "6156d50f72a49ddd51e0e5568000342a7efb4f1627133b5b6cb2288cdf4eab05")),
+        ("spread", ("c3b691bbc8590736af15fb356e524d79eb5efceec1b1057e46915c466db2778c",
+                    "ec3c65c7cc494748cacaf0b0b4dceb6878609ac458a0107ee0b219559d827cdb")),
+    ])
+    def test_outcomes_sweep_bytes_are_pinned(self, preset, digests, tmp_path, capsys):
+        code, _ = run(capsys, "sweep", "outcomes", "--preset", preset,
+                      "--grid", "5", "--out", str(tmp_path))
+        assert code == 0
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in ("outcomes.csv", "outcomes.json")) == digests
+
     def test_precision_sweep_weighs_once_per_lowest_degree(self, tmp_path, capsys,
                                                            monkeypatch):
         import netgame.equilibrium
@@ -234,16 +250,26 @@ class TestConfigAndErrors:
                      "--alpha", "2", "--c", "3"])
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "precision", "--eps", "nan"],
-        ["sweep", "precision", "--eps", "inf"],
-        ["sweep", "precision", "--d1", ","],
-        ["simulate", "--n", "50", "--trials", "1", "--seed", "-1"],
+    @pytest.mark.parametrize("argv, named", [
+        (["sweep", "precision", "--eps", "nan"], "excess ratio"),
+        (["sweep", "precision", "--eps", "inf"], "excess ratio"),
+        (["sweep", "precision", "--d1", ","], "option d1"),
+        (["simulate", "--n", "50", "--trials", "1", "--seed", "-1"], "seed"),
+        (["sweep", "precision", "--sigma", ","], "option sigma"),
+        (["sweep", "bias", "--eps", ","], "option eps"),
+        (["simulate", "--n", "50", "--trials", "1", "--tol", "-1"], "option tol"),
+        (["simulate", "--n", "50", "--trials", "1", "--tol", "inf"], "option tol"),
+        (["sweep", "precision", "--eps", "-0.5"], POSITIVE_EPS),
+        (["sweep", "precision", "--eps", "0"], POSITIVE_EPS),
+        (["sweep", "precision", "--eps", "-0.5", "--d1", "inf"], POSITIVE_EPS),
     ], ids=["precision-eps-nan", "precision-eps-inf", "precision-empty-d1",
-            "simulate-negative-seed"])
-    def test_bad_input_exits_two_without_output(self, argv, tmp_path, capsys):
+            "simulate-negative-seed", "precision-empty-sigma", "bias-empty-eps",
+            "simulate-negative-tol", "simulate-infinite-tol", "precision-negative-eps",
+            "precision-zero-eps", "precision-limit-only-negative-eps"])
+    def test_bad_input_exits_two_without_output(self, argv, named, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
         assert list(tmp_path.iterdir()) == []
 
     def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
@@ -290,12 +316,26 @@ class TestResolverDefects:
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--c", "6"], ["solve", "--sig", "0.5"], ["pi", "--conf", "x.cfg"],
+        ["sweep", "precision", "--sig", "0.5"],
     ])
     def test_no_option_abbreviations(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, unread", [
+        (["sweep", "bias"], ["--model", "2,6:0.5,0.5", "--alpha", "9"]),
+        (["sweep", "sophistication"], ["--sigma", "0.3"]),
+        (["sweep", "precision"], ["--model", "4,6:0.6,0.4"]),
+    ], ids=["bias-model", "sophistication-sigma", "precision-model"])
+    def test_flag_the_command_does_not_read_exits_two(self, command, unread, tmp_path,
+                                                       capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *unread, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(unread)}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["sweep", "bias"], ["solve"], ["pi"]])
     def test_json_belongs_to_example_and_simulate(self, argv, tmp_path, capsys):
@@ -354,19 +394,39 @@ class TestResolverDefects:
         assert meta["seed"] == [4, 0]
 
 
+def _parsers(parser, name="netgame"):
+    """Every parser in the tree, keyed by its last word (a sweep by its kind)."""
+    found = {name: parser}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child, p in action.choices.items():
+                found.update(_parsers(p, child))
+    return found
+
+
+class TestOptionTable:
+    def test_each_command_takes_the_flags_of_its_defaults(self):
+        parsers = _parsers(build_parser())
+        assert not any(p.allow_abbrev for p in parsers.values())
+        runnable = {name: p for name, p in parsers.items()
+                    if name not in ("netgame", "example", "sweep")}
+        assert sorted(runnable) == sorted(DEFAULTS)
+        for name, p in runnable.items():
+            flags = {a.dest for a in p._actions if a.option_strings}
+            assert flags - {"help", "config", "preset", "out", "json"} == set(DEFAULTS[name])
+
+    def test_every_preset_key_is_read_by_some_command(self):
+        assert set().union(*PRESETS.values()) <= set().union(*DEFAULTS.values())
+
+
 def _spelled_out(argv):
-    """``argv`` plus its command's DEFAULTS entries, as flags it accepts."""
-    name = argv[-1]
+    """``argv`` plus its command's DEFAULTS entries, as flags."""
     flags = []
-    for key, value in DEFAULTS[name].items():
+    for key, value in DEFAULTS[argv[-1]].items():
         if key == "simple":
-            extra = ["--simple"] if _boolean(value) else []
-        else:
-            extra = [f"--{key}", value]
-        # simulate has no --c flag; parse_known_args leaves it unknown
-        parsed, unknown = build_parser().parse_known_args([*argv, *extra])
-        if extra and not unknown and vars(parsed).get(key) is not None:
-            flags += extra
+            flags += ["--simple"] if _boolean(value) else []
+        elif value is not None:
+            flags += [f"--{key}", value]
     return [*argv, *flags]
 
 
