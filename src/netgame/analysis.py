@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import (
+    _rule_averages,
     _type_weights,
     benchmark_expectation,
     infinite_naive,
@@ -26,7 +27,7 @@ from .equilibrium import (
 )
 from .estimators import NAIVE, SOPHISTICATED, observed_high_share
 from .population import DegreeModel, GameParams, ModelError
-from .typespace import build_pi
+from .typespace import build_pi, enumerate_types, type_columns
 
 DIFF_STEP = 1e-4
 BAND_FACTOR = 10.0
@@ -306,20 +307,6 @@ def precision_sweep(eps, alpha, cost, sigma, etheta, d1_list) -> PrecisionSweepR
     )
 
 
-def _rule_averages(weights, solution, sigma) -> list:
-    """Naive, sophisticated and sigma-mixed averages of ``solution.xi`` per
-    row of ``weights``, as (naive, sophisticated, mixed) tuples.
-
-    Each value is one row dot, as ``average_expectation`` takes it: a single
-    matrix product sums in another order and moves the last bits.
-    """
-    sophisticated = solution.system.columns[2]
-    rule_weights = (~sophisticated, sophisticated,
-                    np.where(sophisticated, float(sigma), 1.0 - float(sigma)))
-    return list(zip(*([float(w @ solution.xi) for w in weights * r]
-                      for r in rule_weights)))
-
-
 def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) -> list:
     """Population-average expectations by sophistication share, lowest degree
     and true high share, next to their large-sample limit.
@@ -340,21 +327,20 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     finite = [int(d) for d in d1_list if float(d) != math.inf]
     infinite = len(finite) < len(d1_list)
     grid = [float(x) for x in grid]
-    weights = {}
-    rows = []
-    for sigma in sigmas:
-        averages = {}
-        for d1 in finite:
-            model = _two_class_model(d1, eps)
+    averages = {}
+    for d1 in finite:
+        model = _two_class_model(d1, eps)
+        weights = _type_weights([DegreeModel(model.degrees, (1 - x, x)) for x in grid],
+                                type_columns(enumerate_types(model)))
+        for sigma in sigmas:
             params = GameParams(etheta, alpha, cost, sigma, model)
             solution = solve_direct(build_pi(model, params), params)
-            if d1 not in weights:
-                points = [DegreeModel(model.degrees, (1 - x, x)) for x in grid]
-                weights[d1] = _type_weights(points, solution.system)
-            averages[d1] = _rule_averages(weights[d1], solution, sigma)
+            averages[sigma, d1] = _rule_averages(weights, solution, sigma)
+    rows = []
+    for sigma in sigmas:
         for i, delta2 in enumerate(grid):
             for d1 in finite:
-                naive, sophisticated, mixed = averages[d1][i]
+                naive, sophisticated, mixed = averages[sigma, d1][i]
                 rows.append((sigma, d1, delta2, NAIVE, naive, ""))
                 rows.append((sigma, d1, delta2, SOPHISTICATED, sophisticated, ""))
                 rows.append((sigma, d1, delta2, "all", mixed, ""))

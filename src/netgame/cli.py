@@ -12,7 +12,12 @@ comma-separated); flags override the file, which overrides the preset, which
 overrides the command's entry in ``DEFAULTS``.  That entry lists every option
 the command reads, and the command takes a flag for each of them and no other.
 CSV output is comma-separated with a header row and LF line endings; every
-CSV has a JSON twin carrying the same rows.  Files are written atomically.
+CSV has a JSON twin carrying the same rows.  Output goes to ``--out``, else
+``$NETGAME_OUT``, else ``netgame-out`` for ``sweep`` and ``solve``;
+``simulate`` and ``pi`` write files only when one of the first two is set.
+A command computes all of its outputs before it writes any, and
+``_write_outputs`` puts each file in place atomically, so a command that
+fails creates no file and no directory.
 """
 
 import argparse
@@ -221,27 +226,36 @@ def _grid(text) -> np.ndarray:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _out_dir(opts) -> Path:
-    out = opts.get("out") or os.environ.get("NETGAME_OUT") or "netgame-out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _write_outputs(opts, files: dict, default=None) -> Path | None:
+    """Put ``files`` (name: text, or a function that writes a path) in the
+    output directory; return the directory, or None if none is given.
 
-
-def _atomic_write(path: Path, text: str) -> None:
-    # mkstemp makes the file 0600; give it the mode a plain open would
+    The directory is the ``out`` option, else ``$NETGAME_OUT``, else
+    ``default``.  Each file is written to a temp file in that directory with
+    the mode a plain ``open`` would give it (``mkstemp`` makes it 0600), then
+    renamed into place; on any failure the temp file is removed.
+    """
+    out = opts.get("out") or os.environ.get("NETGAME_OUT") or default
+    if out is None:
+        return None
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
-    try:
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    for name, content in files.items():
+        fd, tmp = tempfile.mkstemp(dir=out, prefix=name + ".")
+        os.close(fd)
+        try:
+            os.chmod(tmp, 0o666 & ~umask)
+            if isinstance(content, str):
+                Path(tmp).write_text(content, newline="\n")
+            else:
+                content(tmp)
+            os.replace(tmp, out / name)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
+    return out
 
 
 def _cell(value) -> str:
@@ -266,13 +280,12 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _write_table(out: Path, name: str, columns, rows, meta) -> None:
+def _table(name: str, columns, rows, meta) -> dict:
+    """The CSV and its JSON twin, as files for ``_write_outputs``."""
     payload = {"command": name, "columns": list(columns), "rows": [list(r) for r in rows]}
     payload.update(meta)
-    text = _json_text(payload)
-    _atomic_write(out / f"{name}.csv",
-                  _csv_text([columns, *([_cell(v) for v in row] for row in rows)]))
-    _atomic_write(out / f"{name}.json", text)
+    return {f"{name}.csv": _csv_text([columns, *([_cell(v) for v in row] for row in rows)]),
+            f"{name}.json": _json_text(payload)}
 
 
 # ---------------------------------------------------------------------------
@@ -294,51 +307,34 @@ def _example_checks(exact: bool) -> list:
     act_n_hi = best_response(etheta, d_hi, x_naive, model, params)
     est_hi = debias_shares(biased_neighbor_share(model), model.degrees)[1]
 
-    rational = [
-        ("benchmark_expectation", bench, Fraction(15, 36)),
-        ("all_naive_expectation", x_naive, Fraction(18, 36)),
-        ("action_benchmark_low", act_b_lo, Fraction(13, 36)),
-        ("action_benchmark_high", act_b_hi, Fraction(18, 36)),
-        ("action_all_naive_low", act_n_lo, Fraction(15, 36)),
-        ("action_all_naive_high", act_n_hi, Fraction(21, 36)),
-        ("sophisticated_estimate_high", est_hi, Fraction(4, 10)),
-    ]
-    approx = [
+    rational = 0.0 if exact else 1e-12      # tolerance 0 compares exactly
+    table = [
+        ("benchmark_expectation", bench, Fraction(15, 36), rational),
+        ("all_naive_expectation", x_naive, Fraction(18, 36), rational),
+        ("action_benchmark_low", act_b_lo, Fraction(13, 36), rational),
+        ("action_benchmark_high", act_b_hi, Fraction(18, 36), rational),
+        ("action_all_naive_low", act_n_lo, Fraction(15, 36), rational),
+        ("action_all_naive_high", act_n_hi, Fraction(21, 36), rational),
+        ("sophisticated_estimate_high", est_hi, Fraction(4, 10), rational),
         ("utility_benchmark_low",
-         utility(act_b_lo, etheta, d_lo, bench, model, params), 0.3912),
+         utility(act_b_lo, etheta, d_lo, bench, model, params), 0.3912, 5e-4),
         ("utility_benchmark_high",
-         utility(act_b_hi, etheta, d_hi, bench, model, params), 0.75),
+         utility(act_b_hi, etheta, d_hi, bench, model, params), 0.75, 5e-4),
         ("expected_utility_naive_low",
-         utility(act_n_lo, etheta, d_lo, bench, model, params), 0.3819),
+         utility(act_n_lo, etheta, d_lo, bench, model, params), 0.3819, 5e-4),
         ("expected_utility_naive_high",
-         utility(act_n_hi, etheta, d_hi, bench, model, params), 0.7291),
+         utility(act_n_hi, etheta, d_hi, bench, model, params), 0.7291, 5e-4),
     ]
     checks = []
-    for name, value, expected in rational:
-        if exact:
-            passed = value == expected
-            tol = 0.0
+    for name, value, expected, tol in table:
+        if tol == 0:
+            passed, value, expected = value == expected, str(value), str(expected)
         else:
-            tol = 1e-12
-            passed = abs(value - float(expected)) <= tol
-        checks.append({
-            "name": name,
-            "value": str(value) if exact else float(value),
-            "expected": str(expected) if exact else float(expected),
-            "tolerance": tol,
-            "mode": "exact" if exact else "approx",
-            "passed": bool(passed),
-        })
-    for name, value, expected in approx:
-        passed = abs(float(value) - expected) <= 5e-4
-        checks.append({
-            "name": name,
-            "value": float(value),
-            "expected": expected,
-            "tolerance": 5e-4,
-            "mode": "approx",
-            "passed": bool(passed),
-        })
+            value, expected = float(value), float(expected)
+            passed = abs(value - expected) <= tol
+        checks.append({"name": name, "value": value, "expected": expected,
+                       "tolerance": tol, "mode": "exact" if tol == 0 else "approx",
+                       "passed": bool(passed)})
     return checks
 
 
@@ -368,7 +364,7 @@ def _game_meta(opts, params) -> dict:
             "etheta": params.mean_preference}
 
 
-def _sweep_precision(opts, out: Path):
+def _sweep_precision(opts):
     """finite systems against their large-sample limit, by lowest degree"""
     eps, alpha, cost, etheta = (opts.get(key, float)
                                 for key in ("eps", "alpha", "c", "etheta"))
@@ -380,11 +376,10 @@ def _sweep_precision(opts, out: Path):
     columns = ("sigma", "d1", "delta2", "rule", "value", "flag")
     meta = {"eps": eps, "alpha": alpha, "c": cost, "etheta": etheta,
             "sigmas": sigmas, "d1": finite + (["inf"] if infinite else [])}
-    _write_table(out, "precision", columns, rows, meta)
-    return rows
+    return columns, rows, meta
 
 
-def _sweep_sophistication(opts, out: Path):
+def _sweep_sophistication(opts):
     """expectations by sophistication share"""
     model, params = opts.game(0.0)
     sigmas = opts.get("grid", _grid)
@@ -392,11 +387,10 @@ def _sweep_sophistication(opts, out: Path):
     rows = [(r.sigma, r.naive, r.sophisticated, r.benchmark)
             for r in sigma_sweep(model, params.alpha, params.cost,
                                  params.mean_preference, sigmas)]
-    _write_table(out, "sophistication", columns, rows, _game_meta(opts, params))
-    return rows
+    return columns, rows, _game_meta(opts, params)
 
 
-def _sweep_outcomes(opts, out: Path):
+def _sweep_outcomes(opts):
     """actions and utilities by sophistication share"""
     sigmas = opts.get("grid", _grid)
     model, params = opts.game(0.0)
@@ -410,11 +404,10 @@ def _sweep_outcomes(opts, out: Path):
                 action = best_response(etheta, d, expectation, model, params)
                 eu = utility(action, etheta, d, r.benchmark, model, params)
                 rows.append((r.sigma, rule, d, float(action), float(eu)))
-    _write_table(out, "outcomes", columns, rows, _game_meta(opts, params))
-    return rows
+    return columns, rows, _game_meta(opts, params)
 
 
-def _sweep_bias(opts, out: Path):
+def _sweep_bias(opts):
     """the estimator-gap surface"""
     eps_list = opts.get("eps", _scalar_list)
     grid = opts.get("grid", _grid)
@@ -426,12 +419,7 @@ def _sweep_bias(opts, out: Path):
         rows.extend((eps, x, b) for x, b in pairs)
         best = max(pairs, key=lambda p: p[1])
         summary.append({"eps": eps, "argmax": best[0], "max_bias": best[1]})
-    meta = {"eps": eps_list, "summary": summary}
-    _write_table(out, "bias", columns, rows, meta)
-    for item in summary:
-        print(f"eps={item['eps']:g}: max bias {item['max_bias']:.4f} "
-              f"at delta2={item['argmax']:.4f}")
-    return rows
+    return columns, rows, {"eps": eps_list, "summary": summary}
 
 
 SWEEPS = {
@@ -444,8 +432,11 @@ SWEEPS = {
 
 def cmd_sweep(args) -> int:
     opts = _Options(args, DEFAULTS[args.kind])
-    out = _out_dir(opts)
-    rows = SWEEPS[args.kind](opts, out)
+    columns, rows, meta = SWEEPS[args.kind](opts)
+    out = _write_outputs(opts, _table(args.kind, columns, rows, meta), "netgame-out")
+    for item in meta.get("summary", ()):         # bias: where each gap peaks
+        print(f"eps={item['eps']:g}: max bias {item['max_bias']:.4f} "
+              f"at delta2={item['argmax']:.4f}")
     print(f"wrote {len(rows)} rows to {out / (args.kind + '.csv')}")
     return 0
 
@@ -505,11 +496,10 @@ def cmd_simulate(args) -> int:
               f"{soph_hits}/{trials} trials within {tol})")
         print(f"assortativity mean {float(np.mean(report.assortativity)):+.4f}")
         print("all checks passed" if passed else "CHECK FAILURES")
-    if opts.get("out") or os.environ.get("NETGAME_OUT"):
-        out = _out_dir(opts)
-        _atomic_write(out / "simulate.json", text)
-        write_edgelist(report.first_network, out / "edges.txt")
-        write_metadata(report.first_network, out / "edges.meta.json")
+    net = report.first_network
+    _write_outputs(opts, {"simulate.json": text,
+                          "edges.txt": lambda path: write_edgelist(net, path),
+                          "edges.meta.json": lambda path: write_metadata(net, path)})
     return 0 if passed else 1
 
 
@@ -529,8 +519,7 @@ def cmd_solve(args) -> int:
     ]
     meta = {**_game_meta(opts, params), "sigma": params.sigma,
             "method": solution.method, "residual": solution.residual}
-    out = _out_dir(opts)
-    _write_table(out, "solution", columns, rows, meta)
+    out = _write_outputs(opts, _table("solution", columns, rows, meta), "netgame-out")
     print(f"wrote {len(rows)} per-type expectations to {out / 'solution.csv'}")
     return 0
 
@@ -544,12 +533,11 @@ def cmd_pi(args) -> int:
     model, params = opts.game(opts.get("sigma", float))
     system = build_pi(model, params)
     text = _csv_text(pi_csv_rows(system))
-    if opts.get("out") or os.environ.get("NETGAME_OUT"):
-        out = _out_dir(opts)
-        _atomic_write(out / "pi.csv", text)
-        print(f"wrote {system.L}x{system.L} matrix to {out / 'pi.csv'}")
-    else:
+    out = _write_outputs(opts, {"pi.csv": text})
+    if out is None:
         print(text, end="")
+    else:
+        print(f"wrote {system.L}x{system.L} matrix to {out / 'pi.csv'}")
     return 0
 
 

@@ -164,15 +164,16 @@ def benchmark_expectation(model: DegreeModel, params: GameParams):
     return params.mean_preference / denom
 
 
-def _type_weights(models, system: ExpectationMatrix) -> np.ndarray:
-    """True occurrence probability of each type of ``system`` under each model.
+def _type_weights(models, columns) -> np.ndarray:
+    """True occurrence probability of each type under each model.
 
+    ``columns`` are the per-type arrays of :func:`netgame.typespace.type_columns`.
     Row i is model i's class share times the multinomial chance of the
     observed neighbor counts under its biased sampling law, conditional on the
     rule (each rule block of a row sums to one).  The models share one degree
     support, so a single :func:`multinomial_pmf` call weighs every row.
     """
-    counts, degrees, _ = system.columns
+    counts, degrees, _ = columns
     support = np.array(models[0].degrees)
     cls = np.minimum(np.searchsorted(support, degrees), len(support) - 1)
     if (support[cls] != degrees).any():
@@ -182,20 +183,26 @@ def _type_weights(models, system: ExpectationMatrix) -> np.ndarray:
     return shares[:, cls] * multinomial_pmf(counts, tilde)
 
 
-def type_probabilities(model: DegreeModel, system: ExpectationMatrix,
-                       sigma=None) -> np.ndarray:
-    """True occurrence probability of each type of ``system``.
-
-    Class share times the multinomial chance of the observed neighbor counts
-    under the biased sampling law; multiplied by the rule share when ``sigma``
-    is given, otherwise conditional on the rule (each rule block sums to one).
-    The one-model case of ``_type_weights``, which also weighs every grid
-    point of :func:`netgame.analysis.population_precision_sweep` at once.
+def type_probabilities(model: DegreeModel, system: ExpectationMatrix) -> np.ndarray:
+    """True occurrence probability of each type of ``system``, conditional on
+    the rule (each rule block sums to one): class share times the multinomial
+    chance of the observed neighbor counts under the biased sampling law.
     """
-    w = _type_weights([model], system)[0]
-    if sigma is not None:
-        w *= np.where(system.columns[2], float(sigma), 1.0 - float(sigma))
-    return w
+    return _type_weights([model], system.columns)[0]
+
+
+def _rule_averages(weights, solution, sigma) -> list:
+    """Naive, sophisticated and sigma-mixed averages of ``solution.xi`` per
+    row of ``weights``, as (naive, sophisticated, mixed) tuples.
+
+    Each value is one row dot: a single matrix product sums in another order
+    and moves the last bits.
+    """
+    sophisticated = solution.system.columns[2]
+    rule_weights = (~sophisticated, sophisticated,
+                    np.where(sophisticated, float(sigma), 1.0 - float(sigma)))
+    return list(zip(*([float(w @ solution.xi) for w in weights * r]
+                      for r in rule_weights)))
 
 
 def average_expectation(solution: EquilibriumSolution, model: DegreeModel,
@@ -203,17 +210,14 @@ def average_expectation(solution: EquilibriumSolution, model: DegreeModel,
     """Population-weighted average of the per-type expectations.
 
     With ``rule`` given the average runs over that rule's types under the true
-    sampling weights; otherwise the rule blocks are mixed by ``sigma``.  The
-    weights come from :func:`type_probabilities`, so from ``_type_weights``.
+    sampling weights of :func:`type_probabilities`; otherwise the rule blocks
+    are mixed by ``sigma``.
     """
-    system = solution.system
-    if rule is None:
-        if sigma is None:
-            raise ModelError("need a sophistication share to mix the rule blocks")
-        w = type_probabilities(model, system, sigma=sigma)
-    else:
-        if rule not in (NAIVE, SOPHISTICATED):
-            raise ModelError(f"unknown updating rule {rule!r}")
-        w = type_probabilities(model, system)
-        w *= system.columns[2] == (rule == SOPHISTICATED)
-    return float(w @ solution.xi)
+    if rule not in (None, NAIVE, SOPHISTICATED):
+        raise ModelError(f"unknown updating rule {rule!r}")
+    if rule is None and sigma is None:
+        raise ModelError("need a sophistication share to mix the rule blocks")
+    weights = type_probabilities(model, solution.system)[np.newaxis]
+    # with a rule given, the mixed average is not read and sigma may be unset
+    averages = _rule_averages(weights, solution, 0.0 if sigma is None else sigma)[0]
+    return averages[(NAIVE, SOPHISTICATED, None).index(rule)]

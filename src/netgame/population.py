@@ -157,13 +157,9 @@ class ObservedShares:
         return tuple(int(round(v * self.sample_size)) for v in self.values)
 
     @classmethod
-    def from_counts(cls, counts, exact: bool = False) -> "ObservedShares":
+    def from_counts(cls, counts) -> "ObservedShares":
         n = sum(counts)
-        if exact:
-            values = tuple(Fraction(int(c), int(n)) for c in counts)
-        else:
-            values = tuple(c / n for c in counts)
-        return cls(values, int(n))
+        return cls(tuple(c / n for c in counts), int(n))
 
 
 def biased_neighbor_share(model: DegreeModel) -> tuple:
@@ -188,7 +184,7 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def feasible_observed_shares(d_i: int, K: int, exact: bool = False) -> list:
+def feasible_observed_shares(d_i: int, K: int) -> list:
     """Every neighbor-share vector an agent with ``d_i`` neighbors can observe.
 
     These are the compositions of d_i into K classes scaled by 1/d_i, so the
@@ -200,7 +196,7 @@ def feasible_observed_shares(d_i: int, K: int, exact: bool = False) -> list:
     if K < 2:
         raise ModelError("need at least two degree classes")
     ordered = sorted(_compositions(int(d_i), int(K)), key=lambda c: tuple(reversed(c)))
-    return [ObservedShares.from_counts(c, exact=exact) for c in ordered]
+    return [ObservedShares.from_counts(c) for c in ordered]
 
 
 def degree_ratios(model: DegreeModel) -> tuple:

@@ -267,10 +267,31 @@ class TestConfigAndErrors:
             "simulate-negative-tol", "simulate-infinite-tol", "precision-negative-eps",
             "precision-zero-eps", "precision-limit-only-negative-eps"])
     def test_bad_input_exits_two_without_output(self, argv, named, tmp_path, capsys):
-        assert main([*argv, "--out", str(tmp_path)]) == 2
+        fresh = tmp_path / "fresh"
+        assert main([*argv, "--out", str(fresh)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
+        assert not fresh.exists()
+
+    def test_failed_sweep_leaves_no_default_out_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("NETGAME_OUT", raising=False)
+        assert main(["sweep", "bias", "--grid", "1"]) == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_edge_list_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        import netgame.cli
+
+        def torn(net, path):
+            with open(path, "w") as fh:
+                fh.write("0 1\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(netgame.cli, "write_edgelist", torn)
+        out = tmp_path / "o"
+        with pytest.raises(OSError, match="disk full"):
+            main(["simulate", "--n", "200", "--trials", "1", "--tol", "0.5", "--out", str(out)])
+        assert [p.name for p in out.iterdir()] == ["simulate.json"]
 
     def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NETGAME_OUT", str(tmp_path / "envout"))

@@ -229,7 +229,7 @@ class TestBenchmark:
 class TestAveraging:
     def test_weights_sum_to_one(self):
         model, params, system = fig_system(sigma=0.3)
-        w_all = type_probabilities(model, system, sigma=0.3)
+        w_all = type_probabilities(model, system) * np.where(system.columns[2], 0.3, 0.7)
         assert w_all.sum() == pytest.approx(1.0, abs=1e-12)
         for rule in ("naive", "sophisticated"):
             w = type_probabilities(model, system)

