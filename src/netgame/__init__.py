@@ -43,7 +43,6 @@ from .estimators import (
     NAIVE,
     RULES,
     SOPHISTICATED,
-    Estimate,
     bias_surface,
     debias_shares,
     observed_high_share,

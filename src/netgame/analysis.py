@@ -102,44 +102,24 @@ class ConvexityReport:
     """Second differences of both rules' curves against the analytic condition.
 
     Per grid point: ``naive_second``/``soph_second`` are central second
-    differences divided by h^2; ``naive_convex_predicted`` is the condition
-    c/a < rhs; points within ``band`` of condition equality are inconclusive
-    and points whose stencil leaves the locally stable region are excluded.
-    ``naive_agree`` holds only for points that were actually checked.
+    differences divided by h^2 (NaN where the stencil leaves the locally
+    stable region, ``naive_stable``/``soph_stable`` False there);
+    ``naive_convex_predicted`` is the condition c/a < rhs, False within the
+    band of condition equality.  ``naive_checked`` marks the stable points
+    outside that band, and none when alpha * eps == 0; ``ok`` says the
+    measured sign of the naive curvature matches the prediction at every
+    checked point.
     """
 
-    eps: float
-    alpha: float
-    cost: float
-    sigma: float
-    etheta: float
-    h: float
-    band: float
     grid: np.ndarray
     naive_second: np.ndarray
     soph_second: np.ndarray
-    naive_rhs: np.ndarray
     naive_convex_predicted: np.ndarray
     naive_stable: np.ndarray
     soph_stable: np.ndarray
-    inconclusive: np.ndarray
-    degenerate: bool
     soph_sufficient: np.ndarray
-
-    @property
-    def naive_checked(self) -> np.ndarray:
-        if self.degenerate:
-            return np.zeros(len(self.grid), dtype=bool)
-        return self.naive_stable & ~self.inconclusive
-
-    @property
-    def naive_agree(self) -> np.ndarray:
-        measured = self.naive_second > 0
-        return (measured == self.naive_convex_predicted) | ~self.naive_checked
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.naive_agree.all())
+    naive_checked: np.ndarray
+    ok: bool
 
 
 def convexity_check(eps, alpha, cost, sigma=1.0, etheta=1.0) -> ConvexityReport:
@@ -150,10 +130,9 @@ def convexity_check(eps, alpha, cost, sigma=1.0, etheta=1.0) -> ConvexityReport:
     ``BAND_FACTOR * DIFF_STEP`` of condition equality are inconclusive.
     The naive curve is convex exactly where c/a < (1 + eps*u) +
     (1+eps)/(1+eps*delta2); with alpha*eps == 0 both curves are flat and the
-    sign test is vacuous (reported as degenerate).
+    sign test is vacuous, so no point is checked.
     """
     grid, h = CHECK_GRID, DIFF_STEP
-    band = BAND_FACTOR * h
     stencil = np.stack([grid - h, grid, grid + h])
     # a point is checked only where its whole stencil is locally stable
     naive_stable = (cost - alpha * (1 + eps * observed_high_share(stencil, eps))
@@ -166,18 +145,17 @@ def convexity_check(eps, alpha, cost, sigma=1.0, etheta=1.0) -> ConvexityReport:
     f = sophisticated_curve(stencil[:, soph_stable], eps, alpha, cost, sigma, etheta)
     soph_second[soph_stable] = (f[0] - 2 * f[1] + f[2]) / h**2
     rhs = naive_convexity_rhs(grid, eps)
-    degenerate = alpha * eps == 0
     ratio = cost / alpha if alpha > 0 else math.inf
-    inconclusive = np.abs(ratio - rhs) <= band
-    sufficient = sophisticated_sufficient(grid, eps, alpha, cost, sigma)
+    inconclusive = np.abs(ratio - rhs) <= BAND_FACTOR * h
+    predicted = (ratio < rhs) & ~inconclusive
+    checked = naive_stable & ~inconclusive & (alpha * eps != 0)
+    agree = (naive_second > 0) == predicted
     return ConvexityReport(
-        eps=float(eps), alpha=float(alpha), cost=float(cost), sigma=float(sigma),
-        etheta=float(etheta), h=float(h), band=float(band), grid=grid,
-        naive_second=naive_second, soph_second=soph_second, naive_rhs=rhs,
-        naive_convex_predicted=(ratio < rhs) & ~inconclusive,
+        grid=grid, naive_second=naive_second, soph_second=soph_second,
+        naive_convex_predicted=predicted,
         naive_stable=naive_stable, soph_stable=soph_stable,
-        inconclusive=inconclusive, degenerate=degenerate,
-        soph_sufficient=sufficient,
+        soph_sufficient=sophisticated_sufficient(grid, eps, alpha, cost, sigma),
+        naive_checked=checked, ok=bool(agree[checked].all()),
     )
 
 
@@ -186,15 +164,14 @@ def convexity_check(eps, alpha, cost, sigma=1.0, etheta=1.0) -> ConvexityReport:
 # ---------------------------------------------------------------------------
 
 def lattice_values(solution, rule, degree) -> np.ndarray:
-    """Expectations of one (rule, degree) block ordered by observed high share."""
-    types = solution.system.types
-    picked = [(t.observed.counts[-1], solution.xi[q])
-              for q, t in enumerate(types)
-              if t.rule == rule and t.degree == degree]
-    if not picked:
-        raise ModelError(f"no types with rule {rule!r} and degree {degree}")
-    picked.sort()
-    return np.array([v for _, v in picked])
+    """Expectations of one (rule, degree) block of a two-class system, at
+    j = 0, ..., degree high-degree neighbors.
+
+    Raises ``ModelError`` when the system has no such type.
+    """
+    system = solution.system
+    return solution.xi[[system.index(rule, degree, (degree - j, j))
+                        for j in range(degree + 1)]]
 
 
 @dataclass(frozen=True)
@@ -213,11 +190,6 @@ class PrecisionRow:
 class PrecisionSweepResult:
     """Finite per-type expectations at matched observed shares, by lowest degree."""
 
-    eps: float
-    alpha: float
-    cost: float
-    sigma: float
-    etheta: float
     d1_list: tuple
     rows: tuple
     convexity: ConvexityReport
@@ -300,11 +272,8 @@ def precision_sweep(eps, alpha, cost, sigma, etheta, d1_list) -> PrecisionSweepR
                         share=float(share), offset=float(lattice[j] - share),
                         value=float(vals[j]), closed_form=float(closed),
                     ))
-    return PrecisionSweepResult(
-        eps=float(eps), alpha=float(alpha), cost=float(cost), sigma=float(sigma),
-        etheta=float(etheta), d1_list=tuple(d1_list), rows=tuple(rows),
-        convexity=convexity,
-    )
+    return PrecisionSweepResult(d1_list=tuple(d1_list), rows=tuple(rows),
+                                convexity=convexity)
 
 
 def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) -> list:

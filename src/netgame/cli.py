@@ -258,14 +258,6 @@ def _write_outputs(opts, files: dict, default=None) -> Path | None:
     return out
 
 
-def _cell(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _json_text(payload) -> str:
     """Indented, key-sorted JSON; a NaN or infinity is an error, not a bare token."""
     try:
@@ -284,7 +276,7 @@ def _table(name: str, columns, rows, meta) -> dict:
     """The CSV and its JSON twin, as files for ``_write_outputs``."""
     payload = {"command": name, "columns": list(columns), "rows": [list(r) for r in rows]}
     payload.update(meta)
-    return {f"{name}.csv": _csv_text([columns, *([_cell(v) for v in row] for row in rows)]),
+    return {f"{name}.csv": _csv_text([columns, *rows]),
             f"{name}.json": _json_text(payload)}
 
 

@@ -26,6 +26,8 @@ from .population import (
 from .typespace import ExpectationMatrix, multinomial_pmf
 
 RESIDUAL_TOL = 1e-8
+ITERATIVE_TOL = 1e-12
+MAX_SWEEPS = 10**6
 
 
 class ConvergenceError(RuntimeError):
@@ -90,29 +92,28 @@ def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSo
     return EquilibriumSolution(xi, system, "direct", res)
 
 
-def solve_iterative(system: ExpectationMatrix, params: GameParams,
-                    tol: float = 1e-12, max_iter: int = 10**6) -> EquilibriumSolution:
+def solve_iterative(system: ExpectationMatrix, params: GameParams) -> EquilibriumSolution:
     """Best-response iteration from the no-complementarity starting point.
 
     Each sweep applies xi <- (E[theta]/c)*1 + (alpha/c)*Pi D xi.  Starting
     from (E[theta]/c)*1 the iterates rise monotonically to the fixed point,
-    converging geometrically with ratio at most (alpha/c)*d_K/d_1.
+    converging geometrically with ratio at most (alpha/c)*d_K/d_1.  It stops
+    at the first step below ``ITERATIVE_TOL`` and gives up after
+    ``MAX_SWEEPS`` sweeps.
     """
-    if tol <= 0:
-        raise ModelError("tolerance must be positive")
     a_c = float(params.alpha) / float(params.cost)
     t_c = float(params.mean_preference) / float(params.cost)
     scaled = system.pi * system.d_diag
     xi = np.full(system.L, t_c)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         nxt = t_c + a_c * (scaled @ xi)
         diff = float(np.max(np.abs(nxt - xi)))
         xi = nxt
-        if diff < tol:
+        if diff < ITERATIVE_TOL:
             res = _fixed_point_residual(system, params, xi)
             return EquilibriumSolution(xi, system, "iterative", res, iterations=it)
     raise ConvergenceError(
-        f"no convergence within {max_iter} sweeps (last step {diff:.3e})", diff
+        f"no convergence within {MAX_SWEEPS} sweeps (last step {diff:.3e})", diff
     )
 
 

@@ -7,31 +7,14 @@ by its degree and renormalizes, which inverts the sampling bias exactly and
 maximizes the multinomial likelihood of the observed neighbor counts.
 """
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
-from .population import SHARE_TOL, ModelError, ObservedShares
+from .population import ModelError, ObservedShares
 
 NAIVE = "naive"
 SOPHISTICATED = "sophisticated"
 RULES = (NAIVE, SOPHISTICATED)
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """A probability vector over degree classes together with the rule used."""
-
-    values: tuple
-    rule: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if self.rule not in RULES:
-            raise ModelError(f"unknown updating rule {self.rule!r}")
-        if abs(sum(self.values) - 1) > SHARE_TOL:
-            raise ModelError("estimated shares must sum to 1")
-        if any(v < 0 or v > 1 for v in self.values):
-            raise ModelError("estimated shares must lie in [0, 1]")
 
 
 def debias_shares(values, degrees) -> tuple:
@@ -49,9 +32,9 @@ def debias_shares(values, degrees) -> tuple:
     return tuple(w / total for w in weights)
 
 
-def sophisticated_mle(obs: ObservedShares, degrees) -> Estimate:
+def sophisticated_mle(obs: ObservedShares, degrees) -> tuple:
     """Degree-debiased maximum-likelihood estimate of the population shares."""
-    return Estimate(debias_shares(obs.values, degrees), SOPHISTICATED)
+    return debias_shares(obs.values, degrees)
 
 
 def observed_high_share(delta2, epsilon):
@@ -72,6 +55,8 @@ def bias_surface(epsilon, grid=None) -> list:
     single interior maximum, and pointwise increasing in the excess ratio.
     Returns (true share, gap) pairs over a 1001-point grid by default.
     """
+    if not math.isfinite(epsilon):
+        raise ModelError(f"excess ratio must be finite, got {epsilon}")
     if epsilon < 0:
         raise ModelError("excess ratio must be non-negative")
     if grid is None:

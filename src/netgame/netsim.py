@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import debias_shares
-from .population import DegreeModel, ModelError, ObservedShares, biased_neighbor_share
+from .population import DegreeModel, ModelError, biased_neighbor_share
 
 MAX_ROUNDS = 200  # re-draw rounds of simple mode before giving up
 WRITE_ROWS = 1 << 14  # edge-list lines formatted per write; bounds the Python ints held
@@ -171,13 +171,9 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
 class NeighborShareSummary:
     """Per-node neighbor class counts and shares, plus the population average."""
 
-    model: DegreeModel
     counts: np.ndarray
     shares: np.ndarray
     average: np.ndarray
-
-    def observed(self, node: int) -> ObservedShares:
-        return ObservedShares.from_counts(tuple(int(c) for c in self.counts[node]))
 
 
 def empirical_neighbor_shares(net: SampledNetwork) -> NeighborShareSummary:
@@ -197,7 +193,7 @@ def empirical_neighbor_shares(net: SampledNetwork) -> NeighborShareSummary:
     if (deg == 0).any():
         raise ModelError("isolated node encountered; degree support starts at 1")
     shares = counts / deg[:, None]
-    return NeighborShareSummary(net.model, counts, shares, shares.mean(axis=0))
+    return NeighborShareSummary(counts, shares, shares.mean(axis=0))
 
 
 def degree_assortativity(net: SampledNetwork) -> float:
@@ -224,10 +220,6 @@ def degree_assortativity(net: SampledNetwork) -> float:
 class MonteCarloReport:
     """Trial-level estimator behavior on sampled networks."""
 
-    model: DegreeModel
-    n: int
-    trials: int
-    seed: int
     naive_estimates: np.ndarray        # (trials, K) rule applied to the average shares
     sophisticated_estimates: np.ndarray
     node_estimate_sd: dict             # (rule, degree) -> SD of per-node top-class estimates
@@ -288,7 +280,6 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
         del net, summary, weighted, soph_nodes, mask
     node_sd = {key: float(np.mean(vals)) for key, vals in sd_acc.items() if vals}
     return MonteCarloReport(
-        model=model, n=n, trials=trials, seed=seed,
         naive_estimates=naive_out,
         sophisticated_estimates=soph_out,
         node_estimate_sd=node_sd,

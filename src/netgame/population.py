@@ -77,13 +77,6 @@ class DegreeModel:
             return tuple(Fraction(d, d1) for d in self.degrees)
         return tuple(d / d1 for d in self.degrees)
 
-    @property
-    def epsilon(self):
-        """Excess ratio d_2/d_1 - 1.  Defined only for two degree classes."""
-        if self.K != 2:
-            raise ModelError("the excess ratio is defined only when K == 2")
-        return self.rho[1] - 1
-
 
 @dataclass(frozen=True)
 class GameParams:

@@ -187,7 +187,7 @@ def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
     counts, degrees, sophisticated = type_columns(types)
     observed = counts / degrees[:, None]
     deg_shares = np.array([
-        sophisticated_mle(t.observed, model.degrees).values if t.rule == SOPHISTICATED
+        sophisticated_mle(t.observed, model.degrees) if t.rule == SOPHISTICATED
         else t.observed.values
         for t in types
     ], dtype=float)

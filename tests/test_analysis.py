@@ -124,7 +124,7 @@ class TestConvexityCheck:
 
     def test_example_parameters_convex(self):
         report = convexity_check(**EX, sigma=1.0)
-        assert (report.naive_rhs > 2).all()
+        assert (an.naive_convexity_rhs(report.grid, EX["eps"]) > 2).all()
         assert report.naive_convex_predicted.all()
         assert report.ok
 
@@ -153,9 +153,23 @@ class TestConvexityCheck:
     def test_matches_pointwise_stencil_bit_for_bit(self, eps, alpha, cost, sigma, etheta):
         report = convexity_check(eps, alpha, cost, sigma=sigma, etheta=etheta)
         got = [report.naive_second, report.naive_stable,
-               report.soph_second, report.soph_stable]
+               report.soph_second, report.soph_stable, report.naive_checked]
         want = _pointwise_second_differences(eps, alpha, cost, sigma, etheta)
+        # a point is checked when it is stable, outside the band around the
+        # condition's equality and alpha * eps != 0; ok when the measured sign
+        # matches the prediction at every checked point
+        ratio = cost / alpha if alpha > 0 else math.inf
+        checked = np.zeros(len(an.CHECK_GRID), dtype=bool)
+        agree = []
+        for i, x in enumerate(an.CHECK_GRID):
+            rhs = an.naive_convexity_rhs(x, eps)
+            inconclusive = abs(ratio - rhs) <= an.BAND_FACTOR * an.DIFF_STEP
+            checked[i] = bool(want[1][i] and not inconclusive and alpha * eps != 0)
+            predicted = ratio < rhs and not inconclusive
+            agree.append((want[0][i] > 0) == predicted or not checked[i])
+        want.append(checked)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert report.ok is all(agree)
 
     def test_sufficient_condition_implies_convex_sophisticated(self):
         for eps, ratio in [(0.5, 1.5), (2.0, 1.5), (2.0, 3.083)]:

@@ -262,10 +262,13 @@ class TestConfigAndErrors:
         (["sweep", "precision", "--eps", "-0.5"], POSITIVE_EPS),
         (["sweep", "precision", "--eps", "0"], POSITIVE_EPS),
         (["sweep", "precision", "--eps", "-0.5", "--d1", "inf"], POSITIVE_EPS),
+        (["sweep", "bias", "--eps", "nan"], "excess ratio"),
+        (["sweep", "bias", "--eps", "inf"], "excess ratio"),
     ], ids=["precision-eps-nan", "precision-eps-inf", "precision-empty-d1",
             "simulate-negative-seed", "precision-empty-sigma", "bias-empty-eps",
             "simulate-negative-tol", "simulate-infinite-tol", "precision-negative-eps",
-            "precision-zero-eps", "precision-limit-only-negative-eps"])
+            "precision-zero-eps", "precision-limit-only-negative-eps",
+            "bias-eps-nan", "bias-eps-inf"])
     def test_bad_input_exits_two_without_output(self, argv, named, tmp_path, capsys):
         fresh = tmp_path / "fresh"
         assert main([*argv, "--out", str(fresh)]) == 2

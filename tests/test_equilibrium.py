@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netgame import equilibrium
 from netgame import (
     ConvergenceError,
     DegreeModel,
@@ -95,15 +96,16 @@ class TestSolvers:
             assert (nxt >= xi - 1e-15).all()
             xi = nxt
 
-    def test_boundary_system_fails_loudly(self):
+    def test_boundary_system_fails_loudly(self, monkeypatch):
         # worked-example parameters sit exactly on the stability boundary;
         # the all-high-neighbors naive type then self-references one-for-one
         params = example_params(0.0)
         system = build_pi(EXAMPLE, params)
         with pytest.raises((StabilityError, ConvergenceError)):
             solve_direct(system, params)
+        monkeypatch.setattr(equilibrium, "MAX_SWEEPS", 2000)
         with pytest.raises(ConvergenceError):
-            solve_iterative(system, params, max_iter=2000)
+            solve_iterative(system, params)
 
     def test_residual_gate_rejects_nan(self):
         # parameters that skipped GameParams validation must not yield NaN xi
@@ -113,10 +115,12 @@ class TestSolvers:
         with pytest.raises(ConvergenceError):
             solve_direct(system, raw)
 
-    def test_max_iter_error_carries_residual(self):
+    def test_max_iter_error_carries_residual(self, monkeypatch):
         model, params, system = fig_system()
+        monkeypatch.setattr(equilibrium, "ITERATIVE_TOL", 1e-14)
+        monkeypatch.setattr(equilibrium, "MAX_SWEEPS", 3)
         with pytest.raises(ConvergenceError) as err:
-            solve_iterative(system, params, tol=1e-14, max_iter=3)
+            solve_iterative(system, params)
         assert err.value.residual is not None
 
     def test_permutation_invariance(self):

@@ -61,25 +61,25 @@ class TestNaiveEstimate:
 class TestSophisticatedMLE:
     def test_worked_example(self):
         est = sophisticated_mle(ObservedShares((0.5, 0.5), 2), (4, 6))
-        assert est.values == pytest.approx((0.6, 0.4), abs=1e-12)
+        assert est == pytest.approx((0.6, 0.4), abs=1e-12)
 
     def test_degenerate_observation(self):
         est = sophisticated_mle(ObservedShares((0.0, 1.0), 2), (4, 6))
-        assert est.values == (0.0, 1.0)
+        assert est == (0.0, 1.0)
 
     def test_low_high_two_four(self):
         est = sophisticated_mle(ObservedShares((0.5, 0.5), 2), (2, 4))
-        assert est.values == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
+        assert est == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
 
     def test_exact(self):
         obs = ObservedShares((Fraction(1, 2), Fraction(1, 2)), 2)
         est = sophisticated_mle(obs, (4, 6))
-        assert est.values == (Fraction(3, 5), Fraction(2, 5))
+        assert est == (Fraction(3, 5), Fraction(2, 5))
 
     def test_zero_count_class_stays_zero(self):
         est = sophisticated_mle(ObservedShares((0.5, 0.0, 0.5), 2), (1, 2, 4))
-        assert est.values[1] == 0.0
-        assert sum(est.values) == pytest.approx(1.0, abs=1e-12)
+        assert est[1] == 0.0
+        assert sum(est) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLogLikelihood:
@@ -101,7 +101,7 @@ class TestLogLikelihood:
     def test_gradient_vanishes_at_mle(self):
         counts, degrees = (3, 2), (4, 6)
         obs = ObservedShares.from_counts(counts)
-        t_star = sophisticated_mle(obs, degrees).values[1]
+        t_star = sophisticated_mle(obs, degrees)[1]
         h = 1e-6
         up = _log_likelihood((1 - t_star - h, t_star + h), counts, degrees)
         dn = _log_likelihood((1 - t_star + h, t_star - h), counts, degrees)

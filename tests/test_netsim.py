@@ -8,6 +8,7 @@ import pytest
 from netgame import (
     DegreeModel,
     ModelError,
+    ObservedShares,
     class_counts,
     degree_assortativity,
     empirical_neighbor_shares,
@@ -202,7 +203,7 @@ class TestEmpiricalShares:
         net = generate(EXAMPLE, 300, seed=6)
         summary = empirical_neighbor_shares(net)
         assert (summary.counts.sum(axis=1) == net.node_degree).all()
-        obs = summary.observed(0)
+        obs = ObservedShares.from_counts(tuple(int(c) for c in summary.counts[0]))
         assert obs.sample_size == int(net.node_degree[0])
 
 

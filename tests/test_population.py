@@ -49,11 +49,6 @@ class TestDegreeModel:
         with pytest.raises(ModelError):
             DegreeModel((4, 6), (0.6, 0.5))
 
-    def test_epsilon_two_classes_only(self):
-        assert DegreeModel((2, 6), (0.5, 0.5)).epsilon == 2.0
-        with pytest.raises(ModelError):
-            DegreeModel((1, 2, 3), (0.3, 0.3, 0.4)).epsilon
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 2.5, None])
     def test_rejects_non_integer_degrees(self, bad):
         with pytest.raises(ModelError):
@@ -63,7 +58,7 @@ class TestDegreeModel:
         m = DegreeModel((4, 6), (Fraction(3, 5), Fraction(2, 5)))
         assert m.exact
         assert m.rho == (Fraction(1), Fraction(3, 2))
-        assert m.epsilon == Fraction(1, 2)
+        assert m.rho[1] - 1 == Fraction(1, 2)
 
 
 class TestGameParams:
@@ -207,7 +202,7 @@ class TestDegreeRatios:
 
     def test_excess_ratio_two(self):
         m = DegreeModel((2, 6), (0.7, 0.3))
-        assert m.epsilon == 2.0
+        assert m.rho[1] - 1 == 2.0
         assert m.rho == (1.0, 3.0)
 
     @settings(max_examples=50, deadline=None)

@@ -1,0 +1,21 @@
+"""Every fenced ``python`` block of README.md runs without error.
+
+A README example that still uses a removed name fails here first.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("source", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_python_block_runs(source):
+    exec(compile(source, str(README), "exec"), {})
