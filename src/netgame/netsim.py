@@ -4,8 +4,9 @@ Stub matching keeps self-loops and multi-edges by default (the classic
 construction, and the fast path for large n); ``simple=True`` re-draws
 offending stub pairs a bounded number of times, occasionally dissolving a few
 accepted edges to escape dead ends.  Each simple-mode round judges all of its
-pairs at once with array operations; the dissolve step draws its edges one at
-a time.  Node counts per class come from largest-remainder rounding with ties
+pairs at once with array operations and merges the keys it accepts into the
+sorted keys of earlier rounds; the dissolve step draws its edges one at a
+time.  Node counts per class come from largest-remainder rounding with ties
 going to the lower degree class; if the resulting stub total is odd, one stub
 is removed from the last node of the highest-degree class (that node's
 realized degree drops by one, and the network records the adjustment).
@@ -13,6 +14,7 @@ realized degree drops by one, and the network records the adjustment).
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,8 @@ from .estimators import debias_shares
 from .population import DegreeModel, ModelError, biased_neighbor_share
 
 MAX_ROUNDS = 200  # re-draw rounds of simple mode before giving up
-WRITE_ROWS = 1 << 14  # edge-list lines formatted per write; bounds the Python ints held
+WRITE_ROWS = 1 << 14  # edge-list lines formatted per write; bounds the byte buffer per write
+MAX_NODES = math.isqrt(np.iinfo(np.int64).max)  # edge keys lo * n + hi stay within int64
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,9 @@ class SampledNetwork:
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # the edge keys lo * n + hi and the per-node counts assume node ids
+        if self.m and not (self.edges.min() >= 0 and self.edges.max() < self.n):
+            raise ModelError(f"edge endpoints must be node ids 0 .. {self.n - 1}")
 
     @property
     def n(self) -> int:
@@ -87,6 +93,35 @@ def _check_graphical(node_degree: np.ndarray) -> None:
                          f"k = {k[i]} ({lhs[i]} > {rhs[i]})")
 
 
+def _node_count(n) -> int:
+    """``n`` as a Python int within the range ``generate`` can draw, or ``ModelError``."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ModelError(f"node count must be an integer, got {n!r}") from None
+    if n < 2:
+        raise ModelError("need at least two nodes")
+    if n > MAX_NODES:
+        raise ModelError(f"need at most {MAX_NODES} nodes, got {n}")
+    return n
+
+
+def _seed(seed):
+    """``seed`` as a non-negative Python int, or a sequence of them as a list of ints."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        try:
+            value = [operator.index(word) for word in seed]
+        except TypeError:
+            raise ModelError(f"seed must be a non-negative integer or a sequence of them, "
+                             f"got {seed!r}") from None
+    words = value if isinstance(value, list) else [value]
+    if any(word < 0 for word in words):
+        raise ModelError(f"seed must be non-negative, got {seed}")
+    return value
+
+
 def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledNetwork:
     """Draw a configuration-model network with the model's degree mix.
 
@@ -100,9 +135,12 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
     round; the rejected stubs return to the pool in pool order, followed by
     the stubs of a few accepted edges dissolved one at a time.  Edges come
     out as ``(lo, hi)`` in acceptance order.
+
+    ``n`` must be an integer and ``seed`` a non-negative integer or a sequence
+    of them; the network records the seed as a Python int or list of ints.
     """
-    if n < 2:
-        raise ModelError("need at least two nodes")
+    n = _node_count(n)
+    seed = _seed(seed)
     counts = class_counts(model, n)
     if simple and model.degrees[-1] >= n:
         raise ModelError("simple mode needs the top degree below the node count")
@@ -146,9 +184,11 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
         # largest accepted key read as "not accepted".
         earlier = np.append(known, -1)[np.searchsorted(known, keys)] == keys
         keep = (u != v) & first & ~earlier
-        fresh = keys[keep]
-        accepted = np.concatenate((accepted, fresh))
-        known = np.sort(np.concatenate((known, fresh)))
+        fresh = ranked[keep[order]]  # sorted, and disjoint from ``known``
+        del order, ranked, runs, first, earlier
+        known = (np.insert(known, np.searchsorted(known, fresh), fresh) if len(known)
+                 else fresh)
+        accepted = np.concatenate((accepted, keys[keep]))
         rejected = pool.reshape(-1, 2)[~keep].ravel()
         if not len(rejected):
             edges = np.column_stack((accepted // n, accepted % n))
@@ -189,7 +229,9 @@ def empirical_neighbor_shares(net: SampledNetwork) -> NeighborShareSummary:
     flat = np.bincount(u * K + cls[v], minlength=n * K)
     flat += np.bincount(v * K + cls[u], minlength=n * K)
     counts = flat.reshape(n, K)
-    deg = counts.sum(axis=1)
+    deg = counts[:, 0].copy()
+    for k in range(1, K):
+        deg += counts[:, k]
     if (deg == 0).any():
         raise ModelError("isolated node encountered; degree support starts at 1")
     shares = counts / deg[:, None]
@@ -204,7 +246,9 @@ def degree_assortativity(net: SampledNetwork) -> float:
     Configuration-model realizations hover near zero; returns 0.0 when only
     one degree value occurs, where no sorting is measurable.
     """
-    values, index = np.unique(net.node_degree, return_inverse=True)
+    per_value = np.bincount(net.node_degree)
+    values = np.flatnonzero(per_value)
+    index = (np.cumsum(per_value > 0) - 1)[net.node_degree]
     D = len(values)
     if D == 1:
         return 0.0
@@ -247,12 +291,10 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     shares.  Dispersion of per-node estimates is reported by observing degree,
     which is where sample size shows up -- higher degree, tighter estimates.
     """
-    if n < 2:
-        raise ModelError("need at least two nodes")
+    n = _node_count(n)
     if trials < 1:
         raise ModelError("need at least one trial")
-    if seed < 0:
-        raise ModelError(f"seed must be non-negative, got {seed}")
+    seed = _seed(seed)
     K = model.K
     degrees = [float(d) for d in model.degrees]
     naive_out = np.empty((trials, K))
@@ -260,6 +302,7 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     assort = np.empty(trials)
     sd_acc = {(rule, d): [] for rule in ("naive", "sophisticated")
               for d in model.degrees}
+    bounds = np.cumsum([0] + class_counts(model, n))  # ``generate`` lays classes out in order
     for t in range(trials):
         net = generate(model, n, seed=[seed, t], simple=simple)
         summary = empirical_neighbor_shares(net)
@@ -269,15 +312,15 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
         weighted = summary.shares / np.asarray(degrees)
         soph_nodes = weighted[:, -1] / weighted.sum(axis=1)
         for k, d in enumerate(model.degrees):
-            mask = net.node_class == k
-            if not mask.any():
+            lo, hi = bounds[k], bounds[k + 1]
+            if lo == hi:
                 continue
-            sd_acc[("naive", d)].append(float(summary.shares[mask, -1].std()))
-            sd_acc[("sophisticated", d)].append(float(soph_nodes[mask].std()))
+            sd_acc[("naive", d)].append(float(summary.shares[lo:hi, -1].std()))
+            sd_acc[("sophisticated", d)].append(float(soph_nodes[lo:hi].std()))
         if t == 0:
             first = net
         # release this trial's arrays before the next draw allocates its own
-        del net, summary, weighted, soph_nodes, mask
+        del net, summary, weighted, soph_nodes
     node_sd = {key: float(np.mean(vals)) for key, vals in sd_acc.items() if vals}
     return MonteCarloReport(
         naive_estimates=naive_out,
@@ -312,14 +355,35 @@ def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
 
 def write_edgelist(net: SampledNetwork, path) -> None:
     """One ``u v`` pair per line, 0-indexed, sorted ascending."""
-    lo = np.minimum(net.edges[:, 0], net.edges[:, 1])
-    hi = np.maximum(net.edges[:, 0], net.edges[:, 1])
-    order = np.lexsort((hi, lo))
-    pairs = np.column_stack((lo[order], hi[order]))
-    with open(path, "w", newline="\n") as fh:
-        for start in range(0, len(pairs), WRITE_ROWS):
-            rows = pairs[start:start + WRITE_ROWS]
-            fh.write(("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    n = net.n
+    u, v = net.edges[:, 0], net.edges[:, 1]
+    # one sort of the keys lo * n + hi; equal keys are identical lines
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    width = len(str(n - 1))
+    with open(path, "wb") as fh:
+        for start in range(0, len(keys), WRITE_ROWS):
+            pairs = np.stack(np.divmod(keys[start:start + WRITE_ROWS], n), axis=1)
+            fh.write(_edge_lines(pairs, width))
+
+
+def _edge_lines(pairs: np.ndarray, width: int) -> bytes:
+    """The bytes of ``"%d %d\\n"`` for each row of ``pairs``, all ids below 10**width.
+
+    A (rows, 2, width + 1) byte table holds each id right-aligned with its
+    leading zeros as NUL, then a space or a newline; dropping every NUL leaves
+    the lines.
+    """
+    table = np.empty((len(pairs), 2, width + 1), dtype=np.uint8)
+    table[:, :, width] = (ord(" "), ord("\n"))
+    rest = pairs.astype(np.uint32)  # ids < MAX_NODES < 2**32; uint32 divides fastest
+    for col in range(width - 1, -1, -1):
+        quot = rest // 10
+        glyph = (rest - quot * 10).astype(np.uint8) + ord("0")
+        if col < width - 1:
+            glyph *= rest > 0  # no digits left: a leading zero
+        table[:, :, col] = glyph
+        rest = quot
+    return table.tobytes().replace(b"\0", b"")
 
 
 def write_metadata(net: SampledNetwork, path) -> None:
@@ -328,7 +392,7 @@ def write_metadata(net: SampledNetwork, path) -> None:
         "n": int(net.n),
         "degrees": [int(d) for d in net.model.degrees],
         "shares": [float(s) for s in net.model.shares],
-        "seed": net.seed if isinstance(net.seed, int) else list(net.seed),
+        "seed": net.seed,
         "mode": "simple" if net.simple else "multigraph",
         "parity_adjusted": bool(net.parity_adjusted),
         "edges": int(net.m),

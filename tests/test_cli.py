@@ -174,6 +174,33 @@ class TestSimulate:
         _, second = run(capsys, *argv)
         assert first == second
 
+    @pytest.mark.parametrize("model, digests", [
+        (["--preset", "example", "--n", "3000"],
+         ("5f99f326c8410ce87cb0a1d443068be82c3ecfb6495d774777fc9b91a0d7db1f",
+          "33e8eb39f3a35a8ecf9d5e15d7db064c43a10d5e8e6ccb739c986a2feaa3e2ae",
+          "a085c978df099c31c0206a57b99e042115ccebc0ec42f526dbf5de7b1122afc3")),
+        (["--preset", "example", "--n", "3000", "--simple"],
+         ("2955b38e2c7a2c3d67d26636ec32b89d0f7d3d0857954402c4634d373787a209",
+          "90b6df0bceabcd957633c54fba5f37a12620f6def7bea5109220d6e09ad52937",
+          "644afbbbf8a3fba9b50c7cf79d0baf54451227bc53997e32035c27cb29a984fe")),
+        # K = 3 with an odd stub total: the last node loses a stub
+        (["--model", "1,2,3:0.5,0.3,0.2", "--n", "1001"],
+         ("42b471f5bc68150541a529a4d0fa2a4e8ffa74ea61848dd615118425003d06b5",
+          "abe79fd9ae33b694d166324efec82fddd593ae98c807ceadd8f61d8bac1f1a58",
+          "21ce1676ecf42bca6c6a459880be8cdfffa5e6a8d729062ea269bf112c734c98")),
+        (["--model", "1,2,3:0.5,0.3,0.2", "--n", "1001", "--simple"],
+         ("376f5936bc18f9a723c722b976634cbab57e0158458bc170b2d62595a3eb526f",
+          "abe79fd9ae33b694d166324efec82fddd593ae98c807ceadd8f61d8bac1f1a58",
+          "63fa88a82c5cd0ebcf1de6709ed92342d2995a8e7acdc95966f53f59354c27db")),
+    ], ids=["example", "example-simple", "k3-parity", "k3-parity-simple"])
+    def test_simulate_bytes_are_pinned(self, model, digests, tmp_path, capsys):
+        code, _ = run(capsys, "simulate", *model, "--trials", "3", "--seed", "11",
+                      "--out", str(tmp_path))
+        assert code == 0
+        names = ("simulate.json", "edges.txt", "edges.meta.json")
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in names) == digests
+
     def test_miniature_simple_outputs(self, tmp_path, capsys):
         code, _ = run(capsys, "simulate", "--preset", "example", "--n", "10",
                       "--trials", "1", "--seed", "2", "--simple",

@@ -9,6 +9,7 @@ from netgame import (
     DegreeModel,
     ModelError,
     ObservedShares,
+    SampledNetwork,
     class_counts,
     degree_assortativity,
     empirical_neighbor_shares,
@@ -18,9 +19,11 @@ from netgame import (
     write_edgelist,
     write_metadata,
 )
-from netgame.netsim import MAX_ROUNDS, _check_graphical
+from netgame import netsim
+from netgame.netsim import MAX_NODES, MAX_ROUNDS, WRITE_ROWS, _check_graphical
 
 EXAMPLE = DegreeModel((4, 6), (0.6, 0.4))
+K3 = DegreeModel((1, 2, 3), (0.5, 0.3, 0.2))  # odd stub total at n = 1001
 
 
 def _sequential_simple_reference(stubs, rng):
@@ -54,6 +57,63 @@ def _sequential_simple_reference(stubs, rng):
             rejected.append(v)
         pool = np.array(rejected, dtype=np.int64)
     raise ModelError(f"no simple realization found within {MAX_ROUNDS} rounds")
+
+
+def _reference_edgelist(net):
+    """``write_edgelist``'s bytes from a lexsort and ``%`` formatting of Python ints."""
+    lo = np.minimum(net.edges[:, 0], net.edges[:, 1])
+    hi = np.maximum(net.edges[:, 0], net.edges[:, 1])
+    order = np.lexsort((hi, lo))
+    pairs = np.column_stack((lo[order], hi[order]))
+    return (("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist())).encode()
+
+
+def _reference_shares(net):
+    """Per-node neighbor shares with the degree from ``counts.sum(axis=1)``."""
+    n, K = net.n, net.model.K
+    u, v = net.edges[:, 0], net.edges[:, 1]
+    flat = np.bincount(u * K + net.node_class[v], minlength=n * K)
+    flat += np.bincount(v * K + net.node_class[u], minlength=n * K)
+    counts = flat.reshape(n, K)
+    shares = counts / counts.sum(axis=1)[:, None]
+    return counts, shares, shares.mean(axis=0)
+
+
+def _reference_assortativity(net):
+    """Degree assortativity with the degree table indexed by ``np.unique``."""
+    values, index = np.unique(net.node_degree, return_inverse=True)
+    D = len(values)
+    if D == 1:
+        return 0.0
+    pairs = np.bincount(index[net.edges[:, 0]] * D + index[net.edges[:, 1]],
+                        minlength=D * D).reshape(D, D)
+    table = pairs + pairs.T
+    ends = table.sum(axis=1)
+    dev = values - ends @ values / ends.sum()
+    return float(dev @ table @ dev / (ends @ dev**2))
+
+
+def _reference_node_sd(model, n, trials, seed, simple):
+    """Per-class SDs of per-node estimates over boolean class masks, trial-averaged."""
+    degrees = np.asarray([float(d) for d in model.degrees])
+    acc = {(rule, d): [] for rule in ("naive", "sophisticated") for d in model.degrees}
+    for t in range(trials):
+        net = generate(model, n, seed=[seed, t], simple=simple)
+        shares = _reference_shares(net)[1]
+        weighted = shares / degrees
+        soph_nodes = weighted[:, -1] / weighted.sum(axis=1)
+        for k, d in enumerate(model.degrees):
+            mask = net.node_class == k
+            if mask.any():
+                acc[("naive", d)].append(float(shares[mask, -1].std()))
+                acc[("sophisticated", d)].append(float(soph_nodes[mask].std()))
+    return {key: float(np.mean(vals)) for key, vals in acc.items() if vals}
+
+
+def _hand_built(n, edges):
+    """A network with ``n`` nodes and the given edges; only the writer reads it."""
+    return SampledNetwork(EXAMPLE, np.zeros(n), np.zeros(n), np.asarray(edges), 0,
+                          False, False)
 
 
 class TestClassCounts:
@@ -150,6 +210,40 @@ class TestGenerate:
                 assert got == expected, seq
 
 
+class TestInputNormalization:
+    def test_numpy_integers_are_recorded_as_python_ints(self, tmp_path):
+        net = generate(EXAMPLE, np.int64(100), seed=np.int64(3))
+        write_metadata(net, tmp_path / "meta.json")
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["seed"] == 3 and meta["n"] == 100
+        assert np.array_equal(net.edges, generate(EXAMPLE, 100, seed=3).edges)
+
+    def test_seed_sequence_is_recorded_as_a_list(self, tmp_path):
+        net = generate(EXAMPLE, 100, seed=(np.int64(3), 1))
+        write_metadata(net, tmp_path / "meta.json")
+        assert json.loads((tmp_path / "meta.json").read_text())["seed"] == [3, 1]
+        assert np.array_equal(net.edges, generate(EXAMPLE, 100, seed=[3, 1]).edges)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, -1, [1, -2], [1.0], "7"])
+    def test_unusable_seed_is_rejected(self, seed):
+        with pytest.raises(ModelError, match="seed"):
+            generate(EXAMPLE, 100, seed)
+
+    @pytest.mark.parametrize("n", [100.0, "100", None])
+    def test_non_integer_node_count_is_rejected(self, n):
+        with pytest.raises(ModelError, match="node count"):
+            generate(EXAMPLE, n, 1)
+
+    def test_node_count_past_the_edge_key_range_is_rejected(self):
+        # lo * n + hi must fit int64; the check comes before any array is sized by n
+        with pytest.raises(ModelError, match=f"at most {MAX_NODES} nodes"):
+            generate(EXAMPLE, MAX_NODES + 1, 1)
+
+    def test_monte_carlo_rejects_a_fractional_seed(self):
+        with pytest.raises(ModelError, match="seed"):
+            monte_carlo_estimator_check(EXAMPLE, 50, trials=1, seed=1.5)
+
+
 class TestSimpleOracle:
     """Simple mode matches the pair-at-a-time reference edge for edge."""
 
@@ -206,6 +300,15 @@ class TestEmpiricalShares:
         obs = ObservedShares.from_counts(tuple(int(c) for c in summary.counts[0]))
         assert obs.sample_size == int(net.node_degree[0])
 
+    @pytest.mark.parametrize("simple", [False, True])
+    def test_matches_row_sum_reference_bit_for_bit(self, simple):
+        net = generate(K3, 1001, seed=[11, 0], simple=simple)
+        summary = empirical_neighbor_shares(net)
+        counts, shares, average = _reference_shares(net)
+        assert np.array_equal(summary.counts, counts)
+        assert np.array_equal(summary.shares, shares)
+        assert np.array_equal(summary.average, average)
+
 
 class TestAssortativity:
     def test_near_zero_at_scale(self):
@@ -226,6 +329,11 @@ class TestAssortativity:
         dv = net.node_degree[net.edges[:, 1]].astype(float)
         expected = np.corrcoef(np.concatenate([du, dv]), np.concatenate([dv, du]))[0, 1]
         assert abs(degree_assortativity(net) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("simple", [False, True])
+    def test_matches_unique_reference_bit_for_bit(self, simple):
+        net = generate(K3, 1001, seed=[11, 0], simple=simple)
+        assert degree_assortativity(net) == _reference_assortativity(net)
 
 
 class TestMonteCarloCheck:
@@ -262,6 +370,30 @@ class TestMonteCarloCheck:
         with pytest.raises(ModelError):
             monte_carlo_estimator_check(EXAMPLE, 50, trials=1, seed=-1)
 
+    @pytest.mark.parametrize("model, n", [
+        (K3, 1001),
+        (DegreeModel((2, 4), (1 - 1e-9, 1e-9)), 500),  # the top class is empty
+    ])
+    @pytest.mark.parametrize("simple", [False, True])
+    def test_node_sd_matches_mask_reference_bit_for_bit(self, model, n, simple):
+        report = monte_carlo_estimator_check(model, n, trials=3, seed=11, simple=simple)
+        assert report.node_estimate_sd == _reference_node_sd(model, n, 3, 11, simple)
+
+    def test_each_traced_layer_is_called_once_per_trial(self, monkeypatch):
+        # the benchmark times these by wrapping the module attributes; a call
+        # inlined or bound under another name would read as zero time
+        calls = {}
+        for name in ("generate", "empirical_neighbor_shares", "degree_assortativity"):
+            real = getattr(netsim, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(netsim, name, counting)
+        monte_carlo_estimator_check(EXAMPLE, 2000, trials=3)
+        assert calls == {"generate": 3, "empirical_neighbor_shares": 3,
+                         "degree_assortativity": 3}
+
     def test_trial_streams_differ(self):
         report = monte_carlo_estimator_check(EXAMPLE, 5000, trials=3, seed=4)
         assert len({round(float(v), 12)
@@ -286,6 +418,30 @@ class TestExports:
         pairs = [tuple(map(int, ln.split())) for ln in lines]
         assert all(a <= b for a, b in pairs)
         assert pairs == sorted(pairs)
+
+    @pytest.mark.parametrize("n", [2, 10, 11, 1000, 100001])
+    def test_edgelist_matches_reference_on_digit_boundaries(self, n, tmp_path):
+        ids = [i for i in (0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000)
+               if i < n] + [n - 1]
+        # every pair of boundary ids, self-loops and both orientations, twice
+        boundary = [(a, b) for a in ids for b in ids] * 2
+        rng = np.random.default_rng(n)
+        drawn = rng.integers(0, n, size=(2 * WRITE_ROWS + 7, 2))
+        net = _hand_built(n, np.concatenate((boundary, drawn, drawn[:50])))
+        write_edgelist(net, tmp_path / "edges.txt")
+        assert (tmp_path / "edges.txt").read_bytes() == _reference_edgelist(net)
+
+    @pytest.mark.parametrize("edges", [[[0, 10]], [[-1, 3]]])
+    def test_network_with_an_id_outside_its_nodes_is_rejected(self, edges):
+        with pytest.raises(ModelError, match=r"node ids 0 \.\. 9"):
+            _hand_built(10, edges)
+
+    @pytest.mark.parametrize("lines", [WRITE_ROWS, WRITE_ROWS + 1])
+    def test_edgelist_at_the_block_boundary(self, lines, tmp_path):
+        edges = np.random.default_rng(lines).integers(0, 1000, size=(lines, 2))
+        net = _hand_built(1000, edges)
+        write_edgelist(net, tmp_path / "edges.txt")
+        assert (tmp_path / "edges.txt").read_bytes() == _reference_edgelist(net)
 
     def test_metadata_sidecar(self, tmp_path):
         net = generate(EXAMPLE, 10, seed=1, simple=True)
