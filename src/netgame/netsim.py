@@ -10,6 +10,12 @@ time.  Node counts per class come from largest-remainder rounding with ties
 going to the lower degree class; if the resulting stub total is odd, one stub
 is removed from the last node of the highest-degree class (that node's
 realized degree drops by one, and the network records the adjustment).
+
+The node layout (classes, degrees and the stub array) depends only on the
+model and n, so ``monte_carlo_estimator_check`` and ``sampling_error_scaling``
+build it once per call (per size) and draw every multigraph trial after the
+first into one reused stub buffer.  Trial 0 owns its edges: it is drawn by
+``generate`` into its own array and kept for export.
 """
 
 import json
@@ -122,6 +128,66 @@ def _seed(seed):
     return value
 
 
+def _trial_count(trials) -> int:
+    """``trials`` as a positive Python int, or ``ModelError``."""
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise ModelError(f"trial count must be an integer, got {trials!r}") from None
+    if trials < 1:
+        raise ModelError("need at least one trial")
+    return trials
+
+
+def _trial_seed(seed, *words) -> list:
+    """The seed of one trial: ``seed``'s words (as ``_seed`` returns them), then ``words``."""
+    return [*seed, *words] if isinstance(seed, list) else [seed, *words]
+
+
+@dataclass(frozen=True)
+class NodeLayout:
+    """What every draw of one (model, n) shares: classes, degrees and stubs.
+
+    Nodes are laid out class by class; ``stubs`` holds each node id once per
+    unit of its degree, in node order.
+    """
+
+    model: DegreeModel
+    node_class: np.ndarray
+    node_degree: np.ndarray
+    stubs: np.ndarray
+    parity_adjusted: bool
+
+
+def _layout(model: DegreeModel, n: int) -> NodeLayout:
+    """Lay out ``n`` nodes (already checked by ``_node_count``) with the model's degree mix."""
+    node_class = np.repeat(np.arange(model.K), class_counts(model, n))
+    node_degree = np.asarray(model.degrees)[node_class].copy()
+    parity_adjusted = False
+    if int(node_degree.sum()) % 2 != 0:
+        victims = np.flatnonzero(node_class == model.K - 1)
+        if len(victims) == 0 or node_degree[victims[-1]] < 2:
+            raise ModelError("odd stub total and no node can spare a stub")
+        node_degree[victims[-1]] -= 1
+        parity_adjusted = True
+    stubs = np.repeat(np.arange(n), node_degree)
+    return NodeLayout(model, node_class, node_degree, stubs, parity_adjusted)
+
+
+def draw_multigraph(layout: NodeLayout, seed, out: np.ndarray) -> SampledNetwork:
+    """Shuffle the layout's stubs into ``out`` and pair them consecutively.
+
+    ``out`` is an int64 array as long as ``layout.stubs``; the network's edges
+    are a view of it, so they last only until ``out`` is drawn into again.
+    Copying and shuffling in place draws the same permutation as
+    ``rng.permutation(layout.stubs)`` without allocating one.
+    """
+    out[:] = layout.stubs
+    np.random.default_rng(seed).shuffle(out)
+    return SampledNetwork(layout.model, layout.node_class, layout.node_degree,
+                          out.reshape(-1, 2), seed, False, layout.parity_adjusted)
+
+
 def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledNetwork:
     """Draw a configuration-model network with the model's degree mix.
 
@@ -138,35 +204,21 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
 
     ``n`` must be an integer and ``seed`` a non-negative integer or a sequence
     of them; the network records the seed as a Python int or list of ints.
+    The network owns its edges: a multigraph is drawn into a fresh array.
     """
     n = _node_count(n)
     seed = _seed(seed)
-    counts = class_counts(model, n)
     if simple and model.degrees[-1] >= n:
         raise ModelError("simple mode needs the top degree below the node count")
-    node_class = np.repeat(np.arange(model.K), counts)
-    node_degree = np.asarray(model.degrees)[node_class].copy()
-
-    parity_adjusted = False
-    if int(node_degree.sum()) % 2 != 0:
-        victims = np.flatnonzero(node_class == model.K - 1)
-        if len(victims) == 0 or node_degree[victims[-1]] < 2:
-            raise ModelError("odd stub total and no node can spare a stub")
-        node_degree[victims[-1]] -= 1
-        parity_adjusted = True
-
-    if simple:
-        _check_graphical(node_degree)
-    rng = np.random.default_rng(seed)
-    stubs = np.repeat(np.arange(n), node_degree)
+    layout = _layout(model, n)
     if not simple:
-        edges = rng.permutation(stubs).reshape(-1, 2)
-        return SampledNetwork(model, node_class, node_degree, edges,
-                              seed, simple, parity_adjusted)
+        return draw_multigraph(layout, seed, np.empty_like(layout.stubs))
 
+    _check_graphical(layout.node_degree)
+    rng = np.random.default_rng(seed)
     accepted = np.empty(0, dtype=np.int64)  # edge keys lo * n + hi, in acceptance order
     known = accepted                          # the same keys, sorted
-    pool = stubs
+    pool = layout.stubs
     for _ in range(MAX_ROUNDS):
         pool = rng.permutation(pool)
         u, v = pool[0::2], pool[1::2]
@@ -192,8 +244,8 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
         rejected = pool.reshape(-1, 2)[~keep].ravel()
         if not len(rejected):
             edges = np.column_stack((accepted // n, accepted % n))
-            return SampledNetwork(model, node_class, node_degree, edges,
-                                  seed, simple, parity_adjusted)
+            return SampledNetwork(model, layout.node_class, layout.node_degree, edges,
+                                  seed, simple, layout.parity_adjusted)
         # Dead ends (e.g. two stubs of the same node left) need fresh material:
         # dissolve a few accepted edges back into the pool before retrying.
         n_back = min(len(accepted), max(1, len(rejected) // 2))
@@ -290,10 +342,14 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     rule should land on the biased shares, the sophisticated one on the true
     shares.  Dispersion of per-node estimates is reported by observing degree,
     which is where sample size shows up -- higher degree, tighter estimates.
+
+    Trial t draws from the seed ``[seed, t]`` (``[*seed, t]`` for a sequence).
+    Trial 0 comes from ``generate`` and is kept as ``first_network``; the
+    other multigraph trials share one layout and are drawn into one reused
+    stub buffer, while simple trials each call ``generate``.
     """
     n = _node_count(n)
-    if trials < 1:
-        raise ModelError("need at least one trial")
+    trials = _trial_count(trials)
     seed = _seed(seed)
     K = model.K
     degrees = [float(d) for d in model.degrees]
@@ -302,9 +358,15 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     assort = np.empty(trials)
     sd_acc = {(rule, d): [] for rule in ("naive", "sophisticated")
               for d in model.degrees}
-    bounds = np.cumsum([0] + class_counts(model, n))  # ``generate`` lays classes out in order
+    bounds = np.cumsum([0] + class_counts(model, n))  # ``_layout`` lays classes out in order
+    if not simple and trials > 1:
+        layout = _layout(model, n)
+        buf = np.empty_like(layout.stubs)
     for t in range(trials):
-        net = generate(model, n, seed=[seed, t], simple=simple)
+        if t == 0 or simple:
+            net = generate(model, n, seed=_trial_seed(seed, t), simple=simple)
+        else:
+            net = draw_multigraph(layout, _trial_seed(seed, t), buf)
         summary = empirical_neighbor_shares(net)
         naive_out[t] = summary.average
         soph_out[t] = debias_shares(tuple(summary.average), degrees)
@@ -319,7 +381,7 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
             sd_acc[("sophisticated", d)].append(float(soph_nodes[lo:hi].std()))
         if t == 0:
             first = net
-        # release this trial's arrays before the next draw allocates its own
+        # release this trial's arrays before the next trial allocates its own
         del net, summary, weighted, soph_nodes
     node_sd = {key: float(np.mean(vals)) for key, vals in sd_acc.items() if vals}
     return MonteCarloReport(
@@ -337,20 +399,32 @@ def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
     """Mean deviation of the average neighbor shares from the sampling law,
     per network size, with the fitted log-log slope (about -1/2).
 
-    ``trials_per_n`` gives the trial count for each entry of ``ns``.
+    ``trials_per_n`` gives the trial count for each entry of ``ns``; trial t
+    of size i draws multigraphs from the seed ``[seed, i, t]``, each size's
+    trials into one reused stub buffer.  Needs at least two distinct sizes.
     Returns (ns, mean absolute deviations, slope).
     """
+    ns = [_node_count(n) for n in ns]
+    trials_per_n = [_trial_count(trials) for trials in trials_per_n]
+    if len(ns) != len(trials_per_n):
+        raise ModelError(f"need one trial count per network size, got {len(trials_per_n)} "
+                         f"for {len(ns)} sizes")
+    if len(set(ns)) < 2:
+        raise ModelError("need at least two distinct network sizes to fit a slope")
+    seed = _seed(seed)
     tilde = np.array([float(v) for v in biased_neighbor_share(model)])
     devs = []
-    for i, (n, trials) in enumerate(zip(ns, trials_per_n, strict=True)):
+    for i, (n, trials) in enumerate(zip(ns, trials_per_n)):
+        layout = _layout(model, n)
+        buf = np.empty_like(layout.stubs)
         acc = []
         for t in range(trials):
-            net = generate(model, int(n), seed=[seed, i, t])
+            net = draw_multigraph(layout, _trial_seed(seed, i, t), buf)
             summary = empirical_neighbor_shares(net)
             acc.append(float(np.max(np.abs(summary.average - tilde))))
         devs.append(float(np.mean(acc)))
     slope = float(np.polyfit(np.log10(ns), np.log10(devs), 1)[0])
-    return list(ns), devs, slope
+    return ns, devs, slope
 
 
 def write_edgelist(net: SampledNetwork, path) -> None:

@@ -427,20 +427,23 @@ class TestResolverDefects:
     def test_simulate_draws_each_network_once(self, tmp_path, capsys, monkeypatch):
         import netgame.cli
         import netgame.netsim
-        calls = []
-        real = netgame.netsim.generate
+        calls = {"generate": [], "draw_multigraph": []}
+        for name, seeds in calls.items():
+            real = getattr(netgame.netsim, name)
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("seed"))
-            return real(*args, **kwargs)
+            def counting(*args, _real=real, _seeds=seeds, **kwargs):
+                net = _real(*args, **kwargs)
+                _seeds.append(net.seed)
+                return net
 
-        monkeypatch.setattr(netgame.netsim, "generate", counting)
-        # the CLI must not hold its own reference to generate for a second draw
-        monkeypatch.setattr(netgame.cli, "generate", counting, raising=False)
+            monkeypatch.setattr(netgame.netsim, name, counting)
+            # the CLI must not hold its own reference to either for a second draw
+            monkeypatch.setattr(netgame.cli, name, counting, raising=False)
         code, _ = run(capsys, "simulate", "--n", "2000", "--trials", "3",
                       "--seed", "4", "--tol", "0.5", "--out", str(tmp_path))
         assert code == 0
-        assert calls == [[4, 0], [4, 1], [4, 2]]
+        # trial 0 comes from generate; every trial is drawn once, in seed order
+        assert calls == {"generate": [[4, 0]], "draw_multigraph": [[4, 0], [4, 1], [4, 2]]}
         meta = json.loads((tmp_path / "edges.meta.json").read_text())
         assert meta["seed"] == [4, 0]
 

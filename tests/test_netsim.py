@@ -7,9 +7,11 @@ import pytest
 
 from netgame import (
     DegreeModel,
+    debias_shares,
     ModelError,
     ObservedShares,
     SampledNetwork,
+    biased_neighbor_share,
     class_counts,
     degree_assortativity,
     empirical_neighbor_shares,
@@ -93,13 +95,22 @@ def _reference_assortativity(net):
     return float(dev @ table @ dev / (ends @ dev**2))
 
 
-def _reference_node_sd(model, n, trials, seed, simple):
-    """Per-class SDs of per-node estimates over boolean class masks, trial-averaged."""
+def _reference_report(model, n, trials, seed, simple):
+    """Monte-Carlo results from one ``generate`` call per trial.
+
+    Returns the per-class SDs of per-node estimates over boolean class masks,
+    trial-averaged, then the per-trial naive and sophisticated estimates and
+    assortativities.
+    """
     degrees = np.asarray([float(d) for d in model.degrees])
     acc = {(rule, d): [] for rule in ("naive", "sophisticated") for d in model.degrees}
+    naive, soph, assort = [], [], []
     for t in range(trials):
         net = generate(model, n, seed=[seed, t], simple=simple)
-        shares = _reference_shares(net)[1]
+        _, shares, average = _reference_shares(net)
+        naive.append(average)
+        soph.append(debias_shares(tuple(average), list(degrees)))
+        assort.append(_reference_assortativity(net))
         weighted = shares / degrees
         soph_nodes = weighted[:, -1] / weighted.sum(axis=1)
         for k, d in enumerate(model.degrees):
@@ -107,7 +118,8 @@ def _reference_node_sd(model, n, trials, seed, simple):
             if mask.any():
                 acc[("naive", d)].append(float(shares[mask, -1].std()))
                 acc[("sophisticated", d)].append(float(soph_nodes[mask].std()))
-    return {key: float(np.mean(vals)) for key, vals in acc.items() if vals}
+    node_sd = {key: float(np.mean(vals)) for key, vals in acc.items() if vals}
+    return node_sd, np.array(naive), np.array(soph), np.array(assort)
 
 
 def _hand_built(n, edges):
@@ -243,6 +255,20 @@ class TestInputNormalization:
         with pytest.raises(ModelError, match="seed"):
             monte_carlo_estimator_check(EXAMPLE, 50, trials=1, seed=1.5)
 
+    @pytest.mark.parametrize("trials", [2.5, None, "3"])
+    def test_monte_carlo_rejects_a_non_integer_trial_count(self, trials):
+        with pytest.raises(ModelError, match="trial count must be an integer"):
+            monte_carlo_estimator_check(EXAMPLE, 50, trials=trials)
+
+    def test_monte_carlo_trial_seeds_extend_a_seed_sequence(self):
+        report = monte_carlo_estimator_check(EXAMPLE, 2000, trials=3, seed=[1, 2])
+        assert report.first_network.seed == [1, 2, 0]
+        for t in range(3):
+            net = generate(EXAMPLE, 2000, seed=[1, 2, t])
+            assert np.array_equal(report.naive_estimates[t],
+                                  empirical_neighbor_shares(net).average)
+            assert report.assortativity[t] == degree_assortativity(net)
+
 
 class TestSimpleOracle:
     """Simple mode matches the pair-at-a-time reference edge for edge."""
@@ -376,23 +402,58 @@ class TestMonteCarloCheck:
     ])
     @pytest.mark.parametrize("simple", [False, True])
     def test_node_sd_matches_mask_reference_bit_for_bit(self, model, n, simple):
+        # the reference draws every trial with its own ``generate`` call
         report = monte_carlo_estimator_check(model, n, trials=3, seed=11, simple=simple)
-        assert report.node_estimate_sd == _reference_node_sd(model, n, 3, 11, simple)
+        node_sd, naive, soph, assort = _reference_report(model, n, 3, 11, simple)
+        assert report.node_estimate_sd == node_sd
+        assert np.array_equal(report.naive_estimates, naive)
+        assert np.array_equal(report.sophisticated_estimates, soph)
+        assert np.array_equal(report.assortativity, assort)
 
     def test_each_traced_layer_is_called_once_per_trial(self, monkeypatch):
         # the benchmark times these by wrapping the module attributes; a call
-        # inlined or bound under another name would read as zero time
+        # inlined or bound under another name would read as zero time.
+        # ``generate`` draws trial 0 through ``draw_multigraph``.
         calls = {}
-        for name in ("generate", "empirical_neighbor_shares", "degree_assortativity"):
+        draws = []
+        for name in ("generate", "draw_multigraph", "empirical_neighbor_shares",
+                     "degree_assortativity"):
             real = getattr(netsim, name)
 
             def counting(*args, _name=name, _real=real, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
-                return _real(*args, **kwargs)
+                result = _real(*args, **kwargs)
+                if _name == "draw_multigraph":
+                    draws.append(result.seed)
+                return result
             monkeypatch.setattr(netsim, name, counting)
         monte_carlo_estimator_check(EXAMPLE, 2000, trials=3)
-        assert calls == {"generate": 3, "empirical_neighbor_shares": 3,
-                         "degree_assortativity": 3}
+        assert calls == {"generate": 1, "draw_multigraph": 3,
+                         "empirical_neighbor_shares": 3, "degree_assortativity": 3}
+        assert draws == [[0, 0], [0, 1], [0, 2]]
+
+    def test_simple_trials_each_call_generate(self, monkeypatch):
+        # no shared layout or stub buffer is built for simple trials
+        seeds, layouts = [], []
+        real_generate, real_layout = netsim.generate, netsim._layout
+
+        def counting(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real_generate(*args, **kwargs)
+
+        def laying_out(*args):
+            layouts.append(args[1])
+            return real_layout(*args)
+
+        def no_multigraph(*args, **kwargs):
+            raise AssertionError("a simple check drew a multigraph")
+        monkeypatch.setattr(netsim, "generate", counting)
+        monkeypatch.setattr(netsim, "_layout", laying_out)
+        monkeypatch.setattr(netsim, "draw_multigraph", no_multigraph)
+        report = monte_carlo_estimator_check(EXAMPLE, 200, trials=2, seed=3, simple=True)
+        assert seeds == [[3, 0], [3, 1]]
+        assert layouts == [200, 200]  # one per generate call
+        assert report.first_network.simple
 
     def test_trial_streams_differ(self):
         report = monte_carlo_estimator_check(EXAMPLE, 5000, trials=3, seed=4)
@@ -406,6 +467,29 @@ class TestScaling:
             EXAMPLE, [1000, 10000, 100000], [32, 12, 6], seed=5)
         assert devs[0] > devs[1] > devs[2]
         assert slope == pytest.approx(-0.5, abs=0.15)
+
+    def test_matches_one_generate_call_per_trial_bit_for_bit(self):
+        tilde = np.array([float(v) for v in biased_neighbor_share(EXAMPLE)])
+        ns, devs, _ = sampling_error_scaling(EXAMPLE, [300, 1001], [3, 2], seed=[7])
+        assert ns == [300, 1001]
+        for i, (n, trials) in enumerate(zip(ns, [3, 2])):
+            expected = np.mean([
+                float(np.max(np.abs(empirical_neighbor_shares(
+                    generate(EXAMPLE, n, seed=[7, i, t])).average - tilde)))
+                for t in range(trials)])
+            assert devs[i] == expected
+
+    @pytest.mark.parametrize("ns, trials_per_n, match", [
+        ([1000, 10000], [4, 0], "at least one trial"),
+        ([1000, 10000], [4, 2.5], "trial count must be an integer"),
+        ([1000], [4], "two distinct network sizes"),
+        ([1000, 1000], [4, 4], "two distinct network sizes"),
+        ([1000, 10000], [4], "one trial count per network size"),
+        ([1000, 10.5], [4, 4], "node count"),
+    ])
+    def test_rejects_what_cannot_give_a_slope(self, ns, trials_per_n, match):
+        with pytest.raises(ModelError, match=match):
+            sampling_error_scaling(EXAMPLE, ns, trials_per_n)
 
 
 class TestExports:
