@@ -287,15 +287,21 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     under the true shares (1 - delta2, delta2), equal to what
     :func:`netgame.equilibrium.average_expectation` returns; then ``inf``
     adds the three closed-form values, or one "unstable" row where they are
-    undefined.  Returns rows (sigma, d1, delta2, rule, value, flag).
+    undefined.  Returns rows (sigma, d1, delta2, rule, value, flag).  Every
+    sigma is checked with the other scalars as ``GameParams`` checks them,
+    even where only ``inf`` is asked for, and an empty grid is an error.
 
     The type weights depend on neither sigma nor the solution, so one kernel
     call per d1 weighs the whole grid, and every sigma reuses it.
     """
     _check_excess_ratio(eps)
+    for sigma in sigmas:
+        GameParams.check(etheta, alpha, cost, sigma)
     finite = [int(d) for d in d1_list if float(d) != math.inf]
     infinite = len(finite) < len(d1_list)
     grid = [float(x) for x in grid]
+    if not grid:
+        raise ModelError("grid has no true high share delta2 inside (0, 1)")
     averages = {}
     for d1 in finite:
         model = _two_class_model(d1, eps)

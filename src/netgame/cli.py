@@ -233,17 +233,23 @@ def _write_outputs(opts, files: dict, default=None) -> Path | None:
     The directory is the ``out`` option, else ``$NETGAME_OUT``, else
     ``default``.  Each file is written to a temp file in that directory with
     the mode a plain ``open`` would give it (``mkstemp`` makes it 0600), then
-    renamed into place; on any failure the temp file is removed.
+    renamed into place; on any failure the temp file is removed.  A directory
+    that cannot be made or written to (say, ``out`` names a regular file) is
+    a ``ModelError``.
     """
     out = opts.get("out") or os.environ.get("NETGAME_OUT") or default
     if out is None:
         return None
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     umask = os.umask(0)
     os.umask(umask)
     for name, content in files.items():
-        fd, tmp = tempfile.mkstemp(dir=out, prefix=name + ".")
+        try:  # the first file makes the directory
+            out.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=out, prefix=name + ".")
+        except OSError as exc:
+            raise ModelError(f"cannot write to output directory {out}: "
+                             f"{exc.strerror or exc}") from None
         os.close(fd)
         try:
             os.chmod(tmp, 0o666 & ~umask)

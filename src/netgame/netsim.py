@@ -11,17 +11,17 @@ going to the lower degree class; if the resulting stub total is odd, one stub
 is removed from the last node of the highest-degree class (that node's
 realized degree drops by one, and the network records the adjustment).
 
-The node layout (classes, degrees and the stub array) depends only on the
-model and n, so ``monte_carlo_estimator_check`` and ``sampling_error_scaling``
-build it once per call (per size) and draw every multigraph trial after the
-first into one reused stub buffer.  Trial 0 owns its edges: it is drawn by
-``generate`` into its own array and kept for export.
+The unshuffled draw (nodes class by class, each node's stubs paired in node
+order) depends only on the model and n, so ``monte_carlo_estimator_check``
+and ``sampling_error_scaling`` lay it out once per call (per size) and shuffle
+multigraph trials from it into one reused stub buffer.  The check's trial 0,
+kept for export, is drawn by ``generate`` into an array of its own.
 """
 
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,12 +99,17 @@ def _check_graphical(node_degree: np.ndarray) -> None:
                          f"k = {k[i]} ({lhs[i]} > {rhs[i]})")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int, or ``ModelError`` naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ModelError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _node_count(n) -> int:
     """``n`` as a Python int within the range ``generate`` can draw, or ``ModelError``."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ModelError(f"node count must be an integer, got {n!r}") from None
+    n = _integer(n, "node count")
     if n < 2:
         raise ModelError("need at least two nodes")
     if n > MAX_NODES:
@@ -130,10 +135,7 @@ def _seed(seed):
 
 def _trial_count(trials) -> int:
     """``trials`` as a positive Python int, or ``ModelError``."""
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise ModelError(f"trial count must be an integer, got {trials!r}") from None
+    trials = _integer(trials, "trial count")
     if trials < 1:
         raise ModelError("need at least one trial")
     return trials
@@ -144,23 +146,12 @@ def _trial_seed(seed, *words) -> list:
     return [*seed, *words] if isinstance(seed, list) else [seed, *words]
 
 
-@dataclass(frozen=True)
-class NodeLayout:
-    """What every draw of one (model, n) shares: classes, degrees and stubs.
+def _layout(model: DegreeModel, n: int) -> SampledNetwork:
+    """The unshuffled multigraph on ``n`` nodes (already checked by ``_node_count``).
 
-    Nodes are laid out class by class; ``stubs`` holds each node id once per
-    unit of its degree, in node order.
+    Nodes are laid out class by class, and each node's stubs are paired in
+    node order; the network's seed is None.
     """
-
-    model: DegreeModel
-    node_class: np.ndarray
-    node_degree: np.ndarray
-    stubs: np.ndarray
-    parity_adjusted: bool
-
-
-def _layout(model: DegreeModel, n: int) -> NodeLayout:
-    """Lay out ``n`` nodes (already checked by ``_node_count``) with the model's degree mix."""
     node_class = np.repeat(np.arange(model.K), class_counts(model, n))
     node_degree = np.asarray(model.degrees)[node_class].copy()
     parity_adjusted = False
@@ -170,22 +161,21 @@ def _layout(model: DegreeModel, n: int) -> NodeLayout:
             raise ModelError("odd stub total and no node can spare a stub")
         node_degree[victims[-1]] -= 1
         parity_adjusted = True
-    stubs = np.repeat(np.arange(n), node_degree)
-    return NodeLayout(model, node_class, node_degree, stubs, parity_adjusted)
+    edges = np.repeat(np.arange(n), node_degree).reshape(-1, 2)
+    return SampledNetwork(model, node_class, node_degree, edges, None, False, parity_adjusted)
 
 
-def draw_multigraph(layout: NodeLayout, seed, out: np.ndarray) -> SampledNetwork:
+def draw_multigraph(layout: SampledNetwork, seed, out: np.ndarray) -> SampledNetwork:
     """Shuffle the layout's stubs into ``out`` and pair them consecutively.
 
-    ``out`` is an int64 array as long as ``layout.stubs``; the network's edges
-    are a view of it, so they last only until ``out`` is drawn into again.
-    Copying and shuffling in place draws the same permutation as
-    ``rng.permutation(layout.stubs)`` without allocating one.
+    ``out`` is an int64 array with one entry per stub (``2 * layout.m``); the
+    network's edges are a view of it, so they last only until ``out`` is
+    drawn into again.  Copying and shuffling in place draws the same
+    permutation as ``rng.permutation`` of the stubs without allocating one.
     """
-    out[:] = layout.stubs
+    out[:] = layout.edges.ravel()
     np.random.default_rng(seed).shuffle(out)
-    return SampledNetwork(layout.model, layout.node_class, layout.node_degree,
-                          out.reshape(-1, 2), seed, False, layout.parity_adjusted)
+    return replace(layout, edges=out.reshape(-1, 2), seed=seed)
 
 
 def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledNetwork:
@@ -212,13 +202,13 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
         raise ModelError("simple mode needs the top degree below the node count")
     layout = _layout(model, n)
     if not simple:
-        return draw_multigraph(layout, seed, np.empty_like(layout.stubs))
+        return draw_multigraph(layout, seed, np.empty(2 * layout.m, dtype=np.int64))
 
     _check_graphical(layout.node_degree)
     rng = np.random.default_rng(seed)
     accepted = np.empty(0, dtype=np.int64)  # edge keys lo * n + hi, in acceptance order
     known = accepted                          # the same keys, sorted
-    pool = layout.stubs
+    pool = layout.edges.ravel()
     for _ in range(MAX_ROUNDS):
         pool = rng.permutation(pool)
         u, v = pool[0::2], pool[1::2]
@@ -244,8 +234,7 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
         rejected = pool.reshape(-1, 2)[~keep].ravel()
         if not len(rejected):
             edges = np.column_stack((accepted // n, accepted % n))
-            return SampledNetwork(model, layout.node_class, layout.node_degree, edges,
-                                  seed, simple, layout.parity_adjusted)
+            return replace(layout, edges=edges, seed=seed, simple=True)
         # Dead ends (e.g. two stubs of the same node left) need fresh material:
         # dissolve a few accepted edges back into the pool before retrying.
         n_back = min(len(accepted), max(1, len(rejected) // 2))
@@ -344,9 +333,9 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     which is where sample size shows up -- higher degree, tighter estimates.
 
     Trial t draws from the seed ``[seed, t]`` (``[*seed, t]`` for a sequence).
-    Trial 0 comes from ``generate`` and is kept as ``first_network``; the
-    other multigraph trials share one layout and are drawn into one reused
-    stub buffer, while simple trials each call ``generate``.
+    Trial 0 and every simple trial call ``generate``; trial 0 is kept as
+    ``first_network``.  The other multigraph trials are drawn with
+    ``draw_multigraph`` from one layout into one reused stub buffer.
     """
     n = _node_count(n)
     trials = _trial_count(trials)
@@ -361,8 +350,10 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     bounds = np.cumsum([0] + class_counts(model, n))  # ``_layout`` lays classes out in order
     if not simple and trials > 1:
         layout = _layout(model, n)
-        buf = np.empty_like(layout.stubs)
+        buf = np.empty(2 * layout.m, dtype=np.int64)
     for t in range(trials):
+        # trial 0 keeps its own layout on purpose: drawn from the shared one, each
+        # later trial at n = 1e5 took ~2,500 more page faults in a fresh process
         if t == 0 or simple:
             net = generate(model, n, seed=_trial_seed(seed, t), simple=simple)
         else:
@@ -416,7 +407,7 @@ def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
     devs = []
     for i, (n, trials) in enumerate(zip(ns, trials_per_n)):
         layout = _layout(model, n)
-        buf = np.empty_like(layout.stubs)
+        buf = np.empty(2 * layout.m, dtype=np.int64)
         acc = []
         for t in range(trials):
             net = draw_multigraph(layout, _trial_seed(seed, i, t), buf)

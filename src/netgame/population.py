@@ -99,23 +99,33 @@ class GameParams:
     model: InitVar[DegreeModel]
 
     def __post_init__(self, model):
-        for name in ("mean_preference", "alpha", "cost", "sigma"):
-            if not math.isfinite(float(getattr(self, name))):
-                raise ModelError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.mean_preference < 0:
-            raise ModelError("mean preference must be non-negative")
-        if self.alpha < 0:
-            raise ModelError("complementarity level must be non-negative")
-        if self.cost <= 0:
-            raise ModelError("action cost must be positive")
-        if not 0 <= self.sigma <= 1:
-            raise ModelError("sophistication share must lie in [0, 1]")
+        self.check(self.mean_preference, self.alpha, self.cost, self.sigma)
         rho_max = model.rho[-1]
         if self.alpha * rho_max > self.cost:
             raise StabilityError(
                 "stability requires alpha * d_K/d_1 <= cost; got "
                 f"alpha={self.alpha}, d_K/d_1={rho_max}, cost={self.cost}"
             )
+
+    @staticmethod
+    def check(mean_preference, alpha, cost, sigma) -> None:
+        """Raise ``ModelError`` unless the scalars pass every check that needs no model.
+
+        Each must be finite, E[theta] >= 0, alpha >= 0, cost > 0 and sigma in [0, 1].
+        """
+        values = {"mean_preference": mean_preference, "alpha": alpha, "cost": cost,
+                  "sigma": sigma}
+        for name, value in values.items():
+            if not math.isfinite(float(value)):
+                raise ModelError(f"{name} must be finite, got {value!r}")
+        if mean_preference < 0:
+            raise ModelError("mean preference must be non-negative")
+        if alpha < 0:
+            raise ModelError("complementarity level must be non-negative")
+        if cost <= 0:
+            raise ModelError("action cost must be positive")
+        if not 0 <= sigma <= 1:
+            raise ModelError("sophistication share must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

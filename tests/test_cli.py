@@ -291,11 +291,22 @@ class TestConfigAndErrors:
         (["sweep", "precision", "--eps", "-0.5", "--d1", "inf"], POSITIVE_EPS),
         (["sweep", "bias", "--eps", "nan"], "excess ratio"),
         (["sweep", "bias", "--eps", "inf"], "excess ratio"),
+        # the limit-only path checks its scalars as GameParams does
+        (["sweep", "precision", "--d1", "inf", "--sigma", "2"], "sophistication share"),
+        (["sweep", "precision", "--d1", "inf", "--alpha", "-1"], "complementarity level"),
+        (["sweep", "precision", "--d1", "inf", "--etheta", "-1"], "mean preference"),
+        (["sweep", "precision", "--d1", "inf", "--c", "-3"], "action cost"),
+        (["sweep", "precision", "--d1", "inf", "--etheta", "nan"], "must be finite"),
+        (["sweep", "precision", "--grid", "2"], "grid"),
+        (["sweep", "precision", "--d1", "inf", "--grid", "2"], "grid"),
     ], ids=["precision-eps-nan", "precision-eps-inf", "precision-empty-d1",
             "simulate-negative-seed", "precision-empty-sigma", "bias-empty-eps",
             "simulate-negative-tol", "simulate-infinite-tol", "precision-negative-eps",
             "precision-zero-eps", "precision-limit-only-negative-eps",
-            "bias-eps-nan", "bias-eps-inf"])
+            "bias-eps-nan", "bias-eps-inf", "precision-limit-only-sigma-2",
+            "precision-limit-only-negative-alpha", "precision-limit-only-negative-etheta",
+            "precision-limit-only-negative-c", "precision-limit-only-etheta-nan",
+            "precision-no-interior-grid", "precision-limit-only-no-interior-grid"])
     def test_bad_input_exits_two_without_output(self, argv, named, tmp_path, capsys):
         fresh = tmp_path / "fresh"
         assert main([*argv, "--out", str(fresh)]) == 2
@@ -322,6 +333,20 @@ class TestConfigAndErrors:
         with pytest.raises(OSError, match="disk full"):
             main(["simulate", "--n", "200", "--trials", "1", "--tol", "0.5", "--out", str(out)])
         assert [p.name for p in out.iterdir()] == ["simulate.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "bias", "--eps", "1", "--grid", "11"],
+        ["simulate", "--n", "200", "--trials", "1", "--tol", "0.5"],
+    ], ids=["sweep", "simulate"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_through_a_regular_file_exits_two(self, argv, below, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if below else afile
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"cannot write to output directory {out}" in capsys.readouterr().err
+        assert afile.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [afile]
 
     def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NETGAME_OUT", str(tmp_path / "envout"))

@@ -170,6 +170,16 @@ class TestGenerate:
         assert int(net.node_degree.sum()) % 2 == 0
         assert net.node_degree[-1] == 1
 
+    def test_layout_is_the_unshuffled_draw(self):
+        layout = netsim._layout(K3, 1001)
+        assert layout.seed is None and not layout.simple and layout.parity_adjusted
+        stubs = np.repeat(np.arange(1001), layout.node_degree)
+        assert np.array_equal(layout.edges.ravel(), stubs)
+        net = netsim.draw_multigraph(layout, [5], np.empty(len(stubs), dtype=np.int64))
+        assert np.array_equal(layout.edges.ravel(), stubs)  # the draw left it alone
+        assert net.seed == [5] and net.parity_adjusted
+        assert np.array_equal(net.edges, generate(K3, 1001, seed=[5]).edges)
+
     def test_simple_mode_needs_room(self):
         with pytest.raises(ModelError):
             generate(DegreeModel((4, 6), (0.5, 0.5)), 5, seed=0, simple=True)
