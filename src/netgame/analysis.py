@@ -179,7 +179,6 @@ class PrecisionRow:
     d1: int
     rule: str
     class_index: int
-    degree: int
     share: float
     offset: float
     value: float
@@ -268,8 +267,8 @@ def precision_sweep(eps, alpha, cost, sigma, etheta, d1_list) -> PrecisionSweepR
                         closed = sophisticated_value_at_observed(
                             share, eps, alpha, cost, sigma, etheta)
                     rows.append(PrecisionRow(
-                        d1=d1, rule=rule, class_index=k, degree=degree,
-                        share=float(share), offset=float(lattice[j] - share),
+                        d1=d1, rule=rule, class_index=k, share=float(share),
+                        offset=float(lattice[j] - share),
                         value=float(vals[j]), closed_form=float(closed),
                     ))
     return PrecisionSweepResult(d1_list=tuple(d1_list), rows=tuple(rows),

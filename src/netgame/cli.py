@@ -15,9 +15,9 @@ CSV output is comma-separated with a header row and LF line endings; every
 CSV has a JSON twin carrying the same rows.  Output goes to ``--out``, else
 ``$NETGAME_OUT``, else ``netgame-out`` for ``sweep`` and ``solve``;
 ``simulate`` and ``pi`` write files only when one of the first two is set.
-A command computes all of its outputs before it writes any, and
-``_write_outputs`` puts each file in place atomically, so a command that
-fails creates no file and no directory.
+A command resolves its output directory before it computes anything, computes
+all of its outputs before it writes any, and ``_write_outputs`` puts each file
+in place atomically, so a command that fails creates no file and no directory.
 """
 
 import argparse
@@ -226,21 +226,32 @@ def _grid(text) -> np.ndarray:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _write_outputs(opts, files: dict, default=None) -> Path | None:
-    """Put ``files`` (name: text, or a function that writes a path) in the
-    output directory; return the directory, or None if none is given.
+def _output_dir(opts, default=None) -> Path | None:
+    """The ``out`` option, else ``$NETGAME_OUT``, else ``default``; None if none is set.
 
-    The directory is the ``out`` option, else ``$NETGAME_OUT``, else
-    ``default``.  Each file is written to a temp file in that directory with
-    the mode a plain ``open`` would give it (``mkstemp`` makes it 0600), then
-    renamed into place; on any failure the temp file is removed.  A directory
-    that cannot be made or written to (say, ``out`` names a regular file) is
-    a ``ModelError``.
+    Called before a command computes anything: a path whose nearest existing
+    ancestor (or itself) is no directory is a ``ModelError``.  Creates nothing.
     """
     out = opts.get("out") or os.environ.get("NETGAME_OUT") or default
     if out is None:
         return None
     out = Path(out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ModelError(f"cannot write to output directory {out}: "
+                         f"{existing} is not a directory")
+    return out
+
+
+def _write_outputs(out: Path, files: dict) -> None:
+    """Put ``files`` (name: text, or a function that writes a path) in the
+    directory ``out`` from :func:`_output_dir`.
+
+    Each file is written to a temp file there with the mode a plain ``open``
+    would give it (``mkstemp`` makes it 0600), then renamed into place; on any
+    failure the temp file is removed.  A directory that cannot be made or
+    written to is a ``ModelError``.
+    """
     umask = os.umask(0)
     os.umask(umask)
     for name, content in files.items():
@@ -261,7 +272,6 @@ def _write_outputs(opts, files: dict, default=None) -> Path | None:
         except BaseException:
             Path(tmp).unlink(missing_ok=True)
             raise
-    return out
 
 
 def _json_text(payload) -> str:
@@ -430,8 +440,9 @@ SWEEPS = {
 
 def cmd_sweep(args) -> int:
     opts = _Options(args, DEFAULTS[args.kind])
+    out = _output_dir(opts, "netgame-out")
     columns, rows, meta = SWEEPS[args.kind](opts)
-    out = _write_outputs(opts, _table(args.kind, columns, rows, meta), "netgame-out")
+    _write_outputs(out, _table(args.kind, columns, rows, meta))
     for item in meta.get("summary", ()):         # bias: where each gap peaks
         print(f"eps={item['eps']:g}: max bias {item['max_bias']:.4f} "
               f"at delta2={item['argmax']:.4f}")
@@ -445,6 +456,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     opts = _Options(args, DEFAULTS["simulate"])
+    out = _output_dir(opts)
     model = opts.get("model", _parse_model)
     n, trials, seed = (opts.get(key, int) for key in ("n", "trials", "seed"))
     simple = opts.get("simple", _boolean)
@@ -495,9 +507,10 @@ def cmd_simulate(args) -> int:
         print(f"assortativity mean {float(np.mean(report.assortativity)):+.4f}")
         print("all checks passed" if passed else "CHECK FAILURES")
     net = report.first_network
-    _write_outputs(opts, {"simulate.json": text,
-                          "edges.txt": lambda path: write_edgelist(net, path),
-                          "edges.meta.json": lambda path: write_metadata(net, path)})
+    if out is not None:
+        _write_outputs(out, {"simulate.json": text,
+                             "edges.txt": lambda path: write_edgelist(net, path),
+                             "edges.meta.json": lambda path: write_metadata(net, path)})
     return 0 if passed else 1
 
 
@@ -507,6 +520,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_solve(args) -> int:
     opts = _Options(args, DEFAULTS["solve"])
+    out = _output_dir(opts, "netgame-out")
     model, params = opts.game(opts.get("sigma", float))
     solution = solve_direct(build_pi(model, params), params)
     columns = ("label", "rule", "degree", "observed", "expectation")
@@ -517,7 +531,7 @@ def cmd_solve(args) -> int:
     ]
     meta = {**_game_meta(opts, params), "sigma": params.sigma,
             "method": solution.method, "residual": solution.residual}
-    out = _write_outputs(opts, _table("solution", columns, rows, meta), "netgame-out")
+    _write_outputs(out, _table("solution", columns, rows, meta))
     print(f"wrote {len(rows)} per-type expectations to {out / 'solution.csv'}")
     return 0
 
@@ -528,13 +542,14 @@ def cmd_solve(args) -> int:
 
 def cmd_pi(args) -> int:
     opts = _Options(args, DEFAULTS["pi"])
+    out = _output_dir(opts)
     model, params = opts.game(opts.get("sigma", float))
     system = build_pi(model, params)
     text = _csv_text(pi_csv_rows(system))
-    out = _write_outputs(opts, {"pi.csv": text})
     if out is None:
         print(text, end="")
     else:
+        _write_outputs(out, {"pi.csv": text})
         print(f"wrote {system.L}x{system.L} matrix to {out / 'pi.csv'}")
     return 0
 

@@ -13,9 +13,9 @@ realized degree drops by one, and the network records the adjustment).
 
 The unshuffled draw (nodes class by class, each node's stubs paired in node
 order) depends only on the model and n, so ``monte_carlo_estimator_check``
-and ``sampling_error_scaling`` lay it out once per call (per size) and shuffle
-multigraph trials from it into one reused stub buffer.  The check's trial 0,
-kept for export, is drawn by ``generate`` into an array of its own.
+lays it out once per call and shuffles multigraph trials from it into one
+reused stub buffer; trial 0, kept for export, is drawn by ``generate`` into
+an array of its own.  ``sampling_error_scaling`` runs the check per size.
 """
 
 import json
@@ -390,10 +390,10 @@ def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
     """Mean deviation of the average neighbor shares from the sampling law,
     per network size, with the fitted log-log slope (about -1/2).
 
-    ``trials_per_n`` gives the trial count for each entry of ``ns``; trial t
-    of size i draws multigraphs from the seed ``[seed, i, t]``, each size's
-    trials into one reused stub buffer.  Needs at least two distinct sizes.
-    Returns (ns, mean absolute deviations, slope).
+    ``trials_per_n`` gives the trial count for each entry of ``ns``; size i
+    reads its trials' average shares from :func:`monte_carlo_estimator_check`
+    seeded ``[seed, i]``, so trial t draws from ``[seed, i, t]``.  Needs at
+    least two distinct sizes.  Returns (ns, mean absolute deviations, slope).
     """
     ns = [_node_count(n) for n in ns]
     trials_per_n = [_trial_count(trials) for trials in trials_per_n]
@@ -406,14 +406,8 @@ def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
     tilde = np.array([float(v) for v in biased_neighbor_share(model)])
     devs = []
     for i, (n, trials) in enumerate(zip(ns, trials_per_n)):
-        layout = _layout(model, n)
-        buf = np.empty(2 * layout.m, dtype=np.int64)
-        acc = []
-        for t in range(trials):
-            net = draw_multigraph(layout, _trial_seed(seed, i, t), buf)
-            summary = empirical_neighbor_shares(net)
-            acc.append(float(np.max(np.abs(summary.average - tilde))))
-        devs.append(float(np.mean(acc)))
+        report = monte_carlo_estimator_check(model, n, trials, _trial_seed(seed, i))
+        devs.append(float(np.mean(np.max(np.abs(report.naive_estimates - tilde), axis=1))))
     slope = float(np.polyfit(np.log10(ns), np.log10(devs), 1)[0])
     return ns, devs, slope
 

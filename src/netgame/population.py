@@ -182,9 +182,9 @@ def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)
         return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    for last in range(total + 1):
+        for head in _compositions(total - last, parts - 1):
+            yield head + (last,)
 
 
 def feasible_observed_shares(d_i: int, K: int) -> list:
@@ -198,8 +198,7 @@ def feasible_observed_shares(d_i: int, K: int) -> list:
         raise ModelError("sample size must be at least 1")
     if K < 2:
         raise ModelError("need at least two degree classes")
-    ordered = sorted(_compositions(int(d_i), int(K)), key=lambda c: tuple(reversed(c)))
-    return [ObservedShares.from_counts(c) for c in ordered]
+    return [ObservedShares.from_counts(c) for c in _compositions(int(d_i), int(K))]
 
 
 def degree_ratios(model: DegreeModel) -> tuple:

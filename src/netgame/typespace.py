@@ -179,34 +179,26 @@ def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
     The entry for observer p and target (rule r_j, degree d_j, counts k) is
     the multinomial chance of k over d_j draws with the observer's observed
     shares as cell probabilities, times the observer's believed population
-    share of degree d_j, times the believed rule share.  One
-    :func:`multinomial_pmf` call per target degree fills that degree's
-    columns for every observer at once.
+    share of degree d_j, times the believed rule share.  Both rules read the
+    same observations, so one :func:`multinomial_pmf` call per target degree
+    over the L/2 distinct ones fills that degree's columns in all four blocks.
     """
     types = enumerate_types(model)
     counts, degrees, sophisticated = type_columns(types)
-    observed = counts / degrees[:, None]
-    deg_shares = np.array([
-        sophisticated_mle(t.observed, model.degrees) if t.rule == SOPHISTICATED
-        else t.observed.values
-        for t in types
-    ], dtype=float)
-    rule_weights = [
-        np.where(sophisticated,
-                 float(believed_rule_share(SOPHISTICATED, rule_j, params.sigma)),
-                 float(believed_rule_share(NAIVE, rule_j, params.sigma)))
-        for rule_j in RULES
-    ]
-    L = len(types)
-    half = L // 2  # enumerate_types repeats the naive block's order for the sophisticated one
-    pi = np.empty((L, L))
+    half = len(types) // 2  # the sophisticated block repeats the naive block's order
+    observed = counts[:half] / degrees[:half, None]
+    deg_shares = {NAIVE: observed, SOPHISTICATED: np.array(
+        [sophisticated_mle(t.observed, model.degrees) for t in types[half:]], dtype=float)}
+    pi = np.empty((len(types), len(types)))
     for k, d_j in enumerate(model.degrees):
         cols = np.flatnonzero(degrees[:half] == d_j)
         pmf = multinomial_pmf(counts[cols], observed)
-        for r, w_rule in enumerate(rule_weights):
-            start = r * half + cols[0]
-            np.multiply((w_rule * deg_shares[:, k])[:, None], pmf,
-                        out=pi[:, start:start + len(cols)])
+        for r, rule in enumerate(RULES):
+            for r_j, rule_j in enumerate(RULES):
+                w_rule = float(believed_rule_share(rule, rule_j, params.sigma))
+                start = r_j * half + cols[0]
+                np.multiply((w_rule * deg_shares[rule][:, k])[:, None], pmf,
+                            out=pi[r * half:(r + 1) * half, start:start + len(cols)])
     return ExpectationMatrix(tuple(types), pi, _columns=(counts, degrees, sophisticated))
 
 

@@ -241,8 +241,29 @@ class TestSolveDump:
         for name in ("solution.csv", "solution.json"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
 
+    @pytest.mark.parametrize("argv, digests", [
+        ([], ("6824305b9547aa7dd6b675ce7f96e29817fc4268a6f4c80722a217f50aab6caf",
+              "7643ccb262c3207389dc73809bf22fab7e58c08c2840dedf97e7d623a58945e2")),
+        # K = 3: three target degrees and all four rule blocks
+        (["--model", "1,2,3:0.2,0.3,0.5", "--sigma", "0.3", "--alpha", "1", "--c", "4"],
+         ("d2968104c2b707b79eae919794ccf69b8dcbdff97a4ab0ca931ef812620ff880",
+          "c2f5f3bcc9d918dcd7dfb97517ff5ed75429511e498cf4d4298c883dfa9f413c")),
+    ], ids=["default", "k3"])
+    def test_solve_bytes_are_pinned(self, argv, digests, tmp_path, capsys):
+        code, _ = run(capsys, "solve", *argv, "--out", str(tmp_path))
+        assert code == 0
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in ("solution.csv", "solution.json")) == digests
+
 
 class TestPiDump:
+    def test_k3_bytes_are_pinned(self, tmp_path, capsys):
+        code, _ = run(capsys, "pi", "--model", "1,2,3:0.2,0.3,0.5", "--sigma", "0.3",
+                      "--out", str(tmp_path))
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "pi.csv").read_bytes()).hexdigest() == (
+            "2d9ff56f7e8898b5abcd246663079094e3aa99a0d7ff49930554e7367c79521c")
+
     def test_labeled_header(self, tmp_path, capsys):
         code, _ = run(capsys, "pi", "--model", "2,4:0.5,0.5", "--sigma", "1",
                       "--out", str(tmp_path))
@@ -334,17 +355,27 @@ class TestConfigAndErrors:
             main(["simulate", "--n", "200", "--trials", "1", "--tol", "0.5", "--out", str(out)])
         assert [p.name for p in out.iterdir()] == ["simulate.json"]
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "bias", "--eps", "1", "--grid", "11"],
-        ["simulate", "--n", "200", "--trials", "1", "--tol", "0.5"],
-    ], ids=["sweep", "simulate"])
+    @pytest.mark.parametrize("argv, computes", [
+        (["sweep", "bias", "--eps", "1", "--grid", "11"], "bias_surface"),
+        (["simulate", "--n", "200", "--trials", "1", "--tol", "0.5"],
+         "monte_carlo_estimator_check"),
+        (["solve"], "build_pi"),
+        (["pi"], "build_pi"),
+    ], ids=["sweep", "simulate", "solve", "pi"])
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
-    def test_out_through_a_regular_file_exits_two(self, argv, below, tmp_path, capsys):
+    def test_out_through_a_regular_file_exits_two(self, argv, computes, below, tmp_path,
+                                                  capsys, monkeypatch):
+        # the output path is checked before anything is computed
+        import netgame.cli
+        calls = []
+        monkeypatch.setattr(netgame.cli, computes, lambda *a, **k: calls.append(a))
         afile = tmp_path / "afile"
         afile.write_text("kept\n")
         out = afile / "sub" if below else afile
         assert main([*argv, "--out", str(out)]) == 2
-        assert f"cannot write to output directory {out}" in capsys.readouterr().err
+        assert (f"cannot write to output directory {out}: {afile} is not a directory"
+                in capsys.readouterr().err)
+        assert calls == []
         assert afile.read_text() == "kept\n"
         assert list(tmp_path.iterdir()) == [afile]
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,6 +142,66 @@ class TestSolvers:
         sol = solve_direct(system, params)
         q = system.index("naive", 2, (1, 1))
         assert sol.value("naive", 2, (1, 1)) == sol.xi[q]
+
+
+def _exact_two_class_solution(degrees, alpha, cost, etheta, sigma) -> dict:
+    """xi of the two-class type system in Fractions, straight from the model.
+
+    Observer (rule, d, j) sees the high share u = j/d; it draws a target's
+    j' high neighbors out of d' as a binomial with that share, believes the
+    degree shares (1 - u, u) when naive and their degree-debiased form when
+    sophisticated, and believes a target sophisticated with chance sigma when
+    sophisticated itself, never when naive.  The system
+    xi_p - (alpha/c) sum_q pi_pq (d_q/d_1) xi_q = E[theta]/c is solved by
+    Gauss-Jordan elimination.
+    """
+    d1 = degrees[0]
+    types = [(rule, d, j) for rule in ("naive", "sophisticated") for d in degrees
+             for j in range(d + 1)]
+    rule_share = {("naive", "naive"): 1, ("naive", "sophisticated"): 0,
+                  ("sophisticated", "naive"): 1 - sigma,
+                  ("sophisticated", "sophisticated"): sigma}
+    rows = []
+    for rule, d, j in types:
+        u = Fraction(j, d)
+        believed = (1 - u, u)
+        if rule == "sophisticated":
+            weights = (believed[0] / degrees[0], believed[1] / degrees[1])
+            believed = tuple(w / sum(weights) for w in weights)
+        row = []
+        for rule_q, d_q, j_q in types:
+            pmf = comb(d_q, j_q) * u**j_q * (1 - u)**(d_q - j_q)
+            pi = rule_share[rule, rule_q] * believed[degrees.index(d_q)] * pmf
+            row.append((1 if (rule_q, d_q, j_q) == (rule, d, j) else 0)
+                       - alpha / cost * pi * Fraction(d_q, d1))
+        rows.append(row + [etheta / cost])
+    n = len(rows)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [v / head for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return {t: row[-1] for t, row in zip(types, rows)}
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("degrees", [(2, 6), (4, 12)])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    def test_direct_solve_matches_exact_two_class_system(self, degrees, sigma):
+        model = DegreeModel(degrees, (0.5, 0.5))
+        params = GameParams(1.0, 1.0, 4.0, sigma, model)
+        solution = solve_direct(build_pi(model, params), params)
+        # Fraction(x) is the float's exact value, so both sides solve one system
+        exact = _exact_two_class_solution(degrees, Fraction(1.0), Fraction(4.0),
+                                          Fraction(1.0), Fraction(sigma))
+        assert len(exact) == solution.system.L
+        for (rule, d, j), value in exact.items():
+            got = solution.value(rule, d, (d - j, j))
+            assert abs(got - value) <= 1e-14 * value
 
 
 class TestInfiniteNaive:

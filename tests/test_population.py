@@ -152,9 +152,10 @@ class TestFeasibleObservedShares:
         assert [o.values[1] for o in got] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_three_classes_brute_force(self):
-        got = {o.counts for o in feasible_observed_shares(3, 3)}
-        brute = {c for c in itertools.product(range(4), repeat=3) if sum(c) == 3}
-        assert got == brute
+        got = [o.counts for o in feasible_observed_shares(3, 3)]
+        brute = [c for c in itertools.product(range(4), repeat=3) if sum(c) == 3]
+        # highest class ascending, ties broken by the next class down
+        assert got == sorted(brute, key=lambda c: c[::-1])
         assert len(got) == 10
 
     def test_cardinality_matches_stars_and_bars(self):

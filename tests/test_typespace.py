@@ -200,6 +200,19 @@ class TestBuildPi:
         system = build_pi(m, _stable_params(m, sigma=0.5))
         assert calls == [system.L]
 
+    def test_one_kernel_call_per_target_degree_over_distinct_observations(self,
+                                                                            monkeypatch):
+        # both rule blocks read the same observations, so each call has L/2 rows
+        import netgame.typespace
+        calls = []
+        real = netgame.typespace.multinomial_pmf
+        monkeypatch.setattr(netgame.typespace, "multinomial_pmf",
+                            lambda c, p: calls.append((len(c), len(p))) or real(c, p))
+        m = DegreeModel((8, 16, 24), (0.5, 0.3, 0.2))
+        system = build_pi(m, _stable_params(m, sigma=0.5))
+        assert system.L == 1046
+        assert calls == [(math.comb(d + 2, 2), 523) for d in m.degrees]
+
     def test_d_diag_is_derived_from_the_types(self):
         m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
         built = build_pi(m, _stable_params(m, sigma=0.5))
