@@ -26,8 +26,8 @@ from .equilibrium import (
     solve_direct,
 )
 from .estimators import NAIVE, SOPHISTICATED, observed_high_share
-from .population import DegreeModel, GameParams, ModelError
-from .typespace import build_pi, enumerate_types, type_columns
+from .population import DegreeModel, GameParams, ModelError, _positive_integer
+from .typespace import build_pi
 
 DIFF_STEP = 1e-4
 BAND_FACTOR = 10.0
@@ -219,68 +219,72 @@ def _check_excess_ratio(eps) -> None:
         raise ModelError(f"excess ratio eps = d_2/d_1 - 1 must be positive, got {eps}")
 
 
-def _two_class_model(d1: int, eps) -> DegreeModel:
+def _two_class_model(d1, eps) -> DegreeModel:
     _check_excess_ratio(eps)
-    d2 = d1 * (1 + eps)
+    if not _positive_integer(d1):
+        raise ModelError(f"lowest degree must be a positive integer, got {d1!r}")
+    d2 = int(d1) * (1 + eps)
     if abs(d2 - round(d2)) > 1e-9:
         raise ModelError(f"d1 = {d1} with eps = {eps} gives a non-integer top degree")
     # The interaction matrix does not depend on the true shares, so any valid
     # share vector works here.
-    return DegreeModel((d1, int(round(d2))), (0.5, 0.5))
+    return DegreeModel((int(d1), int(round(d2))), (0.5, 0.5))
+
+
+def _solutions(model, alpha, cost, etheta, sigmas):
+    """The model's solved system for each sigma, built as the caller asks for it,
+    so that a study never holds every sigma's L x L system at once."""
+    for sigma in sigmas:
+        params = GameParams(etheta, alpha, cost, sigma, model)
+        yield solve_direct(build_pi(model, params), params)
 
 
 def precision_sweep(eps, alpha, cost, sigma, etheta, d1_list) -> PrecisionSweepResult:
     """Solve the finite system for each lowest degree (at a fixed degree ratio)
     and tabulate per-rule expectations at matched interior observed shares.
 
-    Matched shares are the interior lattice points of the coarsest system in
-    each degree class; finer systems are read at their nearest lattice point
-    (exact when the degrees double, with the offset recorded).  Where the
-    large-sample curves are convex the matched values decrease toward the
-    closed form as precision rises.
+    ``d1_list`` holds at least two distinct positive integers.  Matched shares
+    are the interior lattice points of the coarsest system in each degree
+    class; finer systems are read at their nearest lattice point (exact when
+    the degrees double, with the offset recorded).  Where the large-sample
+    curves are convex the matched values decrease toward the closed form as
+    precision rises.
     """
-    d1_list = sorted(int(d) for d in d1_list)
-    if len(d1_list) < 2:
-        raise ModelError("need at least two lowest degrees to compare precision")
-    base = _two_class_model(d1_list[0], eps)
+    models = sorted((_two_class_model(d1, eps) for d1 in d1_list), key=lambda m: m.degrees)
+    d1s = [model.degrees[0] for model in models]
+    if len(d1s) < 2 or len(set(d1s)) < len(d1s):
+        raise ModelError("need at least two distinct lowest degrees to compare precision, "
+                         f"got {d1s}")
+    coarsest = models[0].degrees
     convexity = convexity_check(eps, alpha, cost, sigma=sigma, etheta=etheta)
-    targets = {
-        k: [i / base.degrees[k] for i in range(1, base.degrees[k])]
-        for k in range(2)
-    }
     rows = []
-    for d1 in d1_list:
-        model = _two_class_model(d1, eps)
-        params = GameParams(etheta, alpha, cost, sigma, model)
-        solution = solve_direct(build_pi(model, params), params)
+    for model in models:
+        (solution,) = _solutions(model, alpha, cost, etheta, [sigma])
         for k, degree in enumerate(model.degrees):
             # plain division keeps equal rationals bit-identical across degrees
+            shares = np.arange(1, coarsest[k]) / coarsest[k]
             lattice = np.arange(degree + 1) / degree
+            nearest = np.abs(lattice - shares[:, None]).argmin(axis=1)
+            closed = {NAIVE: naive_value_at_observed(shares, eps, alpha, cost, etheta),
+                      SOPHISTICATED: sophisticated_value_at_observed(
+                          shares, eps, alpha, cost, sigma, etheta)}
             for rule in (NAIVE, SOPHISTICATED):
                 vals = lattice_values(solution, rule, degree)
-                for share in targets[k]:
-                    j = int(np.argmin(np.abs(lattice - share)))
-                    if rule == NAIVE:
-                        closed = naive_value_at_observed(share, eps, alpha,
-                                                         cost, etheta)
-                    else:
-                        closed = sophisticated_value_at_observed(
-                            share, eps, alpha, cost, sigma, etheta)
-                    rows.append(PrecisionRow(
-                        d1=d1, rule=rule, class_index=k, share=float(share),
-                        offset=float(lattice[j] - share),
-                        value=float(vals[j]), closed_form=float(closed),
-                    ))
-    return PrecisionSweepResult(d1_list=tuple(d1_list), rows=tuple(rows),
-                                convexity=convexity)
+                rows.extend(PrecisionRow(
+                    d1=model.degrees[0], rule=rule, class_index=k, share=float(share),
+                    offset=float(lattice[j] - share), value=float(vals[j]),
+                    closed_form=float(value),
+                ) for share, j, value in zip(shares, nearest, closed[rule]))
+    return PrecisionSweepResult(d1_list=tuple(d1s), rows=tuple(rows), convexity=convexity)
 
 
 def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) -> list:
     """Population-average expectations by sophistication share, lowest degree
     and true high share, next to their large-sample limit.
 
-    ``d1_list`` holds lowest degrees and may hold ``math.inf`` for the
-    closed forms; ``grid`` holds true high shares delta2 inside (0, 1).  For
+    ``d1_list`` holds positive integer lowest degrees and may hold
+    ``math.inf`` for the closed forms; any other entry is a ``ModelError``.
+    ``grid`` holds true high shares delta2 inside (0, 1).  For
     each sigma and delta2, every finite d1 in the given order adds a naive, a
     sophisticated and a sigma-mixed ("all") average of its solved system
     under the true shares (1 - delta2, delta2), equal to what
@@ -296,20 +300,20 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     _check_excess_ratio(eps)
     for sigma in sigmas:
         GameParams.check(etheta, alpha, cost, sigma)
-    finite = [int(d) for d in d1_list if float(d) != math.inf]
-    infinite = len(finite) < len(d1_list)
+    models = [_two_class_model(d1, eps) for d1 in d1_list if d1 != math.inf]
+    infinite = len(models) < len(d1_list)
     grid = [float(x) for x in grid]
     if not grid:
         raise ModelError("grid has no true high share delta2 inside (0, 1)")
     averages = {}
-    for d1 in finite:
-        model = _two_class_model(d1, eps)
-        weights = _type_weights([DegreeModel(model.degrees, (1 - x, x)) for x in grid],
-                                type_columns(enumerate_types(model)))
-        for sigma in sigmas:
-            params = GameParams(etheta, alpha, cost, sigma, model)
-            solution = solve_direct(build_pi(model, params), params)
-            averages[sigma, d1] = _rule_averages(weights, solution, sigma)
+    for model in models:
+        weights = None
+        for sigma, solution in zip(sigmas, _solutions(model, alpha, cost, etheta, sigmas)):
+            if weights is None:
+                weights = _type_weights([DegreeModel(model.degrees, (1 - x, x))
+                                         for x in grid], solution.system.columns)
+            averages[sigma, model.degrees[0]] = _rule_averages(weights, solution, sigma)
+    finite = [model.degrees[0] for model in models]
     rows = []
     for sigma in sigmas:
         for i, delta2 in enumerate(grid):

@@ -15,13 +15,16 @@ CSV output is comma-separated with a header row and LF line endings; every
 CSV has a JSON twin carrying the same rows.  Output goes to ``--out``, else
 ``$NETGAME_OUT``, else ``netgame-out`` for ``sweep`` and ``solve``;
 ``simulate`` and ``pi`` write files only when one of the first two is set.
-A command resolves its output directory before it computes anything, computes
-all of its outputs before it writes any, and ``_write_outputs`` puts each file
-in place atomically, so a command that fails creates no file and no directory.
+Every command but ``example`` runs through ``_run``: it resolves the options
+and the output directory before anything is computed, calls the command's
+handler, which computes every output and neither writes nor prints, then has
+``_write_outputs`` put each returned file in place atomically and prints the
+returned text.  So a command that fails creates no file and no directory.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -136,6 +139,7 @@ class _Options:
         config = _read_config(args.config) if args.config else {}
         if args.preset is not None and args.preset not in PRESETS:
             raise ModelError(f"unknown preset {args.preset!r}; have {sorted(PRESETS)}")
+        self.args = args
         self.layers = (vars(args), config, PRESETS.get(args.preset, {}), defaults)
 
     def get(self, key, parse=str):
@@ -160,6 +164,9 @@ class _Options:
         cost = self.get("c", float)
         if cost is None:
             cost = 2.0 * alpha * model.degrees[-1] / model.degrees[0]
+            if cost == 0:
+                raise ModelError("the default action cost 2 * alpha * d_K/d_1 is 0 "
+                                 "at alpha = 0; set it with --c")
         return model, GameParams(self.get("etheta", float), alpha, cost, sigma, model)
 
 
@@ -288,12 +295,27 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _table(name: str, columns, rows, meta) -> dict:
-    """The CSV and its JSON twin, as files for ``_write_outputs``."""
-    payload = {"command": name, "columns": list(columns), "rows": [list(r) for r in rows]}
-    payload.update(meta)
-    return {f"{name}.csv": _csv_text([columns, *rows]),
-            f"{name}.json": _json_text(payload)}
+def _run(name, handler, default_out, args) -> int:
+    """Resolve the options and output directory, get (files, stdout text, exit code)
+    from ``handler(opts, out)``, write the files if there is a directory, print."""
+    opts = _Options(args, DEFAULTS[name])
+    out = _output_dir(opts, default_out)
+    files, text, code = handler(opts, out)
+    if out is not None:
+        _write_outputs(out, files)
+    print(text, end="")
+    return code
+
+
+def _tabulate(name, columns, rows, meta, out, noun="rows"):
+    """A handler's result for a table: NAME.csv, its JSON twin, and the line
+    naming where they go (after each peak of a bias sweep's ``summary``)."""
+    payload = {**meta, "command": name, "columns": list(columns),
+               "rows": [list(r) for r in rows]}
+    text = "".join(f"eps={item['eps']:g}: max bias {item['max_bias']:.4f} "
+                   f"at delta2={item['argmax']:.4f}\n" for item in meta.get("summary", ()))
+    return ({f"{name}.csv": _csv_text([columns, *rows]), f"{name}.json": _json_text(payload)},
+            f"{text}wrote {len(rows)} {noun} to {out / (name + '.csv')}\n", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +394,7 @@ def _game_meta(opts, params) -> dict:
             "etheta": params.mean_preference}
 
 
-def _sweep_precision(opts):
+def _sweep_precision(opts, out):
     """finite systems against their large-sample limit, by lowest degree"""
     eps, alpha, cost, etheta = (opts.get(key, float)
                                 for key in ("eps", "alpha", "c", "etheta"))
@@ -384,10 +406,10 @@ def _sweep_precision(opts):
     columns = ("sigma", "d1", "delta2", "rule", "value", "flag")
     meta = {"eps": eps, "alpha": alpha, "c": cost, "etheta": etheta,
             "sigmas": sigmas, "d1": finite + (["inf"] if infinite else [])}
-    return columns, rows, meta
+    return _tabulate("precision", columns, rows, meta, out)
 
 
-def _sweep_sophistication(opts):
+def _sweep_sophistication(opts, out):
     """expectations by sophistication share"""
     model, params = opts.game(0.0)
     sigmas = opts.get("grid", _grid)
@@ -395,10 +417,10 @@ def _sweep_sophistication(opts):
     rows = [(r.sigma, r.naive, r.sophisticated, r.benchmark)
             for r in sigma_sweep(model, params.alpha, params.cost,
                                  params.mean_preference, sigmas)]
-    return columns, rows, _game_meta(opts, params)
+    return _tabulate("sophistication", columns, rows, _game_meta(opts, params), out)
 
 
-def _sweep_outcomes(opts):
+def _sweep_outcomes(opts, out):
     """actions and utilities by sophistication share"""
     sigmas = opts.get("grid", _grid)
     model, params = opts.game(0.0)
@@ -412,10 +434,10 @@ def _sweep_outcomes(opts):
                 action = best_response(etheta, d, expectation, model, params)
                 eu = utility(action, etheta, d, r.benchmark, model, params)
                 rows.append((r.sigma, rule, d, float(action), float(eu)))
-    return columns, rows, _game_meta(opts, params)
+    return _tabulate("outcomes", columns, rows, _game_meta(opts, params), out)
 
 
-def _sweep_bias(opts):
+def _sweep_bias(opts, out):
     """the estimator-gap surface"""
     eps_list = opts.get("eps", _scalar_list)
     grid = opts.get("grid", _grid)
@@ -427,7 +449,7 @@ def _sweep_bias(opts):
         rows.extend((eps, x, b) for x, b in pairs)
         best = max(pairs, key=lambda p: p[1])
         summary.append({"eps": eps, "argmax": best[0], "max_bias": best[1]})
-    return columns, rows, {"eps": eps_list, "summary": summary}
+    return _tabulate("bias", columns, rows, {"eps": eps_list, "summary": summary}, out)
 
 
 SWEEPS = {
@@ -438,25 +460,11 @@ SWEEPS = {
 }
 
 
-def cmd_sweep(args) -> int:
-    opts = _Options(args, DEFAULTS[args.kind])
-    out = _output_dir(opts, "netgame-out")
-    columns, rows, meta = SWEEPS[args.kind](opts)
-    _write_outputs(out, _table(args.kind, columns, rows, meta))
-    for item in meta.get("summary", ()):         # bias: where each gap peaks
-        print(f"eps={item['eps']:g}: max bias {item['max_bias']:.4f} "
-              f"at delta2={item['argmax']:.4f}")
-    print(f"wrote {len(rows)} rows to {out / (args.kind + '.csv')}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    opts = _Options(args, DEFAULTS["simulate"])
-    out = _output_dir(opts)
+def _simulate(opts, out):
     model = opts.get("model", _parse_model)
     n, trials, seed = (opts.get(key, int) for key in ("n", "trials", "seed"))
     simple = opts.get("simple", _boolean)
@@ -493,34 +501,28 @@ def cmd_simulate(args) -> int:
         },
         "passed": bool(passed),
     }
-    text = _json_text(payload)
-    if args.json:
-        print(text, end="")
-    else:
-        print(f"naive high-share mean {payload['naive_high_mean']:.4f} "
-              f"(predicted {payload['predicted_naive_high']:.4f}, "
-              f"{naive_hits}/{trials} trials within {tol})")
-        print(f"sophisticated high-share mean "
-              f"{payload['sophisticated_high_mean']:.4f} "
-              f"(predicted {payload['predicted_sophisticated_high']:.4f}, "
-              f"{soph_hits}/{trials} trials within {tol})")
-        print(f"assortativity mean {float(np.mean(report.assortativity)):+.4f}")
-        print("all checks passed" if passed else "CHECK FAILURES")
     net = report.first_network
-    if out is not None:
-        _write_outputs(out, {"simulate.json": text,
-                             "edges.txt": lambda path: write_edgelist(net, path),
-                             "edges.meta.json": lambda path: write_metadata(net, path)})
-    return 0 if passed else 1
+    files = {"simulate.json": _json_text(payload),
+             "edges.txt": lambda path: write_edgelist(net, path),
+             "edges.meta.json": lambda path: write_metadata(net, path)}
+    text = files["simulate.json"]
+    if not opts.args.json:
+        text = (f"naive high-share mean {payload['naive_high_mean']:.4f} "
+                f"(predicted {payload['predicted_naive_high']:.4f}, "
+                f"{naive_hits}/{trials} trials within {tol})\n"
+                f"sophisticated high-share mean {payload['sophisticated_high_mean']:.4f} "
+                f"(predicted {payload['predicted_sophisticated_high']:.4f}, "
+                f"{soph_hits}/{trials} trials within {tol})\n"
+                f"assortativity mean {float(np.mean(report.assortativity)):+.4f}\n"
+                f"{'all checks passed' if passed else 'CHECK FAILURES'}\n")
+    return files, text, 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
-def cmd_solve(args) -> int:
-    opts = _Options(args, DEFAULTS["solve"])
-    out = _output_dir(opts, "netgame-out")
+def _solve(opts, out):
     model, params = opts.game(opts.get("sigma", float))
     solution = solve_direct(build_pi(model, params), params)
     columns = ("label", "rule", "degree", "observed", "expectation")
@@ -531,35 +533,28 @@ def cmd_solve(args) -> int:
     ]
     meta = {**_game_meta(opts, params), "sigma": params.sigma,
             "method": solution.method, "residual": solution.residual}
-    _write_outputs(out, _table("solution", columns, rows, meta))
-    print(f"wrote {len(rows)} per-type expectations to {out / 'solution.csv'}")
-    return 0
+    return _tabulate("solution", columns, rows, meta, out, "per-type expectations")
 
 
 # ---------------------------------------------------------------------------
 # pi
 # ---------------------------------------------------------------------------
 
-def cmd_pi(args) -> int:
-    opts = _Options(args, DEFAULTS["pi"])
-    out = _output_dir(opts)
+def _pi(opts, out):
     model, params = opts.game(opts.get("sigma", float))
     system = build_pi(model, params)
-    text = _csv_text(pi_csv_rows(system))
-    if out is None:
-        print(text, end="")
-    else:
-        _write_outputs(out, {"pi.csv": text})
-        print(f"wrote {system.L}x{system.L} matrix to {out / 'pi.csv'}")
-    return 0
+    files = {"pi.csv": _csv_text(pi_csv_rows(system))}
+    text = files["pi.csv"] if out is None else (
+        f"wrote {system.L}x{system.L} matrix to {out / 'pi.csv'}\n")
+    return files, text, 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _command(sub, name, help, func, json_help=None):
-    """Subcommand ``name``: the common options, then one flag per DEFAULTS key."""
+def _command(sub, name, help, handler, default_out=None, json_help=None):
+    """Subcommand ``name`` for ``_run``: the common options, one flag per DEFAULTS key."""
     # no abbreviations: "--c" must never be read as "--config"
     p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.add_argument("--config", help="key = value option file")
@@ -571,7 +566,7 @@ def _command(sub, name, help, func, json_help=None):
         # --simple is a bare switch: it can only turn the mode on
         switch = {"action": "store_true", "default": None} if key == "simple" else {}
         p.add_argument(f"--{key}", help=FLAG_HELP[key], **switch)
-    p.set_defaults(func=func)
+    p.set_defaults(func=functools.partial(_run, name, handler, default_out))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -592,13 +587,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="emit figure data as CSV + JSON",
                              allow_abbrev=False)
     kinds = p_sweep.add_subparsers(dest="kind", required=True)
-    for kind, runner in SWEEPS.items():
-        _command(kinds, kind, runner.__doc__, cmd_sweep)
+    for kind, handler in SWEEPS.items():
+        _command(kinds, kind, handler.__doc__, handler, "netgame-out")
 
-    _command(sub, "simulate", "Monte-Carlo estimator checks", cmd_simulate,
+    _command(sub, "simulate", "Monte-Carlo estimator checks", _simulate,
              json_help="machine-readable stdout")
-    _command(sub, "solve", "solve one finite type system", cmd_solve)
-    _command(sub, "pi", "dump the expectation matrix as CSV", cmd_pi)
+    _command(sub, "solve", "solve one finite type system", _solve, "netgame-out")
+    _command(sub, "pi", "dump the expectation matrix as CSV", _pi)
     return parser
 
 

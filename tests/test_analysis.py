@@ -1,4 +1,7 @@
+import gc
 import math
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -288,6 +291,17 @@ class TestPrecisionSweep:
         with pytest.raises(ModelError):
             precision_sweep(eps, 1.2, 3.7, 0.5, 1.0, [2, 4])
 
+    @pytest.mark.parametrize("d1_list, message", [
+        ([2.5, 5], "lowest degree must be a positive integer, got 2.5"),
+        ([2, math.inf], "lowest degree must be a positive integer, got inf"),
+        ([2, math.nan], "lowest degree must be a positive integer, got nan"),
+        ([2, 2], "need at least two distinct lowest degrees to compare precision, "
+                 "got [2, 2]"),
+    ], ids=["fraction", "inf", "nan", "repeated"])
+    def test_rejects_bad_lowest_degrees(self, d1_list, message):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            precision_sweep(2.0, 1.2, 3.7, 0.5, 1.0, d1_list)
+
     def test_lattice_values_ordered_by_share(self):
         model = DegreeModel((2, 6), (0.6, 0.4))
         params = GameParams(1.0, 1.2, 3.7, 0.5, model)
@@ -343,6 +357,34 @@ class TestPopulationPrecisionSweep:
         got = population_precision_sweep(eps, alpha, cost, 1.0, sigmas, d1_list, grid)
         assert got == _per_call_precision_rows(eps, alpha, cost, 1.0, sigmas,
                                                d1_list, grid)
+
+    @pytest.mark.parametrize("d1_list, value", [
+        ([2.5, math.inf], "2.5"), ([2, math.nan], "nan"), ([2, -math.inf], "-inf"),
+    ], ids=["fraction", "nan", "minus-inf"])
+    def test_rejects_bad_lowest_degrees(self, d1_list, value):
+        message = f"lowest degree must be a positive integer, got {value}"
+        with pytest.raises(ModelError, match=re.escape(message) + "$"):
+            population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0.5], d1_list, [0.5])
+
+    @pytest.mark.parametrize("study", [
+        lambda: population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0, 0.5, 1], [2, 4], [0.5]),
+        lambda: precision_sweep(2.0, 1.2, 3.7, 0.5, 1.0, [2, 4, 8]),
+    ], ids=["population", "precision"])
+    def test_one_system_alive_at_a_time(self, study, monkeypatch):
+        # when a system is built, at most the one before it may still be alive
+        built, alive_at_build = [], []
+        real = an.build_pi
+
+        def tracked(model, params):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            system = real(model, params)
+            built.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(an, "build_pi", tracked)
+        study()
+        assert len(alive_at_build) > 2 and max(alive_at_build) <= 1
 
     def test_unstable_limit_rows(self):
         rows = population_precision_sweep(2.0, 1.5, 3.7, 1.0, [0.5], [math.inf],

@@ -320,6 +320,10 @@ class TestConfigAndErrors:
         (["sweep", "precision", "--d1", "inf", "--etheta", "nan"], "must be finite"),
         (["sweep", "precision", "--grid", "2"], "grid"),
         (["sweep", "precision", "--d1", "inf", "--grid", "2"], "grid"),
+        # unset c defaults to 2 * alpha * d_K/d_1, which is 0 at alpha = 0
+        (["pi", "--alpha", "0"], "default action cost 2 * alpha * d_K/d_1 is 0 at "
+                                 "alpha = 0; set it with --c"),
+        (["pi", "--alpha", "-1"], "complementarity level"),
     ], ids=["precision-eps-nan", "precision-eps-inf", "precision-empty-d1",
             "simulate-negative-seed", "precision-empty-sigma", "bias-empty-eps",
             "simulate-negative-tol", "simulate-infinite-tol", "precision-negative-eps",
@@ -327,7 +331,8 @@ class TestConfigAndErrors:
             "bias-eps-nan", "bias-eps-inf", "precision-limit-only-sigma-2",
             "precision-limit-only-negative-alpha", "precision-limit-only-negative-etheta",
             "precision-limit-only-negative-c", "precision-limit-only-etheta-nan",
-            "precision-no-interior-grid", "precision-limit-only-no-interior-grid"])
+            "precision-no-interior-grid", "precision-limit-only-no-interior-grid",
+            "pi-zero-alpha-default-cost", "pi-negative-alpha-default-cost"])
     def test_bad_input_exits_two_without_output(self, argv, named, tmp_path, capsys):
         fresh = tmp_path / "fresh"
         assert main([*argv, "--out", str(fresh)]) == 2
@@ -502,6 +507,79 @@ class TestResolverDefects:
         assert calls == {"generate": [[4, 0]], "draw_multigraph": [[4, 0], [4, 1], [4, 2]]}
         meta = json.loads((tmp_path / "edges.meta.json").read_text())
         assert meta["seed"] == [4, 0]
+
+
+class TestHandlers:
+    """A command's handler computes its outputs; only the runner writes and prints."""
+
+    @pytest.mark.parametrize("argv, handler, names", [
+        (["sweep", "precision", "--d1", "2,inf", "--grid", "5"], "_sweep_precision",
+         ["precision.csv", "precision.json"]),
+        (["sweep", "sophistication", "--grid", "3"], "_sweep_sophistication",
+         ["sophistication.csv", "sophistication.json"]),
+        (["sweep", "outcomes", "--grid", "3"], "_sweep_outcomes",
+         ["outcomes.csv", "outcomes.json"]),
+        (["sweep", "bias", "--grid", "11"], "_sweep_bias", ["bias.csv", "bias.json"]),
+        (["simulate", "--n", "200", "--trials", "1", "--tol", "0.5"], "_simulate",
+         ["simulate.json", "edges.txt", "edges.meta.json"]),
+        (["solve"], "_solve", ["solution.csv", "solution.json"]),
+        (["pi"], "_pi", ["pi.csv"]),
+    ], ids=["precision", "sophistication", "outcomes", "bias", "simulate", "solve", "pi"])
+    def test_handler_neither_writes_nor_prints(self, argv, handler, names, tmp_path, capsys):
+        import netgame.cli
+        command = argv[1] if argv[0] == "sweep" else argv[0]
+        opts = _Options(build_parser().parse_args(argv), DEFAULTS[command])
+        out = tmp_path / "absent"
+        files, text, code = getattr(netgame.cli, handler)(opts, out)
+        assert code == 0 and text
+        assert list(files) == names
+        assert not out.exists()
+        assert capsys.readouterr() == ("", "")
+
+    def test_per_command_runners_are_gone(self):
+        import netgame.cli
+        assert [name for name in ("cmd_sweep", "cmd_solve", "_table")
+                if hasattr(netgame.cli, name)] == []
+
+
+class TestStdout:
+    """What each command prints and its exit code; ``{out}`` is the output directory."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["simulate", "--preset", "example", "--n", "3000", "--trials", "3", "--seed", "11"],
+         "naive high-share mean 0.5003 (predicted 0.5000, 3/3 trials within 0.01)\n"
+         "sophisticated high-share mean 0.4003 (predicted 0.4000, 3/3 trials within 0.01)\n"
+         "assortativity mean -0.0033\n"
+         "all checks passed\n"),
+        (["solve", "--out", "{out}"],
+         "wrote 20 per-type expectations to {out}/solution.csv\n"),
+        (["pi", "--out", "{out}"], "wrote 16x16 matrix to {out}/pi.csv\n"),
+        (["sweep", "bias", "--out", "{out}"],
+         "eps=1: max bias 0.1716 at delta2=0.4140\n"
+         "eps=99: max bias 0.8182 at delta2=0.0910\n"
+         "wrote 2002 rows to {out}/bias.csv\n"),
+        (["sweep", "precision", "--grid", "9", "--out", "{out}"],
+         "wrote 252 rows to {out}/precision.csv\n"),
+    ], ids=["simulate", "solve", "pi-out", "sweep-bias", "sweep-precision"])
+    def test_stdout_is_pinned(self, argv, expected, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("NETGAME_OUT", raising=False)
+        out = str(tmp_path / "o")
+        code, text = run(capsys, *(a.replace("{out}", out) for a in argv))
+        assert code == 0
+        assert text.replace(out, "{out}") == expected
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["simulate", "--preset", "example", "--n", "3000", "--trials", "3", "--seed", "11",
+          "--json"], "5f99f326c8410ce87cb0a1d443068be82c3ecfb6495d774777fc9b91a0d7db1f"),
+        (["pi"], "8f62dee0ceae4ac6193a58ce82d6af2800639a2b04054061ca3e18891090848c"),
+    ], ids=["simulate-json", "pi-csv"])
+    def test_long_stdout_is_pinned(self, argv, digest, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("NETGAME_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        code, text = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert list(tmp_path.iterdir()) == []   # no --out: nothing is written
 
 
 def _parsers(parser, name="netgame"):

@@ -1,23 +1,30 @@
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from netgame import (
+    NAIVE,
     DegreeModel,
+    GameParams,
     debias_shares,
     ModelError,
     ObservedShares,
     SampledNetwork,
+    average_expectation,
     biased_neighbor_share,
+    build_pi,
     class_counts,
     degree_assortativity,
     empirical_neighbor_shares,
     generate,
     monte_carlo_estimator_check,
     sampling_error_scaling,
+    solve_direct,
+    type_probabilities,
     write_edgelist,
     write_metadata,
 )
@@ -469,6 +476,38 @@ class TestMonteCarloCheck:
         report = monte_carlo_estimator_check(EXAMPLE, 5000, trials=3, seed=4)
         assert len({round(float(v), 12)
                     for v in report.naive_estimates[:, 1]}) == 3
+
+
+class TestTypeLawOracle:
+    """Sampled networks realize the type law that ``type_probabilities`` predicts.
+
+    With T types and n nodes, E[TV] <= sqrt(T/n)/2 by Cauchy-Schwarz, and one
+    node moves the total variation by at most 1/n, so by McDiarmid's
+    inequality (nodes treated as independent) TV exceeds sqrt(T/n) with
+    probability below exp(-T/2), about 0.25% at T = 12.  The bound comes from
+    n and T, not from a fitted seed.
+    """
+
+    N = 100_000
+
+    @pytest.mark.parametrize("simple", [False, True], ids=["multigraph", "simple"])
+    def test_realized_types_match_the_naive_block(self, simple):
+        # c = 6, the preset's cost, sits on the stability bound: the system is singular
+        params = GameParams(0.5, 4.0, 7.0, 0.5, EXAMPLE)
+        solution = solve_direct(build_pi(EXAMPLE, params), params)
+        system = solution.system
+        naive = ~system.columns[2]
+        T = int(naive.sum())                  # 5 count vectors at degree 4, 7 at degree 6
+        counts = empirical_neighbor_shares(generate(EXAMPLE, self.N, 0, simple)).counts
+        observed, nodes = np.unique(counts, axis=0, return_counts=True)
+        realized = np.zeros(system.L)
+        realized[[system.index(NAIVE, int(c.sum()), c) for c in observed]] = nodes / self.N
+        predicted = type_probabilities(EXAMPLE, system)
+        bound = math.sqrt(T / self.N)
+        assert 0.5 * np.abs(realized - predicted)[naive].sum() <= bound
+        xi = solution.xi[naive]
+        gap = realized[naive] @ xi - average_expectation(solution, EXAMPLE, rule=NAIVE)
+        assert abs(gap) <= 2 * bound * np.abs(xi).max()
 
 
 class TestScaling:
