@@ -282,8 +282,9 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     """Population-average expectations by sophistication share, lowest degree
     and true high share, next to their large-sample limit.
 
-    ``d1_list`` holds positive integer lowest degrees and may hold
-    ``math.inf`` for the closed forms; any other entry is a ``ModelError``.
+    ``d1_list`` holds distinct positive integer lowest degrees and may hold
+    ``math.inf`` once for the closed forms; any other entry, or a repeated
+    one, is a ``ModelError``.
     ``grid`` holds true high shares delta2 inside (0, 1).  For
     each sigma and delta2, every finite d1 in the given order adds a naive, a
     sophisticated and a sigma-mixed ("all") average of its solved system
@@ -301,6 +302,9 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     for sigma in sigmas:
         GameParams.check(etheta, alpha, cost, sigma)
     models = [_two_class_model(d1, eps) for d1 in d1_list if d1 != math.inf]
+    finite = [model.degrees[0] for model in models]
+    if len(set(finite)) < len(finite) or len(d1_list) - len(finite) > 1:
+        raise ModelError(f"lowest degrees must be distinct, got {list(d1_list)}")
     infinite = len(models) < len(d1_list)
     grid = [float(x) for x in grid]
     if not grid:
@@ -313,7 +317,6 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
                 weights = _type_weights([DegreeModel(model.degrees, (1 - x, x))
                                          for x in grid], solution.system.columns)
             averages[sigma, model.degrees[0]] = _rule_averages(weights, solution, sigma)
-    finite = [model.degrees[0] for model in models]
     rows = []
     for sigma in sigmas:
         for i, delta2 in enumerate(grid):

@@ -12,15 +12,21 @@ is removed from the last node of the highest-degree class (that node's
 realized degree drops by one, and the network records the adjustment).
 
 The unshuffled draw (nodes class by class, each node's stubs paired in node
-order) depends only on the model and n, so ``monte_carlo_estimator_check``
-lays it out once per call and shuffles multigraph trials from it into one
-reused stub buffer; trial 0, kept for export, is drawn by ``generate`` into
-an array of its own.  ``sampling_error_scaling`` runs the check per size.
+order) depends only on the model and n.  ``monte_carlo_estimator_check``
+draws trial 0, kept for export, with ``generate`` into an array of its own;
+it lays the unshuffled draw out once and shuffles the later multigraph trials
+from it on one worker thread, into two stub buffers in turn, while the
+calling thread summarizes the trial before.  Each trial is summarized in
+work arrays built once per call, so it allocates only its neighbor count
+table.  ``sampling_error_scaling`` reads only the average shares of the same
+trials.
 """
 
 import json
 import math
 import operator
+import threading
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -161,8 +167,13 @@ def _layout(model: DegreeModel, n: int) -> SampledNetwork:
             raise ModelError("odd stub total and no node can spare a stub")
         node_degree[victims[-1]] -= 1
         parity_adjusted = True
-    edges = np.repeat(np.arange(n), node_degree).reshape(-1, 2)
-    return SampledNetwork(model, node_class, node_degree, edges, None, False, parity_adjusted)
+    return SampledNetwork(model, node_class, node_degree, _stubs(node_degree), None, False,
+                          parity_adjusted)
+
+
+def _stubs(node_degree: np.ndarray) -> np.ndarray:
+    """The unshuffled draw's edges: each node id repeated by its degree, paired in order."""
+    return np.repeat(np.arange(len(node_degree)), node_degree).reshape(-1, 2)
 
 
 def draw_multigraph(layout: SampledNetwork, seed, out: np.ndarray) -> SampledNetwork:
@@ -257,48 +268,204 @@ class NeighborShareSummary:
     average: np.ndarray
 
 
-def empirical_neighbor_shares(net: SampledNetwork) -> NeighborShareSummary:
+class _Work:
+    """Arrays the per-trial passes write into, sized for networks shaped like
+    ``net``; each pass overwrites what the one before left."""
+
+    def __init__(self, net: SampledNetwork):
+        self.key = np.empty(2 * net.m, dtype=np.int64)  # one bincount key per stub
+        self.shares = np.empty((net.n, net.model.K))
+        self.node = np.empty(net.n)  # one float per node; as int64, each node's degree index
+
+
+def _gather(table: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``table[ids]``, written into ``out`` (an int64 array shaped like ``ids``).
+
+    ``ids`` is copied into ``out`` and gathered there in place, since take
+    copies a read-only index array (a network's arrays are read-only); take
+    reads each index before it writes that position.  "wrap" lets take write
+    straight into ``out``; every index is in range.
+    """
+    np.copyto(out, ids)
+    return np.take(table, out, out=out, mode="wrap")
+
+
+def empirical_neighbor_shares(net: SampledNetwork, *, work: _Work = None) -> NeighborShareSummary:
     """Class shares among each node's neighbors and their population average.
 
     Multi-edges count with multiplicity and a self-loop contributes the node's
     own class twice, so the per-node counts always total the realized degree.
     The average converges to the degree-biased sampling law as n grows.
+
+    Stub p's partner is stub p ^ 1, so the key ``class(stub p) * n +
+    node(stub p ^ 1)`` counts one neighbor of that class for the partner's
+    node; one bincount of the keys is the (K, n) count table, and ``counts``
+    is its transpose.  Shares divide the counts by ``net.node_degree``, the
+    realized degrees a drawn network records.  They are written into
+    ``work.shares`` when ``work`` is given (fresh arrays otherwise), so they
+    last until the next pass over the same work arrays.
     """
     n, K = net.n, net.model.K
-    cls = net.node_class
-    u, v = net.edges[:, 0], net.edges[:, 1]
-    flat = np.bincount(u * K + cls[v], minlength=n * K)
-    flat += np.bincount(v * K + cls[u], minlength=n * K)
-    counts = flat.reshape(n, K)
-    deg = counts[:, 0].copy()
-    for k in range(1, K):
-        deg += counts[:, k]
-    if (deg == 0).any():
+    if net.node_degree.min() == 0:
         raise ModelError("isolated node encountered; degree support starts at 1")
-    shares = counts / deg[:, None]
-    return NeighborShareSummary(counts, shares, shares.mean(axis=0))
+    work = work or _Work(net)
+    keys = _gather(net.node_class, net.edges, work.key.reshape(-1, 2))
+    keys *= n
+    keys[:, 0] += net.edges[:, 1]
+    keys[:, 1] += net.edges[:, 0]
+    table = np.bincount(work.key, minlength=K * n).reshape(K, n)
+    np.divide(table, net.node_degree, out=work.shares.T)
+    return NeighborShareSummary(table.T, work.shares, work.shares.mean(axis=0))
 
 
-def degree_assortativity(net: SampledNetwork) -> float:
+def degree_assortativity(net: SampledNetwork, *, work: _Work = None) -> float:
     """Pearson correlation of degrees across edge endpoints (both directions).
 
     Computed from the symmetric table of edge-end pairs of realized degrees,
     not classes: a parity-adjusted node counts at degree d_K - 1.
     Configuration-model realizations hover near zero; returns 0.0 when only
-    one degree value occurs, where no sorting is measurable.
+    one degree value occurs, where no sorting is measurable.  The pair keys
+    are written into ``work.key`` when ``work`` is given.
     """
-    per_value = np.bincount(net.node_degree)
+    work = work or _Work(net)
+    index = work.node.view(np.int64)
+    np.copyto(index, net.node_degree)
+    per_value = np.bincount(index)
     values = np.flatnonzero(per_value)
-    index = (np.cumsum(per_value > 0) - 1)[net.node_degree]
     D = len(values)
     if D == 1:
         return 0.0
-    pairs = np.bincount(index[net.edges[:, 0]] * D + index[net.edges[:, 1]],
-                        minlength=D * D).reshape(D, D)
+    _gather(np.cumsum(per_value > 0) - 1, index, index)  # each node's degree index
+    keys = _gather(index, net.edges, work.key.reshape(-1, 2))
+    keys[:, 0] *= D
+    keys[:, 0] += keys[:, 1]  # index(u) * D + index(v)
+    keys[:, 1] = D * D  # one bin past the table, dropped
+    pairs = np.bincount(work.key, minlength=D * D + 1)[:-1].reshape(D, D)
     table = pairs + pairs.T
     ends = table.sum(axis=1)
     dev = values - ends @ values / ends.sum()
     return float(dev @ table @ dev / (ends @ dev**2))
+
+
+class _Worker:
+    """One thread that runs the calls handed to it, one at a time.
+
+    ``submit`` hands over a call while none is in flight; ``result`` waits
+    for it and returns its value or raises its exception; ``close`` waits for
+    the call in flight, if any, and ends the thread.
+    """
+
+    def __init__(self):
+        self._handed = threading.Semaphore(0)
+        self._finished = threading.Semaphore(0)
+        self._call = self._outcome = None
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            self._handed.acquire()
+            if self._call is None:
+                return
+            fn, args = self._call
+            try:
+                self._outcome = fn(*args), None
+            except BaseException as exc:  # raised on the caller's thread by ``result``
+                self._outcome = None, exc
+            self._finished.release()
+
+    def submit(self, fn, *args):
+        self._call = fn, args
+        self._handed.release()
+
+    def result(self):
+        self._finished.acquire()
+        (value, error), self._call, self._outcome = self._outcome, None, None
+        if error is not None:
+            raise error
+        return value
+
+    def close(self):
+        if self._call is not None:
+            self._finished.acquire()
+        self._call = None
+        self._handed.release()
+        self._thread.join()
+
+
+def _trial_networks(model: DegreeModel, n: int, trials: int, seed, simple: bool):
+    """Yield each trial's network with the work arrays to summarize it in.
+
+    Trial t draws from ``_trial_seed(seed, t)``.  Trial 0 and every simple
+    trial call ``generate`` on the calling thread: trial 0 owns its edges,
+    since it is kept for export, and shows as a ``generate`` span when a run
+    is traced.  A simple trial gets work arrays of its own, freed before the
+    next draw, whose temporaries are larger.  Multigraph trials share one
+    set.  Trials t >= 1 are drawn by ``draw_multigraph`` on one worker
+    thread, into two stub buffers in turn: trial t + 1 is handed over once
+    trial t is in hand and is drawn while the caller reads trial t.  Draws
+    start in seed order, each from its own seed, so no network depends on
+    the thread's timing.  Close the generator (``contextlib.closing``) to
+    join the worker on every exit, and take the pairs with ``next``:
+    ``enumerate`` would keep the last pair alive into the next draw.
+    """
+    if simple:
+        for t in range(trials):
+            net = generate(model, n, seed=_trial_seed(seed, t), simple=True)
+            yield net, _Work(net)
+            del net
+        return
+    net = generate(model, n, seed=_trial_seed(seed, 0))
+    work = _Work(net)
+    if trials == 1:
+        yield net, work
+        return
+    # ``_layout(model, n)``, on the per-node arrays trial 0 already holds
+    layout = replace(net, edges=_stubs(net.node_degree), seed=None)
+    buffers = np.empty((2, 2 * layout.m), dtype=np.int64)
+    worker = _Worker()
+    try:
+        for t in range(1, trials):
+            worker.submit(draw_multigraph, layout, _trial_seed(seed, t), buffers[t % 2])
+            yield net, work
+            net = worker.result()
+        yield net, work
+    finally:
+        worker.close()
+
+
+def _std(x: np.ndarray, deviations: np.ndarray) -> float:
+    """``x.std()`` of a 1-D float array, with the deviations written into ``deviations``.
+
+    The same float operations in the same order as numpy's ``_var``: sum,
+    divide, subtract, square, sum, divide, square root.
+    """
+    mean = np.add.reduce(x, keepdims=True)
+    mean /= len(x)
+    np.subtract(x, mean, out=deviations)
+    np.square(deviations, out=deviations)
+    return math.sqrt(np.add.reduce(deviations) / len(x))
+
+
+def _add_node_sds(sd_acc: dict, model: DegreeModel, bounds, shares: np.ndarray,
+                  scratch: np.ndarray) -> None:
+    """Append one trial's per-class SDs of the per-node top-class estimates.
+
+    The naive estimate is a node's top-class share.  The sophisticated one,
+    (s_K / d_K) / sum_k (s_k / d_k), then takes its place in ``shares``,
+    which this overwrites; ``scratch`` holds one float per node.  Nodes of
+    class k are ``bounds[k]`` to ``bounds[k + 1]``; an empty class adds none.
+    """
+    for rule in ("naive", "sophisticated"):
+        if rule == "sophisticated":
+            degrees = np.array([float(d) for d in model.degrees])
+            np.divide(shares.T, degrees[:, None], out=shares.T)
+            np.add.reduce(shares, axis=1, out=scratch)
+            np.divide(shares[:, -1], scratch, out=shares[:, -1])
+        for k, d in enumerate(model.degrees):
+            lo, hi = bounds[k], bounds[k + 1]
+            if lo < hi:
+                sd_acc[(rule, d)].append(_std(shares[lo:hi, -1], scratch[:hi - lo]))
 
 
 @dataclass(frozen=True)
@@ -332,10 +499,11 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     shares.  Dispersion of per-node estimates is reported by observing degree,
     which is where sample size shows up -- higher degree, tighter estimates.
 
-    Trial t draws from the seed ``[seed, t]`` (``[*seed, t]`` for a sequence).
-    Trial 0 and every simple trial call ``generate``; trial 0 is kept as
-    ``first_network``.  The other multigraph trials are drawn with
-    ``draw_multigraph`` from one layout into one reused stub buffer.
+    Trial t draws from the seed ``[seed, t]`` (``[*seed, t]`` for a sequence);
+    trial 0 is kept as ``first_network``.  Multigraph trials after it are
+    drawn one ahead on a worker thread (see ``_trial_networks``) and share
+    work arrays, so a trial allocates only its neighbor count table; results
+    are bit-for-bit those of fresh arrays.
     """
     n = _node_count(n)
     trials = _trial_count(trials)
@@ -348,32 +516,17 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     sd_acc = {(rule, d): [] for rule in ("naive", "sophisticated")
               for d in model.degrees}
     bounds = np.cumsum([0] + class_counts(model, n))  # ``_layout`` lays classes out in order
-    if not simple and trials > 1:
-        layout = _layout(model, n)
-        buf = np.empty(2 * layout.m, dtype=np.int64)
-    for t in range(trials):
-        # trial 0 keeps its own layout on purpose: drawn from the shared one, each
-        # later trial at n = 1e5 took ~2,500 more page faults in a fresh process
-        if t == 0 or simple:
-            net = generate(model, n, seed=_trial_seed(seed, t), simple=simple)
-        else:
-            net = draw_multigraph(layout, _trial_seed(seed, t), buf)
-        summary = empirical_neighbor_shares(net)
-        naive_out[t] = summary.average
-        soph_out[t] = debias_shares(tuple(summary.average), degrees)
-        assort[t] = degree_assortativity(net)
-        weighted = summary.shares / np.asarray(degrees)
-        soph_nodes = weighted[:, -1] / weighted.sum(axis=1)
-        for k, d in enumerate(model.degrees):
-            lo, hi = bounds[k], bounds[k + 1]
-            if lo == hi:
-                continue
-            sd_acc[("naive", d)].append(float(summary.shares[lo:hi, -1].std()))
-            sd_acc[("sophisticated", d)].append(float(soph_nodes[lo:hi].std()))
-        if t == 0:
-            first = net
-        # release this trial's arrays before the next trial allocates its own
-        del net, summary, weighted, soph_nodes
+    with closing(_trial_networks(model, n, trials, seed, simple)) as networks:
+        for t in range(trials):
+            net, work = next(networks)
+            if t == 0:
+                first = net
+            summary = empirical_neighbor_shares(net, work=work)
+            naive_out[t] = summary.average
+            soph_out[t] = debias_shares(tuple(summary.average), degrees)
+            assort[t] = degree_assortativity(net, work=work)
+            _add_node_sds(sd_acc, model, bounds, summary.shares, work.node)
+            del net, work, summary  # before the next trial allocates its own
     node_sd = {key: float(np.mean(vals)) for key, vals in sd_acc.items() if vals}
     return MonteCarloReport(
         naive_estimates=naive_out,
@@ -386,14 +539,26 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     )
 
 
+def _trial_averages(model: DegreeModel, n: int, trials: int, seed) -> np.ndarray:
+    """The (trials, K) average neighbor shares of the multigraph trials that
+    ``monte_carlo_estimator_check`` would draw: its ``naive_estimates``."""
+    averages = np.empty((trials, model.K))
+    with closing(_trial_networks(model, n, trials, seed, False)) as networks:
+        for t in range(trials):
+            net, work = next(networks)
+            averages[t] = empirical_neighbor_shares(net, work=work).average
+    return averages
+
+
 def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
     """Mean deviation of the average neighbor shares from the sampling law,
     per network size, with the fitted log-log slope (about -1/2).
 
     ``trials_per_n`` gives the trial count for each entry of ``ns``; size i
-    reads its trials' average shares from :func:`monte_carlo_estimator_check`
-    seeded ``[seed, i]``, so trial t draws from ``[seed, i, t]``.  Needs at
-    least two distinct sizes.  Returns (ns, mean absolute deviations, slope).
+    reads the average shares of the trials that
+    :func:`monte_carlo_estimator_check` would draw seeded ``[seed, i]``, so
+    trial t draws from ``[seed, i, t]``.  Needs at least two distinct sizes.
+    Returns (ns, mean absolute deviations, slope).
     """
     ns = [_node_count(n) for n in ns]
     trials_per_n = [_trial_count(trials) for trials in trials_per_n]
@@ -406,8 +571,8 @@ def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
     tilde = np.array([float(v) for v in biased_neighbor_share(model)])
     devs = []
     for i, (n, trials) in enumerate(zip(ns, trials_per_n)):
-        report = monte_carlo_estimator_check(model, n, trials, _trial_seed(seed, i))
-        devs.append(float(np.mean(np.max(np.abs(report.naive_estimates - tilde), axis=1))))
+        averages = _trial_averages(model, n, trials, _trial_seed(seed, i))
+        devs.append(float(np.mean(np.max(np.abs(averages - tilde), axis=1))))
     slope = float(np.polyfit(np.log10(ns), np.log10(devs), 1)[0])
     return ns, devs, slope
 

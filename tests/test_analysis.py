@@ -347,7 +347,7 @@ class TestPopulationPrecisionSweep:
     @pytest.mark.parametrize("eps, alpha, cost, sigmas, d1_list, grid", [
         (2.0, 1.2, 3.7, [0.0, 0.5, 1.0], [2, 4, 8, math.inf], np.linspace(0, 1, 9)[1:-1]),
         (2.0, 1.1, 3.5, [0.0, 1.0], [math.inf, 3, 2], [0.05, 0.37, 0.5, 0.93]),
-        (1.0, 0.9, 2.0, [0.25], [1, 5, 5], np.linspace(0, 1, 41)[1:-1]),
+        (1.0, 0.9, 2.0, [0.25], [1, 5, 3], np.linspace(0, 1, 41)[1:-1]),
         (0.5, 2.0, 3.5, [1.0, 0.0], [2], [0.6]),
         # no finite system, so the closed forms may leave the stable region
         (2.0, 1.5, 3.7, [0.5], [math.inf], np.linspace(0, 1, 11)[1:-1]),
@@ -364,6 +364,14 @@ class TestPopulationPrecisionSweep:
     def test_rejects_bad_lowest_degrees(self, d1_list, value):
         message = f"lowest degree must be a positive integer, got {value}"
         with pytest.raises(ModelError, match=re.escape(message) + "$"):
+            population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0.5], d1_list, [0.5])
+
+    @pytest.mark.parametrize("d1_list", [[2, 2], [4, 2, 4, math.inf], [2, math.inf, math.inf]],
+                             ids=["finite", "among-others", "limit"])
+    def test_rejects_a_repeated_lowest_degree(self, d1_list, monkeypatch):
+        # a repeat would solve its degree twice and write each of its rows twice
+        monkeypatch.setattr(an, "build_pi", None)  # rejected before any system is built
+        with pytest.raises(ModelError, match=r"^lowest degrees must be distinct, got \["):
             population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0.5], d1_list, [0.5])
 
     @pytest.mark.parametrize("study", [

@@ -2,10 +2,17 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netgame
 from netgame import (
     NAIVE,
     DegreeModel,
@@ -416,6 +423,7 @@ class TestMonteCarloCheck:
     @pytest.mark.parametrize("model, n", [
         (K3, 1001),
         (DegreeModel((2, 4), (1 - 1e-9, 1e-9)), 500),  # the top class is empty
+        (EXAMPLE, 2000),
     ])
     @pytest.mark.parametrize("simple", [False, True])
     def test_node_sd_matches_mask_reference_bit_for_bit(self, model, n, simple):
@@ -476,6 +484,153 @@ class TestMonteCarloCheck:
         report = monte_carlo_estimator_check(EXAMPLE, 5000, trials=3, seed=4)
         assert len({round(float(v), 12)
                     for v in report.naive_estimates[:, 1]}) == 3
+
+
+class TestWorkArrays:
+    """The per-trial passes, writing into lent work arrays, match fresh-array
+    references bit for bit."""
+
+    CASES = [(EXAMPLE, 2000), (K3, 1001)]  # K = 2, and K = 3 with a parity-adjusted node
+
+    @pytest.mark.parametrize("model, n", CASES, ids=["k2", "k3-parity"])
+    @pytest.mark.parametrize("simple", [False, True], ids=["multigraph", "simple"])
+    def test_passes_over_reused_work_match_the_references(self, model, n, simple):
+        # the second network is summarized in the arrays the first one left behind
+        nets = [generate(model, n, seed=[11, t], simple=simple) for t in range(2)]
+        work = netsim._Work(nets[0])
+        for net in nets:
+            summary = empirical_neighbor_shares(net, work=work)
+            counts, shares, average = _reference_shares(net)
+            assert np.array_equal(summary.counts, counts)
+            assert np.array_equal(summary.shares, shares)
+            assert np.array_equal(summary.average, average)
+            assert degree_assortativity(net, work=work) == _reference_assortativity(net)
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 1000, 8193, 60_000, 100_001])
+    def test_std_matches_numpy(self, length):
+        values = np.random.default_rng(length).random((length, 3)) ** 3
+        scratch = np.empty(length)
+        for column in (values[:, 2], np.ascontiguousarray(values[:, 2])):
+            assert netsim._std(column, scratch) == column.std()
+
+
+# Records this process's minor page faults at each trial's assortativity call;
+# prints the count between consecutive trials.
+_FAULTS_PER_TRIAL = """
+import resource, sys
+from netgame import DegreeModel, netsim
+
+marks = []
+real = netsim.degree_assortativity
+
+def marking(*args, **kwargs):
+    marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return real(*args, **kwargs)
+
+netsim.degree_assortativity = marking
+netsim.monte_carlo_estimator_check(DegreeModel((4, 6), (0.6, 0.4)), 100000,
+                                   trials=int(sys.argv[1]), seed=1)
+print(*[b - a for a, b in zip(marks, marks[1:])])
+"""
+
+
+class TestPipeline:
+    """Multigraph trials are drawn on one worker thread, in a steady footprint."""
+
+    @pytest.mark.parametrize("malloc", [{}, {"MALLOC_MMAP_THRESHOLD_": "131072"}],
+                             ids=["default", "every-large-block-mapped"])
+    def test_minor_faults_per_trial_stay_flat(self, malloc):
+        # A fresh process, so that no other test's heap decides the count.  With
+        # glibc's mmap threshold fixed, every block over 128 KiB is mapped and
+        # touched afresh; a trial then faults in only the neighbor count table
+        # its bincount allocates (K * n int64s), where trials that allocated
+        # their temporaries took about 5,700 faults each.
+        env = dict(os.environ, **malloc)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(netgame.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", _FAULTS_PER_TRIAL, "10"], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        per_trial = [int(word) for word in out.split()]
+        assert len(per_trial) == 9
+        # from the fourth trial on, both stub buffers have been drawn into
+        table_pages = 2 * 100_000 * 8 // os.sysconf("SC_PAGE_SIZE")
+        assert max(per_trial[2:]) <= 2 * table_pages, per_trial
+
+    def test_trials_after_the_first_are_drawn_on_one_worker_thread(self, monkeypatch):
+        threads = []
+        real = netsim.draw_multigraph
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+        monkeypatch.setattr(netsim, "draw_multigraph", recording)
+        before = threading.active_count()
+        monte_carlo_estimator_check(EXAMPLE, 2000, trials=5)
+        assert threading.active_count() == before
+        assert threads[0] == threading.get_ident()  # trial 0, inside generate
+        assert len(set(threads[1:])) == 1 and threads[1] != threads[0]
+
+    @pytest.mark.parametrize("where", ["summary", "draw"])
+    def test_a_failing_trial_leaves_no_thread_behind(self, where, monkeypatch):
+        # trial 2 fails while trial 3 is being drawn, or its own draw fails
+        real = netsim.draw_multigraph
+
+        def failing(layout, seed, out):
+            if seed[-1] == 2 and where == "draw":
+                raise ModelError("the draw failed")
+            net = real(layout, seed, out)
+            if seed[-1] == 2:
+                degree = net.node_degree.copy()
+                degree[0] = 0
+                net = replace(net, node_degree=degree)
+            return net
+        monkeypatch.setattr(netsim, "draw_multigraph", failing)
+        before = threading.active_count()
+        match = "isolated node" if where == "summary" else "^the draw failed$"
+        with pytest.raises(ModelError, match=match):
+            monte_carlo_estimator_check(EXAMPLE, 2000, trials=5)
+        assert threading.active_count() == before
+
+    def test_concurrent_checks_match_one_at_a_time(self):
+        # four checks at once, each with its own worker, switching threads often
+        expected = [monte_carlo_estimator_check(EXAMPLE, 300, trials=8, seed=s)
+                    for s in range(4)]
+        got = [None] * 4
+
+        def run(s):
+            got[s] = monte_carlo_estimator_check(EXAMPLE, 300, trials=8, seed=s)
+        threads = [threading.Thread(target=run, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, have in zip(expected, got):
+            assert have.node_estimate_sd == want.node_estimate_sd
+            assert np.array_equal(have.naive_estimates, want.naive_estimates)
+            assert np.array_equal(have.sophisticated_estimates, want.sophisticated_estimates)
+            assert np.array_equal(have.assortativity, want.assortativity)
+            assert np.array_equal(have.first_network.edges, want.first_network.edges)
+
+    def test_scaling_reads_only_the_average_shares(self, monkeypatch):
+        draws = []
+        real = netsim.draw_multigraph
+
+        def counting(layout, seed, out):
+            draws.append(seed)
+            return real(layout, seed, out)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("the scaling computed an assortativity")
+        monkeypatch.setattr(netsim, "draw_multigraph", counting)
+        monkeypatch.setattr(netsim, "degree_assortativity", unused)
+        sampling_error_scaling(EXAMPLE, [300, 1001], [3, 2], seed=[7])
+        assert draws == [[7, 0, 0], [7, 0, 1], [7, 0, 2], [7, 1, 0], [7, 1, 1]]
 
 
 class TestTypeLawOracle:
