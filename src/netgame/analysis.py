@@ -130,8 +130,12 @@ def convexity_check(eps, alpha, cost, sigma=1.0, etheta=1.0) -> ConvexityReport:
     ``BAND_FACTOR * DIFF_STEP`` of condition equality are inconclusive.
     The naive curve is convex exactly where c/a < (1 + eps*u) +
     (1+eps)/(1+eps*delta2); with alpha*eps == 0 both curves are flat and the
-    sign test is vacuous, so no point is checked.
+    sign test is vacuous, so no point is checked.  Raises ``ModelError``
+    unless eps is finite and the other scalars pass ``GameParams.check``.
     """
+    if not math.isfinite(eps):
+        raise ModelError(f"excess ratio must be finite, got {eps}")
+    GameParams.check(etheta, alpha, cost, sigma)
     grid, h = CHECK_GRID, DIFF_STEP
     stencil = np.stack([grid - h, grid, grid + h])
     # a point is checked only where its whole stencil is locally stable

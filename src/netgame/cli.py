@@ -309,13 +309,11 @@ def _run(name, handler, default_out, args) -> int:
 
 def _tabulate(name, columns, rows, meta, out, noun="rows"):
     """A handler's result for a table: NAME.csv, its JSON twin, and the line
-    naming where they go (after each peak of a bias sweep's ``summary``)."""
+    naming where they go."""
     payload = {**meta, "command": name, "columns": list(columns),
                "rows": [list(r) for r in rows]}
-    text = "".join(f"eps={item['eps']:g}: max bias {item['max_bias']:.4f} "
-                   f"at delta2={item['argmax']:.4f}\n" for item in meta.get("summary", ()))
     return ({f"{name}.csv": _csv_text([columns, *rows]), f"{name}.json": _json_text(payload)},
-            f"{text}wrote {len(rows)} {noun} to {out / (name + '.csv')}\n", 0)
+            f"wrote {len(rows)} {noun} to {out / (name + '.csv')}\n", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +447,10 @@ def _sweep_bias(opts, out):
         rows.extend((eps, x, b) for x, b in pairs)
         best = max(pairs, key=lambda p: p[1])
         summary.append({"eps": eps, "argmax": best[0], "max_bias": best[1]})
-    return _tabulate("bias", columns, rows, {"eps": eps_list, "summary": summary}, out)
+    files, text, code = _tabulate("bias", columns, rows, {"eps": eps_list, "summary": summary}, out)
+    peaks = "".join(f"eps={item['eps']:g}: max bias {item['max_bias']:.4f} "
+                    f"at delta2={item['argmax']:.4f}\n" for item in summary)
+    return files, peaks + text, code
 
 
 SWEEPS = {

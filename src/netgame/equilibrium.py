@@ -10,6 +10,7 @@ for which closed forms are provided, along with the full-information
 benchmark that has no sampling bias at all.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,8 @@ def solve_iterative(system: ExpectationMatrix, params: GameParams) -> Equilibriu
     from (E[theta]/c)*1 the iterates rise monotonically to the fixed point,
     converging geometrically with ratio at most (alpha/c)*d_K/d_1.  It stops
     at the first step below ``ITERATIVE_TOL`` and gives up after
-    ``MAX_SWEEPS`` sweeps.
+    ``MAX_SWEEPS`` sweeps; the error states the contraction margin
+    1 - (alpha/c)*d_K/d_1 and the sweeps it needs, about ln(1/tol)/margin.
     """
     a_c = float(params.alpha) / float(params.cost)
     t_c = float(params.mean_preference) / float(params.cost)
@@ -112,8 +114,13 @@ def solve_iterative(system: ExpectationMatrix, params: GameParams) -> Equilibriu
         if diff < ITERATIVE_TOL:
             res = _fixed_point_residual(system, params, xi)
             return EquilibriumSolution(xi, system, "iterative", res, iterations=it)
+    margin = 1 - a_c * float(system.d_diag.max())
+    needed = math.log(1 / ITERATIVE_TOL) / margin if margin > 0 else math.inf
     raise ConvergenceError(
-        f"no convergence within {MAX_SWEEPS} sweeps (last step {diff:.3e})", diff
+        f"no convergence within {MAX_SWEEPS} sweeps (last step {diff:.3e}): the "
+        f"contraction margin 1 - (alpha/c)*d_K/d_1 is {margin:.3g}, so the iteration "
+        f"needs about ln({1 / ITERATIVE_TOL:g})/margin = {needed:.3g} sweeps; "
+        "solve_direct handles such systems", diff
     )
 
 

@@ -15,17 +15,16 @@ The unshuffled draw (nodes class by class, each node's stubs paired in node
 order) depends only on the model and n.  ``monte_carlo_estimator_check``
 draws trial 0, kept for export, with ``generate`` into an array of its own;
 it lays the unshuffled draw out once and shuffles the later multigraph trials
-from it on one worker thread, into two stub buffers in turn, while the
-calling thread summarizes the trial before.  Each trial is summarized in
-work arrays built once per call, so it allocates only its neighbor count
-table.  ``sampling_error_scaling`` reads only the average shares of the same
-trials.
+from it on one executor thread, joined when the trials' generator closes, into
+two stub buffers in turn, while the calling thread summarizes the trial
+before.  Each trial is summarized in work arrays built once per call, so it
+allocates only its neighbor count table.  ``sampling_error_scaling`` reads
+only the average shares of the same trials.
 """
 
 import json
 import math
 import operator
-import threading
 from contextlib import closing
 from dataclasses import dataclass, replace
 
@@ -347,52 +346,6 @@ def degree_assortativity(net: SampledNetwork, *, work: _Work = None) -> float:
     return float(dev @ table @ dev / (ends @ dev**2))
 
 
-class _Worker:
-    """One thread that runs the calls handed to it, one at a time.
-
-    ``submit`` hands over a call while none is in flight; ``result`` waits
-    for it and returns its value or raises its exception; ``close`` waits for
-    the call in flight, if any, and ends the thread.
-    """
-
-    def __init__(self):
-        self._handed = threading.Semaphore(0)
-        self._finished = threading.Semaphore(0)
-        self._call = self._outcome = None
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while True:
-            self._handed.acquire()
-            if self._call is None:
-                return
-            fn, args = self._call
-            try:
-                self._outcome = fn(*args), None
-            except BaseException as exc:  # raised on the caller's thread by ``result``
-                self._outcome = None, exc
-            self._finished.release()
-
-    def submit(self, fn, *args):
-        self._call = fn, args
-        self._handed.release()
-
-    def result(self):
-        self._finished.acquire()
-        (value, error), self._call, self._outcome = self._outcome, None, None
-        if error is not None:
-            raise error
-        return value
-
-    def close(self):
-        if self._call is not None:
-            self._finished.acquire()
-        self._call = None
-        self._handed.release()
-        self._thread.join()
-
-
 def _trial_networks(model: DegreeModel, n: int, trials: int, seed, simple: bool):
     """Yield each trial's network with the work arrays to summarize it in.
 
@@ -401,13 +354,13 @@ def _trial_networks(model: DegreeModel, n: int, trials: int, seed, simple: bool)
     since it is kept for export, and shows as a ``generate`` span when a run
     is traced.  A simple trial gets work arrays of its own, freed before the
     next draw, whose temporaries are larger.  Multigraph trials share one
-    set.  Trials t >= 1 are drawn by ``draw_multigraph`` on one worker
-    thread, into two stub buffers in turn: trial t + 1 is handed over once
+    set.  Trials t >= 1 are drawn by ``draw_multigraph`` on one executor
+    thread, into two stub buffers in turn: trial t + 1 is submitted once
     trial t is in hand and is drawn while the caller reads trial t.  Draws
     start in seed order, each from its own seed, so no network depends on
-    the thread's timing.  Close the generator (``contextlib.closing``) to
-    join the worker on every exit, and take the pairs with ``next``:
-    ``enumerate`` would keep the last pair alive into the next draw.
+    the thread's timing.  Close the generator (``contextlib.closing``) so
+    the executor joins its thread on every exit, and take the pairs with
+    ``next``: ``enumerate`` would keep the last pair alive into the next draw.
     """
     if simple:
         for t in range(trials):
@@ -423,15 +376,14 @@ def _trial_networks(model: DegreeModel, n: int, trials: int, seed, simple: bool)
     # ``_layout(model, n)``, on the per-node arrays trial 0 already holds
     layout = replace(net, edges=_stubs(net.node_degree), seed=None)
     buffers = np.empty((2, 2 * layout.m), dtype=np.int64)
-    worker = _Worker()
-    try:
+    # imported here so only multigraph runs of 2+ trials pay for its ``logging`` import
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as worker:
         for t in range(1, trials):
-            worker.submit(draw_multigraph, layout, _trial_seed(seed, t), buffers[t % 2])
+            drawn = worker.submit(draw_multigraph, layout, _trial_seed(seed, t), buffers[t % 2])
             yield net, work
-            net = worker.result()
+            net = drawn.result()
         yield net, work
-    finally:
-        worker.close()
 
 
 def _std(x: np.ndarray, deviations: np.ndarray) -> float:
@@ -501,7 +453,7 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
 
     Trial t draws from the seed ``[seed, t]`` (``[*seed, t]`` for a sequence);
     trial 0 is kept as ``first_network``.  Multigraph trials after it are
-    drawn one ahead on a worker thread (see ``_trial_networks``) and share
+    drawn one ahead on an executor thread (see ``_trial_networks``) and share
     work arrays, so a trial allocates only its neighbor count table; results
     are bit-for-bit those of fresh arrays.
     """

@@ -162,7 +162,8 @@ class ObservedShares:
     @classmethod
     def from_counts(cls, counts) -> "ObservedShares":
         n = sum(counts)
-        return cls(tuple(c / n for c in counts), int(n))
+        # with no neighbors, skip the division and let the sample-size check raise
+        return cls(tuple(c / n for c in counts) if n else tuple(counts), int(n))
 
 
 def biased_neighbor_share(model: DegreeModel) -> tuple:

@@ -152,6 +152,7 @@ class TestConvexityCheck:
         (0.5, 4.0, 5.0, 0.3, 0.5),      # stable at 39 of 99 points
         (2.0, 1.2, 1.0, 1.0, 1.0),      # nowhere stable
         (1e-8, 0.0, 3.7, 0.0, 1.0),     # degenerate: no complementarity
+        (0.0, 1.2, 3.7, 1.0, 1.0),      # degenerate: equal degrees
     ])
     def test_matches_pointwise_stencil_bit_for_bit(self, eps, alpha, cost, sigma, etheta):
         report = convexity_check(eps, alpha, cost, sigma=sigma, etheta=etheta)
@@ -173,6 +174,23 @@ class TestConvexityCheck:
         want.append(checked)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert report.ok is all(agree)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("eps", math.nan, "excess ratio must be finite"),
+        ("eps", math.inf, "excess ratio must be finite"),
+        ("alpha", math.nan, "alpha must be finite"),
+        ("cost", math.nan, "cost must be finite"),
+        ("sigma", math.nan, "sigma must be finite"),
+        ("etheta", math.nan, "mean_preference must be finite"),
+        ("cost", 0.0, "action cost must be positive"),
+        ("sigma", 1.5, "sophistication share must lie in"),
+    ], ids=["nan-eps", "inf-eps", "nan-alpha", "nan-cost", "nan-sigma", "nan-etheta",
+            "zero-cost", "sigma-above-one"])
+    def test_rejects_invalid_scalars(self, name, value, message):
+        # a NaN once passed with ok=True and no point checked
+        args = {**FIG, "sigma": 1.0, name: value}
+        with pytest.raises(ModelError, match=message):
+            convexity_check(**args)
 
     def test_sufficient_condition_implies_convex_sophisticated(self):
         for eps, ratio in [(0.5, 1.5), (2.0, 1.5), (2.0, 3.083)]:

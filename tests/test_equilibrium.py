@@ -124,6 +124,14 @@ class TestSolvers:
             solve_iterative(system, params)
         assert err.value.residual is not None
 
+    def test_max_iter_error_states_the_contraction_margin(self, monkeypatch):
+        # margin 1 - (1.2/3.7)*3 = 0.027, so about ln(1e12)/0.027 = 1022 sweeps
+        _, params, system = fig_system()
+        monkeypatch.setattr(equilibrium, "MAX_SWEEPS", 3)
+        with pytest.raises(ConvergenceError, match=r"margin 1 - \(alpha/c\)\*d_K/d_1 is 0\.027, "
+                           r".*ln\(1e\+12\)/margin = 1\.02e\+03 sweeps; solve_direct"):
+            solve_iterative(system, params)
+
     def test_permutation_invariance(self):
         model, params, system = fig_system()
         sol = solve_direct(system, params).xi

@@ -179,6 +179,11 @@ class TestObservedShares:
         with pytest.raises(ModelError):
             ObservedShares((0.5, 0.5), bad)
 
+    @pytest.mark.parametrize("counts", [(), (0, 0)])
+    def test_rejects_counts_with_no_neighbors(self, counts):
+        with pytest.raises(ModelError, match="sample size must be a positive integer, got 0"):
+            ObservedShares.from_counts(counts)
+
     def test_counts_roundtrip(self):
         obs = ObservedShares.from_counts((3, 1))
         assert obs.sample_size == 4
