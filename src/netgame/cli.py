@@ -192,16 +192,12 @@ def _tolerance(text) -> float:
 
 
 def _d1_list(text):
-    finite, infinite = [], False
-    for part in text.split(","):
-        part = part.strip()
-        if part == "inf":
-            infinite = True
-        elif part:
-            finite.append(int(part))
-    if not (finite or infinite):
+    """The finite lowest degrees in order, then one ``math.inf`` per ``inf``;
+    a repeat of either is left for the precision study to reject."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
         raise ModelError(f"option d1: no lowest degree in {text!r}")
-    return finite, infinite
+    return [int(part) for part in parts if part != "inf"] + [math.inf] * parts.count("inf")
 
 
 def _boolean(text) -> bool:
@@ -397,13 +393,12 @@ def _sweep_precision(opts, out):
     eps, alpha, cost, etheta = (opts.get(key, float)
                                 for key in ("eps", "alpha", "c", "etheta"))
     sigmas = opts.get("sigma", _scalar_list)
-    finite, infinite = opts.get("d1", _d1_list)
-    rows = population_precision_sweep(eps, alpha, cost, etheta, sigmas,
-                                      finite + ([math.inf] if infinite else []),
+    d1_list = opts.get("d1", _d1_list)
+    rows = population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list,
                                       opts.get("grid", _grid)[1:-1])
     columns = ("sigma", "d1", "delta2", "rule", "value", "flag")
-    meta = {"eps": eps, "alpha": alpha, "c": cost, "etheta": etheta,
-            "sigmas": sigmas, "d1": finite + (["inf"] if infinite else [])}
+    meta = {"eps": eps, "alpha": alpha, "c": cost, "etheta": etheta, "sigmas": sigmas,
+            "d1": [d if d < math.inf else "inf" for d in d1_list]}
     return _tabulate("precision", columns, rows, meta, out)
 
 

@@ -2,24 +2,21 @@
 
 Stub matching keeps self-loops and multi-edges by default (the classic
 construction, and the fast path for large n); ``simple=True`` re-draws
-offending stub pairs a bounded number of times, occasionally dissolving a few
-accepted edges to escape dead ends.  Each simple-mode round judges all of its
-pairs at once with array operations and merges the keys it accepts into the
-sorted keys of earlier rounds; the dissolve step draws its edges one at a
-time.  Node counts per class come from largest-remainder rounding with ties
-going to the lower degree class; if the resulting stub total is odd, one stub
-is removed from the last node of the highest-degree class (that node's
-realized degree drops by one, and the network records the adjustment).
+offending stub pairs in rounds judged with array operations, dissolving a few
+accepted edges to escape dead ends.  Node counts per class come from
+largest-remainder rounding with ties going to the lower degree class; if the
+stub total is odd, the last node of the highest-degree class loses one stub
+(the network records the adjustment).
 
-The unshuffled draw (nodes class by class, each node's stubs paired in node
-order) depends only on the model and n.  ``monte_carlo_estimator_check``
-draws trial 0, kept for export, with ``generate`` into an array of its own;
-it lays the unshuffled draw out once and shuffles the later multigraph trials
-from it on one executor thread, joined when the trials' generator closes, into
-two stub buffers in turn, while the calling thread summarizes the trial
-before.  Each trial is summarized in work arrays built once per call, so it
-allocates only its neighbor count table.  ``sampling_error_scaling`` reads
-only the average shares of the same trials.
+``monte_carlo_estimator_check`` draws trial 0, kept for export, with
+``generate``; one executor thread shuffles the later multigraph trials from
+the unshuffled draw (nodes class by class, each node's stubs paired in node
+order) into two stub buffers in turn, while the calling thread summarizes the
+trial before.  A trial's summary counts one neighbor count table: the shares
+divide it by the degrees, and the assortativity sums it over the class ranges.
+Every float sum keeps the order of the numpy reduction it replaces, so the
+results keep their bits.  ``sampling_error_scaling`` reads only the average
+shares of the same trials.
 """
 
 import json
@@ -58,6 +55,10 @@ class SampledNetwork:
         # the edge keys lo * n + hi and the per-node counts assume node ids
         if self.m and not (self.edges.min() >= 0 and self.edges.max() < self.n):
             raise ModelError(f"edge endpoints must be node ids 0 .. {self.n - 1}")
+        if len(self.node_degree) != self.n:
+            raise ModelError(f"need one degree per node, got {len(self.node_degree)} for {self.n}")
+        if self.n and not (self.node_class.min() >= 0 and self.node_class.max() < self.model.K):
+            raise ModelError(f"node classes must be 0 .. {self.model.K - 1}")
 
     @property
     def n(self) -> int:
@@ -152,11 +153,8 @@ def _trial_seed(seed, *words) -> list:
 
 
 def _layout(model: DegreeModel, n: int) -> SampledNetwork:
-    """The unshuffled multigraph on ``n`` nodes (already checked by ``_node_count``).
-
-    Nodes are laid out class by class, and each node's stubs are paired in
-    node order; the network's seed is None.
-    """
+    """The unshuffled multigraph on ``n`` nodes (checked by ``_node_count``): nodes
+    class by class, each node's stubs paired in node order, and no seed."""
     node_class = np.repeat(np.arange(model.K), class_counts(model, n))
     node_degree = np.asarray(model.degrees)[node_class].copy()
     parity_adjusted = False
@@ -195,12 +193,11 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
     Simple mode first rejects, before drawing anything, a degree sequence
     that no simple graph has (Erdos-Gallai).  Then pairs forming self-loops
     or duplicate edges are pooled and re-drawn for up to ``MAX_ROUNDS``
-    rounds.  A round rejects, as array
-    operations over its pairs, every self-loop, every edge accepted in an
-    earlier round and every repeat of an edge first drawn earlier in the
-    round; the rejected stubs return to the pool in pool order, followed by
-    the stubs of a few accepted edges dissolved one at a time.  Edges come
-    out as ``(lo, hi)`` in acceptance order.
+    rounds.  A round rejects, as array operations over its pairs, every
+    self-loop, every edge accepted in an earlier round and every repeat of an
+    edge first drawn earlier in the round; the rejected stubs return to the
+    pool in pool order, followed by the stubs of a few accepted edges
+    dissolved one at a time.  Edges come out as ``(lo, hi)`` in acceptance order.
 
     ``n`` must be an integer and ``seed`` a non-negative integer or a sequence
     of them; the network records the seed as a Python int or list of ints.
@@ -268,25 +265,40 @@ class NeighborShareSummary:
 
 
 class _Work:
-    """Arrays the per-trial passes write into, sized for networks shaped like
-    ``net``; each pass overwrites what the one before left."""
+    """Arrays the per-trial passes write into, sized for networks shaped like ``net``;
+    each pass overwrites what the one before left.  ``table`` is the neighbor count
+    table of network ``counted``, which the shares and the assortativity both read."""
 
     def __init__(self, net: SampledNetwork):
         self.key = np.empty(2 * net.m, dtype=np.int64)  # one bincount key per stub
         self.shares = np.empty((net.n, net.model.K))
-        self.node = np.empty(net.n)  # one float per node; as int64, each node's degree index
+        self.node = np.empty(net.n)  # one float per node; as int64, the degrees counted
+        self.table = self.counted = None
 
 
-def _gather(table: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``table[ids]``, written into ``out`` (an int64 array shaped like ``ids``).
+def _neighbor_table(net: SampledNetwork, work: _Work) -> np.ndarray:
+    """The (K, n) table of each node's neighbors by class, counted once per network.
 
-    ``ids`` is copied into ``out`` and gathered there in place, since take
-    copies a read-only index array (a network's arrays are read-only); take
-    reads each index before it writes that position.  "wrap" lets take write
-    straight into ``out``; every index is in range.
+    Stub p's partner is stub p ^ 1, so the key ``class(stub p) * n +
+    node(stub p ^ 1)`` counts one neighbor of that class for the partner's
+    node; one bincount of the keys is the table, whose column sums must be
+    the recorded degrees.  Take gathers the classes in place in ``work.key``
+    (it copies a read-only index array; "wrap" writes straight into out).
     """
-    np.copyto(out, ids)
-    return np.take(table, out, out=out, mode="wrap")
+    if work.counted is not net:
+        work.table = work.counted = None  # free the last table before counting the next
+        keys = work.key.reshape(-1, 2)
+        np.copyto(keys, net.edges)
+        np.take(net.node_class, keys, out=keys, mode="wrap")
+        keys *= net.n
+        keys[:, 0] += net.edges[:, 1]
+        keys[:, 1] += net.edges[:, 0]
+        table = np.bincount(work.key, minlength=net.model.K * net.n).reshape(-1, net.n)
+        degree = np.add.reduce(table, axis=0, out=work.node.view(np.int64))
+        if not np.array_equal(degree, net.node_degree):
+            raise ModelError("recorded node degrees differ from the edges' endpoint counts")
+        work.table, work.counted = table, net
+    return work.table
 
 
 def empirical_neighbor_shares(net: SampledNetwork, *, work: _Work = None) -> NeighborShareSummary:
@@ -296,25 +308,20 @@ def empirical_neighbor_shares(net: SampledNetwork, *, work: _Work = None) -> Nei
     own class twice, so the per-node counts always total the realized degree.
     The average converges to the degree-biased sampling law as n grows.
 
-    Stub p's partner is stub p ^ 1, so the key ``class(stub p) * n +
-    node(stub p ^ 1)`` counts one neighbor of that class for the partner's
-    node; one bincount of the keys is the (K, n) count table, and ``counts``
-    is its transpose.  Shares divide the counts by ``net.node_degree``, the
-    realized degrees a drawn network records.  They are written into
-    ``work.shares`` when ``work`` is given (fresh arrays otherwise), so they
-    last until the next pass over the same work arrays.
+    ``counts`` is the transposed neighbor count table, which
+    ``degree_assortativity`` reads too (counted once given the same ``work``).
+    Shares divide it by ``net.node_degree``, its column sums, into
+    ``work.shares`` when ``work`` is given, lasting until the next pass over
+    the same work arrays.  Each average is a sequential ``cumsum`` down a
+    column, the order ``shares.mean(axis=0)`` adds in, so its bits are kept.
     """
-    n, K = net.n, net.model.K
     if net.node_degree.min() == 0:
         raise ModelError("isolated node encountered; degree support starts at 1")
     work = work or _Work(net)
-    keys = _gather(net.node_class, net.edges, work.key.reshape(-1, 2))
-    keys *= n
-    keys[:, 0] += net.edges[:, 1]
-    keys[:, 1] += net.edges[:, 0]
-    table = np.bincount(work.key, minlength=K * n).reshape(K, n)
+    table = _neighbor_table(net, work)
     np.divide(table, net.node_degree, out=work.shares.T)
-    return NeighborShareSummary(table.T, work.shares, work.shares.mean(axis=0))
+    sums = np.array([np.cumsum(column, out=work.node)[-1] for column in work.shares.T])
+    return NeighborShareSummary(table.T, work.shares, sums / net.n)
 
 
 def degree_assortativity(net: SampledNetwork, *, work: _Work = None) -> float:
@@ -323,24 +330,37 @@ def degree_assortativity(net: SampledNetwork, *, work: _Work = None) -> float:
     Computed from the symmetric table of edge-end pairs of realized degrees,
     not classes: a parity-adjusted node counts at degree d_K - 1.
     Configuration-model realizations hover near zero; returns 0.0 when only
-    one degree value occurs, where no sorting is measurable.  The pair keys
-    are written into ``work.key`` when ``work`` is given.
+    one degree value occurs, where no sorting is measurable.  The pair table
+    is an exact integer sum of the neighbor count table (see
+    ``empirical_neighbor_shares``) over node ranges of one degree, so it needs
+    the layout ``generate`` draws (classes in order at their degrees) and
+    raises ``ModelError`` for another.  A parity-adjusted last node is a range
+    of its own, whose ends into each range are its row's by symmetry once its
+    self-loops, counted from the edges, are split from its class.
     """
-    work = work or _Work(net)
-    index = work.node.view(np.int64)
-    np.copyto(index, net.node_degree)
-    per_value = np.bincount(index)
-    values = np.flatnonzero(per_value)
-    D = len(values)
-    if D == 1:
+    model, n = net.model, net.n
+    bounds = np.searchsorted(net.node_class, np.arange(model.K + 1)).tolist()
+    ranges = list(zip(range(model.K), bounds, bounds[1:], model.degrees))
+    if net.parity_adjusted:
+        k, lo, _, d = ranges.pop()
+        ranges += [(k, lo, n - 1, d), (k, n - 1, n, d - 1)]
+    for k, lo, hi, d in ranges:
+        if not ((net.node_class[lo:hi] == k).all() and (net.node_degree[lo:hi] == d).all()):
+            raise ModelError("degree assortativity needs nodes in class order at class degrees")
+    values = np.array(sorted({d for _, lo, hi, d in ranges if lo < hi}))  # np.unique loads numpy.ma
+    if len(values) < 2:
         return 0.0
-    _gather(np.cumsum(per_value > 0) - 1, index, index)  # each node's degree index
-    keys = _gather(index, net.edges, work.key.reshape(-1, 2))
-    keys[:, 0] *= D
-    keys[:, 0] += keys[:, 1]  # index(u) * D + index(v)
-    keys[:, 1] = D * D  # one bin past the table, dropped
-    pairs = np.bincount(work.key, minlength=D * D + 1)[:-1].reshape(D, D)
-    table = pairs + pairs.T
+    table = _neighbor_table(net, work or _Work(net))
+    pairs = np.zeros((len(ranges), len(ranges)), dtype=np.int64)  # ends between ranges
+    pairs[:, :model.K] = [table[:, lo:hi].sum(axis=1) for _, lo, hi, _ in ranges]
+    if net.parity_adjusted:
+        loops = 2 * np.count_nonzero((net.edges[:, 0] == n - 1) & (net.edges[:, 1] == n - 1))
+        to_last = np.append(pairs[-1, :-1], loops)
+        to_last[-2] -= loops
+        pairs[:, -2] -= to_last
+        pairs[:, -1] = to_last
+    merge = (np.array([d for *_, d in ranges])[:, None] == values).astype(np.int64)
+    table = merge.T @ pairs @ merge
     ends = table.sum(axis=1)
     dev = values - ends @ values / ends.sum()
     return float(dev @ table @ dev / (ends @ dev**2))
@@ -351,16 +371,14 @@ def _trial_networks(model: DegreeModel, n: int, trials: int, seed, simple: bool)
 
     Trial t draws from ``_trial_seed(seed, t)``.  Trial 0 and every simple
     trial call ``generate`` on the calling thread: trial 0 owns its edges,
-    since it is kept for export, and shows as a ``generate`` span when a run
-    is traced.  A simple trial gets work arrays of its own, freed before the
-    next draw, whose temporaries are larger.  Multigraph trials share one
-    set.  Trials t >= 1 are drawn by ``draw_multigraph`` on one executor
-    thread, into two stub buffers in turn: trial t + 1 is submitted once
-    trial t is in hand and is drawn while the caller reads trial t.  Draws
-    start in seed order, each from its own seed, so no network depends on
-    the thread's timing.  Close the generator (``contextlib.closing``) so
-    the executor joins its thread on every exit, and take the pairs with
-    ``next``: ``enumerate`` would keep the last pair alive into the next draw.
+    since it is kept for export.  A simple trial gets work arrays of its own,
+    freed before the next draw; multigraph trials share one set.  Trials
+    t >= 1 are drawn by ``draw_multigraph`` on one executor thread into two
+    stub buffers in turn, trial t + 1 while the caller reads trial t, each
+    from its own seed, so no network depends on the thread's timing.  Close
+    the generator (``contextlib.closing``) so the executor joins its thread
+    on every exit, and take the pairs with ``next``: ``enumerate`` would keep
+    the last pair alive into the next draw.
     """
     if simple:
         for t in range(trials):
@@ -387,11 +405,9 @@ def _trial_networks(model: DegreeModel, n: int, trials: int, seed, simple: bool)
 
 
 def _std(x: np.ndarray, deviations: np.ndarray) -> float:
-    """``x.std()`` of a 1-D float array, with the deviations written into ``deviations``.
-
-    The same float operations in the same order as numpy's ``_var``: sum,
-    divide, subtract, square, sum, divide, square root.
-    """
+    """``x.std()`` of a 1-D float array, with the deviations written into ``deviations``:
+    the float operations of numpy's ``_var`` in its order (sum, divide, subtract,
+    square, sum, divide), then the square root."""
     mean = np.add.reduce(x, keepdims=True)
     mean /= len(x)
     np.subtract(x, mean, out=deviations)
@@ -404,15 +420,17 @@ def _add_node_sds(sd_acc: dict, model: DegreeModel, bounds, shares: np.ndarray,
     """Append one trial's per-class SDs of the per-node top-class estimates.
 
     The naive estimate is a node's top-class share.  The sophisticated one,
-    (s_K / d_K) / sum_k (s_k / d_k), then takes its place in ``shares``,
-    which this overwrites; ``scratch`` holds one float per node.  Nodes of
-    class k are ``bounds[k]`` to ``bounds[k + 1]``; an empty class adds none.
+    (s_K / d_K) / sum_k (s_k / d_k), then overwrites it in ``shares``, with
+    the sum in ``scratch`` (one float per node).  Nodes of class k are
+    ``bounds[k]`` to ``bounds[k + 1]``; an empty class adds none.
     """
     for rule in ("naive", "sophisticated"):
         if rule == "sophisticated":
-            degrees = np.array([float(d) for d in model.degrees])
-            np.divide(shares.T, degrees[:, None], out=shares.T)
-            np.add.reduce(shares, axis=1, out=scratch)
+            np.divide(shares.T, np.array(model.degrees, dtype=float)[:, None], out=shares.T)
+            # column adds, in the order a row sum over the short class axis adds
+            np.copyto(scratch, shares[:, 0])
+            for column in shares.T[1:]:
+                scratch += column
             np.divide(shares[:, -1], scratch, out=shares[:, -1])
         for k, d in enumerate(model.degrees):
             lo, hi = bounds[k], bounds[k + 1]
@@ -452,21 +470,15 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     which is where sample size shows up -- higher degree, tighter estimates.
 
     Trial t draws from the seed ``[seed, t]`` (``[*seed, t]`` for a sequence);
-    trial 0 is kept as ``first_network``.  Multigraph trials after it are
-    drawn one ahead on an executor thread (see ``_trial_networks``) and share
-    work arrays, so a trial allocates only its neighbor count table; results
-    are bit-for-bit those of fresh arrays.
+    trial 0 is kept as ``first_network``.  Later multigraph trials are drawn
+    one ahead on an executor thread (see ``_trial_networks``) and share work
+    arrays, so a trial allocates only its neighbor count table.
     """
-    n = _node_count(n)
-    trials = _trial_count(trials)
-    seed = _seed(seed)
-    K = model.K
+    n, trials, seed = _node_count(n), _trial_count(trials), _seed(seed)
     degrees = [float(d) for d in model.degrees]
-    naive_out = np.empty((trials, K))
-    soph_out = np.empty((trials, K))
+    naive_out, soph_out = np.empty((trials, model.K)), np.empty((trials, model.K))
     assort = np.empty(trials)
-    sd_acc = {(rule, d): [] for rule in ("naive", "sophisticated")
-              for d in model.degrees}
+    sd_acc = {(rule, d): [] for rule in ("naive", "sophisticated") for d in model.degrees}
     bounds = np.cumsum([0] + class_counts(model, n))  # ``_layout`` lays classes out in order
     with closing(_trial_networks(model, n, trials, seed, simple)) as networks:
         for t in range(trials):
@@ -481,25 +493,10 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
             del net, work, summary  # before the next trial allocates its own
     node_sd = {key: float(np.mean(vals)) for key, vals in sd_acc.items() if vals}
     return MonteCarloReport(
-        naive_estimates=naive_out,
-        sophisticated_estimates=soph_out,
-        node_estimate_sd=node_sd,
-        assortativity=assort,
+        naive_estimates=naive_out, sophisticated_estimates=soph_out, node_estimate_sd=node_sd,
+        assortativity=assort, first_network=first,
         predicted_naive=tuple(float(v) for v in biased_neighbor_share(model)),
-        predicted_sophisticated=tuple(float(s) for s in model.shares),
-        first_network=first,
-    )
-
-
-def _trial_averages(model: DegreeModel, n: int, trials: int, seed) -> np.ndarray:
-    """The (trials, K) average neighbor shares of the multigraph trials that
-    ``monte_carlo_estimator_check`` would draw: its ``naive_estimates``."""
-    averages = np.empty((trials, model.K))
-    with closing(_trial_networks(model, n, trials, seed, False)) as networks:
-        for t in range(trials):
-            net, work = next(networks)
-            averages[t] = empirical_neighbor_shares(net, work=work).average
-    return averages
+        predicted_sophisticated=tuple(float(s) for s in model.shares))
 
 
 def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
@@ -507,10 +504,10 @@ def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
     per network size, with the fitted log-log slope (about -1/2).
 
     ``trials_per_n`` gives the trial count for each entry of ``ns``; size i
-    reads the average shares of the trials that
-    :func:`monte_carlo_estimator_check` would draw seeded ``[seed, i]``, so
-    trial t draws from ``[seed, i, t]``.  Needs at least two distinct sizes.
-    Returns (ns, mean absolute deviations, slope).
+    reads the average shares of the multigraph trials that
+    :func:`monte_carlo_estimator_check` would draw seeded ``[seed, i]`` (trial
+    t from ``[seed, i, t]``).  Needs at least two distinct sizes.  Returns
+    (ns, mean absolute deviations, slope).
     """
     ns = [_node_count(n) for n in ns]
     trials_per_n = [_trial_count(trials) for trials in trials_per_n]
@@ -523,7 +520,9 @@ def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
     tilde = np.array([float(v) for v in biased_neighbor_share(model)])
     devs = []
     for i, (n, trials) in enumerate(zip(ns, trials_per_n)):
-        averages = _trial_averages(model, n, trials, _trial_seed(seed, i))
+        with closing(_trial_networks(model, n, trials, _trial_seed(seed, i), False)) as networks:
+            averages = np.array([empirical_neighbor_shares(net, work=work).average
+                                 for net, work in networks])
         devs.append(float(np.mean(np.max(np.abs(averages - tilde), axis=1))))
     slope = float(np.polyfit(np.log10(ns), np.log10(devs), 1)[0])
     return ns, devs, slope

@@ -322,6 +322,8 @@ class TestConfigAndErrors:
         (["sweep", "precision", "--d1", "inf", "--grid", "2"], "grid"),
         (["sweep", "precision", "--d1", "2,2", "--sigma", "0.5", "--grid", "3"],
          "lowest degrees must be distinct"),
+        (["sweep", "precision", "--d1", "2,inf,inf", "--sigma", "0.5", "--grid", "3"],
+         "lowest degrees must be distinct"),
         # unset c defaults to 2 * alpha * d_K/d_1, which is 0 at alpha = 0
         (["pi", "--alpha", "0"], "default action cost 2 * alpha * d_K/d_1 is 0 at "
                                  "alpha = 0; set it with --c"),
@@ -334,7 +336,7 @@ class TestConfigAndErrors:
             "precision-limit-only-negative-alpha", "precision-limit-only-negative-etheta",
             "precision-limit-only-negative-c", "precision-limit-only-etheta-nan",
             "precision-no-interior-grid", "precision-limit-only-no-interior-grid",
-            "precision-repeated-d1",
+            "precision-repeated-d1", "precision-repeated-inf",
             "pi-zero-alpha-default-cost", "pi-negative-alpha-default-cost"])
     def test_bad_input_exits_two_without_output(self, argv, named, tmp_path, capsys):
         fresh = tmp_path / "fresh"

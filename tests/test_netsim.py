@@ -40,6 +40,10 @@ from netgame.netsim import MAX_NODES, MAX_ROUNDS, WRITE_ROWS, _check_graphical
 
 EXAMPLE = DegreeModel((4, 6), (0.6, 0.4))
 K3 = DegreeModel((1, 2, 3), (0.5, 0.3, 0.2))  # odd stub total at n = 1001
+# at n = 1001 the parity-adjusted node's degree 4 stands alone
+APART = DegreeModel((1, 2, 5), (0.5, 0.3, 0.2))
+# at n = 99 the middle class is empty and the last node is parity-adjusted
+HOLLOW = DegreeModel((2, 3, 5), (0.499, 0.002, 0.499))
 
 
 def _sequential_simple_reference(stubs, rng):
@@ -385,6 +389,29 @@ class TestAssortativity:
         net = generate(K3, 1001, seed=[11, 0], simple=simple)
         assert degree_assortativity(net) == _reference_assortativity(net)
 
+    def test_parity_node_self_loops_match_the_reference(self):
+        # 35 stubs at n = 9, so the last node keeps 4 of its 5 and often loops;
+        # its self-loops are the ends the class count table cannot place
+        model = DegreeModel((3, 5), (0.5, 0.5))
+        looped = 0
+        for seed in range(40):
+            net = generate(model, 9, seed=seed)
+            assert net.parity_adjusted
+            looped += bool(((net.edges[:, 0] == 8) & (net.edges[:, 1] == 8)).any())
+            assert degree_assortativity(net) == _reference_assortativity(net)
+        assert looped >= 5
+
+    def test_needs_the_drawn_layout(self):
+        # node ids relabeled: the same network, no longer class by class
+        net = generate(EXAMPLE, 200, seed=1)
+        order = np.random.default_rng(0).permutation(net.n)
+        relabeled = replace(net, node_class=net.node_class[order],
+                            node_degree=net.node_degree[order],
+                            edges=np.argsort(order)[net.edges])
+        assert empirical_neighbor_shares(relabeled).average.sum() == pytest.approx(1.0)
+        with pytest.raises(ModelError, match="needs nodes in class order at class degrees"):
+            degree_assortativity(relabeled)
+
 
 class TestMonteCarloCheck:
     def test_example_model_recovery(self):
@@ -424,6 +451,8 @@ class TestMonteCarloCheck:
         (K3, 1001),
         (DegreeModel((2, 4), (1 - 1e-9, 1e-9)), 500),  # the top class is empty
         (EXAMPLE, 2000),
+        (APART, 1001),
+        (HOLLOW, 99),
     ])
     @pytest.mark.parametrize("simple", [False, True])
     def test_node_sd_matches_mask_reference_bit_for_bit(self, model, n, simple):
@@ -490,9 +519,12 @@ class TestWorkArrays:
     """The per-trial passes, writing into lent work arrays, match fresh-array
     references bit for bit."""
 
-    CASES = [(EXAMPLE, 2000), (K3, 1001)]  # K = 2, and K = 3 with a parity-adjusted node
+    # K = 2; K = 3 with a parity-adjusted node whose degree joins a class, or
+    # stands alone; an empty middle class
+    CASES = [(EXAMPLE, 2000), (K3, 1001), (APART, 1001), (HOLLOW, 99)]
 
-    @pytest.mark.parametrize("model, n", CASES, ids=["k2", "k3-parity"])
+    @pytest.mark.parametrize("model, n", CASES,
+                             ids=["k2", "k3-parity", "k3-parity-apart", "k3-empty-middle"])
     @pytest.mark.parametrize("simple", [False, True], ids=["multigraph", "simple"])
     def test_passes_over_reused_work_match_the_references(self, model, n, simple):
         # the second network is summarized in the arrays the first one left behind
@@ -505,6 +537,23 @@ class TestWorkArrays:
             assert np.array_equal(summary.shares, shares)
             assert np.array_equal(summary.average, average)
             assert degree_assortativity(net, work=work) == _reference_assortativity(net)
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_node_sds_match_the_row_sum_reference(self, K):
+        # random shares, whose sophisticated denominators round as numpy's row sum does
+        model = DegreeModel(tuple(range(2, 2 * K + 1, 2)), (1 / K,) * K)
+        shares = np.random.default_rng(K).random((3000, K))
+        bounds = np.cumsum([0] + class_counts(model, 3000))
+        got = {(rule, d): [] for rule in ("naive", "sophisticated") for d in model.degrees}
+        work = shares.copy()  # left holding the per-node sophisticated estimates
+        netsim._add_node_sds(got, model, bounds, work, np.empty(3000))
+        weighted = shares / np.array(model.degrees, dtype=float)
+        estimates = weighted[:, -1] / weighted.sum(axis=1)
+        assert np.array_equal(work[:, -1], estimates)
+        for k, d in enumerate(model.degrees):
+            nodes = slice(bounds[k], bounds[k + 1])
+            assert got[("naive", d)] == [shares[nodes, -1].std()]
+            assert got[("sophisticated", d)] == [estimates[nodes].std()]
 
     @pytest.mark.parametrize("length", [1, 7, 8, 9, 1000, 8193, 60_000, 100_001])
     def test_std_matches_numpy(self, length):
@@ -694,6 +743,26 @@ class TestScaling:
     def test_rejects_what_cannot_give_a_slope(self, ns, trials_per_n, match):
         with pytest.raises(ModelError, match=match):
             sampling_error_scaling(EXAMPLE, ns, trials_per_n)
+
+
+class TestHandBuiltNetworks:
+    """A network built by hand fails where it is built, or where a pass finds
+    the degrees it records disagreeing with its edges."""
+
+    @pytest.mark.parametrize("node_class", [[0, 2], [-1, 1]], ids=["past-K", "negative"])
+    def test_class_outside_the_model_is_rejected(self, node_class):
+        with pytest.raises(ModelError, match=r"node classes must be 0 \.\. 1"):
+            SampledNetwork(EXAMPLE, node_class, [1, 1], [[0, 1]], 0, False, False)
+
+    def test_degrees_of_another_length_are_rejected(self):
+        with pytest.raises(ModelError, match="need one degree per node, got 3 for 2"):
+            SampledNetwork(EXAMPLE, [0, 1], [1, 1, 1], [[0, 1]], 0, False, False)
+
+    def test_degrees_that_differ_from_the_edges_are_rejected(self):
+        # node 1 records degree 2 but ends one edge
+        net = SampledNetwork(EXAMPLE, [0, 1], [1, 2], [[0, 1]], 0, False, False)
+        with pytest.raises(ModelError, match="recorded node degrees differ from the edges"):
+            empirical_neighbor_shares(net)
 
 
 class TestExports:
