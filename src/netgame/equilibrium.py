@@ -1,13 +1,15 @@
-"""Equilibrium expectations: dense solve, fixed-point iteration, closed forms.
+"""Equilibrium expectations: block solve, fixed-point iteration, closed forms.
 
 The finite system stacks one equation per agent type,
 
     xi = (E[theta]/c) * 1  +  (alpha/c) * Pi D xi,
 
 whose unique solution exists whenever alpha * d_K/d_1 < c (the map is then a
-contraction).  The large-sample limit collapses to one expectation per rule,
-for which closed forms are provided, along with the full-information
-benchmark that has no sampling bias at all.
+contraction).  Naive types believe everyone is naive, so the system is block
+lower-triangular in the rule and is solved naive block first.  The
+large-sample limit collapses to one expectation per rule, for which closed
+forms are provided, along with the full-information benchmark that has no
+sampling bias at all.
 """
 
 import math
@@ -67,24 +69,40 @@ def _fixed_point_residual(system, params, xi) -> float:
     return float(np.max(np.abs(xi - rhs)))
 
 
-def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSolution:
-    """Solve the type system by a dense LU factorization.
-
-    The residual of the fixed-point equation is checked after the solve and
-    anything above ``RESIDUAL_TOL`` raises rather than returning silently
-    degraded expectations.
-    """
-    a_c = float(params.alpha) / float(params.cost)
-    # I - (alpha/c) Pi D with a single L x L temporary
-    m = system.pi * (-a_c * system.d_diag)
-    m.flat[::system.L + 1] += 1.0
-    b = np.full(system.L, float(params.mean_preference) / float(params.cost))
+def _solve_block(system, block, a_c, b) -> np.ndarray:
+    """Solve (I - a_c Pi_bb D_b) x = b over the types in the ``block`` mask."""
+    idx = np.flatnonzero(block)
+    m = system.pi[np.ix_(idx, idx)]
+    m *= -a_c * system.d_diag[idx]
+    m.flat[::idx.size + 1] += 1.0
     try:
-        xi = np.linalg.solve(m, b)
+        return np.linalg.solve(m, b)
     except np.linalg.LinAlgError as exc:
         raise StabilityError(
             "singular type system; stability requires alpha * d_K/d_1 < cost"
         ) from exc
+
+
+def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSolution:
+    """Solve the type system block by block over the rules.
+
+    Naive rows put no mass on sophisticated columns, so I - (alpha/c) Pi D is
+    block lower-triangular in the rule and forward substitution is exact:
+    dense LU solves the naive block on its own, then the sophisticated block
+    with (alpha/c) Pi_sn D_n xi_n added to its right-hand side.  The blocks
+    come from the ``sophisticated`` mask, and one is held at a time.  A
+    full-system residual above ``RESIDUAL_TOL`` raises rather than returning
+    silently degraded expectations.
+    """
+    a_c = float(params.alpha) / float(params.cost)
+    t_c = float(params.mean_preference) / float(params.cost)
+    sophisticated = system.columns[2]
+    xi = np.zeros(system.L)
+    xi[~sophisticated] = _solve_block(system, ~sophisticated, a_c,
+                                      np.full(system.L - sophisticated.sum(), t_c))
+    # the sophisticated xi are still 0, so this product is the naive cross term
+    b = t_c + a_c * (system.pi @ (system.d_diag * xi))
+    xi[sophisticated] = _solve_block(system, sophisticated, a_c, b[sophisticated])
     res = _fixed_point_residual(system, params, xi)
     if not res <= RESIDUAL_TOL:  # also catches NaN
         raise ConvergenceError(

@@ -134,6 +134,8 @@ class ExpectationMatrix:
     def __post_init__(self, _columns):
         pi = np.asarray(self.pi, dtype=float)
         L = len(self.types)
+        if L == 0:
+            raise ModelError("a type system needs at least one type")
         if pi.shape != (L, L):
             raise ModelError("matrix shape must match the type count")
         # a NaN or infinite entry makes the sum non-finite; no L x L mask needed

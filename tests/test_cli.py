@@ -126,9 +126,9 @@ class TestSweeps:
                    for name in ("precision.csv", "precision.json")}
         assert digests == {
             "precision.csv":
-                "4d811da6134fd028f18186dba5556746ce0b51685c9c64a4d6e4271071558a4b",
+                "d5a79a412a032ef887ac666a21150c7d395fba065726c31effc3341d4bd95742",
             "precision.json":
-                "119b7ccd709f127c025e3caf2e6f15adec7a88b35faf079e4079033a11da1b9a",
+                "28e368641a8b26daf45105bdf196996e24bd6cb4fa9dd323fb0aa4516972127a",
         }
 
     @pytest.mark.parametrize("preset, digests", [
@@ -242,12 +242,12 @@ class TestSolveDump:
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
 
     @pytest.mark.parametrize("argv, digests", [
-        ([], ("6824305b9547aa7dd6b675ce7f96e29817fc4268a6f4c80722a217f50aab6caf",
-              "7643ccb262c3207389dc73809bf22fab7e58c08c2840dedf97e7d623a58945e2")),
+        ([], ("3dd489d149740b7c04b1d343328fc6ae10af622a1696f723771c683568c3e98e",
+              "4c7f684a8055d3428cbacbd70175c339977507885a63f50dc4f11e5940fef018")),
         # K = 3: three target degrees and all four rule blocks
         (["--model", "1,2,3:0.2,0.3,0.5", "--sigma", "0.3", "--alpha", "1", "--c", "4"],
-         ("d2968104c2b707b79eae919794ccf69b8dcbdff97a4ab0ca931ef812620ff880",
-          "c2f5f3bcc9d918dcd7dfb97517ff5ed75429511e498cf4d4298c883dfa9f413c")),
+         ("239982f83af8806adc322227874866c07ad2c4eefdc2e34d3a1624477432fb41",
+          "be8fc1bd72ea74fc4b62e44ca251baf7087747f06999f3aee83893983bb0e44c")),
     ], ids=["default", "k3"])
     def test_solve_bytes_are_pinned(self, argv, digests, tmp_path, capsys):
         code, _ = run(capsys, "solve", *argv, "--out", str(tmp_path))

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ from netgame import equilibrium
 from netgame import (
     ConvergenceError,
     DegreeModel,
+    ExpectationMatrix,
     GameParams,
     ModelError,
     StabilityError,
@@ -210,6 +212,133 @@ class TestExactOracle:
         for (rule, d, j), value in exact.items():
             got = solution.value(rule, d, (d - j, j))
             assert abs(got - value) <= 1e-14 * value
+
+
+def _dense_oracle(system, params) -> np.ndarray:
+    """xi from one dense LU of the whole system I - (alpha/c) Pi D."""
+    m = np.eye(system.L) - params.alpha / params.cost * system.pi * system.d_diag
+    return np.linalg.solve(m, np.full(system.L, params.mean_preference / params.cost))
+
+
+def _max_relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+def block_system(degrees, shares, sigma):
+    model = DegreeModel(degrees, shares)
+    params = GameParams(1.0, 1.2, 3.7, sigma, model)
+    return params, build_pi(model, params)
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize("degrees, shares, sigma", [
+        ((8, 16, 24), (0.5, 0.3, 0.2), 0.0),
+        ((8, 16, 24), (0.5, 0.3, 0.2), 0.5),
+        ((8, 16, 24), (0.5, 0.3, 0.2), 1.0),
+        ((2, 6), (0.6, 0.4), 0.5),
+        ((1, 2, 3), (0.2, 0.3, 0.5), 0.3),
+        ((128, 384), (0.6, 0.4), 0.5),
+    ])
+    def test_matches_the_dense_solve(self, degrees, shares, sigma):
+        params, system = block_system(degrees, shares, sigma)
+        xi = solve_direct(system, params).xi
+        assert _max_relative_gap(xi, _dense_oracle(system, params)) <= 1e-13
+
+    def test_interleaved_rules_solve_as_the_permuted_system(self):
+        params, system = block_system((1, 2, 3), (0.2, 0.3, 0.5), 0.3)
+        perm = np.random.default_rng(1).permutation(system.L)
+        shuffled = ExpectationMatrix([system.types[q] for q in perm],
+                                     system.pi[np.ix_(perm, perm)])
+        sophisticated = shuffled.columns[2]
+        # some sophisticated type comes before some naive one
+        assert (np.diff(sophisticated.astype(int)) < 0).any()
+        xi = solve_direct(shuffled, params).xi
+        assert _max_relative_gap(xi, solve_direct(system, params).xi[perm]) <= 1e-13
+        assert _max_relative_gap(xi, _dense_oracle(shuffled, params)) <= 1e-13
+
+    def test_naive_only_system(self):
+        params, system = block_system((2, 6), (0.6, 0.4), 0.5)
+        half = system.L // 2
+        naive = ExpectationMatrix(system.types[:half], system.pi[:half, :half])
+        xi = solve_direct(naive, params).xi
+        assert _max_relative_gap(xi, _dense_oracle(naive, params)) <= 1e-13
+        # the naive block is solved on its own, so the full solve agrees bit for bit
+        assert np.array_equal(xi, solve_direct(system, params).xi[:half])
+
+    def test_holds_one_block_at_a_time(self):
+        # a dense solve's system matrix alone is L^2 * 8 bytes; one rule block is
+        # a quarter of that.  tracemalloc sees numpy's buffers but not the copy
+        # LAPACK makes of each block inside np.linalg.solve.
+        params, system = block_system((8, 16, 24), (0.5, 0.3, 0.2), 0.5)
+        assert system.L == 1046
+        tracemalloc.start()
+        try:
+            solve_direct(system, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.35 * system.L ** 2 * 8
+
+
+SIGMAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def statics_instances(draw, classes=(2, 3)):
+    """A model with d1 <= 8 and higher degrees up to 3 * d1, and parameters at
+    contraction margin 1 - (alpha/c) * d_K/d_1 between 0.02 and 1."""
+    k = draw(st.sampled_from(classes))
+    d1 = draw(st.integers(1, 8))
+    higher = draw(st.lists(st.integers(d1 + 1, 3 * d1), min_size=k - 1,
+                           max_size=k - 1, unique=True))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    model = DegreeModel((d1, *sorted(higher)), tuple(r / sum(raw) for r in raw))
+    margin = draw(st.floats(0.02, 1.0))
+    cost = 3.0
+    return model, (1.0, (1 - margin) * cost / float(model.rho[-1]), cost)
+
+
+def statics_solution(model, scalars, sigma):
+    params = GameParams(*scalars, sigma, model)
+    return solve_direct(build_pi(model, params), params)
+
+
+class TestComparativeStatics:
+    # ties round either way: alpha at or next to 0, or an observation of one
+    # class only, where both rules read the same row but the blocks round
+    # apart by a few ulp per unit of 1/margin
+    SLACK = 1e-13
+
+    @settings(max_examples=20, deadline=None)
+    @given(statics_instances())
+    def test_naive_block_is_sigma_free(self, inst):
+        model, scalars = inst
+        blocks = []
+        for sigma in SIGMAS:
+            solution = statics_solution(model, scalars, sigma)
+            blocks.append(solution.xi[~solution.system.columns[2]])
+        assert all(np.array_equal(blocks[0], b) for b in blocks[1:])
+
+    @settings(max_examples=20, deadline=None)
+    @given(statics_instances(), st.sampled_from(SIGMAS))
+    def test_sophisticated_never_above_naive(self, inst, sigma):
+        model, scalars = inst
+        solution = statics_solution(model, scalars, sigma)
+        for t in solution.system.types:
+            if t.rule == "sophisticated":
+                naive = solution.value("naive", t.degree, t.observed.counts)
+                got = solution.value(t.rule, t.degree, t.observed.counts)
+                assert got <= naive * (1 + self.SLACK)
+
+    @settings(max_examples=20, deadline=None)
+    @given(statics_instances(classes=(2,)), st.sampled_from(SIGMAS))
+    def test_two_class_xi_rises_with_the_high_share(self, inst, sigma):
+        model, scalars = inst
+        solution = statics_solution(model, scalars, sigma)
+        for rule in ("naive", "sophisticated"):
+            for d in model.degrees:
+                xi = [solution.value(rule, d, (d - j, j)) for j in range(d + 1)]
+                assert all(b >= a * (1 - self.SLACK) for a, b in zip(xi, xi[1:]))
 
 
 class TestInfiniteNaive:

@@ -228,6 +228,10 @@ class TestBuildPi:
         with pytest.raises(ModelError):
             ExpectationMatrix(system.types, pi)
 
+    def test_rejects_an_empty_system(self):
+        with pytest.raises(ModelError, match="at least one type"):
+            ExpectationMatrix((), np.zeros((0, 0)))
+
     def test_three_class_rows_sum_to_one(self):
         m = DegreeModel((1, 2, 3), (0.3, 0.4, 0.3))
         system = build_pi(m, _stable_params(m, sigma=0.5))
