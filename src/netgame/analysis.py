@@ -297,12 +297,14 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     adds the three closed-form values, or one "unstable" row where they are
     undefined.  Returns rows (sigma, d1, delta2, rule, value, flag).  Every
     sigma is checked with the other scalars as ``GameParams`` checks them,
-    even where only ``inf`` is asked for, and an empty grid is an error.
+    even where only ``inf`` is asked for; no sigma or an empty grid is an error.
 
     The type weights depend on neither sigma nor the solution, so one kernel
     call per d1 weighs the whole grid, and every sigma reuses it.
     """
     _check_excess_ratio(eps)
+    if not len(sigmas):
+        raise ModelError("need at least one sophistication share")
     for sigma in sigmas:
         GameParams.check(etheta, alpha, cost, sigma)
     models = [_two_class_model(d1, eps) for d1 in d1_list if d1 != math.inf]

@@ -62,11 +62,13 @@ class EquilibriumSolution:
         return float(self.xi[self.system.index(rule, degree, counts)])
 
 
-def _fixed_point_residual(system, params, xi) -> float:
-    a_c = float(params.alpha) / float(params.cost)
-    t_c = float(params.mean_preference) / float(params.cost)
-    rhs = t_c + a_c * (system.pi @ (system.d_diag * xi))
-    return float(np.max(np.abs(xi - rhs)))
+def _best_response(system, a_c, t_c, xi) -> np.ndarray:
+    """The best-response map t + (alpha/c) Pi D xi, with no L x L temporary."""
+    return t_c + a_c * (system.pi @ (system.d_diag * xi))
+
+
+def _fixed_point_residual(system, a_c, t_c, xi) -> float:
+    return float(np.max(np.abs(xi - _best_response(system, a_c, t_c, xi))))
 
 
 def _solve_block(system, block, a_c, b) -> np.ndarray:
@@ -101,9 +103,9 @@ def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSo
     xi[~sophisticated] = _solve_block(system, ~sophisticated, a_c,
                                       np.full(system.L - sophisticated.sum(), t_c))
     # the sophisticated xi are still 0, so this product is the naive cross term
-    b = t_c + a_c * (system.pi @ (system.d_diag * xi))
+    b = _best_response(system, a_c, t_c, xi)
     xi[sophisticated] = _solve_block(system, sophisticated, a_c, b[sophisticated])
-    res = _fixed_point_residual(system, params, xi)
+    res = _fixed_point_residual(system, a_c, t_c, xi)
     if not res <= RESIDUAL_TOL:  # also catches NaN
         raise ConvergenceError(
             f"direct solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}", res
@@ -123,14 +125,13 @@ def solve_iterative(system: ExpectationMatrix, params: GameParams) -> Equilibriu
     """
     a_c = float(params.alpha) / float(params.cost)
     t_c = float(params.mean_preference) / float(params.cost)
-    scaled = system.pi * system.d_diag
     xi = np.full(system.L, t_c)
     for it in range(1, MAX_SWEEPS + 1):
-        nxt = t_c + a_c * (scaled @ xi)
+        nxt = _best_response(system, a_c, t_c, xi)
         diff = float(np.max(np.abs(nxt - xi)))
         xi = nxt
         if diff < ITERATIVE_TOL:
-            res = _fixed_point_residual(system, params, xi)
+            res = _fixed_point_residual(system, a_c, t_c, xi)
             return EquilibriumSolution(xi, system, "iterative", res, iterations=it)
     margin = 1 - a_c * float(system.d_diag.max())
     needed = math.log(1 / ITERATIVE_TOL) / margin if margin > 0 else math.inf
@@ -237,12 +238,15 @@ def average_expectation(solution: EquilibriumSolution, model: DegreeModel,
 
     With ``rule`` given the average runs over that rule's types under the true
     sampling weights of :func:`type_probabilities`; otherwise the rule blocks
-    are mixed by ``sigma``.
+    are mixed by ``sigma``.  A given ``sigma`` must be finite and in [0, 1],
+    as ``GameParams`` checks it, even where a rule is given.
     """
     if rule not in (None, NAIVE, SOPHISTICATED):
         raise ModelError(f"unknown updating rule {rule!r}")
     if rule is None and sigma is None:
         raise ModelError("need a sophistication share to mix the rule blocks")
+    if sigma is not None:
+        GameParams.check(0, 0, 1, sigma)  # the other scalars pass, so only sigma is checked
     weights = type_probabilities(model, solution.system)[np.newaxis]
     # with a rule given, the mixed average is not read and sigma may be unset
     averages = _rule_averages(weights, solution, 0.0 if sigma is None else sigma)[0]

@@ -13,10 +13,10 @@ stub total is odd, the last node of the highest-degree class loses one stub
 the unshuffled draw (nodes class by class, each node's stubs paired in node
 order) into two stub buffers in turn, while the calling thread summarizes the
 trial before.  A trial's summary counts one neighbor count table: the shares
-divide it by the degrees, and the assortativity sums it over the class ranges.
-Every float sum keeps the order of the numpy reduction it replaces, so the
-results keep their bits.  ``sampling_error_scaling`` reads only the average
-shares of the same trials.
+divide it by the degrees, and the assortativity takes four exact integer
+moments from it.  Every float sum of the shares keeps the order of the numpy
+reduction it replaces, so the results keep their bits.
+``sampling_error_scaling`` reads only the average shares of the same trials.
 """
 
 import json
@@ -327,43 +327,42 @@ def empirical_neighbor_shares(net: SampledNetwork, *, work: _Work = None) -> Nei
 def degree_assortativity(net: SampledNetwork, *, work: _Work = None) -> float:
     """Pearson correlation of degrees across edge endpoints (both directions).
 
-    Computed from the symmetric table of edge-end pairs of realized degrees,
-    not classes: a parity-adjusted node counts at degree d_K - 1.
-    Configuration-model realizations hover near zero; returns 0.0 when only
-    one degree value occurs, where no sorting is measurable.  The pair table
-    is an exact integer sum of the neighbor count table (see
-    ``empirical_neighbor_shares``) over node ranges of one degree, so it needs
-    the layout ``generate`` draws (classes in order at their degrees) and
-    raises ``ModelError`` for another.  A parity-adjusted last node is a range
-    of its own, whose ends into each range are its row's by symmetry once its
-    self-loops, counted from the edges, are split from its class.
+    Over the 2m edge ends, with M = sum d_i, S1 = sum d_i^2, S2 = sum d_i^3
+    and S11 = sum over ends of d_u * d_v, r = (M S11 - S1^2) / (M S2 - S1^2),
+    one correctly rounded division of exact integers.  Configuration-model
+    realizations hover near zero; returns 0.0 when only one degree value
+    occurs, where no sorting is measurable.  The moments are integer sums of
+    the neighbor count table (see ``empirical_neighbor_shares``), so every
+    node must sit at its class degree, save a parity-adjusted last node at
+    one less; node order is free.  Raises ``ModelError`` otherwise.
     """
-    model, n = net.model, net.n
-    bounds = np.searchsorted(net.node_class, np.arange(model.K + 1)).tolist()
-    ranges = list(zip(range(model.K), bounds, bounds[1:], model.degrees))
+    work = work or _Work(net)
+    degrees = net.model.degrees
+    off = work.node.view(np.int64)
+    np.take(np.array(degrees), net.node_class, out=off, mode="wrap")
     if net.parity_adjusted:
-        k, lo, _, d = ranges.pop()
-        ranges += [(k, lo, n - 1, d), (k, n - 1, n, d - 1)]
-    for k, lo, hi, d in ranges:
-        if not ((net.node_class[lo:hi] == k).all() and (net.node_degree[lo:hi] == d).all()):
-            raise ModelError("degree assortativity needs nodes in class order at class degrees")
-    values = np.array(sorted({d for _, lo, hi, d in ranges if lo < hi}))  # np.unique loads numpy.ma
-    if len(values) < 2:
-        return 0.0
-    table = _neighbor_table(net, work or _Work(net))
-    pairs = np.zeros((len(ranges), len(ranges)), dtype=np.int64)  # ends between ranges
-    pairs[:, :model.K] = [table[:, lo:hi].sum(axis=1) for _, lo, hi, _ in ranges]
+        off[-1] -= 1
+    off -= net.node_degree
+    if off.any():
+        raise ModelError("degree assortativity needs every node at its class degree")
+    table = _neighbor_table(net, work)
+    # ends[k] = sum of d_i over class-k nodes, so sum_k d_k^j ends[k] = sum_i c_i^j d_i
+    # with c_i node i's class degree: the moment of d^(j+1) save at a parity node
+    ends = table.sum(axis=1).tolist()
+    M, S1, S2 = (sum(d**j * e for d, e in zip(degrees, ends)) for j in range(3))
+    # each int64 dot is at most sum d_i^2 <= (2m)^2, below 2**63 while 2m < 3e9 stubs
+    S11 = sum(d * int(net.node_degree @ row) for d, row in zip(degrees, table))
     if net.parity_adjusted:
-        loops = 2 * np.count_nonzero((net.edges[:, 0] == n - 1) & (net.edges[:, 1] == n - 1))
-        to_last = np.append(pairs[-1, :-1], loops)
-        to_last[-2] -= loops
-        pairs[:, -2] -= to_last
-        pairs[:, -1] = to_last
-    merge = (np.array([d for *_, d in ranges])[:, None] == values).astype(np.int64)
-    table = merge.T @ pairs @ merge
-    ends = table.sum(axis=1)
-    dev = values - ends @ values / ends.sum()
-    return float(dev @ table @ dev / (ends @ dev**2))
+        p = net.n - 1
+        d = degrees[net.node_class[p]] - 1
+        S1 -= d
+        S2 -= (2 * d + 1) * d
+        # S11 took p at its class degree d + 1, once too often per end facing p
+        # times that end's degree: the degree at the far end of one of p's stubs
+        stubs = net.edges.ravel()
+        S11 -= int(net.node_degree[stubs[np.flatnonzero(stubs == p) ^ 1]].sum())
+    den = M * S2 - S1 * S1
+    return (M * S11 - S1 * S1) / den if den else 0.0
 
 
 def _trial_networks(model: DegreeModel, n: int, trials: int, seed, simple: bool):

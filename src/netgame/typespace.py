@@ -141,13 +141,14 @@ class ExpectationMatrix:
         # a NaN or infinite entry makes the sum non-finite; no L x L mask needed
         if not np.isfinite(pi.sum()):
             raise ModelError("interaction expectations must be finite")
-        if (pi < 0).any():
+        if pi.min() < 0:
             raise ModelError("interaction expectations must be non-negative")
         sums = pi.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
             raise ModelError("every row of the expectation matrix must sum to 1")
         counts, degrees, sophisticated = _columns or type_columns(self.types)
-        if sophisticated.any() and pi[np.ix_(~sophisticated, sophisticated)].any():
+        # a sum of finite non-negative entries is 0 exactly when every entry is
+        if (pi @ sophisticated)[~sophisticated].any():
             raise ModelError("naive observers cannot place mass on sophisticated types")
         d_diag = degrees / degrees.min()
         pi.setflags(write=False)

@@ -412,6 +412,10 @@ class TestPopulationPrecisionSweep:
         study()
         assert len(alive_at_build) > 2 and max(alive_at_build) <= 1
 
+    def test_rejects_an_empty_sigma_list(self):
+        with pytest.raises(ModelError, match="^need at least one sophistication share$"):
+            population_precision_sweep(2.0, 1.2, 3.7, 1.0, [], [2, math.inf], [0.5])
+
     def test_unstable_limit_rows(self):
         rows = population_precision_sweep(2.0, 1.5, 3.7, 1.0, [0.5], [math.inf],
                                           [0.1, 0.9])

@@ -185,11 +185,11 @@ class TestSimulate:
           "644afbbbf8a3fba9b50c7cf79d0baf54451227bc53997e32035c27cb29a984fe")),
         # K = 3 with an odd stub total: the last node loses a stub
         (["--model", "1,2,3:0.5,0.3,0.2", "--n", "1001"],
-         ("42b471f5bc68150541a529a4d0fa2a4e8ffa74ea61848dd615118425003d06b5",
+         ("7c098a9b919353d55ae370b6feb5248004ddb6bbfaff4f28ac69c6ae0828e502",
           "abe79fd9ae33b694d166324efec82fddd593ae98c807ceadd8f61d8bac1f1a58",
           "21ce1676ecf42bca6c6a459880be8cdfffa5e6a8d729062ea269bf112c734c98")),
         (["--model", "1,2,3:0.5,0.3,0.2", "--n", "1001", "--simple"],
-         ("376f5936bc18f9a723c722b976634cbab57e0158458bc170b2d62595a3eb526f",
+         ("45f7c9dac9ffa8214a2b49e445c97253c1fee5ac683691dd56c417280d61b00c",
           "abe79fd9ae33b694d166324efec82fddd593ae98c807ceadd8f61d8bac1f1a58",
           "63fa88a82c5cd0ebcf1de6709ed92342d2995a8e7acdc95966f53f59354c27db")),
     ], ids=["example", "example-simple", "k3-parity", "k3-parity-simple"])

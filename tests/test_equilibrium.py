@@ -88,6 +88,21 @@ class TestSolvers:
         assert sol.iterations == 1
         assert np.allclose(sol.xi, 1.0 / 3.7, atol=0)
 
+    def test_iteration_holds_no_scaled_matrix(self):
+        # each sweep is a mat-vec with pi; an L x L copy of pi * d_diag would
+        # peak at pi.nbytes
+        model = DegreeModel((8, 16, 24), (0.5, 0.3, 0.2))
+        params = GameParams(1.0, 1.0, 3.7, 0.5, model)
+        system = build_pi(model, params)
+        tracemalloc.start()
+        try:
+            solve_iterative(system, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.L == 1046
+        assert peak < 0.1 * system.pi.nbytes
+
     def test_monotone_increasing_iterates(self):
         model, params, system = fig_system()
         a_c = params.alpha / params.cost
@@ -331,6 +346,15 @@ class TestComparativeStatics:
                 assert got <= naive * (1 + self.SLACK)
 
     @settings(max_examples=20, deadline=None)
+    @given(statics_instances())
+    def test_mixed_mean_belief_falls_with_sigma(self, inst):
+        # the sigma-mixed population average of each sigma's own solution
+        model, scalars = inst
+        means = [average_expectation(statics_solution(model, scalars, sigma), model,
+                                     sigma=sigma) for sigma in SIGMAS]
+        assert all(b <= a * (1 + self.SLACK) for a, b in zip(means, means[1:]))
+
+    @settings(max_examples=20, deadline=None)
     @given(statics_instances(classes=(2,)), st.sampled_from(SIGMAS))
     def test_two_class_xi_rises_with_the_high_share(self, inst, sigma):
         model, scalars = inst
@@ -429,6 +453,21 @@ class TestBenchmark:
 
 
 class TestAveraging:
+    @pytest.mark.parametrize("rule, sigma, message", [
+        (None, 1.5, r"sophistication share must lie in \[0, 1\]"),
+        (None, -0.25, r"sophistication share must lie in \[0, 1\]"),
+        (None, float("nan"), "sigma must be finite, got nan"),
+        (None, float("inf"), "sigma must be finite, got inf"),
+        ("naive", 7, r"sophistication share must lie in \[0, 1\]"),
+        ("sophisticated", float("nan"), "sigma must be finite, got nan"),
+    ])
+    def test_rejects_an_invalid_sigma(self, rule, sigma, message):
+        # a mixed average outside the rule averages, NaN, or a share ignored
+        model, params, system = fig_system(sigma=0.3)
+        sol = solve_direct(system, params)
+        with pytest.raises(ModelError, match=message):
+            average_expectation(sol, model, rule=rule, sigma=sigma)
+
     def test_weights_sum_to_one(self):
         model, params, system = fig_system(sigma=0.3)
         w_all = type_probabilities(model, system) * np.where(system.columns[2], 0.3, 0.7)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -100,17 +101,16 @@ def _reference_shares(net):
 
 
 def _reference_assortativity(net):
-    """Degree assortativity with the degree table indexed by ``np.unique``."""
-    values, index = np.unique(net.node_degree, return_inverse=True)
-    D = len(values)
-    if D == 1:
+    """Degree assortativity as the exact rational Pearson correlation over every
+    edge end, from the edge list in Python ints, correctly rounded to a float."""
+    du = net.node_degree[net.edges[:, 0]].tolist()
+    dv = net.node_degree[net.edges[:, 1]].tolist()
+    x, y = du + dv, dv + du
+    ends, total = len(x), sum(x)
+    var = ends * sum(a * a for a in x) - total * total
+    if var == 0:
         return 0.0
-    pairs = np.bincount(index[net.edges[:, 0]] * D + index[net.edges[:, 1]],
-                        minlength=D * D).reshape(D, D)
-    table = pairs + pairs.T
-    ends = table.sum(axis=1)
-    dev = values - ends @ values / ends.sum()
-    return float(dev @ table @ dev / (ends @ dev**2))
+    return float(Fraction(ends * sum(a * b for a, b in zip(x, y)) - total * total, var))
 
 
 def _reference_report(model, n, trials, seed, simple):
@@ -401,16 +401,24 @@ class TestAssortativity:
             assert degree_assortativity(net) == _reference_assortativity(net)
         assert looped >= 5
 
-    def test_needs_the_drawn_layout(self):
-        # node ids relabeled: the same network, no longer class by class
-        net = generate(EXAMPLE, 200, seed=1)
-        order = np.random.default_rng(0).permutation(net.n)
+    @pytest.mark.parametrize("model, n", [(EXAMPLE, 200), (K3, 1001)], ids=["k2", "k3-parity"])
+    def test_node_order_is_free(self, model, n):
+        # node ids relabeled: the same network, no longer class by class; a
+        # parity-adjusted node stays last
+        net = generate(model, n, seed=1)
+        order = np.append(np.random.default_rng(0).permutation(n - 1), n - 1)
         relabeled = replace(net, node_class=net.node_class[order],
                             node_degree=net.node_degree[order],
                             edges=np.argsort(order)[net.edges])
-        assert empirical_neighbor_shares(relabeled).average.sum() == pytest.approx(1.0)
-        with pytest.raises(ModelError, match="needs nodes in class order at class degrees"):
-            degree_assortativity(relabeled)
+        assert degree_assortativity(relabeled) == degree_assortativity(net)
+        assert degree_assortativity(relabeled) == _reference_assortativity(net)
+
+    def test_needs_every_node_at_its_class_degree(self):
+        # node 0 swaps its class, so its recorded degree 4 is off its class degree 6
+        net = generate(EXAMPLE, 200, seed=1)
+        moved = replace(net, node_class=np.where(np.arange(net.n) == 0, 1, net.node_class))
+        with pytest.raises(ModelError, match="needs every node at its class degree"):
+            degree_assortativity(moved)
 
 
 class TestMonteCarloCheck:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +228,42 @@ class TestBuildPi:
         pi[0, 0] = np.nan                       # a naive row, naive column
         with pytest.raises(ModelError):
             ExpectationMatrix(system.types, pi)
+
+    def test_rejects_a_negative_entry(self):
+        m = DegreeModel((2, 4), (0.5, 0.5))
+        system = build_pi(m, _stable_params(m))
+        pi = system.pi.copy()
+        pi[0, 1] = -1e-300                      # too small to move the row sum
+        with pytest.raises(ModelError, match="must be non-negative"):
+            ExpectationMatrix(system.types, pi)
+
+    @pytest.mark.parametrize("mass", [0.25, 5e-324], ids=["quarter", "least-subnormal"])
+    def test_rejects_naive_mass_on_a_sophisticated_type(self, mass):
+        m = DegreeModel((2, 4), (0.5, 0.5))
+        system = build_pi(m, _stable_params(m, sigma=0.4))
+        pi = system.pi.copy()
+        naive = int(np.flatnonzero(~system.columns[2])[-1])
+        sophisticated = int(np.flatnonzero(system.columns[2])[0])
+        q = int(np.argmax(pi[naive]))
+        pi[naive, q] -= mass                    # the row still sums to one
+        pi[naive, sophisticated] += mass
+        with pytest.raises(ModelError, match="naive observers cannot place mass"):
+            ExpectationMatrix(system.types, pi)
+
+    def test_build_peak_memory_stays_near_pi(self):
+        # pi itself, the kernel's per-degree blocks and the check of pi, which
+        # reads it through reductions and one mat-vec, not through an L x L mask
+        # or an (L/2)^2 block copy (those took the peak to 1.47 x pi.nbytes)
+        m = DegreeModel((8, 16, 24), (0.5, 0.3, 0.2))
+        params = _stable_params(m, sigma=0.5)
+        tracemalloc.start()
+        try:
+            system = build_pi(m, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.L == 1046
+        assert peak <= 1.35 * system.pi.nbytes
 
     def test_rejects_an_empty_system(self):
         with pytest.raises(ModelError, match="at least one type"):
