@@ -25,7 +25,7 @@ from .equilibrium import (
     infinite_sophisticated,
     solve_direct,
 )
-from .estimators import NAIVE, SOPHISTICATED, observed_high_share
+from .estimators import NAIVE, RULES, SOPHISTICATED, observed_high_share
 from .population import DegreeModel, GameParams, ModelError, _positive_integer
 from .typespace import build_pi
 
@@ -199,6 +199,9 @@ class PrecisionSweepResult:
 
     def values(self, rule, class_index, share):
         """(d1, value) pairs at one matched share, ordered as d1_list."""
+        if rule not in RULES:
+            raise ModelError(f"unknown rule {rule!r}; have {list(RULES)}")
+        self._check_class_index(class_index)
         out = []
         for d1 in self.d1_list:
             for r in self.rows:
@@ -209,11 +212,19 @@ class PrecisionSweepResult:
 
     def gap(self, d1) -> float:
         """Infinity-norm distance to the closed form over this d1's rows."""
-        gaps = [abs(r.value - r.closed_form) for r in self.rows if r.d1 == d1]
-        return max(gaps)
+        if d1 not in self.d1_list:
+            raise ModelError(f"lowest degree {d1!r} is not in the sweep's {list(self.d1_list)}")
+        return max(abs(r.value - r.closed_form) for r in self.rows if r.d1 == d1)
 
     def matched_shares(self, class_index) -> list:
+        self._check_class_index(class_index)
         return sorted({r.share for r in self.rows if r.class_index == class_index})
+
+    @staticmethod
+    def _check_class_index(class_index) -> None:
+        # every sweep model has two degree classes
+        if class_index not in (0, 1):
+            raise ModelError(f"class index must be 0 or 1, got {class_index!r}")
 
 
 def _check_excess_ratio(eps) -> None:

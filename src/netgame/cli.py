@@ -20,6 +20,11 @@ and the output directory before anything is computed, calls the command's
 handler, which computes every output and neither writes nor prints, then has
 ``_write_outputs`` put each returned file in place atomically and prints the
 returned text.  So a command that fails creates no file and no directory.
+
+Each handler imports the modules it runs when it is called, so a command loads
+only those: ``import netgame.cli`` loads ``netgame.population`` and nothing
+else of the package, ``simulate`` adds ``netsim`` but never the type system,
+and ``solve`` never loads ``netsim`` or ``analysis``.
 """
 
 import argparse
@@ -36,23 +41,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import population_precision_sweep, sigma_sweep
-from .behavior import best_response, utility
-from .equilibrium import (
-    ConvergenceError,
-    benchmark_expectation,
-    infinite_naive,
-    solve_direct,
-)
-from .estimators import NAIVE, SOPHISTICATED, bias_surface, debias_shares
-from .netsim import monte_carlo_estimator_check, write_edgelist, write_metadata
 from .population import (
+    ConvergenceError,
     DegreeModel,
     GameParams,
     ModelError,
     biased_neighbor_share,
 )
-from .typespace import build_pi, pi_csv_rows
 
 PRESETS = {
     "example": {
@@ -317,6 +312,10 @@ def _tabulate(name, columns, rows, meta, out, noun="rows"):
 # ---------------------------------------------------------------------------
 
 def _example_checks(exact: bool) -> list:
+    from .behavior import best_response, utility
+    from .equilibrium import benchmark_expectation, infinite_naive
+    from .estimators import debias_shares
+
     preset = PRESETS["example"]
     model = _parse_model(preset["model"], exact)
     etheta, alpha, cost = (_scalar(preset[key], exact) for key in ("etheta", "alpha", "c"))
@@ -390,6 +389,8 @@ def _game_meta(opts, params) -> dict:
 
 def _sweep_precision(opts, out):
     """finite systems against their large-sample limit, by lowest degree"""
+    from .analysis import population_precision_sweep
+
     eps, alpha, cost, etheta = (opts.get(key, float)
                                 for key in ("eps", "alpha", "c", "etheta"))
     sigmas = opts.get("sigma", _scalar_list)
@@ -404,6 +405,8 @@ def _sweep_precision(opts, out):
 
 def _sweep_sophistication(opts, out):
     """expectations by sophistication share"""
+    from .analysis import sigma_sweep
+
     model, params = opts.game(0.0)
     sigmas = opts.get("grid", _grid)
     columns = ("sigma", "naive", "sophisticated", "benchmark")
@@ -415,6 +418,10 @@ def _sweep_sophistication(opts, out):
 
 def _sweep_outcomes(opts, out):
     """actions and utilities by sophistication share"""
+    from .analysis import sigma_sweep
+    from .behavior import best_response, utility
+    from .estimators import NAIVE, SOPHISTICATED
+
     sigmas = opts.get("grid", _grid)
     model, params = opts.game(0.0)
     etheta = params.mean_preference
@@ -432,6 +439,8 @@ def _sweep_outcomes(opts, out):
 
 def _sweep_bias(opts, out):
     """the estimator-gap surface"""
+    from .estimators import bias_surface
+
     eps_list = opts.get("eps", _scalar_list)
     grid = opts.get("grid", _grid)
     columns = ("eps", "delta2", "bias")
@@ -461,6 +470,8 @@ SWEEPS = {
 # ---------------------------------------------------------------------------
 
 def _simulate(opts, out):
+    from .netsim import monte_carlo_estimator_check, write_edgelist, write_metadata
+
     model = opts.get("model", _parse_model)
     n, trials, seed = (opts.get(key, int) for key in ("n", "trials", "seed"))
     simple = opts.get("simple", _boolean)
@@ -519,6 +530,9 @@ def _simulate(opts, out):
 # ---------------------------------------------------------------------------
 
 def _solve(opts, out):
+    from .equilibrium import solve_direct
+    from .typespace import build_pi
+
     model, params = opts.game(opts.get("sigma", float))
     solution = solve_direct(build_pi(model, params), params)
     columns = ("label", "rule", "degree", "observed", "expectation")
@@ -537,6 +551,8 @@ def _solve(opts, out):
 # ---------------------------------------------------------------------------
 
 def _pi(opts, out):
+    from .typespace import build_pi, pi_csv_rows
+
     model, params = opts.game(opts.get("sigma", float))
     system = build_pi(model, params)
     files = {"pi.csv": _csv_text(pi_csv_rows(system))}

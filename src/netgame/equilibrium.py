@@ -19,6 +19,7 @@ import numpy as np
 
 from .estimators import NAIVE, SOPHISTICATED
 from .population import (
+    ConvergenceError,
     DegreeModel,
     GameParams,
     ModelError,
@@ -31,14 +32,6 @@ from .typespace import ExpectationMatrix, multinomial_pmf
 RESIDUAL_TOL = 1e-8
 ITERATIVE_TOL = 1e-12
 MAX_SWEEPS = 10**6
-
-
-class ConvergenceError(RuntimeError):
-    """A solve failed to reach tolerance; carries the last residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass(frozen=True)

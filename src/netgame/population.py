@@ -34,6 +34,14 @@ class StabilityError(ModelError):
     """Complementarities too strong relative to costs: no stable equilibrium."""
 
 
+class ConvergenceError(RuntimeError):
+    """A solve failed to reach tolerance; carries the last residual."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
+
+
 @dataclass(frozen=True)
 class DegreeModel:
     """Degree support ``d_1 < ... < d_K`` with the true population shares."""

@@ -295,6 +295,17 @@ class TestPrecisionSweep:
         gaps = [sweep.gap(d) for d in (2, 4, 8)]
         assert gaps[0] > gaps[1] > gaps[2]
 
+    @pytest.mark.parametrize("query, message", [
+        (lambda s: s.gap(3), "lowest degree 3 is not in the sweep's [2, 4]"),
+        (lambda s: s.values("sophistocated", 0, 0.5), "unknown rule 'sophistocated'"),
+        (lambda s: s.values("naive", 2, 0.5), "class index must be 0 or 1, got 2"),
+        (lambda s: s.matched_shares(-1), "class index must be 0 or 1, got -1"),
+    ], ids=["gap-d1", "values-rule", "values-class", "matched-class"])
+    def test_rejects_a_query_the_sweep_does_not_hold(self, query, message):
+        sweep = precision_sweep(2.0, 1.2, 3.7, 0.5, 1.0, [2, 4])
+        with pytest.raises(ModelError, match=re.escape(message)):
+            query(sweep)
+
     def test_matched_shares_exact_for_doubling(self):
         sweep = precision_sweep(2.0, 1.2, 3.7, 0.5, 1.0, [2, 4, 8])
         assert all(r.offset == 0.0 for r in sweep.rows)

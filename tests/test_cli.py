@@ -352,33 +352,32 @@ class TestConfigAndErrors:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_edge_list_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        import netgame.cli
+        import netgame.netsim
 
         def torn(net, path):
             with open(path, "w") as fh:
                 fh.write("0 1\n")
             raise OSError("disk full")
 
-        monkeypatch.setattr(netgame.cli, "write_edgelist", torn)
+        monkeypatch.setattr(netgame.netsim, "write_edgelist", torn)
         out = tmp_path / "o"
         with pytest.raises(OSError, match="disk full"):
             main(["simulate", "--n", "200", "--trials", "1", "--tol", "0.5", "--out", str(out)])
         assert [p.name for p in out.iterdir()] == ["simulate.json"]
 
     @pytest.mark.parametrize("argv, computes", [
-        (["sweep", "bias", "--eps", "1", "--grid", "11"], "bias_surface"),
+        (["sweep", "bias", "--eps", "1", "--grid", "11"], "netgame.estimators.bias_surface"),
         (["simulate", "--n", "200", "--trials", "1", "--tol", "0.5"],
-         "monte_carlo_estimator_check"),
-        (["solve"], "build_pi"),
-        (["pi"], "build_pi"),
+         "netgame.netsim.monte_carlo_estimator_check"),
+        (["solve"], "netgame.typespace.build_pi"),
+        (["pi"], "netgame.typespace.build_pi"),
     ], ids=["sweep", "simulate", "solve", "pi"])
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
     def test_out_through_a_regular_file_exits_two(self, argv, computes, below, tmp_path,
                                                   capsys, monkeypatch):
         # the output path is checked before anything is computed
-        import netgame.cli
         calls = []
-        monkeypatch.setattr(netgame.cli, computes, lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(computes, lambda *a, **k: calls.append(a))
         afile = tmp_path / "afile"
         afile.write_text("kept\n")
         out = afile / "sub" if below else afile
@@ -482,8 +481,8 @@ class TestResolverDefects:
         assert capsys.readouterr().err.startswith("error: cannot read config file")
 
     def test_nan_in_payload_exits_two_without_files(self, tmp_path, capsys, monkeypatch):
-        import netgame.cli
-        monkeypatch.setattr(netgame.cli, "population_precision_sweep",
+        import netgame.analysis
+        monkeypatch.setattr(netgame.analysis, "population_precision_sweep",
                             lambda *a, **k: [(0.0, 2, 0.5, "naive", float("nan"), "")])
         code = main(["sweep", "precision", "--d1", "2", "--grid", "3", "--out", str(tmp_path)])
         assert code == 2
