@@ -9,13 +9,15 @@ stub total is odd, the last node of the highest-degree class loses one stub
 (the network records the adjustment).
 
 ``monte_carlo_estimator_check`` draws trial 0, kept for export, with
-``generate``; one executor thread shuffles the later multigraph trials from
-the unshuffled draw (nodes class by class, each node's stubs paired in node
-order) into two stub buffers in turn, while the calling thread summarizes the
-trial before.  A trial's summary counts one neighbor count table: the shares
-divide it by the degrees, and the assortativity takes four exact integer
-moments from it.  Every float sum of the shares keeps the order of the numpy
-reduction it replaces, so the results keep their bits.
+``generate`` on the calling thread while one executor thread draws trial 1,
+and then each later trial while the calling thread summarizes the one before.
+A later simple trial is a ``generate`` call; a later multigraph trial is
+shuffled from the unshuffled draw (nodes class by class, each node's stubs
+paired in node order) into two stub buffers in turn.  Every trial is
+summarized in one set of work arrays.  A trial's summary counts one neighbor
+count table: the shares divide it by the degrees, and the assortativity takes
+four exact integer moments from it.  Every float sum of the shares keeps the
+order of the numpy reduction it replaces, so the results keep their bits.
 ``sampling_error_scaling`` reads only the average shares of the same trials.
 """
 
@@ -33,6 +35,7 @@ from .population import DegreeModel, ModelError, biased_neighbor_share
 MAX_ROUNDS = 200  # re-draw rounds of simple mode before giving up
 WRITE_ROWS = 1 << 14  # edge-list lines formatted per write; bounds the byte buffer per write
 MAX_NODES = math.isqrt(np.iinfo(np.int64).max)  # edge keys lo * n + hi stay within int64
+STUB_BUDGET = 2 << 30  # bytes of the int64 stub arrays one call may hold at once
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,17 @@ def _node_count(n) -> int:
     return n
 
 
+def _check_stub_budget(model: DegreeModel, n: int, arrays: int) -> None:
+    """Raise ``ModelError`` when ``arrays`` int64 arrays of the stubs ``n`` nodes
+    draw would pass ``STUB_BUDGET`` bytes; the count is known before any is drawn."""
+    stubs = sum(count * d for count, d in zip(class_counts(model, n), model.degrees))
+    need = 8 * stubs * arrays
+    if need > STUB_BUDGET:
+        raise ModelError(f"{stubs} stubs at n = {n}: {arrays} int64 stub arrays need "
+                         f"{need} bytes ({need / 2**30:.3g} GiB), over the budget of "
+                         f"{STUB_BUDGET} bytes")
+
+
 def _seed(seed):
     """``seed`` as a non-negative Python int, or a sequence of them as a list of ints."""
     try:
@@ -164,13 +178,9 @@ def _layout(model: DegreeModel, n: int) -> SampledNetwork:
             raise ModelError("odd stub total and no node can spare a stub")
         node_degree[victims[-1]] -= 1
         parity_adjusted = True
-    return SampledNetwork(model, node_class, node_degree, _stubs(node_degree), None, False,
+    stubs = np.repeat(np.arange(n), node_degree)  # each node id once per stub, in order
+    return SampledNetwork(model, node_class, node_degree, stubs.reshape(-1, 2), None, False,
                           parity_adjusted)
-
-
-def _stubs(node_degree: np.ndarray) -> np.ndarray:
-    """The unshuffled draw's edges: each node id repeated by its degree, paired in order."""
-    return np.repeat(np.arange(len(node_degree)), node_degree).reshape(-1, 2)
 
 
 def draw_multigraph(layout: SampledNetwork, seed, out: np.ndarray) -> SampledNetwork:
@@ -202,11 +212,14 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
     ``n`` must be an integer and ``seed`` a non-negative integer or a sequence
     of them; the network records the seed as a Python int or list of ints.
     The network owns its edges: a multigraph is drawn into a fresh array.
+    A network whose two int64 stub arrays would pass ``STUB_BUDGET`` bytes
+    raises ``ModelError`` before either is allocated.
     """
     n = _node_count(n)
     seed = _seed(seed)
     if simple and model.degrees[-1] >= n:
         raise ModelError("simple mode needs the top degree below the node count")
+    _check_stub_budget(model, n, 2)  # the layout's stubs, and the draw or the pool
     layout = _layout(model, n)
     if not simple:
         return draw_multigraph(layout, seed, np.empty(2 * layout.m, dtype=np.int64))
@@ -229,18 +242,20 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
         runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
         first = np.zeros(len(keys), dtype=bool)
         first[np.minimum.reduceat(order, runs)] = True
-        # -1 past the end of ``known`` matches no key, so positions beyond the
-        # largest accepted key read as "not accepted".
-        earlier = np.append(known, -1)[np.searchsorted(known, keys)] == keys
-        keep = (u != v) & first & ~earlier
+        keep = (u != v) & first
+        if len(known):  # round 1 has accepted nothing to look up
+            # -1 past the end of ``known`` matches no key, so positions beyond
+            # the largest accepted key read as "not accepted".
+            keep &= np.append(known, -1)[np.searchsorted(known, keys)] != keys
         fresh = ranked[keep[order]]  # sorted, and disjoint from ``known``
-        del order, ranked, runs, first, earlier
+        del order, ranked, runs, first
         known = (np.insert(known, np.searchsorted(known, fresh), fresh) if len(known)
                  else fresh)
         accepted = np.concatenate((accepted, keys[keep]))
         rejected = pool.reshape(-1, 2)[~keep].ravel()
         if not len(rejected):
-            edges = np.column_stack((accepted // n, accepted % n))
+            edges = np.empty((len(accepted), 2), dtype=np.int64)
+            np.divmod(accepted, n, out=(edges[:, 0], edges[:, 1]))
             return replace(layout, edges=edges, seed=seed, simple=True)
         # Dead ends (e.g. two stubs of the same node left) need fresh material:
         # dissolve a few accepted edges back into the pool before retrying.
@@ -368,38 +383,45 @@ def degree_assortativity(net: SampledNetwork, *, work: _Work = None) -> float:
 def _trial_networks(model: DegreeModel, n: int, trials: int, seed, simple: bool):
     """Yield each trial's network with the work arrays to summarize it in.
 
-    Trial t draws from ``_trial_seed(seed, t)``.  Trial 0 and every simple
-    trial call ``generate`` on the calling thread: trial 0 owns its edges,
-    since it is kept for export.  A simple trial gets work arrays of its own,
-    freed before the next draw; multigraph trials share one set.  Trials
-    t >= 1 are drawn by ``draw_multigraph`` on one executor thread into two
-    stub buffers in turn, trial t + 1 while the caller reads trial t, each
-    from its own seed, so no network depends on the thread's timing.  Close
+    Trial t draws from ``_trial_seed(seed, t)``, so no network depends on
+    which thread draws it or when.  Trial 0 comes from ``generate`` on the
+    calling thread and owns its edges, since it is kept for export.  Trials
+    t >= 1 are drawn one ahead on one executor thread: trial 1 while trial 0
+    is drawn, then trial t + 1 while the caller reads trial t.  A simple trial
+    is a ``generate`` call of its own; a multigraph trial is shuffled by
+    ``draw_multigraph`` from one layout into two stub buffers in turn.  Every
+    trial has the same n and m, so all share one set of work arrays.  Close
     the generator (``contextlib.closing``) so the executor joins its thread
     on every exit, and take the pairs with ``next``: ``enumerate`` would keep
     the last pair alive into the next draw.
     """
-    if simple:
-        for t in range(trials):
-            net = generate(model, n, seed=_trial_seed(seed, t), simple=True)
-            yield net, _Work(net)
-            del net
-        return
-    net = generate(model, n, seed=_trial_seed(seed, 0))
-    work = _Work(net)
+    # the layout, both stub buffers and trial 0's edges, or two simple draws of two each
+    _check_stub_budget(model, n, 4)
     if trials == 1:
-        yield net, work
+        net = generate(model, n, seed=_trial_seed(seed, 0), simple=simple)
+        yield net, _Work(net)
         return
-    # ``_layout(model, n)``, on the per-node arrays trial 0 already holds
-    layout = replace(net, edges=_stubs(net.node_degree), seed=None)
-    buffers = np.empty((2, 2 * layout.m), dtype=np.int64)
-    # imported here so only multigraph runs of 2+ trials pay for its ``logging`` import
+    if simple:
+        def draw(t):
+            return generate(model, n, seed=_trial_seed(seed, t), simple=True)
+    else:
+        layout = _layout(model, n)
+        buffers = np.empty((2, 2 * layout.m), dtype=np.int64)
+
+        def draw(t):
+            return draw_multigraph(layout, _trial_seed(seed, t), buffers[t % 2])
+    # imported here so only runs of 2+ trials pay for its ``logging`` import
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) as worker:
-        for t in range(1, trials):
-            drawn = worker.submit(draw_multigraph, layout, _trial_seed(seed, t), buffers[t % 2])
+        drawn = worker.submit(draw, 1)
+        net = generate(model, n, seed=_trial_seed(seed, 0), simple=simple)
+        work = _Work(net)
+        for t in range(2, trials):
             yield net, work
             net = drawn.result()
+            drawn = worker.submit(draw, t)
+        yield net, work
+        net = drawn.result()
         yield net, work
 
 
@@ -469,9 +491,11 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     which is where sample size shows up -- higher degree, tighter estimates.
 
     Trial t draws from the seed ``[seed, t]`` (``[*seed, t]`` for a sequence);
-    trial 0 is kept as ``first_network``.  Later multigraph trials are drawn
-    one ahead on an executor thread (see ``_trial_networks``) and share work
-    arrays, so a trial allocates only its neighbor count table.
+    trial 0 is kept as ``first_network``.  Later trials are drawn one ahead on
+    an executor thread (see ``_trial_networks``), and every trial is
+    summarized in one set of work arrays, so a multigraph trial allocates only
+    its neighbor count table.  A run whose stub arrays would pass
+    ``STUB_BUDGET`` bytes raises ``ModelError`` before anything is drawn.
     """
     n, trials, seed = _node_count(n), _trial_count(trials), _seed(seed)
     degrees = [float(d) for d in model.degrees]

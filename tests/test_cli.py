@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -345,6 +346,18 @@ class TestConfigAndErrors:
         assert err.startswith("error:") and named in err
         assert not fresh.exists()
 
+    @pytest.mark.parametrize("trials", ["1", "20"])
+    def test_simulate_over_the_stub_budget_exits_two_at_once(self, trials, tmp_path, capsys):
+        # 1.5e10 stubs at n = 10, which a draw would hold in a 112 GiB array
+        fresh = tmp_path / "fresh"
+        start = time.perf_counter()
+        assert main(["simulate", "--model", "1000000000,2000000000:0.5,0.5", "--n", "10",
+                     "--trials", trials, "--out", str(fresh)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 15000000000 stubs at n = 10: 4 int64 stub arrays need")
+        assert not fresh.exists()
+
     def test_failed_sweep_leaves_no_default_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("NETGAME_OUT", raising=False)
@@ -507,8 +520,10 @@ class TestResolverDefects:
         code, _ = run(capsys, "simulate", "--n", "2000", "--trials", "3",
                       "--seed", "4", "--tol", "0.5", "--out", str(tmp_path))
         assert code == 0
-        # trial 0 comes from generate; every trial is drawn once, in seed order
-        assert calls == {"generate": [[4, 0]], "draw_multigraph": [[4, 0], [4, 1], [4, 2]]}
+        # trial 0 comes from generate; every trial is drawn once, in whatever
+        # order the calling thread and the worker reach their draws
+        assert calls["generate"] == [[4, 0]]
+        assert sorted(calls["draw_multigraph"]) == [[4, 0], [4, 1], [4, 2]]
         meta = json.loads((tmp_path / "edges.meta.json").read_text())
         assert meta["seed"] == [4, 0]
 

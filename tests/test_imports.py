@@ -41,8 +41,8 @@ def _fresh(*args, **kwargs):
 
 
 def test_cli_import_leaves_the_executor_out():
-    # ``concurrent.futures`` pulls in ``logging``; only multigraph simulate
-    # runs of two or more trials import it, so no other command pays for it
+    # ``concurrent.futures`` pulls in ``logging``; only simulate runs of two or
+    # more trials import it, so no other command pays for it
     code = ("import sys, netgame.cli; "
             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
     assert _fresh("-c", code).stdout == "[]\n"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -6,6 +7,8 @@ import os
 import subprocess
 import sys
 import threading
+import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -475,24 +478,25 @@ class TestMonteCarloCheck:
     def test_each_traced_layer_is_called_once_per_trial(self, monkeypatch):
         # the benchmark times these by wrapping the module attributes; a call
         # inlined or bound under another name would read as zero time.
-        # ``generate`` draws trial 0 through ``draw_multigraph``.
-        calls = {}
+        # ``generate`` draws trial 0 through ``draw_multigraph``; trial 1 is
+        # drawn at the same time, so the draws come in no fixed order.
+        calls = []  # list appends, since two threads record
         draws = []
         for name in ("generate", "draw_multigraph", "empirical_neighbor_shares",
                      "degree_assortativity"):
             real = getattr(netsim, name)
 
             def counting(*args, _name=name, _real=real, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
+                calls.append(_name)
                 result = _real(*args, **kwargs)
                 if _name == "draw_multigraph":
                     draws.append(result.seed)
                 return result
             monkeypatch.setattr(netsim, name, counting)
         monte_carlo_estimator_check(EXAMPLE, 2000, trials=3)
-        assert calls == {"generate": 1, "draw_multigraph": 3,
-                         "empirical_neighbor_shares": 3, "degree_assortativity": 3}
-        assert draws == [[0, 0], [0, 1], [0, 2]]
+        assert Counter(calls) == {"generate": 1, "draw_multigraph": 3,
+                                  "empirical_neighbor_shares": 3, "degree_assortativity": 3}
+        assert sorted(draws) == [[0, 0], [0, 1], [0, 2]]
 
     def test_simple_trials_each_call_generate(self, monkeypatch):
         # no shared layout or stub buffer is built for simple trials
@@ -513,7 +517,7 @@ class TestMonteCarloCheck:
         monkeypatch.setattr(netsim, "_layout", laying_out)
         monkeypatch.setattr(netsim, "draw_multigraph", no_multigraph)
         report = monte_carlo_estimator_check(EXAMPLE, 200, trials=2, seed=3, simple=True)
-        assert seeds == [[3, 0], [3, 1]]
+        assert sorted(seeds) == [[3, 0], [3, 1]]  # trials 0 and 1 are drawn at once
         assert layouts == [200, 200]  # one per generate call
         assert report.first_network.simple
 
@@ -592,7 +596,8 @@ print(*[b - a for a, b in zip(marks, marks[1:])])
 
 
 class TestPipeline:
-    """Multigraph trials are drawn on one worker thread, in a steady footprint."""
+    """Trials after the first are drawn on one worker thread, multigraph trials
+    in a steady footprint."""
 
     @pytest.mark.parametrize("malloc", [{}, {"MALLOC_MMAP_THRESHOLD_": "131072"}],
                              ids=["default", "every-large-block-mapped"])
@@ -613,19 +618,30 @@ class TestPipeline:
         table_pages = 2 * 100_000 * 8 // os.sysconf("SC_PAGE_SIZE")
         assert max(per_trial[2:]) <= 2 * table_pages, per_trial
 
-    def test_trials_after_the_first_are_drawn_on_one_worker_thread(self, monkeypatch):
-        threads = []
-        real = netsim.draw_multigraph
+    @pytest.mark.parametrize("simple", [False, True], ids=["multigraph", "simple"])
+    def test_trials_after_the_first_are_drawn_on_one_worker_thread(self, simple, monkeypatch):
+        # a simple trial is a generate call, a multigraph trial a draw_multigraph
+        # call (trial 0's inside generate); each records its seed and thread
+        drawn = {"generate": [], "draw_multigraph": []}
+        for name, records in drawn.items():
+            real = getattr(netsim, name)
 
-        def recording(*args):
-            threads.append(threading.get_ident())
-            return real(*args)
-        monkeypatch.setattr(netsim, "draw_multigraph", recording)
+            def recording(*args, _real=real, _records=records, **kwargs):
+                net = _real(*args, **kwargs)
+                _records.append((tuple(net.seed), threading.get_ident()))
+                return net
+            monkeypatch.setattr(netsim, name, recording)
         before = threading.active_count()
-        monte_carlo_estimator_check(EXAMPLE, 2000, trials=5)
+        monte_carlo_estimator_check(EXAMPLE, 2000, trials=5, simple=simple)
         assert threading.active_count() == before
-        assert threads[0] == threading.get_ident()  # trial 0, inside generate
-        assert len(set(threads[1:])) == 1 and threads[1] != threads[0]
+        main = threading.get_ident()
+        assert ((0, 0), main) in drawn["generate"]  # trial 0 comes from generate here
+        draws = drawn["generate" if simple else "draw_multigraph"]
+        assert sorted(seed for seed, _ in draws) == [(0, t) for t in range(5)]
+        thread = dict(draws)
+        assert thread[(0, 0)] == main
+        workers = {thread[(0, t)] for t in range(1, 5)}
+        assert len(workers) == 1 and main not in workers
 
     @pytest.mark.parametrize("where", ["summary", "draw"])
     def test_a_failing_trial_leaves_no_thread_behind(self, where, monkeypatch):
@@ -648,14 +664,50 @@ class TestPipeline:
             monte_carlo_estimator_check(EXAMPLE, 2000, trials=5)
         assert threading.active_count() == before
 
-    def test_concurrent_checks_match_one_at_a_time(self):
+    @pytest.mark.parametrize("trial", [1, 3], ids=["beside-trial-0", "later"])
+    def test_a_failing_simple_draw_leaves_no_thread_behind(self, trial, monkeypatch):
+        # the worker's generate call raises; the calling thread re-raises it
+        real = netsim.generate
+
+        def failing(*args, **kwargs):
+            if kwargs["seed"][-1] == trial:
+                raise ModelError("the draw failed")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(netsim, "generate", failing)
+        before = threading.active_count()
+        with pytest.raises(ModelError, match="^the draw failed$"):
+            monte_carlo_estimator_check(EXAMPLE, 200, trials=5, simple=True)
+        assert threading.active_count() == before
+
+    def test_a_degree_sequence_with_no_simple_graph_fails_at_once(self):
+        # degrees 3, 3, 1, 1: trial 0 and trial 1 both fail their Erdos-Gallai check
+        before = threading.active_count()
+        start = time.perf_counter()
+        with pytest.raises(ModelError, match="Erdos-Gallai fails at k = 2"):
+            monte_carlo_estimator_check(DegreeModel((1, 3), (0.5, 0.5)), 4, trials=3,
+                                        simple=True)
+        assert time.perf_counter() - start < 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("simple", [False, True], ids=["multigraph", "simple"])
+    def test_a_one_trial_run_starts_no_thread(self, simple, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a one-trial run made an executor")
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
+        before = threading.active_count()
+        report = monte_carlo_estimator_check(EXAMPLE, 200, trials=1, seed=5, simple=simple)
+        assert threading.active_count() == before
+        assert report.first_network.seed == [5, 0]
+
+    @pytest.mark.parametrize("simple", [False, True], ids=["multigraph", "simple"])
+    def test_concurrent_checks_match_one_at_a_time(self, simple):
         # four checks at once, each with its own worker, switching threads often
-        expected = [monte_carlo_estimator_check(EXAMPLE, 300, trials=8, seed=s)
+        expected = [monte_carlo_estimator_check(EXAMPLE, 300, trials=8, seed=s, simple=simple)
                     for s in range(4)]
         got = [None] * 4
 
         def run(s):
-            got[s] = monte_carlo_estimator_check(EXAMPLE, 300, trials=8, seed=s)
+            got[s] = monte_carlo_estimator_check(EXAMPLE, 300, trials=8, seed=s, simple=simple)
         threads = [threading.Thread(target=run, args=(s,)) for s in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -687,7 +739,43 @@ class TestPipeline:
         monkeypatch.setattr(netsim, "draw_multigraph", counting)
         monkeypatch.setattr(netsim, "degree_assortativity", unused)
         sampling_error_scaling(EXAMPLE, [300, 1001], [3, 2], seed=[7])
-        assert draws == [[7, 0, 0], [7, 0, 1], [7, 0, 2], [7, 1, 0], [7, 1, 1]]
+        # each size's trials 0 and 1 are drawn at once, in no fixed order
+        assert sorted(draws) == [[7, 0, 0], [7, 0, 1], [7, 0, 2], [7, 1, 0], [7, 1, 1]]
+
+
+class TestStubBudget:
+    """A draw whose int64 stub arrays would pass ``netsim.STUB_BUDGET`` bytes fails
+    with ``ModelError`` before any is allocated or any thread starts."""
+
+    HUGE = DegreeModel((10**9, 2 * 10**9), (0.5, 0.5))  # 1.5e10 stubs at n = 10
+
+    def test_generate_refuses_a_stub_array_that_cannot_fit(self):
+        with pytest.raises(ModelError, match=r"^15000000000 stubs at n = 10: 2 int64 stub "
+                                             r"arrays need 240000000000 bytes \(224 GiB\)"):
+            generate(self.HUGE, 10, seed=0)
+
+    def test_the_check_refuses_before_starting_a_thread(self):
+        before = threading.active_count()
+        with pytest.raises(ModelError, match="4 int64 stub arrays need 480000000000 bytes"):
+            monte_carlo_estimator_check(self.HUGE, 10, trials=3)
+        assert threading.active_count() == before
+
+    def test_the_scaling_refuses_before_laying_out(self):
+        with pytest.raises(ModelError, match="4 int64 stub arrays need"):
+            sampling_error_scaling(self.HUGE, [10, 20], [2, 2])
+
+    def test_a_call_fits_exactly_at_the_budget(self, monkeypatch):
+        # 4800 stubs at n = 1000: one int64 array of them is 38,400 bytes;
+        # generate holds two such arrays, a Monte-Carlo run four
+        monkeypatch.setattr(netsim, "STUB_BUDGET", 2 * 38_400)
+        assert generate(EXAMPLE, 1000, seed=0).m == 2400
+        with pytest.raises(ModelError, match="4 int64 stub arrays need 153600 bytes"):
+            monte_carlo_estimator_check(EXAMPLE, 1000, trials=2)
+        monkeypatch.setattr(netsim, "STUB_BUDGET", 4 * 38_400)
+        assert monte_carlo_estimator_check(EXAMPLE, 1000, trials=2).first_network.m == 2400
+        monkeypatch.setattr(netsim, "STUB_BUDGET", 2 * 38_400 - 1)
+        with pytest.raises(ModelError, match="2 int64 stub arrays need 76800 bytes"):
+            generate(EXAMPLE, 1000, seed=0, simple=True)
 
 
 class TestTypeLawOracle:
