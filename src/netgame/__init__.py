@@ -82,7 +82,6 @@ _EXPORTS = {
     "typespace": (
         "AgentType",
         "ExpectationMatrix",
-        "believed_rule_share",
         "build_pi",
         "enumerate_types",
         "multinomial_pmf",

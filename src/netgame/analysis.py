@@ -13,7 +13,7 @@ flagged and excluded from sign assertions instead of asserted blindly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .equilibrium import (
 )
 from .estimators import NAIVE, RULES, SOPHISTICATED, observed_high_share
 from .population import DegreeModel, GameParams, ModelError, _positive_integer
-from .typespace import build_pi
+from .typespace import build_pi, check_fits
 
 DIFF_STEP = 1e-4
 BAND_FACTOR = 10.0
@@ -243,15 +243,18 @@ def _two_class_model(d1, eps) -> DegreeModel:
         raise ModelError(f"d1 = {d1} with eps = {eps} gives a non-integer top degree")
     # The interaction matrix does not depend on the true shares, so any valid
     # share vector works here.
-    return DegreeModel((int(d1), int(round(d2))), (0.5, 0.5))
+    model = DegreeModel((int(d1), int(round(d2))), (0.5, 0.5))
+    check_fits(model)  # a study makes every model before it solves any
+    return model
 
 
 def _solutions(model, alpha, cost, etheta, sigmas):
-    """The model's solved system for each sigma, built as the caller asks for it,
-    so that a study never holds every sigma's L x L system at once."""
-    for sigma in sigmas:
-        params = GameParams(etheta, alpha, cost, sigma, model)
-        yield solve_direct(build_pi(model, params), params)
+    """The model's solved system for each sigma, solved as the caller asks for
+    it.  The table is built once and every sigma reuses it."""
+    params = [GameParams(etheta, alpha, cost, sigma, model) for sigma in sigmas]
+    system = build_pi(model, params[0])
+    for p in params:
+        yield solve_direct(replace(system, sigma=p.sigma), p)
 
 
 def precision_sweep(eps, alpha, cost, sigma, etheta, d1_list) -> PrecisionSweepResult:
@@ -310,8 +313,9 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     sigma is checked with the other scalars as ``GameParams`` checks them,
     even where only ``inf`` is asked for; no sigma or an empty grid is an error.
 
-    The type weights depend on neither sigma nor the solution, so one kernel
-    call per d1 weighs the whole grid, and every sigma reuses it.
+    A d1's table and type weights depend on neither sigma nor the solution,
+    so each takes one build and one kernel call for every sigma and the grid.
+    A d1 whose table cannot fit is refused before any is built.
     """
     _check_excess_ratio(eps)
     if not len(sigmas):

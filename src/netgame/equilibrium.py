@@ -56,20 +56,23 @@ class EquilibriumSolution:
 
 
 def _best_response(system, a_c, t_c, xi) -> np.ndarray:
-    """The best-response map t + (alpha/c) Pi D xi, with no L x L temporary."""
-    return t_c + a_c * (system.pi @ (system.d_diag * xi))
+    """t + (alpha/c) Pi D xi from K mat-vecs per rule on ``pmf``'s degree columns."""
+    naive, sophisticated = (system.d_diag * xi).reshape(2, -1)
+    # D xi as each rule's observers weigh the targets' rules: naive ones see only naive
+    believed = (naive, float(1 - system.sigma) * naive + float(system.sigma) * sophisticated)
+    products = [[system.pmf[:, c] @ x[c] for c in system.blocks] for x in believed]
+    return t_c + a_c * (system.beliefs * np.swapaxes(products, 1, 2)).sum(axis=2).ravel()
 
 
 def _fixed_point_residual(system, a_c, t_c, xi) -> float:
     return float(np.max(np.abs(xi - _best_response(system, a_c, t_c, xi))))
 
 
-def _solve_block(system, block, a_c, b) -> np.ndarray:
-    """Solve (I - a_c Pi_bb D_b) x = b over the types in the ``block`` mask."""
-    idx = np.flatnonzero(block)
-    m = system.pi[np.ix_(idx, idx)]
-    m *= -a_c * system.d_diag[idx]
-    m.flat[::idx.size + 1] += 1.0
+def _solve_block(system, weights, a_c, b) -> np.ndarray:
+    """Solve (I - a_c Pi_bb D) x = b, the rule block formed from row ``weights``."""
+    m = system.weighted_table(weights, np.empty(system.pmf.shape))
+    m *= -a_c * system.d_diag[:len(b)]
+    m.flat[::len(b) + 1] += 1.0
     try:
         return np.linalg.solve(m, b)
     except np.linalg.LinAlgError as exc:
@@ -81,23 +84,22 @@ def _solve_block(system, block, a_c, b) -> np.ndarray:
 def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSolution:
     """Solve the type system block by block over the rules.
 
-    Naive rows put no mass on sophisticated columns, so I - (alpha/c) Pi D is
-    block lower-triangular in the rule and forward substitution is exact:
-    dense LU solves the naive block on its own, then the sophisticated block
-    with (alpha/c) Pi_sn D_n xi_n added to its right-hand side.  The blocks
-    come from the ``sophisticated`` mask, and one is held at a time.  A
+    Naive observers put no mass on sophisticated types, so I - (alpha/c) Pi D
+    is block lower-triangular in the rule and forward substitution is exact:
+    dense LU solves the naive block on its own, then the sophisticated block,
+    weighed by sigma, with (alpha/c) (1 - sigma) Pi_sn D_n xi_n added to its
+    right-hand side.  Each block is formed from the table, one at a time.  A
     full-system residual above ``RESIDUAL_TOL`` raises rather than returning
     silently degraded expectations.
     """
     a_c = float(params.alpha) / float(params.cost)
     t_c = float(params.mean_preference) / float(params.cost)
-    sophisticated = system.columns[2]
+    half = system.L // 2
     xi = np.zeros(system.L)
-    xi[~sophisticated] = _solve_block(system, ~sophisticated, a_c,
-                                      np.full(system.L - sophisticated.sum(), t_c))
+    xi[:half] = _solve_block(system, system.beliefs[0], a_c, np.full(half, t_c))
     # the sophisticated xi are still 0, so this product is the naive cross term
-    b = _best_response(system, a_c, t_c, xi)
-    xi[sophisticated] = _solve_block(system, sophisticated, a_c, b[sophisticated])
+    b = _best_response(system, a_c, t_c, xi)[half:]
+    xi[half:] = _solve_block(system, float(system.sigma) * system.beliefs[1], a_c, b)
     res = _fixed_point_residual(system, a_c, t_c, xi)
     if not res <= RESIDUAL_TOL:  # also catches NaN
         raise ConvergenceError(
@@ -215,14 +217,12 @@ def _rule_averages(weights, solution, sigma) -> list:
     """Naive, sophisticated and sigma-mixed averages of ``solution.xi`` per
     row of ``weights``, as (naive, sophisticated, mixed) tuples.
 
-    Each value is one row dot: a single matrix product sums in another order
-    and moves the last bits.
+    Each rule's value is one row dot over its block: a single matrix product
+    sums in another order and moves the last bits.
     """
-    sophisticated = solution.system.columns[2]
-    rule_weights = (~sophisticated, sophisticated,
-                    np.where(sophisticated, float(sigma), 1.0 - float(sigma)))
-    return list(zip(*([float(w @ solution.xi) for w in weights * r]
-                      for r in rule_weights)))
+    xi, half = solution.xi, solution.system.L // 2
+    rules = [(float(w[:half] @ xi[:half]), float(w[half:] @ xi[half:])) for w in weights]
+    return [(n, s, (1 - float(sigma)) * n + float(sigma) * s) for n, s in rules]
 
 
 def average_expectation(solution: EquilibriumSolution, model: DegreeModel,

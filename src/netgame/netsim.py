@@ -30,12 +30,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import debias_shares
-from .population import DegreeModel, ModelError, biased_neighbor_share
+from .population import DegreeModel, ModelError, biased_neighbor_share, check_budget
 
 MAX_ROUNDS = 200  # re-draw rounds of simple mode before giving up
 WRITE_ROWS = 1 << 14  # edge-list lines formatted per write; bounds the byte buffer per write
 MAX_NODES = math.isqrt(np.iinfo(np.int64).max)  # edge keys lo * n + hi stay within int64
-STUB_BUDGET = 2 << 30  # bytes of the int64 stub arrays one call may hold at once
+# int64 arrays of one entry per stub that a draw holds at its peak: the layout and
+# the shuffled stubs, or in simple mode also a round's pool, keys, their order and
+# sorted copy (5.1 arrays under tracemalloc at n = 1e4 and 1e5, node arrays included)
+DRAW_ARRAYS = {False: 2, True: 5}
 
 
 @dataclass(frozen=True)
@@ -128,13 +131,9 @@ def _node_count(n) -> int:
 
 def _check_stub_budget(model: DegreeModel, n: int, arrays: int) -> None:
     """Raise ``ModelError`` when ``arrays`` int64 arrays of the stubs ``n`` nodes
-    draw would pass ``STUB_BUDGET`` bytes; the count is known before any is drawn."""
+    draw would pass ``MEMORY_BUDGET`` bytes; the count is known before any is drawn."""
     stubs = sum(count * d for count, d in zip(class_counts(model, n), model.degrees))
-    need = 8 * stubs * arrays
-    if need > STUB_BUDGET:
-        raise ModelError(f"{stubs} stubs at n = {n}: {arrays} int64 stub arrays need "
-                         f"{need} bytes ({need / 2**30:.3g} GiB), over the budget of "
-                         f"{STUB_BUDGET} bytes")
+    check_budget(8 * stubs * arrays, f"{stubs} stubs at n = {n}: {arrays} int64 stub arrays")
 
 
 def _seed(seed):
@@ -212,14 +211,15 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
     ``n`` must be an integer and ``seed`` a non-negative integer or a sequence
     of them; the network records the seed as a Python int or list of ints.
     The network owns its edges: a multigraph is drawn into a fresh array.
-    A network whose two int64 stub arrays would pass ``STUB_BUDGET`` bytes
-    raises ``ModelError`` before either is allocated.
+    A network whose int64 stub arrays, two or in simple mode five, would pass
+    ``population.MEMORY_BUDGET`` bytes raises ``ModelError`` before any is
+    allocated.
     """
     n = _node_count(n)
     seed = _seed(seed)
     if simple and model.degrees[-1] >= n:
         raise ModelError("simple mode needs the top degree below the node count")
-    _check_stub_budget(model, n, 2)  # the layout's stubs, and the draw or the pool
+    _check_stub_budget(model, n, DRAW_ARRAYS[simple])
     layout = _layout(model, n)
     if not simple:
         return draw_multigraph(layout, seed, np.empty(2 * layout.m, dtype=np.int64))
@@ -395,8 +395,9 @@ def _trial_networks(model: DegreeModel, n: int, trials: int, seed, simple: bool)
     on every exit, and take the pairs with ``next``: ``enumerate`` would keep
     the last pair alive into the next draw.
     """
-    # the layout, both stub buffers and trial 0's edges, or two simple draws of two each
-    _check_stub_budget(model, n, 4)
+    # two draws in flight: the layout, both stub buffers and trial 0's edges, or two
+    # simple draws
+    _check_stub_budget(model, n, 2 * DRAW_ARRAYS[simple])
     if trials == 1:
         net = generate(model, n, seed=_trial_seed(seed, 0), simple=simple)
         yield net, _Work(net)
@@ -495,7 +496,7 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     an executor thread (see ``_trial_networks``), and every trial is
     summarized in one set of work arrays, so a multigraph trial allocates only
     its neighbor count table.  A run whose stub arrays would pass
-    ``STUB_BUDGET`` bytes raises ``ModelError`` before anything is drawn.
+    ``population.MEMORY_BUDGET`` bytes raises ``ModelError`` before anything is drawn.
     """
     n, trials, seed = _node_count(n), _trial_count(trials), _seed(seed)
     degrees = [float(d) for d in model.degrees]

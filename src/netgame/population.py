@@ -16,6 +16,7 @@ from fractions import Fraction
 
 SHARE_TOL = 1e-12
 _COUNT_TOL = 1e-9
+MEMORY_BUDGET = 2 << 30  # bytes of the large arrays one call may hold at once
 
 
 def _positive_integer(x) -> bool:
@@ -40,6 +41,14 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+def check_budget(need: int, what: str) -> None:
+    """Raise ``ModelError`` when ``need`` bytes of ``what`` pass ``MEMORY_BUDGET``;
+    called where an array's size is known, before it or anything it needs is made."""
+    if need > MEMORY_BUDGET:
+        raise ModelError(f"{what} need {need} bytes ({need / 2**30:.3g} GiB), over the "
+                         f"budget of {MEMORY_BUDGET} bytes")
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,29 @@
-"""Agent-type enumeration and the interaction-expectation matrix.
+"""Agent-type enumeration and the interaction-expectation table.
 
-A type is (updating rule, degree, observed neighbor shares) and there are
-L = 2 * sum_k C(d_k + K - 1, K - 1) of them.  For each observer type, one
-matrix row holds the probabilities the observer assigns to interacting with
-every other type: degrees are weighted by the observer's estimated population
-shares, the target's own neighbor draws by a multinomial driven by the
-observer's observed shares, and rules by the sophistication share the
-observer believes in (sophisticated observers know the true mix, naive
-observers think everyone is naive).
+A type is (updating rule, degree, observed neighbor shares); there are
+L = 2 * sum_k C(d_k + K - 1, K - 1) of them, a naive block and then a
+sophisticated block over the same L/2 observations.  An observer's chance of
+meeting a target type is its believed share of the target's degree, times
+the multinomial chance of the target's neighbor counts under the observer's
+observed shares, times its believed share of the target's rule (naive
+observers think everyone is naive).  The middle factor depends on neither
+rule nor sigma: it is one (L/2) x (L/2) table per model.
 """
-
+import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import NAIVE, RULES, SOPHISTICATED, sophisticated_mle
+from .estimators import RULES, SOPHISTICATED, sophisticated_mle
 from .population import (
     DegreeModel,
     GameParams,
     ModelError,
     ObservedShares,
+    check_budget,
     feasible_observed_shares,
 )
-
-ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,32 +54,17 @@ def enumerate_types(model: DegreeModel) -> list:
             for rule in RULES for d, lattice in lattices for obs in lattice]
 
 
-def believed_rule_share(observer_rule, target_rule, sigma):
-    """Probability the observer assigns to the target using each rule.
-
-    Sophisticated observers spread mass (sigma, 1 - sigma) over sophisticated
-    and naive targets; naive observers put everything on naive.
-    """
-    if not 0 <= sigma <= 1:
-        raise ModelError("sophistication share must lie in [0, 1]")
-    if observer_rule not in RULES or target_rule not in RULES:
-        raise ModelError("unknown updating rule")
-    if observer_rule == SOPHISTICATED:
-        return sigma if target_rule == SOPHISTICATED else 1 - sigma
-    return 0 if target_rule == SOPHISTICATED else 1
-
-
-def multinomial_pmf(counts, probs) -> np.ndarray:
+def multinomial_pmf(counts, probs, *, out=None) -> np.ndarray:
     """Multinomial probabilities of every count vector under every cell-probability row.
 
     ``counts`` is an (n, K) array of non-negative integer count vectors and
     ``probs`` an (m, K) array of cell probabilities; entry [i, j] of the
-    (m, n) result is the chance of drawing ``counts[j]`` with ``probs[i]``.
-    Each probability is evaluated in log space from a log-factorial table,
-    so large totals do not overflow; the relative error grows with the
-    total, to about 3e-13 at 200 draws and 2e-12 at 1100.  A zero count on
-    a zero cell contributes a factor of one (0 * log 0 = 0); a positive
-    count on a zero cell makes the probability exactly 0.
+    (m, n) result, written into ``out`` if given, is the chance of drawing
+    ``counts[j]`` with ``probs[i]``.  Each probability is evaluated in log
+    space from a log-factorial table, so large totals do not overflow; the
+    relative error grows with the total, to about 3e-13 at 200 draws and
+    2e-12 at 1100.  A zero count on a zero cell contributes a factor of one
+    (0 * log 0 = 0); a positive count on a zero cell makes the chance 0.
     """
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -96,7 +80,7 @@ def multinomial_pmf(counts, probs) -> np.ndarray:
     log_fact = np.array([math.lgamma(t + 1) for t in range(int(totals.max(initial=0)) + 1)])
     zero = probs == 0
     log_p = np.log(probs, out=np.zeros_like(probs), where=~zero)
-    out = np.einsum("ik,jk->ij", log_p, counts)  # the only (m, n) array
+    out = np.einsum("ik,jk->ij", log_p, counts, out=out)  # the only (m, n) array
     out += log_fact[totals] - log_fact[whole].sum(axis=1)
     for k in np.flatnonzero(zero.any(axis=0)):
         out[np.ix_(zero[:, k], whole[:, k] > 0)] = -np.inf
@@ -114,62 +98,96 @@ def type_columns(types) -> tuple:
     return counts, degrees, sophisticated
 
 
+def check_fits(model: DegreeModel) -> None:
+    """Raise ``ModelError`` when the model's (L/2)^2 table and the one rule block
+    a solve forms from it would pass ``MEMORY_BUDGET``; L = 2 * sum_k
+    C(d_k + K - 1, K - 1) comes from the degrees, so no type is enumerated."""
+    L = 2 * sum(math.comb(d + model.K - 1, model.K - 1) for d in model.degrees)
+    check_budget(2 * 8 * (L // 2) ** 2, f"L = {L} types: the (L/2)^2 table and a solve block")
+
+
+def _degree_blocks(degrees) -> tuple:
+    """One slice per run of equal entries of an ascending degree column."""
+    edges = [0, *(np.flatnonzero(np.diff(degrees)) + 1).tolist(), len(degrees)]
+    return tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
+
+
 @dataclass(frozen=True)
 class ExpectationMatrix:
-    """Interaction expectations ``pi`` plus the degree-ratio diagonal.
-
-    ``pi[p, q]`` is the probability observer type p assigns to interacting
-    with target type q; ``d_diag[q]`` is the target's degree ratio d_j/d_1,
-    derived from the types.  ``columns`` holds the per-type arrays of
-    :func:`type_columns`.  Rows sum to one, all entries are non-negative, and
-    naive rows put zero mass on sophisticated columns.
+    """A type system: a naive and then a sophisticated block of ``types`` over
+    the same observations in ascending degree, as :func:`enumerate_types` lists
+    them.  ``pmf[p, q]`` is the chance of observation q's counts with p's
+    shares as cell probabilities, ``beliefs[r, p, k]`` the share of degree
+    class k a ``RULES[r]`` observer with observation p believes in.  ``columns``
+    (:func:`type_columns`, read from the types unless given), ``d_diag`` (d_j/d_1)
+    and ``blocks`` (each degree's ``pmf`` columns) are derived from the types.
     """
 
     types: tuple
-    pi: np.ndarray
-    d_diag: np.ndarray = field(init=False)
-    # build_pi passes the columns it already read, so the types are read once
-    _columns: InitVar[tuple | None] = None
+    pmf: np.ndarray
+    beliefs: np.ndarray
+    sigma: float
+    columns: tuple = field(default=None, repr=False, compare=False)
+    d_diag: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, _columns):
-        pi = np.asarray(self.pi, dtype=float)
-        L = len(self.types)
-        if L == 0:
+    def __post_init__(self):
+        if not len(self.types):
             raise ModelError("a type system needs at least one type")
-        if pi.shape != (L, L):
-            raise ModelError("matrix shape must match the type count")
-        # a NaN or infinite entry makes the sum non-finite; no L x L mask needed
-        if not np.isfinite(pi.sum()):
-            raise ModelError("interaction expectations must be finite")
-        if pi.min() < 0:
-            raise ModelError("interaction expectations must be non-negative")
-        sums = pi.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
-            raise ModelError("every row of the expectation matrix must sum to 1")
-        counts, degrees, sophisticated = _columns or type_columns(self.types)
-        # a sum of finite non-negative entries is 0 exactly when every entry is
-        if (pi @ sophisticated)[~sophisticated].any():
-            raise ModelError("naive observers cannot place mass on sophisticated types")
+        counts, degrees, sophisticated = self.columns or type_columns(self.types)
+        L, half = len(self.types), len(self.types) // 2
+        if L % 2 or (sophisticated != (np.arange(L) >= half)).any() or (
+                counts[:half] != counts[half:]).any() or (np.diff(degrees[:half]) < 0).any():
+            raise ModelError("types must be a naive and a sophisticated block over the same "
+                             "observations in ascending degree")
+        blocks = _degree_blocks(degrees[:half])
+        pmf, beliefs = (np.asarray(table, dtype=float) for table in (self.pmf, self.beliefs))
+        if pmf.shape != (half, half) or beliefs.shape != (2, half, len(blocks)):
+            raise ModelError("table shapes must match the type count")
+        # a NaN or infinite entry makes a sum non-finite, and min() NaN; no mask needed
+        if not (np.isfinite(pmf.sum() + beliefs.sum()) and min(pmf.min(), beliefs.min()) >= 0):
+            raise ModelError("interaction expectations must be non-negative and finite")
+        GameParams.check(0, 0, 1, self.sigma)  # the other scalars pass
         d_diag = degrees / degrees.min()
-        pi.setflags(write=False)
-        d_diag.setflags(write=False)
-        object.__setattr__(self, "types", tuple(self.types))
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "d_diag", d_diag)
-        object.__setattr__(self, "columns", (counts, degrees, sophisticated))
+        for array in (pmf, beliefs, d_diag):
+            array.setflags(write=False)
         index = {(t.rule, t.degree, c): q
                  for q, (t, c) in enumerate(zip(self.types, map(tuple, counts.tolist())))}
-        object.__setattr__(self, "_index", index)
+        for name, value in (("types", tuple(self.types)), ("pmf", pmf), ("beliefs", beliefs),
+                            ("columns", (counts, degrees, sophisticated)), ("d_diag", d_diag),
+                            ("blocks", blocks), ("_index", index)):
+            object.__setattr__(self, name, value)
 
     @property
     def L(self) -> int:
         return len(self.types)
 
+    @functools.cached_property
+    def pi(self) -> np.ndarray:
+        """``pi[p, q]``, observer type p's chance of meeting type q, assembled when
+        first read, once its L^2 * 8 bytes pass the ``MEMORY_BUDGET`` check."""
+        L, half = self.L, self.L // 2
+        check_budget(8 * L * L, f"the L^2 = {L * L} entries of pi")
+        pi = np.empty((L, L))
+        # [observer rule][target rule]: naive observers think everyone is naive
+        for r, rule_shares in enumerate(((1, 0), (1 - self.sigma, self.sigma))):
+            for r_j, w_rule in enumerate(rule_shares):
+                self.weighted_table(float(w_rule) * self.beliefs[r],
+                                    pi[r * half:(r + 1) * half, r_j * half:(r_j + 1) * half])
+        pi.setflags(write=False)
+        return pi
+
+    def weighted_table(self, weights, out) -> np.ndarray:
+        """Write ``pmf`` into ``out``, row p's degree-k columns times ``weights[p, k]``."""
+        for k, cols in enumerate(self.blocks):
+            np.multiply(weights[:, k, None], self.pmf[:, cols], out=out[:, cols])
+        return out
+
     def index(self, rule, degree, counts) -> int:
-        """Row/column index of the type with the given neighbor counts."""
+        """Row/column index of the type with the given neighbor counts.  Keys
+        compare by value, so 2.0 finds degree 2, but 2.5 finds no type."""
         try:
-            return self._index[(rule, int(degree), tuple(int(c) for c in counts))]
-        except KeyError:
+            return self._index[(rule, degree, tuple(counts))]
+        except (KeyError, TypeError):
             raise ModelError(f"no type ({rule}, {degree}, {counts})") from None
 
     def row(self, rule, degree, counts) -> np.ndarray:
@@ -177,32 +195,26 @@ class ExpectationMatrix:
 
 
 def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
-    """Build the L x L interaction-expectation matrix for a finite population.
+    """Build a finite population's type system.
 
-    The entry for observer p and target (rule r_j, degree d_j, counts k) is
-    the multinomial chance of k over d_j draws with the observer's observed
-    shares as cell probabilities, times the observer's believed population
-    share of degree d_j, times the believed rule share.  Both rules read the
-    same observations, so one :func:`multinomial_pmf` call per target degree
-    over the L/2 distinct ones fills that degree's columns in all four blocks.
+    Naive observers believe their observed shares, sophisticated ones
+    :func:`sophisticated_mle` of them, and sigma is kept as a scalar.  Both
+    rules read the same observations, so one :func:`multinomial_pmf` call per
+    target degree over the L/2 distinct ones writes that degree's columns of
+    the table in place.  A model whose table and solve block would pass
+    ``MEMORY_BUDGET`` bytes raises ``ModelError`` before any type is enumerated.
     """
+    check_fits(model)
     types = enumerate_types(model)
-    counts, degrees, sophisticated = type_columns(types)
+    counts, degrees, _ = columns = type_columns(types)
     half = len(types) // 2  # the sophisticated block repeats the naive block's order
     observed = counts[:half] / degrees[:half, None]
-    deg_shares = {NAIVE: observed, SOPHISTICATED: np.array(
-        [sophisticated_mle(t.observed, model.degrees) for t in types[half:]], dtype=float)}
-    pi = np.empty((len(types), len(types)))
-    for k, d_j in enumerate(model.degrees):
-        cols = np.flatnonzero(degrees[:half] == d_j)
-        pmf = multinomial_pmf(counts[cols], observed)
-        for r, rule in enumerate(RULES):
-            for r_j, rule_j in enumerate(RULES):
-                w_rule = float(believed_rule_share(rule, rule_j, params.sigma))
-                start = r_j * half + cols[0]
-                np.multiply((w_rule * deg_shares[rule][:, k])[:, None], pmf,
-                            out=pi[r * half:(r + 1) * half, start:start + len(cols)])
-    return ExpectationMatrix(tuple(types), pi, _columns=(counts, degrees, sophisticated))
+    beliefs = np.stack([observed, np.array(
+        [sophisticated_mle(t.observed, model.degrees) for t in types[half:]], dtype=float)])
+    pmf = np.empty((half, half))
+    for cols in _degree_blocks(degrees[:half]):
+        multinomial_pmf(counts[cols], observed, out=pmf[:, cols])
+    return ExpectationMatrix(tuple(types), pmf, beliefs, params.sigma, columns)
 
 
 def pi_csv_rows(system: ExpectationMatrix) -> list:

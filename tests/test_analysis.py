@@ -403,12 +403,14 @@ class TestPopulationPrecisionSweep:
         with pytest.raises(ModelError, match=r"^lowest degrees must be distinct, got \["):
             population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0.5], d1_list, [0.5])
 
-    @pytest.mark.parametrize("study", [
-        lambda: population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0, 0.5, 1], [2, 4], [0.5]),
-        lambda: precision_sweep(2.0, 1.2, 3.7, 0.5, 1.0, [2, 4, 8]),
+    @pytest.mark.parametrize("study, models", [
+        (lambda: population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0, 0.5, 1], [2, 4, 8],
+                                            [0.5]), 3),
+        (lambda: precision_sweep(2.0, 1.2, 3.7, 0.5, 1.0, [2, 4, 8]), 3),
     ], ids=["population", "precision"])
-    def test_one_system_alive_at_a_time(self, study, monkeypatch):
-        # when a system is built, at most the one before it may still be alive
+    def test_one_system_alive_at_a_time(self, study, models, monkeypatch):
+        # one build per model, whatever the number of sigmas; when a system is
+        # built, at most the one before it may still be alive
         built, alive_at_build = [], []
         real = an.build_pi
 
@@ -421,7 +423,31 @@ class TestPopulationPrecisionSweep:
 
         monkeypatch.setattr(an, "build_pi", tracked)
         study()
-        assert len(alive_at_build) > 2 and max(alive_at_build) <= 1
+        assert len(alive_at_build) == models and max(alive_at_build) <= 1
+
+    @pytest.mark.parametrize("sigmas", [[0.5], [0, 0.25, 0.5, 0.75, 1]])
+    def test_one_kernel_call_per_target_degree_whatever_the_sigmas(self, sigmas,
+                                                                    monkeypatch):
+        # the sigma-free table is built once per finite d1 and reused for every sigma
+        import netgame.typespace
+        calls = []
+        real = netgame.typespace.multinomial_pmf
+        monkeypatch.setattr(netgame.typespace, "multinomial_pmf",
+                            lambda c, p, **kw: calls.append(len(p)) or real(c, p, **kw))
+        population_precision_sweep(2.0, 1.2, 3.7, 1.0, sigmas, [2, 4, math.inf], [0.5])
+        # K = 2 calls per finite d1, each over the L/2 = 4 * d1 + 2 observations
+        assert calls == [10, 10, 18, 18]
+
+    @pytest.mark.parametrize("study", [
+        lambda: population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0.5], [2, 100_000, math.inf],
+                                           [0.5]),
+        lambda: precision_sweep(2.0, 1.2, 3.7, 0.5, 1.0, [2, 100_000]),
+    ], ids=["population", "precision"])
+    def test_refuses_a_table_over_the_budget_before_building_any(self, study, monkeypatch):
+        # d1 = 1e5 with eps = 2 has L = 800,004 types; d1 = 2 is not solved first
+        monkeypatch.setattr(an, "build_pi", None)
+        with pytest.raises(ModelError, match=r"^L = 800004 types: the \(L/2\)\^2 table"):
+            study()
 
     def test_rejects_an_empty_sigma_list(self):
         with pytest.raises(ModelError, match="^need at least one sophistication share$"):

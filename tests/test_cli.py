@@ -127,9 +127,9 @@ class TestSweeps:
                    for name in ("precision.csv", "precision.json")}
         assert digests == {
             "precision.csv":
-                "d5a79a412a032ef887ac666a21150c7d395fba065726c31effc3341d4bd95742",
+                "3ec4cf94ca4cbf73c28d083e85ec077b6fc6f160e15be7f650826de10a9ba2ba",
             "precision.json":
-                "28e368641a8b26daf45105bdf196996e24bd6cb4fa9dd323fb0aa4516972127a",
+                "decdf815699d64ae9d40c92116cb02527e68849961b6ff6110f5fe0d856b822e",
         }
 
     @pytest.mark.parametrize("preset, digests", [
@@ -243,12 +243,12 @@ class TestSolveDump:
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
 
     @pytest.mark.parametrize("argv, digests", [
-        ([], ("3dd489d149740b7c04b1d343328fc6ae10af622a1696f723771c683568c3e98e",
-              "4c7f684a8055d3428cbacbd70175c339977507885a63f50dc4f11e5940fef018")),
+        ([], ("7f6b06382676e9e3d433298f69413470c5a277a4b0f491e5e54ab88e0c635bc6",
+              "741f665b0d2b50f2fb0f2d0607098831ba8955673c17ef348e4c5a66afeafb8c")),
         # K = 3: three target degrees and all four rule blocks
         (["--model", "1,2,3:0.2,0.3,0.5", "--sigma", "0.3", "--alpha", "1", "--c", "4"],
-         ("239982f83af8806adc322227874866c07ad2c4eefdc2e34d3a1624477432fb41",
-          "be8fc1bd72ea74fc4b62e44ca251baf7087747f06999f3aee83893983bb0e44c")),
+         ("c70cfdba3175aa45490327a5e5343d74cb733000c86fcc03ec9b242d64a5aa87",
+          "1c8b3b7ccadd97f34093c88e2f3e6bd91e9da26ed8d6729f9fa46dd4704b57a0")),
     ], ids=["default", "k3"])
     def test_solve_bytes_are_pinned(self, argv, digests, tmp_path, capsys):
         code, _ = run(capsys, "solve", *argv, "--out", str(tmp_path))
@@ -356,6 +356,24 @@ class TestConfigAndErrors:
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
         assert err.startswith("error: 15000000000 stubs at n = 10: 4 int64 stub arrays need")
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize("argv, types", [
+        (["solve", "--model", "200,400,600:0.5,0.3,0.2"], 563_606),
+        (["solve", "--model", "1000,2000,3000:0.5,0.3,0.2"], 14_018_006),
+        (["pi", "--model", "3000,9000:0.5,0.5"], 24_004),
+        (["sweep", "precision", "--d1", "100000,inf"], 800_004),
+    ], ids=["solve", "solve-huge", "pi", "sweep-precision"])
+    def test_a_type_system_over_the_budget_exits_two_at_once(self, argv, types, tmp_path,
+                                                            capsys):
+        # refused from the closed-form type count, before any type is enumerated
+        fresh = tmp_path / "fresh"
+        start = time.perf_counter()
+        assert main([*argv, "--out", str(fresh)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: L = {types} types: the (L/2)^2 table and a solve "
+                              f"block need {16 * (types // 2) ** 2} bytes")
         assert not fresh.exists()
 
     def test_failed_sweep_leaves_no_default_out_dir(self, tmp_path, capsys, monkeypatch):

@@ -12,7 +12,6 @@ from netgame import equilibrium
 from netgame import (
     ConvergenceError,
     DegreeModel,
-    ExpectationMatrix,
     GameParams,
     ModelError,
     StabilityError,
@@ -167,6 +166,26 @@ class TestSolvers:
         sol = solve_direct(system, params)
         q = system.index("naive", 2, (1, 1))
         assert sol.value("naive", 2, (1, 1)) == sol.xi[q]
+        # whole numbers of any numeric type find the type
+        assert sol.value("naive", 2.0, np.array([1, 1])) == sol.xi[q]
+
+    @pytest.mark.parametrize("degree, counts", [
+        (2.9, (1.6, 1.2)), (2, (1.5, 0.5)), (2.5, (1, 1)), (float("nan"), (1, 1)),
+    ])
+    def test_value_rejects_a_degree_or_count_that_is_not_whole(self, degree, counts):
+        # these used to be truncated to the (2, (1, 1)) type
+        _, params, system = fig_system()
+        sol = solve_direct(system, params)
+        with pytest.raises(ModelError, match="no type"):
+            sol.value("naive", degree, counts)
+
+    @pytest.mark.parametrize("solve", [solve_direct, solve_iterative])
+    def test_solving_and_averaging_leave_pi_unassembled(self, solve):
+        model, params, system = fig_system(d1=4)
+        sol = solve(system, params)
+        average_expectation(sol, model, sigma=0.5)
+        average_expectation(sol, model, rule="sophisticated")
+        assert "pi" not in vars(system)
 
 
 def _exact_two_class_solution(degrees, alpha, cost, etheta, sigma) -> dict:
@@ -259,26 +278,16 @@ class TestBlockSolve:
         xi = solve_direct(system, params).xi
         assert _max_relative_gap(xi, _dense_oracle(system, params)) <= 1e-13
 
-    def test_interleaved_rules_solve_as_the_permuted_system(self):
-        params, system = block_system((1, 2, 3), (0.2, 0.3, 0.5), 0.3)
-        perm = np.random.default_rng(1).permutation(system.L)
-        shuffled = ExpectationMatrix([system.types[q] for q in perm],
-                                     system.pi[np.ix_(perm, perm)])
-        sophisticated = shuffled.columns[2]
-        # some sophisticated type comes before some naive one
-        assert (np.diff(sophisticated.astype(int)) < 0).any()
-        xi = solve_direct(shuffled, params).xi
-        assert _max_relative_gap(xi, solve_direct(system, params).xi[perm]) <= 1e-13
-        assert _max_relative_gap(xi, _dense_oracle(shuffled, params)) <= 1e-13
-
     def test_naive_only_system(self):
+        # the naive block is a naive-only system of its own: one dense LU of
+        # I - (alpha/c) Pi_nn D_n, read from the assembled pi, gives its xi
         params, system = block_system((2, 6), (0.6, 0.4), 0.5)
         half = system.L // 2
-        naive = ExpectationMatrix(system.types[:half], system.pi[:half, :half])
-        xi = solve_direct(naive, params).xi
-        assert _max_relative_gap(xi, _dense_oracle(naive, params)) <= 1e-13
-        # the naive block is solved on its own, so the full solve agrees bit for bit
-        assert np.array_equal(xi, solve_direct(system, params).xi[:half])
+        m = (np.eye(half) - params.alpha / params.cost
+             * system.pi[:half, :half] * system.d_diag[:half])
+        dense = np.linalg.solve(m, np.full(half, params.mean_preference / params.cost))
+        xi = solve_direct(system, params).xi[:half]
+        assert _max_relative_gap(xi, dense) <= 1e-13
 
     def test_holds_one_block_at_a_time(self):
         # a dense solve's system matrix alone is L^2 * 8 bytes; one rule block is

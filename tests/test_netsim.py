@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -39,7 +40,7 @@ from netgame import (
     write_edgelist,
     write_metadata,
 )
-from netgame import netsim
+from netgame import netsim, population
 from netgame.netsim import MAX_NODES, MAX_ROUNDS, WRITE_ROWS, _check_graphical
 
 EXAMPLE = DegreeModel((4, 6), (0.6, 0.4))
@@ -744,8 +745,8 @@ class TestPipeline:
 
 
 class TestStubBudget:
-    """A draw whose int64 stub arrays would pass ``netsim.STUB_BUDGET`` bytes fails
-    with ``ModelError`` before any is allocated or any thread starts."""
+    """A draw whose int64 stub arrays would pass ``population.MEMORY_BUDGET`` bytes
+    fails with ``ModelError`` before any is allocated or any thread starts."""
 
     HUGE = DegreeModel((10**9, 2 * 10**9), (0.5, 0.5))  # 1.5e10 stubs at n = 10
 
@@ -767,15 +768,37 @@ class TestStubBudget:
     def test_a_call_fits_exactly_at_the_budget(self, monkeypatch):
         # 4800 stubs at n = 1000: one int64 array of them is 38,400 bytes;
         # generate holds two such arrays, a Monte-Carlo run four
-        monkeypatch.setattr(netsim, "STUB_BUDGET", 2 * 38_400)
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 2 * 38_400)
         assert generate(EXAMPLE, 1000, seed=0).m == 2400
         with pytest.raises(ModelError, match="4 int64 stub arrays need 153600 bytes"):
             monte_carlo_estimator_check(EXAMPLE, 1000, trials=2)
-        monkeypatch.setattr(netsim, "STUB_BUDGET", 4 * 38_400)
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 4 * 38_400)
         assert monte_carlo_estimator_check(EXAMPLE, 1000, trials=2).first_network.m == 2400
-        monkeypatch.setattr(netsim, "STUB_BUDGET", 2 * 38_400 - 1)
-        with pytest.raises(ModelError, match="2 int64 stub arrays need 76800 bytes"):
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400 - 1)
+        with pytest.raises(ModelError, match="5 int64 stub arrays need 192000 bytes"):
             generate(EXAMPLE, 1000, seed=0, simple=True)
+
+    def test_simple_draws_are_charged_what_they_hold(self, monkeypatch):
+        # a simple draw holds about five stub arrays at its peak, and a run of
+        # trials two draws at once: the nominal two and four let these through
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 4 * 38_400)
+        with pytest.raises(ModelError, match="5 int64 stub arrays need 192000 bytes"):
+            generate(EXAMPLE, 1000, seed=0, simple=True)
+        with pytest.raises(ModelError, match="10 int64 stub arrays need 384000 bytes"):
+            monte_carlo_estimator_check(EXAMPLE, 1000, trials=2, simple=True)
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 10 * 38_400)
+        report = monte_carlo_estimator_check(EXAMPLE, 1000, trials=2, simple=True)
+        assert report.first_network.simple and report.first_network.m == 2400
+
+    def test_a_simple_draw_peaks_within_its_charge(self):
+        # the charge holds against what tracemalloc sees, node arrays included
+        tracemalloc.start()
+        try:
+            net = generate(EXAMPLE, 10_000, seed=0, simple=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * netsim.DRAW_ARRAYS[True] * 8 * 2 * net.m
 
 
 class TestTypeLawOracle:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netgame import population
 from netgame import (
     DegreeModel,
     ExpectationMatrix,
     GameParams,
     ModelError,
-    believed_rule_share,
     build_pi,
     enumerate_types,
     multinomial_pmf,
@@ -87,6 +88,15 @@ class TestEnumerateTypes:
         for q, t in enumerate(system.types):
             assert system.index(t.rule, t.degree, t.observed.counts) == q
 
+    @pytest.mark.parametrize("degree, counts", [(2.5, (1, 1)), (2, (1.5, 0.5)),
+                                                (4.0000001, (2, 2))])
+    def test_row_rejects_a_degree_or_count_that_is_not_whole(self, degree, counts):
+        # these used to be truncated to a neighboring type's row
+        m = DegreeModel((2, 4), (0.5, 0.5))
+        system = build_pi(m, _stable_params(m))
+        with pytest.raises(ModelError, match="no type"):
+            system.row("naive", degree, counts)
+
 
 def _degree_mass(model, rule, counts, sigma=1.0):
     """Mass that one row of ``build_pi`` puts on each degree's columns: the
@@ -119,20 +129,6 @@ class TestBelievedShares:
         for rule in ("naive", "sophisticated"):
             total = sum(_degree_mass(m, rule, (1, 2, 1), sigma=0.35))
             assert total == pytest.approx(1.0, abs=1e-12)
-
-
-class TestBelievedRuleShare:
-    def test_sophisticated_observer(self):
-        assert believed_rule_share("sophisticated", "sophisticated", 0.5) == 0.5
-        assert believed_rule_share("sophisticated", "naive", 0.3) == 0.7
-
-    def test_naive_observer(self):
-        assert believed_rule_share("naive", "sophisticated", 0.9) == 0
-        assert believed_rule_share("naive", "naive", 0.3) == 1
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ModelError):
-            believed_rule_share("naive", "naive", 1.5)
 
 
 class TestBuildPi:
@@ -208,7 +204,8 @@ class TestBuildPi:
         calls = []
         real = netgame.typespace.multinomial_pmf
         monkeypatch.setattr(netgame.typespace, "multinomial_pmf",
-                            lambda c, p: calls.append((len(c), len(p))) or real(c, p))
+                            lambda c, p, **kw: calls.append((len(c), len(p)))
+                            or real(c, p, **kw))
         m = DegreeModel((8, 16, 24), (0.5, 0.3, 0.2))
         system = build_pi(m, _stable_params(m, sigma=0.5))
         assert system.L == 1046
@@ -217,43 +214,65 @@ class TestBuildPi:
     def test_d_diag_is_derived_from_the_types(self):
         m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
         built = build_pi(m, _stable_params(m, sigma=0.5))
-        system = ExpectationMatrix(built.types, built.pi)
+        system = ExpectationMatrix(built.types, built.pmf, built.beliefs, built.sigma)
         assert system.d_diag.tolist() == [t.degree / 2 for t in system.types]
         assert np.array_equal(system.d_diag, built.d_diag)
 
     def test_rejects_non_finite_entries(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
         system = build_pi(m, _stable_params(m))
-        pi = system.pi.copy()
-        pi[0, 0] = np.nan                       # a naive row, naive column
-        with pytest.raises(ModelError):
-            ExpectationMatrix(system.types, pi)
+        for field, bad in itertools.product(("pmf", "beliefs"), (np.nan, np.inf)):
+            table = getattr(system, field).copy()
+            table[0, 0] = bad
+            with pytest.raises(ModelError, match="must be non-negative and finite"):
+                replace(system, **{field: table})
 
     def test_rejects_a_negative_entry(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
         system = build_pi(m, _stable_params(m))
-        pi = system.pi.copy()
-        pi[0, 1] = -1e-300                      # too small to move the row sum
-        with pytest.raises(ModelError, match="must be non-negative"):
-            ExpectationMatrix(system.types, pi)
+        for field in ("pmf", "beliefs"):
+            table = getattr(system, field).copy()
+            table[0, 1] = -1e-300               # too small to move a sum
+            with pytest.raises(ModelError, match="must be non-negative"):
+                replace(system, **{field: table})
 
-    @pytest.mark.parametrize("mass", [0.25, 5e-324], ids=["quarter", "least-subnormal"])
-    def test_rejects_naive_mass_on_a_sophisticated_type(self, mass):
+    @pytest.mark.parametrize("field, shape", [
+        ("pmf", (8, 7)), ("pmf", (16, 16)), ("beliefs", (8, 2)), ("beliefs", (2, 8, 3)),
+    ])
+    def test_rejects_a_table_of_the_wrong_shape(self, field, shape):
         m = DegreeModel((2, 4), (0.5, 0.5))
-        system = build_pi(m, _stable_params(m, sigma=0.4))
-        pi = system.pi.copy()
-        naive = int(np.flatnonzero(~system.columns[2])[-1])
-        sophisticated = int(np.flatnonzero(system.columns[2])[0])
-        q = int(np.argmax(pi[naive]))
-        pi[naive, q] -= mass                    # the row still sums to one
-        pi[naive, sophisticated] += mass
-        with pytest.raises(ModelError, match="naive observers cannot place mass"):
-            ExpectationMatrix(system.types, pi)
+        system = build_pi(m, _stable_params(m))
+        with pytest.raises(ModelError, match="table shapes must match the type count"):
+            replace(system, **{field: np.full(shape, 0.5)})
+
+    @pytest.mark.parametrize("sigma", [-0.1, 1.5, np.nan])
+    def test_rejects_a_bad_sigma(self, sigma):
+        m = DegreeModel((2, 4), (0.5, 0.5))
+        system = build_pi(m, _stable_params(m))
+        with pytest.raises(ModelError, match="sigma must be finite|must lie in"):
+            replace(system, sigma=sigma)
+
+    @pytest.mark.parametrize("order", ["interleaved", "sophisticated-first", "descending"])
+    def test_rejects_types_out_of_block_order(self, order):
+        # the table is shared by both rule blocks, so they must list the same
+        # observations, naive block first, in ascending degree
+        m = DegreeModel((2, 4), (0.5, 0.5))
+        system = build_pi(m, _stable_params(m))
+        half = system.L // 2
+        types = list(system.types)
+        if order == "interleaved":
+            types[half - 1], types[half] = types[half], types[half - 1]
+        elif order == "sophisticated-first":
+            types = types[half:] + types[:half]
+        else:
+            types = types[:half][::-1] + types[half:][::-1]
+        with pytest.raises(ModelError, match="naive and a sophisticated block"):
+            ExpectationMatrix(types, system.pmf, system.beliefs, system.sigma)
 
     def test_build_peak_memory_stays_near_pi(self):
-        # pi itself, the kernel's per-degree blocks and the check of pi, which
-        # reads it through reductions and one mat-vec, not through an L x L mask
-        # or an (L/2)^2 block copy (those took the peak to 1.47 x pi.nbytes)
+        # the table itself and the types: the kernel writes each degree's
+        # columns into the table, and the checks read it through reductions
+        # (a per-degree block copy took the peak to 1.62 x pmf.nbytes)
         m = DegreeModel((8, 16, 24), (0.5, 0.3, 0.2))
         params = _stable_params(m, sigma=0.5)
         tracemalloc.start()
@@ -263,11 +282,31 @@ class TestBuildPi:
         finally:
             tracemalloc.stop()
         assert system.L == 1046
-        assert peak <= 1.35 * system.pi.nbytes
+        assert peak <= 1.35 * system.pmf.nbytes
+
+    def test_build_pi_refuses_a_table_over_the_budget_before_enumerating(self,
+                                                                        monkeypatch):
+        import netgame.typespace
+        monkeypatch.setattr(netgame.typespace, "enumerate_types", None)
+        m = DegreeModel((200, 400, 600), (0.5, 0.3, 0.2))   # L = 563,606
+        with pytest.raises(ModelError, match=r"^L = 563606 types: the \(L/2\)\^2 table "
+                                             r"and a solve block need 1270606892944 bytes"):
+            build_pi(m, _stable_params(m))
+
+    def test_the_pi_view_is_charged_when_assembled(self, monkeypatch):
+        # L = 16: the table and a solve block take 2 * 8^2 * 8 = 1024 bytes, pi 2048
+        m = DegreeModel((2, 4), (0.5, 0.5))
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 2047)
+        system = build_pi(m, _stable_params(m))
+        with pytest.raises(ModelError, match=r"^the L\^2 = 256 entries of pi need 2048 bytes"):
+            system.pi
+        assert "pi" not in vars(system)
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 2048)
+        assert system.pi.shape == (16, 16)
 
     def test_rejects_an_empty_system(self):
         with pytest.raises(ModelError, match="at least one type"):
-            ExpectationMatrix((), np.zeros((0, 0)))
+            ExpectationMatrix((), np.zeros((0, 0)), np.zeros((2, 0, 2)), 0.5)
 
     def test_three_class_rows_sum_to_one(self):
         m = DegreeModel((1, 2, 3), (0.3, 0.4, 0.3))
@@ -306,6 +345,14 @@ def _exact_pmf(counts, probs):
     for c, q in zip(counts, probs):
         p *= Fraction(q) ** c
     return p
+
+
+def _believed_rule_share(observer_rule, target_rule, sigma):
+    """Share of the target's rule an observer believes in: a sophisticated
+    observer knows the mix sigma, a naive one thinks everyone is naive."""
+    return {("naive", "naive"): 1, ("naive", "sophisticated"): 0,
+            ("sophisticated", "naive"): 1 - sigma,
+            ("sophisticated", "sophisticated"): sigma}[observer_rule, target_rule]
 
 
 def _believed_degree_share(rule, observed, target_degree, degrees):
@@ -377,7 +424,7 @@ class TestMultinomialPmf:
         system = build_pi(m, _stable_params(m, sigma=0.35))
         for p, obs in enumerate(system.types):
             for q, tgt in enumerate(system.types):
-                weight = (believed_rule_share(obs.rule, tgt.rule, 0.35)
+                weight = (_believed_rule_share(obs.rule, tgt.rule, 0.35)
                           * _believed_degree_share(obs.rule, obs.observed, tgt.degree,
                                                    m.degrees))
                 ref = float(weight) * float(_exact_pmf(tgt.observed.counts,
@@ -390,7 +437,7 @@ class TestMultinomialPmf:
         assert system.L == 2 * (3 + 1101)
         assert np.max(np.abs(system.pi.sum(axis=1) - 1.0)) <= 1e-12
         # re-running the constructor repeats every check on the same data
-        ExpectationMatrix(system.types, system.pi)
+        ExpectationMatrix(system.types, system.pmf, system.beliefs, system.sigma)
 
 
 class TestCsvDump:
