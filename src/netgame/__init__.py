@@ -73,7 +73,6 @@ _EXPORTS = {
         "DegreeModel",
         "GameParams",
         "ModelError",
-        "ObservedShares",
         "StabilityError",
         "biased_neighbor_share",
         "degree_ratios",

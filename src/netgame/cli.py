@@ -538,7 +538,7 @@ def _solve(opts, out):
     columns = ("label", "rule", "degree", "observed", "expectation")
     rows = [
         (t.label, t.rule, t.degree,
-         "/".join(repr(float(v)) for v in t.observed.values), float(x))
+         "/".join(map(repr, t.shares)), float(x))
         for t, x in zip(solution.system.types, solution.xi)
     ]
     meta = {**_game_meta(opts, params), "sigma": params.sigma,

@@ -64,6 +64,15 @@ def _best_response(system, a_c, t_c, xi) -> np.ndarray:
     return t_c + a_c * (system.beliefs * np.swapaxes(products, 1, 2)).sum(axis=2).ravel()
 
 
+def _rates(system, params) -> tuple:
+    """alpha/c and E[theta]/c, once ``params`` is checked to carry the system's sigma."""
+    if params.sigma != system.sigma:
+        raise ModelError(f"params.sigma = {params.sigma} but the system was built with "
+                         f"sigma = {system.sigma}")
+    return (float(params.alpha) / float(params.cost),
+            float(params.mean_preference) / float(params.cost))
+
+
 def _fixed_point_residual(system, a_c, t_c, xi) -> float:
     return float(np.max(np.abs(xi - _best_response(system, a_c, t_c, xi))))
 
@@ -90,10 +99,10 @@ def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSo
     weighed by sigma, with (alpha/c) (1 - sigma) Pi_sn D_n xi_n added to its
     right-hand side.  Each block is formed from the table, one at a time.  A
     full-system residual above ``RESIDUAL_TOL`` raises rather than returning
-    silently degraded expectations.
+    silently degraded expectations, and so does a ``params.sigma`` other than
+    the system's.
     """
-    a_c = float(params.alpha) / float(params.cost)
-    t_c = float(params.mean_preference) / float(params.cost)
+    a_c, t_c = _rates(system, params)
     half = system.L // 2
     xi = np.zeros(system.L)
     xi[:half] = _solve_block(system, system.beliefs[0], a_c, np.full(half, t_c))
@@ -117,9 +126,9 @@ def solve_iterative(system: ExpectationMatrix, params: GameParams) -> Equilibriu
     at the first step below ``ITERATIVE_TOL`` and gives up after
     ``MAX_SWEEPS`` sweeps; the error states the contraction margin
     1 - (alpha/c)*d_K/d_1 and the sweeps it needs, about ln(1/tol)/margin.
+    A ``params.sigma`` other than the system's raises ``ModelError``.
     """
-    a_c = float(params.alpha) / float(params.cost)
-    t_c = float(params.mean_preference) / float(params.cost)
+    a_c, t_c = _rates(system, params)
     xi = np.full(system.L, t_c)
     for it in range(1, MAX_SWEEPS + 1):
         nxt = _best_response(system, a_c, t_c, xi)
@@ -189,7 +198,8 @@ def benchmark_expectation(model: DegreeModel, params: GameParams):
 def _type_weights(models, columns) -> np.ndarray:
     """True occurrence probability of each type under each model.
 
-    ``columns`` are the per-type arrays of :func:`netgame.typespace.type_columns`.
+    ``columns`` are a type system's per-type neighbor counts, degrees and
+    sophisticated mask (:class:`netgame.typespace.ExpectationMatrix`).
     Row i is model i's class share times the multinomial chance of the
     observed neighbor counts under its biased sampling law, conditional on the
     rule (each rule block of a row sums to one).  The models share one degree

@@ -10,7 +10,7 @@ maximizes the multinomial likelihood of the observed neighbor counts.
 import math
 from fractions import Fraction
 
-from .population import ModelError, ObservedShares
+from .population import ModelError
 
 NAIVE = "naive"
 SOPHISTICATED = "sophisticated"
@@ -32,9 +32,10 @@ def debias_shares(values, degrees) -> tuple:
     return tuple(w / total for w in weights)
 
 
-def sophisticated_mle(obs: ObservedShares, degrees) -> tuple:
-    """Degree-debiased maximum-likelihood estimate of the population shares."""
-    return debias_shares(obs.values, degrees)
+def sophisticated_mle(shares, degrees) -> tuple:
+    """Degree-debiased maximum-likelihood estimate of the population shares
+    from one agent's observed neighbor ``shares``."""
+    return debias_shares(shares, degrees)
 
 
 def observed_high_share(delta2, epsilon):

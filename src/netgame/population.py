@@ -1,10 +1,11 @@
-"""Degree populations, biased neighbor sampling, and the observed-share lattice.
+"""Degree populations, biased neighbor sampling, and the neighbor-count lattice.
 
 Agents live on a large random network in which the chance of meeting someone
 as a neighbor is proportional to that person's degree.  This module holds the
 population primitives everything else builds on: the degree support with its
-true shares, the game parameters, and the finite lattice of neighbor-share
-vectors an agent with a given degree can possibly observe.
+true shares, the game parameters, and the finite lattice of neighbor-count
+vectors an agent with a given degree can possibly observe (its observed
+shares are the counts over its degree).
 
 Values may be floats or :class:`fractions.Fraction`; every operation here is
 plain arithmetic, so exact inputs give exact outputs.
@@ -15,7 +16,6 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 SHARE_TOL = 1e-12
-_COUNT_TOL = 1e-9
 MEMORY_BUDGET = 2 << 30  # bytes of the large arrays one call may hold at once
 
 
@@ -145,44 +145,6 @@ class GameParams:
             raise ModelError("sophistication share must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ObservedShares:
-    """Shares of each degree class among one agent's ``sample_size`` neighbors."""
-
-    values: tuple
-    sample_size: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        n = self.sample_size
-        if not _positive_integer(n):
-            raise ModelError(f"sample size must be a positive integer, got {n!r}")
-        object.__setattr__(self, "sample_size", int(n))
-        if len(self.values) < 2:
-            raise ModelError("need at least two degree classes")
-        if abs(sum(self.values) - 1) > SHARE_TOL:
-            raise ModelError("observed shares must sum to 1")
-        for v in self.values:
-            if not 0 <= v <= 1:
-                raise ModelError(f"observed shares must lie in [0, 1], got {v!r}")
-            scaled = v * self.sample_size
-            if abs(scaled - round(scaled)) > _COUNT_TOL:
-                raise ModelError(
-                    "each share times the sample size must be a whole neighbor count"
-                )
-
-    @property
-    def counts(self) -> tuple:
-        """Neighbor counts per degree class."""
-        return tuple(int(round(v * self.sample_size)) for v in self.values)
-
-    @classmethod
-    def from_counts(cls, counts) -> "ObservedShares":
-        n = sum(counts)
-        # with no neighbors, skip the division and let the sample-size check raise
-        return cls(tuple(c / n for c in counts) if n else tuple(counts), int(n))
-
-
 def biased_neighbor_share(model: DegreeModel) -> tuple:
     """Chance that a random neighbor belongs to each degree class.
 
@@ -206,17 +168,18 @@ def _compositions(total: int, parts: int):
 
 
 def feasible_observed_shares(d_i: int, K: int) -> list:
-    """Every neighbor-share vector an agent with ``d_i`` neighbors can observe.
+    """Every neighbor-count vector an agent with ``d_i`` neighbors can observe.
 
-    These are the compositions of d_i into K classes scaled by 1/d_i, so the
-    cardinality is C(d_i + K - 1, K - 1).  Ordered by the share of the highest
-    class, ties broken by the next class down, and so on.
+    These are the compositions of d_i into K classes, so the cardinality is
+    C(d_i + K - 1, K - 1); dividing one by d_i gives its observed shares.
+    Ordered by the count of the highest class, ties broken by the next class
+    down, and so on.
     """
     if d_i < 1:
         raise ModelError("sample size must be at least 1")
     if K < 2:
         raise ModelError("need at least two degree classes")
-    return [ObservedShares.from_counts(c) for c in _compositions(int(d_i), int(K))]
+    return list(_compositions(int(d_i), int(K)))
 
 
 def degree_ratios(model: DegreeModel) -> tuple:

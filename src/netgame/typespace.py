@@ -1,26 +1,28 @@
 """Agent-type enumeration and the interaction-expectation table.
 
-A type is (updating rule, degree, observed neighbor shares); there are
-L = 2 * sum_k C(d_k + K - 1, K - 1) of them, a naive block and then a
-sophisticated block over the same L/2 observations.  An observer's chance of
-meeting a target type is its believed share of the target's degree, times
-the multinomial chance of the target's neighbor counts under the observer's
-observed shares, times its believed share of the target's rule (naive
-observers think everyone is naive).  The middle factor depends on neither
-rule nor sigma: it is one (L/2) x (L/2) table per model.
+A type is (updating rule, degree, neighbor counts): how many of the agent's
+``degree`` neighbors, drawn under degree-biased sampling, fall in each degree
+class; its observed shares are those counts over the degree.  The model's
+degree support fixes all L = 2 * sum_k C(d_k + K - 1, K - 1) types, a naive
+block and then a sophisticated block over the same L/2 observations.  An
+observer's chance of meeting a target type is its believed share of the
+target's degree, times the multinomial chance of the target's neighbor counts
+under the observer's observed shares, times its believed share of the
+target's rule (naive observers think everyone is naive).  The middle factor
+depends on neither rule nor sigma: it is one (L/2) x (L/2) table per model.
 """
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import RULES, SOPHISTICATED, sophisticated_mle
+from .estimators import RULES, sophisticated_mle
 from .population import (
     DegreeModel,
     GameParams,
     ModelError,
-    ObservedShares,
     check_budget,
     feasible_observed_shares,
 )
@@ -28,30 +30,39 @@ from .population import (
 
 @dataclass(frozen=True)
 class AgentType:
-    """One (rule, degree, observed shares) combination."""
+    """One (rule, degree, neighbor counts) combination."""
 
     rule: str
     degree: int
-    observed: ObservedShares
+    counts: tuple
 
     def __post_init__(self):
         if self.rule not in RULES:
             raise ModelError(f"unknown updating rule {self.rule!r}")
-        if self.observed.sample_size != self.degree:
-            raise ModelError("observed shares must come from a sample of own degree")
+        counts = tuple(self.counts)
+        object.__setattr__(self, "counts", counts)
+        if not (self.degree >= 1 and min(counts, default=-1) >= 0
+                and sum(counts) == self.degree):
+            raise ModelError(f"neighbor counts must be non-negative and sum to a degree >= 1, "
+                             f"got {counts} for degree {self.degree!r}")
+
+    @property
+    def shares(self) -> tuple:
+        """Observed shares: each class's neighbor count over the degree."""
+        return tuple(c / self.degree for c in self.counts)
 
     @property
     def label(self) -> str:
-        shares = "/".join(f"{float(v):g}" for v in self.observed.values)
+        shares = "/".join(f"{v:g}" for v in self.shares)
         return f"{self.rule[0]}:d{self.degree}:{shares}"
 
 
 def enumerate_types(model: DegreeModel) -> list:
     """All agent types: naive block first, then ascending degree, then the
-    lattice order of the observed shares (highest class ascending)."""
+    lattice order of the neighbor counts (highest class ascending)."""
     lattices = [(d, feasible_observed_shares(d, model.K)) for d in model.degrees]
-    return [AgentType(rule, d, obs)
-            for rule in RULES for d, lattice in lattices for obs in lattice]
+    return [AgentType(rule, d, counts)
+            for rule in RULES for d, lattice in lattices for counts in lattice]
 
 
 def multinomial_pmf(counts, probs, *, out=None) -> np.ndarray:
@@ -87,15 +98,14 @@ def multinomial_pmf(counts, probs, *, out=None) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def type_columns(types) -> tuple:
-    """Per-type arrays read once from a type list: neighbor counts (L, K),
-    degrees (L,) and a mask (L,) of the sophisticated types."""
-    counts = np.array([t.observed.counts for t in types], dtype=np.int64)
-    degrees = np.array([t.degree for t in types], dtype=np.int64)
-    sophisticated = np.array([t.rule == SOPHISTICATED for t in types], dtype=bool)
-    for column in (counts, degrees, sophisticated):
-        column.setflags(write=False)
-    return counts, degrees, sophisticated
+def _lattice(degrees) -> tuple:
+    """Neighbor counts (L/2, K) and degree (L/2,) of every observation in the
+    order of :func:`enumerate_types`, with one slice per degree."""
+    lattices = [feasible_observed_shares(d, len(degrees)) for d in degrees]
+    counts = np.array([c for lattice in lattices for c in lattice], dtype=np.int64)
+    edges = [0, *itertools.accumulate(map(len, lattices))]
+    return (counts, np.repeat(np.array(degrees, dtype=np.int64), np.diff(edges)),
+            tuple(slice(a, b) for a, b in zip(edges, edges[1:])))
 
 
 def check_fits(model: DegreeModel) -> None:
@@ -106,40 +116,31 @@ def check_fits(model: DegreeModel) -> None:
     check_budget(2 * 8 * (L // 2) ** 2, f"L = {L} types: the (L/2)^2 table and a solve block")
 
 
-def _degree_blocks(degrees) -> tuple:
-    """One slice per run of equal entries of an ascending degree column."""
-    edges = [0, *(np.flatnonzero(np.diff(degrees)) + 1).tolist(), len(degrees)]
-    return tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
-
-
 @dataclass(frozen=True)
 class ExpectationMatrix:
-    """A type system: a naive and then a sophisticated block of ``types`` over
-    the same observations in ascending degree, as :func:`enumerate_types` lists
+    """The type system of ``model``: a naive and then a sophisticated block over
+    the observations its degree support fixes, as :func:`enumerate_types` lists
     them.  ``pmf[p, q]`` is the chance of observation q's counts with p's
     shares as cell probabilities, ``beliefs[r, p, k]`` the share of degree
-    class k a ``RULES[r]`` observer with observation p believes in.  ``columns``
-    (:func:`type_columns`, read from the types unless given), ``d_diag`` (d_j/d_1)
-    and ``blocks`` (each degree's ``pmf`` columns) are derived from the types.
+    class k a ``RULES[r]`` observer with observation p believes in.  Derived
+    from the support: ``columns`` (neighbor counts (L, K), degrees (L,) and a
+    mask of the sophisticated types), ``blocks`` (each degree's ``pmf``
+    columns) and ``d_diag`` (d_j/d_1).
     """
 
-    types: tuple
+    model: DegreeModel
     pmf: np.ndarray
     beliefs: np.ndarray
     sigma: float
-    columns: tuple = field(default=None, repr=False, compare=False)
+    columns: tuple = field(init=False, repr=False, compare=False)
+    blocks: tuple = field(init=False, repr=False, compare=False)
     d_diag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not len(self.types):
-            raise ModelError("a type system needs at least one type")
-        counts, degrees, sophisticated = self.columns or type_columns(self.types)
-        L, half = len(self.types), len(self.types) // 2
-        if L % 2 or (sophisticated != (np.arange(L) >= half)).any() or (
-                counts[:half] != counts[half:]).any() or (np.diff(degrees[:half]) < 0).any():
-            raise ModelError("types must be a naive and a sophisticated block over the same "
-                             "observations in ascending degree")
-        blocks = _degree_blocks(degrees[:half])
+        if not isinstance(self.model, DegreeModel):
+            raise ModelError(f"a type system is built on a DegreeModel, got {self.model!r}")
+        counts, degrees, blocks = _lattice(self.model.degrees)
+        half = len(degrees)
         pmf, beliefs = (np.asarray(table, dtype=float) for table in (self.pmf, self.beliefs))
         if pmf.shape != (half, half) or beliefs.shape != (2, half, len(blocks)):
             raise ModelError("table shapes must match the type count")
@@ -147,19 +148,22 @@ class ExpectationMatrix:
         if not (np.isfinite(pmf.sum() + beliefs.sum()) and min(pmf.min(), beliefs.min()) >= 0):
             raise ModelError("interaction expectations must be non-negative and finite")
         GameParams.check(0, 0, 1, self.sigma)  # the other scalars pass
-        d_diag = degrees / degrees.min()
-        for array in (pmf, beliefs, d_diag):
+        columns = (np.tile(counts, (2, 1)), np.tile(degrees, 2), np.arange(2 * half) >= half)
+        d_diag = columns[1] / degrees[0]
+        for array in (pmf, beliefs, d_diag, *columns):
             array.setflags(write=False)
-        index = {(t.rule, t.degree, c): q
-                 for q, (t, c) in enumerate(zip(self.types, map(tuple, counts.tolist())))}
-        for name, value in (("types", tuple(self.types)), ("pmf", pmf), ("beliefs", beliefs),
-                            ("columns", (counts, degrees, sophisticated)), ("d_diag", d_diag),
-                            ("blocks", blocks), ("_index", index)):
+        for name, value in (("pmf", pmf), ("beliefs", beliefs), ("columns", columns),
+                            ("blocks", blocks), ("d_diag", d_diag)):
             object.__setattr__(self, name, value)
 
     @property
     def L(self) -> int:
-        return len(self.types)
+        return len(self.d_diag)
+
+    @functools.cached_property
+    def types(self) -> tuple:
+        """Each row's :class:`AgentType`, made when first read."""
+        return tuple(enumerate_types(self.model))
 
     @functools.cached_property
     def pi(self) -> np.ndarray:
@@ -182,6 +186,12 @@ class ExpectationMatrix:
             np.multiply(weights[:, k, None], self.pmf[:, cols], out=out[:, cols])
         return out
 
+    @functools.cached_property
+    def _index(self) -> dict:
+        counts, degrees, sophisticated = self.columns
+        return {(RULES[s], d, c): q for q, (s, d, c) in enumerate(
+            zip(sophisticated.tolist(), degrees.tolist(), map(tuple, counts.tolist())))}
+
     def index(self, rule, degree, counts) -> int:
         """Row/column index of the type with the given neighbor counts.  Keys
         compare by value, so 2.0 finds degree 2, but 2.5 finds no type."""
@@ -202,25 +212,24 @@ def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
     rules read the same observations, so one :func:`multinomial_pmf` call per
     target degree over the L/2 distinct ones writes that degree's columns of
     the table in place.  A model whose table and solve block would pass
-    ``MEMORY_BUDGET`` bytes raises ``ModelError`` before any type is enumerated.
+    ``MEMORY_BUDGET`` bytes raises ``ModelError`` before any observation is
+    enumerated.
     """
     check_fits(model)
-    types = enumerate_types(model)
-    counts, degrees, _ = columns = type_columns(types)
-    half = len(types) // 2  # the sophisticated block repeats the naive block's order
-    observed = counts[:half] / degrees[:half, None]
+    counts, degrees, blocks = _lattice(model.degrees)
+    observed = counts / degrees[:, None]
     beliefs = np.stack([observed, np.array(
-        [sophisticated_mle(t.observed, model.degrees) for t in types[half:]], dtype=float)])
-    pmf = np.empty((half, half))
-    for cols in _degree_blocks(degrees[:half]):
+        [sophisticated_mle(row, model.degrees) for row in observed.tolist()])])
+    pmf = np.empty((len(degrees), len(degrees)))
+    for cols in blocks:
         multinomial_pmf(counts[cols], observed, out=pmf[:, cols])
-    return ExpectationMatrix(tuple(types), pmf, beliefs, params.sigma, columns)
+    return ExpectationMatrix(model, pmf, beliefs, params.sigma)
 
 
-def pi_csv_rows(system: ExpectationMatrix) -> list:
-    """Header plus one labeled row per observer type, for debug dumps."""
-    header = ["observer"] + [t.label for t in system.types]
-    rows = [header]
-    for p, t in enumerate(system.types):
-        rows.append([t.label] + [repr(float(v)) for v in system.pi[p]])
-    return rows
+def pi_csv_rows(system: ExpectationMatrix):
+    """Header, then one labeled row per observer type, yielded one at a time
+    for debug dumps."""
+    labels = [t.label for t in system.types]
+    yield ["observer", *labels]
+    for label, row in zip(labels, system.pi):
+        yield [label, *map(repr, row.tolist())]

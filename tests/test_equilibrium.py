@@ -74,6 +74,15 @@ class TestSolvers:
         it = solve_iterative(system, params)
         assert np.max(np.abs(d.xi - it.xi)) <= 1e-10
 
+    @pytest.mark.parametrize("solve", [solve_direct, solve_iterative])
+    def test_rejects_params_with_another_sigma(self, solve):
+        # the solve used to take the system's sigma and ignore the params'
+        model, params, system = fig_system(sigma=0.0)
+        other = GameParams(1.0, 1.2, 3.7, 1.0, model)
+        with pytest.raises(ModelError, match=r"params.sigma = 1.0 but the system was built "
+                                             r"with sigma = 0.0"):
+            solve(system, other)
+
     def test_lower_bound(self):
         model, params, system = fig_system(sigma=0.0)
         xi = solve_direct(system, params).xi
@@ -128,7 +137,7 @@ class TestSolvers:
         # parameters that skipped GameParams validation must not yield NaN xi
         _, params, system = fig_system()
         raw = SimpleNamespace(alpha=params.alpha, cost=params.cost,
-                              mean_preference=float("nan"))
+                              mean_preference=float("nan"), sigma=system.sigma)
         with pytest.raises(ConvergenceError):
             solve_direct(system, raw)
 
@@ -350,8 +359,8 @@ class TestComparativeStatics:
         solution = statics_solution(model, scalars, sigma)
         for t in solution.system.types:
             if t.rule == "sophisticated":
-                naive = solution.value("naive", t.degree, t.observed.counts)
-                got = solution.value(t.rule, t.degree, t.observed.counts)
+                naive = solution.value("naive", t.degree, t.counts)
+                got = solution.value(t.rule, t.degree, t.counts)
                 assert got <= naive * (1 + self.SLACK)
 
     @settings(max_examples=20, deadline=None)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from netgame import (
     DegreeModel,
     GameParams,
-    ObservedShares,
     bias_surface,
     biased_neighbor_share,
     build_pi,
@@ -53,31 +52,30 @@ class TestNaiveEstimate:
         degrees = tuple(size * (k + 1) for k in range(len(values)))
         model = DegreeModel(degrees, (1 / len(values),) * len(values))
         system = build_pi(model, GameParams(1.0, 1.0, 2.0 * len(values), 0.5, model))
-        row = system.row("naive", size, ObservedShares(values, size).counts)
+        row = system.row("naive", size, tuple(round(v * size) for v in values))
         mass = [row[system.columns[1] == d].sum() for d in degrees]
         assert mass == pytest.approx(values, abs=1e-12)
 
 
 class TestSophisticatedMLE:
     def test_worked_example(self):
-        est = sophisticated_mle(ObservedShares((0.5, 0.5), 2), (4, 6))
+        est = sophisticated_mle((0.5, 0.5), (4, 6))
         assert est == pytest.approx((0.6, 0.4), abs=1e-12)
 
     def test_degenerate_observation(self):
-        est = sophisticated_mle(ObservedShares((0.0, 1.0), 2), (4, 6))
+        est = sophisticated_mle((0.0, 1.0), (4, 6))
         assert est == (0.0, 1.0)
 
     def test_low_high_two_four(self):
-        est = sophisticated_mle(ObservedShares((0.5, 0.5), 2), (2, 4))
+        est = sophisticated_mle((0.5, 0.5), (2, 4))
         assert est == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
 
     def test_exact(self):
-        obs = ObservedShares((Fraction(1, 2), Fraction(1, 2)), 2)
-        est = sophisticated_mle(obs, (4, 6))
+        est = sophisticated_mle((Fraction(1, 2), Fraction(1, 2)), (4, 6))
         assert est == (Fraction(3, 5), Fraction(2, 5))
 
     def test_zero_count_class_stays_zero(self):
-        est = sophisticated_mle(ObservedShares((0.5, 0.0, 0.5), 2), (1, 2, 4))
+        est = sophisticated_mle((0.5, 0.0, 0.5), (1, 2, 4))
         assert est[1] == 0.0
         assert sum(est) == pytest.approx(1.0, abs=1e-12)
 
@@ -100,8 +98,7 @@ class TestLogLikelihood:
 
     def test_gradient_vanishes_at_mle(self):
         counts, degrees = (3, 2), (4, 6)
-        obs = ObservedShares.from_counts(counts)
-        t_star = sophisticated_mle(obs, degrees)[1]
+        t_star = sophisticated_mle(tuple(c / sum(counts) for c in counts), degrees)[1]
         h = 1e-6
         up = _log_likelihood((1 - t_star - h, t_star + h), counts, degrees)
         dn = _log_likelihood((1 - t_star + h, t_star - h), counts, degrees)
@@ -116,8 +113,7 @@ class TestLogLikelihood:
         if n1 + n2 == 0:
             return
         counts, degrees = (n1, n2), (3, 5)
-        t_star = debias_shares(ObservedShares.from_counts(counts).values,
-                               degrees)[1]
+        t_star = debias_shares(tuple(c / (n1 + n2) for c in counts), degrees)[1]
         best = _log_likelihood((1 - t_star, t_star), counts, degrees)
         for t in (0.05, 0.3, 0.7, 0.95):
             assert best >= _log_likelihood((1 - t, t), counts, degrees) - 1e-12

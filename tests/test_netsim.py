@@ -20,11 +20,11 @@ import pytest
 import netgame
 from netgame import (
     NAIVE,
+    AgentType,
     DegreeModel,
     GameParams,
     debias_shares,
     ModelError,
-    ObservedShares,
     SampledNetwork,
     average_expectation,
     biased_neighbor_share,
@@ -355,8 +355,8 @@ class TestEmpiricalShares:
         net = generate(EXAMPLE, 300, seed=6)
         summary = empirical_neighbor_shares(net)
         assert (summary.counts.sum(axis=1) == net.node_degree).all()
-        obs = ObservedShares.from_counts(tuple(int(c) for c in summary.counts[0]))
-        assert obs.sample_size == int(net.node_degree[0])
+        # the first node's counts are one observation of its own degree
+        AgentType(NAIVE, int(net.node_degree[0]), tuple(int(c) for c in summary.counts[0]))
 
     @pytest.mark.parametrize("simple", [False, True])
     def test_matches_row_sum_reference_bit_for_bit(self, simple):

@@ -11,7 +11,6 @@ from netgame import (
     DegreeModel,
     GameParams,
     ModelError,
-    ObservedShares,
     StabilityError,
     biased_neighbor_share,
     debias_shares,
@@ -143,16 +142,15 @@ class TestBiasedNeighborShare:
 
 class TestFeasibleObservedShares:
     def test_degree_two(self):
-        got = [o.values for o in feasible_observed_shares(2, 2)]
-        assert got == [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0)]
+        assert feasible_observed_shares(2, 2) == [(2, 0), (1, 1), (0, 2)]
 
     def test_degree_four_has_five(self):
         got = feasible_observed_shares(4, 2)
         assert len(got) == 5
-        assert [o.values[1] for o in got] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert [counts[1] for counts in got] == [0, 1, 2, 3, 4]
 
     def test_three_classes_brute_force(self):
-        got = [o.counts for o in feasible_observed_shares(3, 3)]
+        got = feasible_observed_shares(3, 3)
         brute = [c for c in itertools.product(range(4), repeat=3) if sum(c) == 3]
         # highest class ascending, ties broken by the next class down
         assert got == sorted(brute, key=lambda c: c[::-1])
@@ -163,32 +161,6 @@ class TestFeasibleObservedShares:
             for k in range(2, 5):
                 assert len(feasible_observed_shares(d_i, k)) == math.comb(
                     d_i + k - 1, k - 1)
-
-    def test_exact_lattice(self):
-        # the lattice is built from floats; Fraction shares go through the constructor
-        assert ObservedShares((Fraction(2, 3), Fraction(1, 3)), 3).counts == (2, 1)
-
-
-class TestObservedShares:
-    def test_rejects_off_lattice(self):
-        with pytest.raises(ModelError):
-            ObservedShares((0.3, 0.7), 2)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_rejects_non_finite_sample_size(self, bad):
-        with pytest.raises(ModelError):
-            ObservedShares((0.5, 0.5), bad)
-
-    @pytest.mark.parametrize("counts", [(), (0, 0)])
-    def test_rejects_counts_with_no_neighbors(self, counts):
-        with pytest.raises(ModelError, match="sample size must be a positive integer, got 0"):
-            ObservedShares.from_counts(counts)
-
-    def test_counts_roundtrip(self):
-        obs = ObservedShares.from_counts((3, 1))
-        assert obs.sample_size == 4
-        assert obs.counts == (3, 1)
-
 
 class TestDegreeRatios:
     def test_hand_arithmetic(self):

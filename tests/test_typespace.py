@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 import tracemalloc
@@ -11,14 +13,17 @@ from hypothesis import strategies as st
 
 from netgame import population
 from netgame import (
+    AgentType,
     DegreeModel,
     ExpectationMatrix,
     GameParams,
     ModelError,
+    average_expectation,
     build_pi,
     enumerate_types,
     multinomial_pmf,
     pi_csv_rows,
+    solve_direct,
 )
 
 REFERENCE_ROW = {
@@ -40,6 +45,23 @@ def small_models(draw):
     raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
     total = sum(raw)
     return DegreeModel(tuple(sorted(degrees)), tuple(r / total for r in raw))
+
+
+class TestAgentType:
+    def test_shares_and_label_come_from_the_counts(self):
+        t = AgentType("sophisticated", 4, (3, 1))
+        assert t.shares == (0.75, 0.25)
+        assert t.label == "s:d4:0.75/0.25"
+
+    @pytest.mark.parametrize("degree, counts", [(2, (1, 2)), (2, (3, -1)), (0, (0, 0)),
+                                                (0, ()), (float("nan"), (1, 1))])
+    def test_rejects_counts_that_are_not_an_observation_of_the_degree(self, degree, counts):
+        with pytest.raises(ModelError, match="must be non-negative and sum to a degree"):
+            AgentType("naive", degree, counts)
+
+    def test_rejects_an_unknown_rule(self):
+        with pytest.raises(ModelError, match="unknown updating rule"):
+            AgentType("bayesian", 2, (1, 1))
 
 
 class TestEnumerateTypes:
@@ -66,7 +88,8 @@ class TestEnumerateTypes:
         rules = [t.rule for t in types]
         assert rules == ["naive"] * 8 + ["sophisticated"] * 8
         assert [t.degree for t in types[:8]] == [2, 2, 2, 4, 4, 4, 4, 4]
-        assert [t.observed.values[1] for t in types[:3]] == [0.0, 0.5, 1.0]
+        assert [t.shares[1] for t in types[:3]] == [0.0, 0.5, 1.0]
+        assert [t.counts for t in types[:3]] == [(2, 0), (1, 1), (0, 2)]
 
     def test_rule_blocks_share_one_lattice_per_degree(self, monkeypatch):
         import netgame.typespace
@@ -79,14 +102,14 @@ class TestEnumerateTypes:
         assert calls == [2, 3, 5]
         half = len(types) // 2
         for naive, soph in zip(types[:half], types[half:]):
-            assert soph.degree == naive.degree and soph.observed is naive.observed
+            assert soph.degree == naive.degree and soph.counts is naive.counts
 
     def test_index_bijection(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
         params = _stable_params(m)
         system = build_pi(m, params)
         for q, t in enumerate(system.types):
-            assert system.index(t.rule, t.degree, t.observed.counts) == q
+            assert system.index(t.rule, t.degree, t.counts) == q
 
     @pytest.mark.parametrize("degree, counts", [(2.5, (1, 1)), (2, (1.5, 0.5)),
                                                 (4.0000001, (2, 2))])
@@ -187,16 +210,6 @@ class TestBuildPi:
         for q, t in enumerate(system.types):
             assert system.d_diag[q] == t.degree / 2
 
-    def test_build_pi_reads_the_type_columns_once(self, monkeypatch):
-        import netgame.typespace
-        calls = []
-        real = netgame.typespace.type_columns
-        monkeypatch.setattr(netgame.typespace, "type_columns",
-                            lambda types: calls.append(len(types)) or real(types))
-        m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
-        system = build_pi(m, _stable_params(m, sigma=0.5))
-        assert calls == [system.L]
-
     def test_one_kernel_call_per_target_degree_over_distinct_observations(self,
                                                                             monkeypatch):
         # both rule blocks read the same observations, so each call has L/2 rows
@@ -214,9 +227,39 @@ class TestBuildPi:
     def test_d_diag_is_derived_from_the_types(self):
         m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
         built = build_pi(m, _stable_params(m, sigma=0.5))
-        system = ExpectationMatrix(built.types, built.pmf, built.beliefs, built.sigma)
+        system = ExpectationMatrix(m, built.pmf, built.beliefs, built.sigma)
         assert system.d_diag.tolist() == [t.degree / 2 for t in system.types]
         assert np.array_equal(system.d_diag, built.d_diag)
+
+    def test_solving_and_averaging_make_no_agent_type(self, monkeypatch):
+        # the system is derived from the degree support; types are made only
+        # when a caller reads them
+        import netgame.typespace
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an AgentType was made")
+
+        monkeypatch.setattr(netgame.typespace, "AgentType", refuse)
+        m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
+        params = _stable_params(m, sigma=0.5)
+        system = build_pi(m, params)
+        solution = solve_direct(system, params)
+        assert average_expectation(solution, m, sigma=0.5) > 0
+        assert "types" not in vars(system)
+
+    def test_types_are_the_enumerated_types(self):
+        m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
+        system = build_pi(m, _stable_params(m, sigma=0.5))
+        assert system.types == tuple(enumerate_types(m))
+        counts, degrees, sophisticated = system.columns
+        assert [(t.rule == "sophisticated", t.degree, t.counts) for t in system.types] == \
+            list(zip(sophisticated.tolist(), degrees.tolist(), map(tuple, counts.tolist())))
+
+    def test_rejects_a_system_not_built_on_a_degree_model(self):
+        m = DegreeModel((2, 4), (0.5, 0.5))
+        system = build_pi(m, _stable_params(m))
+        with pytest.raises(ModelError, match="built on a DegreeModel"):
+            replace(system, model=system.types)
 
     def test_rejects_non_finite_entries(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
@@ -252,23 +295,6 @@ class TestBuildPi:
         with pytest.raises(ModelError, match="sigma must be finite|must lie in"):
             replace(system, sigma=sigma)
 
-    @pytest.mark.parametrize("order", ["interleaved", "sophisticated-first", "descending"])
-    def test_rejects_types_out_of_block_order(self, order):
-        # the table is shared by both rule blocks, so they must list the same
-        # observations, naive block first, in ascending degree
-        m = DegreeModel((2, 4), (0.5, 0.5))
-        system = build_pi(m, _stable_params(m))
-        half = system.L // 2
-        types = list(system.types)
-        if order == "interleaved":
-            types[half - 1], types[half] = types[half], types[half - 1]
-        elif order == "sophisticated-first":
-            types = types[half:] + types[:half]
-        else:
-            types = types[:half][::-1] + types[half:][::-1]
-        with pytest.raises(ModelError, match="naive and a sophisticated block"):
-            ExpectationMatrix(types, system.pmf, system.beliefs, system.sigma)
-
     def test_build_peak_memory_stays_near_pi(self):
         # the table itself and the types: the kernel writes each degree's
         # columns into the table, and the checks read it through reductions
@@ -303,10 +329,6 @@ class TestBuildPi:
         assert "pi" not in vars(system)
         monkeypatch.setattr(population, "MEMORY_BUDGET", 2048)
         assert system.pi.shape == (16, 16)
-
-    def test_rejects_an_empty_system(self):
-        with pytest.raises(ModelError, match="at least one type"):
-            ExpectationMatrix((), np.zeros((0, 0)), np.zeros((2, 0, 2)), 0.5)
 
     def test_three_class_rows_sum_to_one(self):
         m = DegreeModel((1, 2, 3), (0.3, 0.4, 0.3))
@@ -355,14 +377,14 @@ def _believed_rule_share(observer_rule, target_rule, sigma):
             ("sophisticated", "sophisticated"): sigma}[observer_rule, target_rule]
 
 
-def _believed_degree_share(rule, observed, target_degree, degrees):
+def _believed_degree_share(rule, shares, target_degree, degrees):
     """Population share an observer assigns to agents of ``target_degree``:
     the observed share if naive; if sophisticated, the observed shares divided
     by their degrees and renormalized."""
     j = list(degrees).index(target_degree)
     if rule == "naive":
-        return observed.values[j]
-    weights = [v / d for v, d in zip(observed.values, degrees)]
+        return shares[j]
+    weights = [v / d for v, d in zip(shares, degrees)]
     return weights[j] / sum(weights)
 
 
@@ -425,10 +447,9 @@ class TestMultinomialPmf:
         for p, obs in enumerate(system.types):
             for q, tgt in enumerate(system.types):
                 weight = (_believed_rule_share(obs.rule, tgt.rule, 0.35)
-                          * _believed_degree_share(obs.rule, obs.observed, tgt.degree,
+                          * _believed_degree_share(obs.rule, obs.shares, tgt.degree,
                                                    m.degrees))
-                ref = float(weight) * float(_exact_pmf(tgt.observed.counts,
-                                                       obs.observed.values))
+                ref = float(weight) * float(_exact_pmf(tgt.counts, obs.shares))
                 assert system.pi[p, q] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_large_degree_system_passes_matrix_checks(self):
@@ -437,14 +458,30 @@ class TestMultinomialPmf:
         assert system.L == 2 * (3 + 1101)
         assert np.max(np.abs(system.pi.sum(axis=1) - 1.0)) <= 1e-12
         # re-running the constructor repeats every check on the same data
-        ExpectationMatrix(system.types, system.pmf, system.beliefs, system.sigma)
+        ExpectationMatrix(m, system.pmf, system.beliefs, system.sigma)
 
 
 class TestCsvDump:
     def test_header_and_shape(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
         system = build_pi(m, _stable_params(m))
-        rows = pi_csv_rows(system)
+        rows = list(pi_csv_rows(system))
         assert rows[0][0] == "observer"
         assert len(rows) == system.L + 1
         assert len(rows[0]) == system.L + 1
+
+    def test_rows_are_written_one_at_a_time(self):
+        # holding every row's strings at once took the peak to 7.8 x the text
+        m = DegreeModel((4, 8, 12), (0.5, 0.3, 0.2))
+        system = build_pi(m, _stable_params(m, sigma=0.5))
+        system.pi
+        buf = io.StringIO()
+        tracemalloc.start()
+        try:
+            csv.writer(buf, lineterminator="\n").writerows(pi_csv_rows(system))
+            text = buf.getvalue()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.L == 302
+        assert peak <= 3 * len(text)
