@@ -145,6 +145,33 @@ class TestSweeps:
         assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                      for name in ("outcomes.csv", "outcomes.json")) == digests
 
+    @pytest.mark.parametrize("argv, digests", [
+        (["--grid", "11"],
+         ("0e973491af4abfe18e4c2bf52cccb9e84de353871035d6ef670898be13743966",
+          "a647470f29786d56c60326e60addf90258431667cea4908f53ae145f824d47ef")),
+        (["--eps", "0.5,3", "--grid", "7"],
+         ("06b87aaa551d364d2b2040dc2f13255096233d87d87bc05a562d69f685429855",
+          "0c0744c2e038d5fe04c644e88a38406dccc1f6b51eb795c4a0187236588dd852")),
+    ], ids=["default-eps", "two-eps"])
+    def test_bias_sweep_bytes_are_pinned(self, argv, digests, tmp_path, capsys):
+        code, _ = run(capsys, "sweep", "bias", *argv, "--out", str(tmp_path))
+        assert code == 0
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in ("bias.csv", "bias.json")) == digests
+
+    @pytest.mark.parametrize("preset, digests", [
+        ("example", ("bbc3e73660a26348e56722b91ec8a94e6e3ff679a854c7d57f5abeecc6293118",
+                     "10cf13a74296bce39751fc1e8d017ec524e8e011b195f373f4e0ec8b1bb97ae7")),
+        ("spread", ("5e89be7b0181b9a1e2b673de6035ea25ad722818065f19414fb04375cfb2f4c0",
+                    "46fb9e77269558abe38254f4eba3ca75f70e0bb9501b9154b1dd352adbf0bd11")),
+    ])
+    def test_sophistication_sweep_bytes_are_pinned(self, preset, digests, tmp_path, capsys):
+        code, _ = run(capsys, "sweep", "sophistication", "--preset", preset,
+                      "--grid", "5", "--out", str(tmp_path))
+        assert code == 0
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in ("sophistication.csv", "sophistication.json")) == digests
+
     def test_precision_sweep_weighs_once_per_lowest_degree(self, tmp_path, capsys,
                                                            monkeypatch):
         import netgame.equilibrium
