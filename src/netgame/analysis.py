@@ -18,12 +18,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .equilibrium import (
+    _naive_xi,
+    _rates,
     _rule_averages,
+    _solve_after_naive,
     _type_weights,
     benchmark_expectation,
     infinite_naive,
     infinite_sophisticated,
-    solve_direct,
 )
 from .estimators import NAIVE, RULES, SOPHISTICATED, observed_high_share
 from .population import DegreeModel, GameParams, ModelError, _positive_integer
@@ -45,9 +47,18 @@ def mle_high_share(u, eps):
     return u / ((1 + eps) - eps * u)
 
 
+def _naive_denominator(u, eps, alpha, cost):
+    return cost - alpha * (1 + eps * u)
+
+
+def _believed_ratio(u, eps):
+    """The mean degree ratio a sophisticated observer of high share u believes in."""
+    return 1 + eps * mle_high_share(u, eps)
+
+
 def naive_value_at_observed(u, eps, alpha, cost, etheta):
     """Naive expectation at observed high share u: E[theta]/(c - a(1+eps*u))."""
-    denom = cost - alpha * (1 + eps * u)
+    denom = _naive_denominator(u, eps, alpha, cost)
     if np.any(denom <= 0):
         raise ModelError("naive expectation undefined: locally unstable")
     return etheta / denom
@@ -59,12 +70,20 @@ def sophisticated_value_at_observed(u, eps, alpha, cost, sigma, etheta):
     The observer's corrected share pins its believed mean degree ratio;
     naive peers are believed to observe the same u in the large-sample limit.
     """
-    believed = 1 + eps * mle_high_share(u, eps)
+    believed = _believed_ratio(u, eps)
     x_n = naive_value_at_observed(u, eps, alpha, cost, etheta)
     denom = cost - sigma * alpha * believed
     if np.any(denom <= 0):
         raise ModelError("sophisticated expectation undefined: locally unstable")
     return (etheta + (1 - sigma) * alpha * believed * x_n) / denom
+
+
+def _defined(delta2, eps, alpha, cost, sigma):
+    """Where both rules' curves are defined at true high shares ``delta2``
+    (elementwise): exactly where their scalar evaluation does not raise."""
+    u = observed_high_share(delta2, eps)
+    return ((_naive_denominator(u, eps, alpha, cost) > 0)
+            & (cost - sigma * alpha * _believed_ratio(u, eps) > 0))
 
 
 def naive_curve(delta2, eps, alpha, cost, etheta):
@@ -250,11 +269,15 @@ def _two_class_model(d1, eps) -> DegreeModel:
 
 def _solutions(model, alpha, cost, etheta, sigmas):
     """The model's solved system for each sigma, solved as the caller asks for
-    it.  The table is built once and every sigma reuses it."""
+    it, each as :func:`netgame.equilibrium.solve_direct` solves it.  The table
+    and the sigma-free naive block are solved once and every sigma reuses them;
+    each sigma's solve keeps its own full-system residual gate."""
     params = [GameParams(etheta, alpha, cost, sigma, model) for sigma in sigmas]
     system = build_pi(model, params[0])
+    a_c, t_c = _rates(system, params[0])
+    naive = _naive_xi(system, a_c, t_c)
     for p in params:
-        yield solve_direct(replace(system, sigma=p.sigma), p)
+        yield _solve_after_naive(replace(system, sigma=p.sigma), a_c, t_c, naive)
 
 
 def precision_sweep(eps, alpha, cost, sigma, etheta, d1_list) -> PrecisionSweepResult:
@@ -340,6 +363,7 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
             averages[sigma, model.degrees[0]] = _rule_averages(weights, solution, sigma)
     rows = []
     for sigma in sigmas:
+        limits = _limit_rows(sigma, grid, eps, alpha, cost, etheta) if infinite else None
         for i, delta2 in enumerate(grid):
             for d1 in finite:
                 naive, sophisticated, mixed = averages[sigma, d1][i]
@@ -347,17 +371,31 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
                 rows.append((sigma, d1, delta2, SOPHISTICATED, sophisticated, ""))
                 rows.append((sigma, d1, delta2, "all", mixed, ""))
             if infinite:
-                try:
-                    nv = naive_curve(delta2, eps, alpha, cost, etheta)
-                    sv = sophisticated_curve(delta2, eps, alpha, cost, sigma, etheta)
-                except ModelError:
-                    rows.append((sigma, "inf", delta2, "all", "", "unstable"))
-                    continue
-                rows.append((sigma, "inf", delta2, NAIVE, float(nv), ""))
-                rows.append((sigma, "inf", delta2, SOPHISTICATED, float(sv), ""))
-                rows.append((sigma, "inf", delta2, "all",
-                             float((1 - sigma) * nv + sigma * sv), ""))
+                rows.extend(limits[i])
     return rows
+
+
+def _limit_rows(sigma, grid, eps, alpha, cost, etheta) -> list:
+    """The ``inf`` rows of :func:`population_precision_sweep` at each delta2 of
+    ``grid``: the naive, sophisticated and mixed closed forms, or one "unstable"
+    row where they are undefined.  Each curve is one array call over the points
+    where it is defined, so every value has the bits of a scalar call."""
+    points = np.array(grid)
+    defined = _defined(points, eps, alpha, cost, sigma)
+    naive = naive_curve(points[defined], eps, alpha, cost, etheta)
+    sophisticated = sophisticated_curve(points[defined], eps, alpha, cost, sigma, etheta)
+    values = iter(zip(naive.tolist(), sophisticated.tolist(),
+                      ((1 - sigma) * naive + sigma * sophisticated).tolist()))
+    out = []
+    for delta2, ok in zip(grid, defined.tolist()):
+        if not ok:
+            out.append([(sigma, "inf", delta2, "all", "", "unstable")])
+            continue
+        nv, sv, mixed = next(values)
+        out.append([(sigma, "inf", delta2, NAIVE, nv, ""),
+                    (sigma, "inf", delta2, SOPHISTICATED, sv, ""),
+                    (sigma, "inf", delta2, "all", mixed, "")])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -242,8 +242,9 @@ def _output_dir(opts, default=None) -> Path | None:
 
 
 def _write_outputs(out: Path, files: dict) -> None:
-    """Put ``files`` (name: text, or a function that writes a path) in the
-    directory ``out`` from :func:`_output_dir`.
+    """Put ``files`` (name: a text, an iterable of texts written one after
+    another, or a function that writes a path) in the directory ``out`` from
+    :func:`_output_dir`.
 
     Each file is written to a temp file there with the mode a plain ``open``
     would give it (``mkstemp`` makes it 0600), then renamed into place; on any
@@ -262,14 +263,20 @@ def _write_outputs(out: Path, files: dict) -> None:
         os.close(fd)
         try:
             os.chmod(tmp, 0o666 & ~umask)
-            if isinstance(content, str):
-                Path(tmp).write_text(content, newline="\n")
-            else:
+            if callable(content):
                 content(tmp)
+            else:
+                with open(tmp, "w", newline="\n") as fh:
+                    fh.writelines(_chunks(content))
             os.replace(tmp, out / name)
         except BaseException:
             Path(tmp).unlink(missing_ok=True)
             raise
+
+
+def _chunks(content):
+    """A text, or an iterable of texts, as an iterable of texts."""
+    return (content,) if isinstance(content, str) else content
 
 
 def _json_text(payload) -> str:
@@ -280,30 +287,137 @@ def _json_text(payload) -> str:
         raise ModelError(f"cannot write JSON: {exc}") from None
 
 
-def _csv_text(rows) -> str:
+# The characters for which csv.writer's QUOTE_MINIMAL may quote a field
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+# Rows joined into one text when a table is written
+_CHUNK_ROWS = 1024
+
+
+def _csv_field(text) -> str:
+    """``text`` as one field of ``csv.writer(lineterminator="\\n")``: unchanged
+    unless it holds a character the writer may quote, else as the writer writes it."""
+    if not any(ch in text for ch in _CSV_SPECIAL):
+        return text
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
+def _field(cell) -> str:
+    """One cell's CSV field as csv.writer writes it; a float must be finite, as
+    it must be in the JSON twin."""
+    if isinstance(cell, str):
+        return _csv_field(cell)
+    if cell is None:
+        return ""
+    if isinstance(cell, bool):
+        return str(cell)
+    if isinstance(cell, int):
+        return int.__repr__(cell)
+    if isinstance(cell, float):
+        if not math.isfinite(cell):
+            raise ModelError(f"cannot write JSON: {cell!r} is not a finite number")
+        return float.__repr__(cell)
+    raise TypeError(f"Object of type {type(cell).__name__} is not JSON serializable")
+
+
+def _value(cell, field) -> str:
+    """One cell's JSON value as json.dumps writes it, given its CSV ``field``."""
+    if isinstance(cell, str):
+        return json.encoder.encode_basestring_ascii(cell)
+    if cell is None:
+        return "null"
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    return field  # a number reads the same in both
+
+
+def _fields(cells) -> list:
+    """The CSV fields of a run of cells (a column, or a row of ``pi``), each
+    formatted once; a run of plain floats, ints or strings takes one ``map``."""
+    kinds = set(map(type, cells))
+    if kinds == {float} and all(map(math.isfinite, cells)):
+        return list(map(float.__repr__, cells))
+    if kinds == {int}:
+        return list(map(int.__repr__, cells))
+    if kinds == {str} and not any(ch in "".join(cells) for ch in _CSV_SPECIAL):
+        return list(cells)
+    return list(map(_field, cells))
+
+
+def _values(cells, fields) -> list:
+    """The JSON values of the same cells: a number's is its CSV field."""
+    kinds = set(map(type, cells))
+    if kinds <= {float, int}:
+        return fields
+    if kinds == {str}:
+        return list(map(json.encoder.encode_basestring_ascii, cells))
+    return list(map(_value, cells, fields))
+
+
+def _joined(columns, cell_sep, row_sep):
+    """Texts given per column, joined row by row, ``_CHUNK_ROWS`` rows to a chunk."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = zip(*(texts[start:start + _CHUNK_ROWS] for texts in columns))
+        yield row_sep.join(map(cell_sep.join, rows))
 
 
 def _run(name, handler, default_out, args) -> int:
     """Resolve the options and output directory, get (files, stdout text, exit code)
-    from ``handler(opts, out)``, write the files if there is a directory, print."""
+    from ``handler(opts, out)``, write the files if there is a directory, print.
+    The stdout text may come as an iterable of texts, as a file's may."""
     opts = _Options(args, DEFAULTS[name])
     out = _output_dir(opts, default_out)
     files, text, code = handler(opts, out)
     if out is not None:
         _write_outputs(out, files)
-    print(text, end="")
+    sys.stdout.writelines(_chunks(text))
     return code
 
 
 def _tabulate(name, columns, rows, meta, out, noun="rows"):
     """A handler's result for a table: NAME.csv, its JSON twin, and the line
-    naming where they go."""
-    payload = {**meta, "command": name, "columns": list(columns),
-               "rows": [list(r) for r in rows]}
-    return ({f"{name}.csv": _csv_text([columns, *rows]), f"{name}.json": _json_text(payload)},
+    naming where they go.
+
+    Every cell is formatted here, once, for both files, so a cell that cannot
+    be written fails before any file is.  Each file is then joined from those
+    texts as it is written, byte for byte as ``csv.writer(lineterminator="\\n")``
+    and ``json.dumps(indent=2, sort_keys=True)`` write the table.
+    """
+    width = len(columns)
+    if not width or any(len(row) != width for row in rows):
+        raise ValueError("a table needs one cell per column in every row")
+    cells = list(zip(*rows)) or [()] * width
+    fields = [_fields(column) for column in cells]
+    values = [_values(column, texts) for column, texts in zip(cells, fields)]
+    header = _fields(columns)
+    if width == 1:  # csv.writer writes a row of one empty field as ""
+        header = [f or '""' for f in header]
+        fields[0] = [f or '""' for f in fields[0]]
+
+    # the scalar members go through json.dumps, indented one level deeper
+    payload = {**meta, "command": name, "columns": list(columns), "rows": None}
+    keys = sorted(payload)
+    members = [f"{json.encoder.encode_basestring_ascii(key)}: "
+               + _json_text(payload[key])[:-1].replace("\n", "\n  ") for key in keys]
+    at = keys.index("rows")
+    head = "{\n  " + "".join(m + ",\n  " for m in members[:at]) + '"rows": ['
+    tail = ("\n  ]" if rows else "]") + "".join(",\n  " + m for m in members[at + 1:]) + "\n}\n"
+
+    def csv_file():
+        yield ",".join(header) + "\n"
+        for chunk in _joined(fields, ",", "\n"):
+            yield chunk + "\n"
+
+    def json_file():
+        yield head
+        sep = "\n"
+        for chunk in _joined(values, ",\n      ", "\n    ],\n    [\n      "):
+            yield sep + "    [\n      " + chunk + "\n    ]"
+            sep = ",\n"
+        yield tail
+
+    return ({f"{name}.csv": csv_file(), f"{name}.json": json_file()},
             f"wrote {len(rows)} {noun} to {out / (name + '.csv')}\n", 0)
 
 
@@ -555,10 +669,12 @@ def _pi(opts, out):
 
     model, params = opts.game(opts.get("sigma", float))
     system = build_pi(model, params)
-    files = {"pi.csv": _csv_text(pi_csv_rows(system))}
-    text = files["pi.csv"] if out is None else (
-        f"wrote {system.L}x{system.L} matrix to {out / 'pi.csv'}\n")
-    return files, text, 0
+    # one row formatted at a time, straight into the file or onto stdout
+    lines = (",".join(_fields(row[:1]) + _fields(row[1:])) + "\n"
+             for row in pi_csv_rows(system))
+    if out is None:
+        return {}, lines, 0
+    return {"pi.csv": lines}, f"wrote {system.L}x{system.L} matrix to {out / 'pi.csv'}\n", 0
 
 
 # ---------------------------------------------------------------------------

@@ -103,9 +103,22 @@ def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSo
     the system's.
     """
     a_c, t_c = _rates(system, params)
+    return _solve_after_naive(system, a_c, t_c, _naive_xi(system, a_c, t_c))
+
+
+def _naive_xi(system, a_c, t_c) -> np.ndarray:
+    """The naive block's xi.  Naive observers see no sigma, so one solve serves
+    every sigma of a table at the same alpha/c and E[theta]/c."""
+    half = system.L // 2
+    return _solve_block(system, system.beliefs[0], a_c, np.full(half, t_c))
+
+
+def _solve_after_naive(system, a_c, t_c, naive) -> EquilibriumSolution:
+    """:func:`solve_direct` given the naive block's xi: the sophisticated block,
+    then the full-system residual gate."""
     half = system.L // 2
     xi = np.zeros(system.L)
-    xi[:half] = _solve_block(system, system.beliefs[0], a_c, np.full(half, t_c))
+    xi[:half] = naive
     # the sophisticated xi are still 0, so this product is the naive cross term
     b = _best_response(system, a_c, t_c, xi)[half:]
     xi[half:] = _solve_block(system, float(system.sigma) * system.beliefs[1], a_c, b)
@@ -203,16 +216,19 @@ def _type_weights(models, columns) -> np.ndarray:
     Row i is model i's class share times the multinomial chance of the
     observed neighbor counts under its biased sampling law, conditional on the
     rule (each rule block of a row sums to one).  The models share one degree
-    support, so a single :func:`multinomial_pmf` call weighs every row.
+    support, so a single :func:`multinomial_pmf` call weighs every row; both
+    rules read the same L/2 observations, so it weighs those once and the
+    sophisticated half repeats the naive one.
     """
-    counts, degrees, _ = columns
+    half = len(columns[1]) // 2
+    counts, degrees = columns[0][:half], columns[1][:half]
     support = np.array(models[0].degrees)
     cls = np.minimum(np.searchsorted(support, degrees), len(support) - 1)
     if (support[cls] != degrees).any():
         raise ModelError("every type's degree must lie in the model's support")
     tilde = [[float(v) for v in biased_neighbor_share(m)] for m in models]
     shares = np.array([[float(s) for s in m.shares] for m in models])
-    return shares[:, cls] * multinomial_pmf(counts, tilde)
+    return np.tile(shares[:, cls] * multinomial_pmf(counts, tilde), 2)
 
 
 def type_probabilities(model: DegreeModel, system: ExpectationMatrix) -> np.ndarray:

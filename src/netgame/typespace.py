@@ -227,9 +227,9 @@ def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
 
 
 def pi_csv_rows(system: ExpectationMatrix):
-    """Header, then one labeled row per observer type, yielded one at a time
-    for debug dumps."""
+    """Header, then one labeled row of floats per observer type, yielded one at
+    a time for debug dumps."""
     labels = [t.label for t in system.types]
     yield ["observer", *labels]
     for label, row in zip(labels, system.pi):
-        yield [label, *map(repr, row.tolist())]
+        yield [label, *row.tolist()]

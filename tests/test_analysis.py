@@ -453,6 +453,59 @@ class TestPopulationPrecisionSweep:
         with pytest.raises(ModelError, match="^need at least one sophistication share$"):
             population_precision_sweep(2.0, 1.2, 3.7, 1.0, [], [2, math.inf], [0.5])
 
+    def test_limit_rows_match_scalar_calls_bit_for_bit(self):
+        # a grid that crosses the naive stability edge, with points a few ulp
+        # either side of it, at sigmas whose sophisticated edges differ
+        eps, alpha, cost = 2.0, 1.5, 3.7
+        u_edge = (cost / alpha - 1) / eps
+        edge = u_edge / ((1 + eps) - eps * u_edge)
+        near = [edge]
+        for _ in range(4):
+            near = [np.nextafter(near[0], 0), *near, np.nextafter(near[-1], 1)]
+        grid = [0.05, *map(float, near), 0.5, 0.99]
+        for sigma in (0.0, 0.5, 1.0):
+            want = []
+            for delta2 in grid:
+                try:
+                    nv = naive_curve(delta2, eps, alpha, cost, 1.0)
+                    sv = sophisticated_curve(delta2, eps, alpha, cost, sigma, 1.0)
+                except ModelError:
+                    want.append([(sigma, "inf", delta2, "all", "", "unstable")])
+                    continue
+                want.append([(sigma, "inf", delta2, "naive", nv, ""),
+                             (sigma, "inf", delta2, "sophisticated", sv, ""),
+                             (sigma, "inf", delta2, "all", (1 - sigma) * nv + sigma * sv, "")])
+            got = an._limit_rows(sigma, grid, eps, alpha, cost, 1.0)
+            bits = lambda rows: [[tuple(v.hex() if isinstance(v, float) else v for v in row)
+                                  for row in point] for point in rows]
+            assert bits(got) == bits(want)
+            assert 1 < sum(len(point) == 1 for point in got) < len(grid) - 1
+
+    def test_one_naive_solve_per_model_whatever_the_sigmas(self, monkeypatch):
+        # the naive block does not depend on sigma: one LU per model, then one
+        # per sigma, each sigma with its own residual gate, all bit-identical
+        # to a solve_direct per sigma
+        from netgame import equilibrium
+        solves, gates = [], []
+        real_solve, real_gate = equilibrium._solve_block, equilibrium._fixed_point_residual
+        monkeypatch.setattr(equilibrium, "_solve_block",
+                            lambda *a: solves.append(1) or real_solve(*a))
+        monkeypatch.setattr(equilibrium, "_fixed_point_residual",
+                            lambda *a: gates.append(1) or real_gate(*a))
+        sigmas = [0.0, 0.25, 0.5, 0.75, 1.0]
+        for d1 in (2, 8):
+            model = an._two_class_model(d1, 2.0)
+            solves.clear()
+            gates.clear()
+            got = list(an._solutions(model, 1.2, 3.7, 1.0, sigmas))
+            assert (len(solves), len(gates)) == (1 + len(sigmas), len(sigmas))
+            for sigma, solution in zip(sigmas, got):
+                params = GameParams(1.0, 1.2, 3.7, sigma, model)
+                want = solve_direct(build_pi(model, params), params)
+                assert solution.system.sigma == sigma
+                assert solution.xi.tobytes() == want.xi.tobytes()
+                assert solution.residual == want.residual
+
     def test_unstable_limit_rows(self):
         rows = population_precision_sweep(2.0, 1.5, 3.7, 1.0, [0.5], [math.inf],
                                           [0.1, 0.9])

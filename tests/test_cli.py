@@ -1,7 +1,10 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import stat
 import tempfile
@@ -18,9 +21,11 @@ from netgame.cli import (
     _boolean,
     _Options,
     _scalar_list,
+    _tabulate,
     build_parser,
     main,
 )
+from netgame.population import ModelError
 
 POSITIVE_EPS = "excess ratio eps = d_2/d_1 - 1 must be positive"
 
@@ -604,6 +609,90 @@ class TestHandlers:
         import netgame.cli
         assert [name for name in ("cmd_sweep", "cmd_solve", "_table")
                 if hasattr(netgame.cli, name)] == []
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308]))
+_STRINGS = st.one_of(
+    st.text(), st.sampled_from(["", "a,b", 'say "hi"', '"', "\r\n", "x\ry", "x\ny", "é", "日本"]))
+_CELLS = st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), _STRINGS)
+_META = st.dictionaries(st.text(), st.recursive(
+    st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), _STRINGS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=6), max_size=4)
+_TABLES = st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(_STRINGS, min_size=width, max_size=width).map(tuple),
+    st.lists(st.lists(_CELLS, min_size=width, max_size=width).map(tuple), max_size=5)))
+
+
+def _stdlib_table(name, columns, rows, meta):
+    """A table's CSV and JSON as csv.writer and the indenting json.dumps write them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
+    payload = {**meta, "command": name, "columns": list(columns),
+               "rows": [list(row) for row in rows]}
+    return buf.getvalue(), json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _rendered(name, columns, rows, meta):
+    files, _, _ = _tabulate(name, columns, rows, meta, Path("out"))
+    return tuple("".join(files[f"{name}.{ext}"]) for ext in ("csv", "json"))
+
+
+class TestRenderer:
+    """One pass formats every cell for a table's CSV and its JSON twin."""
+
+    @given(_TABLES, _META)
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_the_stdlib_writers(self, table, meta):
+        columns, rows = table
+        assert _rendered("t", columns, rows, meta) == _stdlib_table("t", columns, rows, meta)
+
+    @pytest.mark.parametrize("columns, rows", [
+        (("",), [("",)]), (("a",), [(None,), ("",), ("x",)]), (("a",), []),
+        (("a", "b"), [("", "")]), (("n", "v"), [(1, 2.0)] * 2500),
+        (("a,b", 'c"d'), [("e\r\nf", -0.0), (True, "é")]),
+    ], ids=["lone-empty", "one-column", "no-rows", "two-empty", "chunks", "quoted"])
+    def test_edge_tables_match_the_stdlib_writers(self, columns, rows):
+        meta = {"nested": {"b": [1, 2.5, {"c": None}], "a": "x"}, "empty": [], "zero": -0.0}
+        assert _rendered("t", columns, rows, meta) == _stdlib_table("t", columns, rows, meta)
+
+    @pytest.mark.parametrize("rows", [
+        [(0.5, "a"), (math.nan, "b")], [(math.inf, "a")], [(-math.inf, 1)],
+        [("", 1), (math.nan, 2)],      # a column of strings and floats
+    ], ids=["nan", "inf", "minus-inf", "mixed-column"])
+    def test_a_non_finite_cell_is_refused(self, rows):
+        with pytest.raises(ModelError, match=r"^cannot write JSON: -?(nan|inf) is not a finite"):
+            _tabulate("t", ("x", "y"), rows, {}, Path("out"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_cell_writes_nothing(self, bad, tmp_path, capsys, monkeypatch):
+        import netgame.analysis
+        real = netgame.analysis.sigma_sweep
+
+        def sweep(*args):
+            rows = real(*args)
+            return [*rows[:-1], dataclasses.replace(rows[-1], sophisticated=bad)]
+
+        monkeypatch.setattr(netgame.analysis, "sigma_sweep", sweep)
+        out = tmp_path / "out"
+        assert main(["sweep", "sophistication", "--grid", "3", "--out", str(out)]) == 2
+        assert "error: cannot write JSON: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_ragged_table_is_refused(self):
+        with pytest.raises(ValueError, match="one cell per column"):
+            _tabulate("t", ("x", "y"), [(1, 2), (3,)], {}, Path("out"))
+
+    def test_pi_streams_the_bytes_it_writes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("NETGAME_OUT", raising=False)
+        argv = ["pi", "--model", "1,2,3:0.2,0.3,0.5", "--sigma", "0.3"]
+        code, text = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--out", str(tmp_path))[0] == 0
+        assert text == (tmp_path / "pi.csv").read_text()
 
 
 class TestStdout:

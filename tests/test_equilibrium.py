@@ -21,6 +21,7 @@ from netgame import (
     infinite_naive,
     infinite_sophisticated,
     biased_neighbor_share,
+    multinomial_pmf,
     solve_direct,
     solve_iterative,
     type_probabilities,
@@ -494,6 +495,22 @@ class TestAveraging:
             w = type_probabilities(model, system)
             mask = np.array([t.rule == rule for t in system.types])
             assert w[mask].sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("degrees", [(d1, 3 * d1) for d1 in (2, 4, 8, 16, 32)]
+                             + [(8, 16, 24)])
+    def test_weights_match_the_kernel_over_every_type(self, degrees):
+        # the sophisticated half repeats the naive observations, so they are
+        # weighed once and tiled; the bits equal one kernel call over all L rows
+        k = len(degrees)
+        shares = [tuple(np.roll(np.arange(1.0, k + 1), i) / (k * (k + 1) / 2))
+                  for i in range(3)]
+        models = [DegreeModel(degrees, s) for s in shares]
+        system = build_pi(models[0], GameParams(1.0, 0.1, 3.0, 0.5, models[0]))
+        counts, type_degrees, _ = system.columns
+        cls = np.searchsorted(np.array(degrees), type_degrees)
+        full = np.array(shares)[:, cls] * multinomial_pmf(
+            counts, [[float(v) for v in biased_neighbor_share(m)] for m in models])
+        assert equilibrium._type_weights(models, system.columns).tobytes() == full.tobytes()
 
     def test_rejects_types_outside_the_support(self):
         model, _, system = fig_system(sigma=0.3)
