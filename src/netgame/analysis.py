@@ -13,7 +13,7 @@ flagged and excluded from sign assertions instead of asserted blindly.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -277,7 +277,7 @@ def _solutions(model, alpha, cost, etheta, sigmas):
     a_c, t_c = _rates(system, params[0])
     naive = _naive_xi(system, a_c, t_c)
     for p in params:
-        yield _solve_after_naive(replace(system, sigma=p.sigma), a_c, t_c, naive)
+        yield _solve_after_naive(system.with_sigma(p.sigma), a_c, t_c, naive)
 
 
 def precision_sweep(eps, alpha, cost, sigma, etheta, d1_list) -> PrecisionSweepResult:

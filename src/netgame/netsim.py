@@ -9,14 +9,16 @@ stub total is odd, the last node of the highest-degree class loses one stub
 (the network records the adjustment).
 
 ``monte_carlo_estimator_check`` draws trial 0, kept for export, with
-``generate`` on the calling thread while one executor thread draws trial 1,
-and then each later trial while the calling thread summarizes the one before.
-A later simple trial is a ``generate`` call; a later multigraph trial is
+``generate`` on the calling thread while one executor thread draws the later
+trials ahead of the calling thread's summaries.  A later multigraph trial is
 shuffled from the unshuffled draw (nodes class by class, each node's stubs
-paired in node order) into two stub buffers in turn.  Every trial is
-summarized in one set of work arrays.  A trial's summary counts one neighbor
-count table: the shares divide it by the degrees, and the assortativity takes
-four exact integer moments from it.  Every float sum of the shares keeps the
+paired in node order) into three stub buffers in turn, two draws ahead of the
+trial being summarized; a later simple trial is a ``generate`` call, one
+ahead.  Each trial's seed fixes its network, so the output bytes do not
+depend on how far ahead the worker draws.  Every trial is summarized in one
+set of work arrays.  A trial's summary counts one neighbor count table: the
+shares divide it by the degrees, and the assortativity takes four exact
+integer moments from it.  Every float sum of the shares keeps the
 order of the numpy reduction it replaces, so the results keep their bits.
 ``sampling_error_scaling`` reads only the average shares of the same trials.
 """
@@ -24,6 +26,7 @@ order of the numpy reduction it replaces, so the results keep their bits.
 import json
 import math
 import operator
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, replace
 
@@ -58,8 +61,9 @@ class SampledNetwork:
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        # the edge keys lo * n + hi and the per-node counts assume node ids
-        if self.m and not (self.edges.min() >= 0 and self.edges.max() < self.n):
+        # the edge keys lo * n + hi and the per-node counts assume node ids; one
+        # reduction checks both ends, as a negative id reads as 2**63 or more unsigned
+        if self.m and not self.edges.view(np.uint64).max() < self.n:
             raise ModelError(f"edge endpoints must be node ids 0 .. {self.n - 1}")
         if len(self.node_degree) != self.n:
             raise ModelError(f"need one degree per node, got {len(self.node_degree)} for {self.n}")
@@ -384,46 +388,55 @@ def _trial_networks(model: DegreeModel, n: int, trials: int, seed, simple: bool)
     """Yield each trial's network with the work arrays to summarize it in.
 
     Trial t draws from ``_trial_seed(seed, t)``, so no network depends on
-    which thread draws it or when.  Trial 0 comes from ``generate`` on the
-    calling thread and owns its edges, since it is kept for export.  Trials
-    t >= 1 are drawn one ahead on one executor thread: trial 1 while trial 0
-    is drawn, then trial t + 1 while the caller reads trial t.  A simple trial
-    is a ``generate`` call of its own; a multigraph trial is shuffled by
-    ``draw_multigraph`` from one layout into two stub buffers in turn.  Every
-    trial has the same n and m, so all share one set of work arrays.  Close
-    the generator (``contextlib.closing``) so the executor joins its thread
-    on every exit, and take the pairs with ``next``: ``enumerate`` would keep
-    the last pair alive into the next draw.
+    which thread draws it, when, or how far ahead.  Trial 0 comes from
+    ``generate`` on the calling thread and owns its edges, since it is kept
+    for export.  Trials t >= 1 are drawn ahead on one executor thread.  A
+    multigraph trial is shuffled by ``draw_multigraph`` from one layout into
+    three stub buffers in turn: trials 1, 2 and 3 are queued while trial 0 is
+    drawn, then trial t + 2 as soon as the caller asks for trial t, into the
+    buffer of trial t - 1, which the caller is done with.  A simple trial is a
+    ``generate`` call with arrays of its own, drawn one ahead: trial 1 beside
+    trial 0, then trial t + 1 once the caller asks for trial t.  Every trial
+    has the same n and m, so all share one set of work arrays.  Close the
+    generator (``contextlib.closing``) so the executor drops the queued draws
+    and joins its thread on every exit, and take the pairs with ``next``:
+    ``enumerate`` would keep the last pair alive into the next draw.
     """
-    # two draws in flight: the layout, both stub buffers and trial 0's edges, or two
-    # simple draws
-    _check_stub_budget(model, n, 2 * DRAW_ARRAYS[simple])
+    # in flight: the layout, three stub buffers and trial 0's edges, or two simple draws
+    _check_stub_budget(model, n, 2 * DRAW_ARRAYS[True] if simple else 5)
     if trials == 1:
         net = generate(model, n, seed=_trial_seed(seed, 0), simple=simple)
         yield net, _Work(net)
         return
     if simple:
+        ahead = lead = 1  # draws queued behind the trial the caller reads, and at the start
+
         def draw(t):
             return generate(model, n, seed=_trial_seed(seed, t), simple=True)
     else:
+        ahead = 2
         layout = _layout(model, n)
-        buffers = np.empty((2, 2 * layout.m), dtype=np.int64)
+        buffers = np.empty((min(ahead + 1, trials - 1), 2 * layout.m), dtype=np.int64)
+        lead = len(buffers)  # trial 0 owns its edges, so every buffer takes a draw at once
 
         def draw(t):
-            return draw_multigraph(layout, _trial_seed(seed, t), buffers[t % 2])
+            return draw_multigraph(layout, _trial_seed(seed, t), buffers[(t - 1) % lead])
     # imported here so only runs of 2+ trials pay for its ``logging`` import
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        drawn = worker.submit(draw, 1)
+    worker = ThreadPoolExecutor(max_workers=1)
+    try:
+        drawn = deque(worker.submit(draw, t) for t in range(1, 1 + lead))
         net = generate(model, n, seed=_trial_seed(seed, 0), simple=simple)
         work = _Work(net)
-        for t in range(2, trials):
+        for t in range(1, trials):
             yield net, work
-            net = drawn.result()
-            drawn = worker.submit(draw, t)
+            # the caller asks for trial t, so it is done with trial t - 1 and its buffer
+            if lead < t + ahead < trials:
+                drawn.append(worker.submit(draw, t + ahead))
+            net = drawn.popleft().result()
         yield net, work
-        net = drawn.result()
-        yield net, work
+    finally:
+        worker.shutdown(cancel_futures=True)
 
 
 def _std(x: np.ndarray, deviations: np.ndarray) -> float:
@@ -492,8 +505,8 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     which is where sample size shows up -- higher degree, tighter estimates.
 
     Trial t draws from the seed ``[seed, t]`` (``[*seed, t]`` for a sequence);
-    trial 0 is kept as ``first_network``.  Later trials are drawn one ahead on
-    an executor thread (see ``_trial_networks``), and every trial is
+    trial 0 is kept as ``first_network``.  Later trials are drawn ahead on an
+    executor thread (see ``_trial_networks``), and every trial is
     summarized in one set of work arrays, so a multigraph trial allocates only
     its neighbor count table.  A run whose stub arrays would pass
     ``population.MEMORY_BUDGET`` bytes raises ``ModelError`` before anything is drawn.

@@ -160,6 +160,16 @@ class ExpectationMatrix:
     def L(self) -> int:
         return len(self.d_diag)
 
+    def with_sigma(self, sigma) -> "ExpectationMatrix":
+        """This system at another sigma, checked as ``GameParams`` checks it.  The
+        checked tables, the derived arrays and the cached types are shared; ``pi``,
+        which depends on sigma, is assembled afresh when first read."""
+        GameParams.check(0, 0, 1, sigma)  # the other scalars pass
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, sigma=sigma)
+        copy.__dict__.pop("pi", None)
+        return copy
+
     @functools.cached_property
     def types(self) -> tuple:
         """Each row's :class:`AgentType`, made when first read."""

@@ -438,6 +438,19 @@ class TestPopulationPrecisionSweep:
         # K = 2 calls per finite d1, each over the L/2 = 4 * d1 + 2 observations
         assert calls == [10, 10, 18, 18]
 
+    def test_each_model_lays_out_its_lattices_once_per_build(self, monkeypatch):
+        # the benchmark's precision-sweep op: five two-class models, three sigmas;
+        # build_pi and the system it makes each lay out both degrees' lattices,
+        # and each sigma's copy of the system shares them
+        import netgame.typespace
+        calls = []
+        real = netgame.typespace.feasible_observed_shares
+        monkeypatch.setattr(netgame.typespace, "feasible_observed_shares",
+                            lambda d, K: calls.append(d) or real(d, K))
+        population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0.1, 0.5, 0.9],
+                                   [2, 4, 8, 16, 32, math.inf], np.linspace(0, 1, 41)[1:-1])
+        assert calls == [d for d1 in (2, 4, 8, 16, 32) for d in (d1, 3 * d1) * 2]
+
     @pytest.mark.parametrize("study", [
         lambda: population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0.5], [2, 100_000, math.inf],
                                            [0.5]),

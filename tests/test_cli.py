@@ -387,7 +387,7 @@ class TestConfigAndErrors:
                      "--trials", trials, "--out", str(fresh)]) == 2
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
-        assert err.startswith("error: 15000000000 stubs at n = 10: 4 int64 stub arrays need")
+        assert err.startswith("error: 15000000000 stubs at n = 10: 5 int64 stub arrays need")
         assert not fresh.exists()
 
     @pytest.mark.parametrize("argv, types", [

@@ -615,7 +615,7 @@ class TestPipeline:
                              capture_output=True, text=True, check=True).stdout
         per_trial = [int(word) for word in out.split()]
         assert len(per_trial) == 9
-        # from the fourth trial on, both stub buffers have been drawn into
+        # from the fourth trial on, all three stub buffers have been drawn into
         table_pages = 2 * 100_000 * 8 // os.sysconf("SC_PAGE_SIZE")
         assert max(per_trial[2:]) <= 2 * table_pages, per_trial
 
@@ -644,9 +644,44 @@ class TestPipeline:
         workers = {thread[(0, t)] for t in range(1, 5)}
         assert len(workers) == 1 and main not in workers
 
+    @pytest.mark.parametrize("simple", [False, True], ids=["multigraph", "simple"])
+    def test_the_worker_draws_ahead_of_the_summary(self, simple, monkeypatch):
+        # The caller's summary of trial t waits until trial t + 2 (simple: t + 1,
+        # and trial 0's multigraph summary: trial 3, queued with trials 1 and 2
+        # at the start) is drawn, and finds no later draw begun and trial t's
+        # edges intact: the worker draws into the buffer of trial t - 1.
+        n, trials, ahead = 2000, 7, 1 if simple else 2
+        expected = [generate(EXAMPLE, n, seed=[0, t], simple=simple).edges
+                    for t in range(trials)]
+        started, drawn = ([threading.Event() for _ in range(trials)] for _ in range(2))
+        name = "generate" if simple else "draw_multigraph"
+        real_draw, real_summary = getattr(netsim, name), netsim.empirical_neighbor_shares
+
+        def drawing(*args, **kwargs):
+            t = (kwargs["seed"] if simple else args[1])[-1]
+            started[t].set()
+            net = real_draw(*args, **kwargs)
+            drawn[t].set()
+            return net
+
+        def summarizing(net, **kwargs):
+            t = net.seed[-1]
+            reach = t + ahead + (t == 0 and not simple)
+            if reach < trials:
+                assert drawn[reach].wait(timeout=10), f"trial {reach} was not drawn"
+            if reach + 1 < trials:
+                assert not started[reach + 1].is_set()
+            assert np.array_equal(net.edges, expected[t])
+            return real_summary(net, **kwargs)
+        monkeypatch.setattr(netsim, name, drawing)
+        monkeypatch.setattr(netsim, "empirical_neighbor_shares", summarizing)
+        report = monte_carlo_estimator_check(EXAMPLE, n, trials=trials, simple=simple)
+        assert all(event.is_set() for event in drawn)
+        assert np.array_equal(report.first_network.edges, expected[0])
+
     @pytest.mark.parametrize("where", ["summary", "draw"])
     def test_a_failing_trial_leaves_no_thread_behind(self, where, monkeypatch):
-        # trial 2 fails while trial 3 is being drawn, or its own draw fails
+        # trial 2 fails while trials 3 and 4 are queued or drawn, or its own draw fails
         real = netsim.draw_multigraph
 
         def failing(layout, seed, out):
@@ -757,22 +792,24 @@ class TestStubBudget:
 
     def test_the_check_refuses_before_starting_a_thread(self):
         before = threading.active_count()
-        with pytest.raises(ModelError, match="4 int64 stub arrays need 480000000000 bytes"):
+        with pytest.raises(ModelError, match="5 int64 stub arrays need 600000000000 bytes"):
             monte_carlo_estimator_check(self.HUGE, 10, trials=3)
         assert threading.active_count() == before
 
     def test_the_scaling_refuses_before_laying_out(self):
-        with pytest.raises(ModelError, match="4 int64 stub arrays need"):
+        with pytest.raises(ModelError, match="5 int64 stub arrays need"):
             sampling_error_scaling(self.HUGE, [10, 20], [2, 2])
 
     def test_a_call_fits_exactly_at_the_budget(self, monkeypatch):
         # 4800 stubs at n = 1000: one int64 array of them is 38,400 bytes;
-        # generate holds two such arrays, a Monte-Carlo run four
+        # generate holds two such arrays, a Monte-Carlo run five (the layout,
+        # three stub buffers and trial 0's edges)
         monkeypatch.setattr(population, "MEMORY_BUDGET", 2 * 38_400)
         assert generate(EXAMPLE, 1000, seed=0).m == 2400
-        with pytest.raises(ModelError, match="4 int64 stub arrays need 153600 bytes"):
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400 - 1)
+        with pytest.raises(ModelError, match="5 int64 stub arrays need 192000 bytes"):
             monte_carlo_estimator_check(EXAMPLE, 1000, trials=2)
-        monkeypatch.setattr(population, "MEMORY_BUDGET", 4 * 38_400)
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400)
         assert monte_carlo_estimator_check(EXAMPLE, 1000, trials=2).first_network.m == 2400
         monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400 - 1)
         with pytest.raises(ModelError, match="5 int64 stub arrays need 192000 bytes"):
@@ -907,10 +944,21 @@ class TestExports:
         write_edgelist(net, tmp_path / "edges.txt")
         assert (tmp_path / "edges.txt").read_bytes() == _reference_edgelist(net)
 
-    @pytest.mark.parametrize("edges", [[[0, 10]], [[-1, 3]]])
+    @pytest.mark.parametrize("edges", [[[0, 10]], [[-1, 3]], [[3, -2**63]], [[2**63 - 1, 0]]])
     def test_network_with_an_id_outside_its_nodes_is_rejected(self, edges):
         with pytest.raises(ModelError, match=r"node ids 0 \.\. 9"):
             _hand_built(10, edges)
+
+    def test_a_strided_edge_view_is_checked_where_it_lies(self):
+        # every other column of an int64 array is taken as it is, not copied
+        wide = np.arange(40, dtype=np.int64).reshape(-1, 4) % 10
+        net = _hand_built(10, wide[:, ::2])
+        assert not net.edges.flags.c_contiguous and np.shares_memory(net.edges, wide)
+        assert np.array_equal(net.edges, wide[:, ::2])
+        for outside in (-1, 10):
+            wide[-1, 2] = outside
+            with pytest.raises(ModelError, match=r"node ids 0 \.\. 9"):
+                _hand_built(10, wide[:, ::2])
 
     @pytest.mark.parametrize("lines", [WRITE_ROWS, WRITE_ROWS + 1])
     def test_edgelist_at_the_block_boundary(self, lines, tmp_path):

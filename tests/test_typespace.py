@@ -292,8 +292,21 @@ class TestBuildPi:
     def test_rejects_a_bad_sigma(self, sigma):
         m = DegreeModel((2, 4), (0.5, 0.5))
         system = build_pi(m, _stable_params(m))
-        with pytest.raises(ModelError, match="sigma must be finite|must lie in"):
-            replace(system, sigma=sigma)
+        for copy in (lambda: replace(system, sigma=sigma), lambda: system.with_sigma(sigma)):
+            with pytest.raises(ModelError, match="sigma must be finite|must lie in"):
+                copy()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
+    def test_a_sigma_copy_shares_the_tables_but_not_pi(self, sigma):
+        m = DegreeModel((2, 4, 5), (0.3, 0.3, 0.4))
+        system = build_pi(m, _stable_params(m, 0.7))
+        assert system.pi[0, 0] > 0 and system.types  # cached at sigma 0.7
+        copy = system.with_sigma(sigma)
+        assert (copy.sigma, system.sigma) == (sigma, 0.7)
+        assert np.array_equal(copy.pi, build_pi(m, _stable_params(m, sigma)).pi)
+        assert not np.array_equal(system.pi, copy.pi)
+        for name in ("model", "pmf", "beliefs", "columns", "blocks", "d_diag", "types"):
+            assert getattr(copy, name) is getattr(system, name)
 
     def test_build_peak_memory_stays_near_pi(self):
         # the table itself and the types: the kernel writes each degree's
