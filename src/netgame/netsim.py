@@ -26,6 +26,7 @@ order of the numpy reduction it replaces, so the results keep their bits.
 import json
 import math
 import operator
+from bisect import bisect_right, insort
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -39,8 +40,9 @@ MAX_ROUNDS = 200  # re-draw rounds of simple mode before giving up
 WRITE_ROWS = 1 << 14  # edge-list lines formatted per write; bounds the byte buffer per write
 MAX_NODES = math.isqrt(np.iinfo(np.int64).max)  # edge keys lo * n + hi stay within int64
 # int64 arrays of one entry per stub that a draw holds at its peak: the layout and
-# the shuffled stubs, or in simple mode also a round's pool, keys, their order and
-# sorted copy (5.1 arrays under tracemalloc at n = 1e4 and 1e5, node arrays included)
+# the shuffled stubs, or in simple mode the layout, round 1's pool and keys, and the
+# accepted keys, sorted and in order, one of them twice while a dissolve copies it
+# (4.6 arrays under tracemalloc at n = 1e4 and 1e5, node arrays included)
 DRAW_ARRAYS = {False: 2, True: 5}
 
 
@@ -133,11 +135,15 @@ def _node_count(n) -> int:
     return n
 
 
-def _check_stub_budget(model: DegreeModel, n: int, arrays: int) -> None:
+def _check_stub_budget(model: DegreeModel, n: int, arrays: int, node_arrays: int = 0) -> None:
     """Raise ``ModelError`` when ``arrays`` int64 arrays of the stubs ``n`` nodes
-    draw would pass ``MEMORY_BUDGET`` bytes; the count is known before any is drawn."""
+    draw, and ``node_arrays`` of one int64 per node, would pass ``MEMORY_BUDGET``
+    bytes; the count is known before any is drawn."""
     stubs = sum(count * d for count, d in zip(class_counts(model, n), model.degrees))
-    check_budget(8 * stubs * arrays, f"{stubs} stubs at n = {n}: {arrays} int64 stub arrays")
+    what = f"{stubs} stubs at n = {n}: {arrays} int64 stub arrays"
+    if node_arrays:
+        what += f" and {node_arrays} int64 node arrays"
+    check_budget(8 * (stubs * arrays + n * node_arrays), what)
 
 
 def _seed(seed):
@@ -208,9 +214,10 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
     or duplicate edges are pooled and re-drawn for up to ``MAX_ROUNDS``
     rounds.  A round rejects, as array operations over its pairs, every
     self-loop, every edge accepted in an earlier round and every repeat of an
-    edge first drawn earlier in the round; the rejected stubs return to the
-    pool in pool order, followed by the stubs of a few accepted edges
-    dissolved one at a time.  Edges come out as ``(lo, hi)`` in acceptance order.
+    edge first drawn earlier in the round, with one sort of its edge keys.
+    The rejected stubs return to the pool in pool order, followed by the
+    stubs of a few accepted edges, each picked by one draw and all dissolved
+    in one pass.  Edges come out as ``(lo, hi)`` in acceptance order.
 
     ``n`` must be an integer and ``seed`` a non-negative integer or a sequence
     of them; the network records the seed as a Python int or list of ints.
@@ -239,23 +246,32 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
         keys = np.minimum(u, v) * n + np.maximum(u, v)
         # A pair is kept when it is no self-loop, its edge was not accepted in
         # an earlier round, and no earlier pair of this round has the same key.
-        # Ties are broken by the smallest pair index of each run of equal keys,
-        # since a stable argsort of int64 keys is several times slower.
-        order = np.argsort(keys)
-        ranked = keys[order]
-        runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        first = np.zeros(len(keys), dtype=bool)
-        first[np.minimum.reduceat(order, runs)] = True
-        keep = (u != v) & first
+        dropped = u == v  # the pairs whose key no pair of the round may keep
         if len(known):  # round 1 has accepted nothing to look up
             # -1 past the end of ``known`` matches no key, so positions beyond
             # the largest accepted key read as "not accepted".
-            keep &= np.append(known, -1)[np.searchsorted(known, keys)] != keys
-        fresh = ranked[keep[order]]  # sorted, and disjoint from ``known``
-        del order, ranked, runs, first
+            dropped |= np.append(known, -1)[np.searchsorted(known, keys)] == keys
+        keep = ~dropped
+        # One sort lays the keys out in runs of equal keys.  Keys drawn twice
+        # or more are usually a handful, so only the pairs carrying them are
+        # ordered, by a stable argsort, to keep the lowest pair of each.
+        ranked = np.sort(keys)
+        head = np.empty(len(ranked), dtype=bool)  # the first slot of each run
+        head[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        repeated = ranked[~head]
+        if len(repeated):
+            twins = np.flatnonzero(np.isin(keys, repeated))
+            twins = twins[np.argsort(keys[twins], kind="stable")]
+            keep[twins[1:][keys[twins[1:]] == keys[twins[:-1]]]] = False
+        # the keys kept are the first slots of the runs, save those of dropped
+        # keys: sorted, and disjoint from ``known``
+        head[np.searchsorted(ranked, keys[dropped])] = False
+        fresh = ranked[head]
+        del ranked, head
         known = (np.insert(known, np.searchsorted(known, fresh), fresh) if len(known)
                  else fresh)
-        accepted = np.concatenate((accepted, keys[keep]))
+        accepted = np.concatenate((accepted, keys[keep])) if len(accepted) else keys[keep]
         rejected = pool.reshape(-1, 2)[~keep].ravel()
         if not len(rejected):
             edges = np.empty((len(accepted), 2), dtype=np.int64)
@@ -263,12 +279,20 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
             return replace(layout, edges=edges, seed=seed, simple=True)
         # Dead ends (e.g. two stubs of the same node left) need fresh material:
         # dissolve a few accepted edges back into the pool before retrying.
+        # Draw i picks among the edges the i draws before it left, so it is
+        # shifted past the positions they took to its position in ``accepted``.
         n_back = min(len(accepted), max(1, len(rejected) // 2))
-        back = np.empty(n_back, dtype=np.int64)
+        picks, taken = [], []  # the positions in draw order, and sorted
         for i in range(n_back):
-            idx = int(rng.integers(len(accepted)))
-            back[i] = accepted[idx]
-            accepted = np.delete(accepted, idx)
+            pos = draw = int(rng.integers(len(accepted) - i))
+            # the untaken position with ``draw`` untaken positions before it: the
+            # least fixed point of pos = draw + (positions taken up to pos)
+            while (shifted := draw + bisect_right(taken, pos)) != pos:
+                pos = shifted
+            insort(taken, pos)
+            picks.append(pos)
+        back = accepted[picks]
+        accepted = np.delete(accepted, picks)
         known = np.delete(known, np.searchsorted(known, back))
         pool = np.concatenate((rejected, np.column_stack((back // n, back % n)).ravel()))
     raise ModelError(f"no simple realization found within {MAX_ROUNDS} rounds")
@@ -291,7 +315,8 @@ class _Work:
     def __init__(self, net: SampledNetwork):
         self.key = np.empty(2 * net.m, dtype=np.int64)  # one bincount key per stub
         self.shares = np.empty((net.n, net.model.K))
-        self.node = np.empty(net.n)  # one float per node; as int64, the degrees counted
+        # one float per node; as int64, the degrees counted; as bool, one class's nodes
+        self.node = np.empty(net.n)
         self.table = self.counted = None
 
 
@@ -350,36 +375,41 @@ def degree_assortativity(net: SampledNetwork, *, work: _Work = None) -> float:
     and S11 = sum over ends of d_u * d_v, r = (M S11 - S1^2) / (M S2 - S1^2),
     one correctly rounded division of exact integers.  Configuration-model
     realizations hover near zero; returns 0.0 when only one degree value
-    occurs, where no sorting is measurable.  The moments are integer sums of
-    the neighbor count table (see ``empirical_neighbor_shares``), so every
-    node must sit at its class degree, save a parity-adjusted last node at
-    one less; node order is free.  Raises ``ModelError`` otherwise.
+    occurs, where no sorting is measurable.  S1 is one integer dot of the
+    degrees; M, S2 and S11 are integer sums of the neighbor count table (see
+    ``empirical_neighbor_shares``), so every node must sit at its class
+    degree, save a parity-adjusted last node at one less; node order is free.
+    Raises ``ModelError`` otherwise.
     """
     work = work or _Work(net)
     degrees = net.model.degrees
-    off = work.node.view(np.int64)
-    np.take(np.array(degrees), net.node_class, out=off, mode="wrap")
-    if net.parity_adjusted:
-        off[-1] -= 1
-    off -= net.node_degree
-    if off.any():
-        raise ModelError("degree assortativity needs every node at its class degree")
     table = _neighbor_table(net, work)
     # ends[k] = sum of d_i over class-k nodes, so sum_k d_k^j ends[k] = sum_i c_i^j d_i
     # with c_i node i's class degree: the moment of d^(j+1) save at a parity node
     ends = table.sum(axis=1).tolist()
-    M, S1, S2 = (sum(d**j * e for d, e in zip(degrees, ends)) for j in range(3))
+    M, C1, S2 = (sum(d**j * e for d, e in zip(degrees, ends)) for j in range(3))
     # each int64 dot is at most sum d_i^2 <= (2m)^2, below 2**63 while 2m < 3e9 stubs
+    S1 = int(net.node_degree @ net.node_degree)
+    # sum_i (d_i - c_i)^2 = S1 - 2 sum_i c_i d_i + sum_k n_k d_k^2 with n_k the class
+    # sizes, counted through a bool view of the work arrays; a parity node at
+    # c_p - 1 adds 2 (d_p - c_p) + 1 to it, so the sum is 0 just when all are on rule
+    flags = work.node.view(bool)[:net.n]
+    sizes = [np.count_nonzero(np.equal(net.node_class, k, out=flags))
+             for k in range(net.model.K - 1)]
+    sizes.append(net.n - sum(sizes))
+    off = S1 - 2 * C1 + sum(n_k * d * d for n_k, d in zip(sizes, degrees))
     S11 = sum(d * int(net.node_degree @ row) for d, row in zip(degrees, table))
     if net.parity_adjusted:
         p = net.n - 1
         d = degrees[net.node_class[p]] - 1
-        S1 -= d
+        off += 2 * (int(net.node_degree[p]) - d) - 1
         S2 -= (2 * d + 1) * d
         # S11 took p at its class degree d + 1, once too often per end facing p
         # times that end's degree: the degree at the far end of one of p's stubs
         stubs = net.edges.ravel()
         S11 -= int(net.node_degree[stubs[np.flatnonzero(stubs == p) ^ 1]].sum())
+    if off:
+        raise ModelError("degree assortativity needs every node at its class degree")
     den = M * S2 - S1 * S1
     return (M * S11 - S1 * S1) / den if den else 0.0
 
@@ -402,8 +432,15 @@ def _trial_networks(model: DegreeModel, n: int, trials: int, seed, simple: bool)
     and joins its thread on every exit, and take the pairs with ``next``:
     ``enumerate`` would keep the last pair alive into the next draw.
     """
-    # in flight: the layout, three stub buffers and trial 0's edges, or two simple draws
-    _check_stub_budget(model, n, 2 * DRAW_ARRAYS[True] if simple else 5)
+    if simple:  # two simple draws in flight
+        _check_stub_budget(model, n, 2 * DRAW_ARRAYS[True])
+    else:
+        # At its peak a multigraph run holds the layout, three stub buffers, trial
+        # 0's edges, and trial 0's own layout or ``_Work.key``; and per node the
+        # node arrays of the layout and of trial 0, ``_Work.shares`` and ``node``,
+        # a neighbor count table and one more for temporaries (2K + 5.3 int64s
+        # per node under tracemalloc at n = 1e5 and K = 2, 3 and 6).
+        _check_stub_budget(model, n, 6, 2 * model.K + 6)
     if trials == 1:
         net = generate(model, n, seed=_trial_seed(seed, 0), simple=simple)
         yield net, _Work(net)
@@ -508,7 +545,7 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     trial 0 is kept as ``first_network``.  Later trials are drawn ahead on an
     executor thread (see ``_trial_networks``), and every trial is
     summarized in one set of work arrays, so a multigraph trial allocates only
-    its neighbor count table.  A run whose stub arrays would pass
+    its neighbor count table.  A run whose stub and node arrays would pass
     ``population.MEMORY_BUDGET`` bytes raises ``ModelError`` before anything is drawn.
     """
     n, trials, seed = _node_count(n), _trial_count(trials), _seed(seed)

@@ -225,7 +225,13 @@ class TestSimulate:
          ("45f7c9dac9ffa8214a2b49e445c97253c1fee5ac683691dd56c417280d61b00c",
           "abe79fd9ae33b694d166324efec82fddd593ae98c807ceadd8f61d8bac1f1a58",
           "63fa88a82c5cd0ebcf1de6709ed92342d2995a8e7acdc95966f53f59354c27db")),
-    ], ids=["example", "example-simple", "k3-parity", "k3-parity-simple"])
+        # dense: trial 0's round 1 draws 1,378 edges twice or more, some three
+        # times, then dissolves 1,420 accepted edges
+        (["--model", "30,90:0.5,0.5", "--n", "5000", "--simple"],
+         ("ac1d325ea65a5026271676e3508dc7f31caf292dbc9827c7f41cf772d6ab499b",
+          "ff77623cd24f1be33d58b51dc54349757c3d8f7fd726c290e426f1c1c1dc133a",
+          "4a93b88664541a09179d8d0c0fc5b4042bc82013ea7adefddbbed3f0644ea377")),
+    ], ids=["example", "example-simple", "k3-parity", "k3-parity-simple", "dense-simple"])
     def test_simulate_bytes_are_pinned(self, model, digests, tmp_path, capsys):
         code, _ = run(capsys, "simulate", *model, "--trials", "3", "--seed", "11",
                       "--out", str(tmp_path))
@@ -387,7 +393,8 @@ class TestConfigAndErrors:
                      "--trials", trials, "--out", str(fresh)]) == 2
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
-        assert err.startswith("error: 15000000000 stubs at n = 10: 5 int64 stub arrays need")
+        assert err.startswith("error: 15000000000 stubs at n = 10: 6 int64 stub arrays and "
+                              "10 int64 node arrays need")
         assert not fresh.exists()
 
     @pytest.mark.parametrize("argv, types", [

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import netgame
 from netgame import (
@@ -82,6 +84,60 @@ def _sequential_simple_reference(stubs, rng):
             rejected.append(v)
         pool = np.array(rejected, dtype=np.int64)
     raise ModelError(f"no simple realization found within {MAX_ROUNDS} rounds")
+
+
+class _RoundRecorder(np.random.Generator):
+    """``default_rng(seed)`` that keeps what simple mode draws: each round's
+    shuffled pool, and the count of edges dissolved after it (one
+    ``integers`` call each)."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.pools, self.dissolved = [], []
+
+    def permutation(self, x, axis=0):
+        self.pools.append(super().permutation(x, axis))
+        self.dissolved.append(0)
+        return self.pools[-1]
+
+    def integers(self, *args, **kwargs):
+        self.dissolved[-1] += 1
+        return super().integers(*args, **kwargs)
+
+
+def _check_rounds(degrees, n, seed):
+    """Draw a simple network of ``degrees`` in equal shares and check it against
+    ``_sequential_simple_reference``: the same edges, or the same failure, after
+    the same rounds and the same draws.  Returns the draw's ``_RoundRecorder``,
+    or None for a degree sequence with no simple graph, where nothing is drawn."""
+    model = DegreeModel(tuple(degrees), (Fraction(1, len(degrees)),) * len(degrees))
+    made = []
+
+    def recording_rng(seed):
+        made.append(_RoundRecorder(seed))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", recording_rng)
+        try:
+            edges = generate(model, n, seed=seed, simple=True).edges
+        except ModelError:
+            edges = None
+    if not made:
+        return None
+    rng = np.random.default_rng(seed)
+    try:
+        expected, rounds = _sequential_simple_reference(
+            np.repeat(np.arange(n), netsim._layout(model, n).node_degree), rng)
+    except ModelError:
+        expected, rounds = None, MAX_ROUNDS
+    assert len(made[0].pools) == rounds
+    assert made[0].bit_generator.state == rng.bit_generator.state
+    if expected is None:
+        assert edges is None
+    else:
+        assert edges.shape == expected.shape and np.array_equal(edges, expected)
+    return made[0]
 
 
 def _reference_edgelist(net):
@@ -326,6 +382,26 @@ class TestSimpleOracle:
         assert net.edges.shape == edges.shape
         assert np.array_equal(net.edges, edges)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 8), min_size=2, max_size=3, unique=True).map(sorted),
+           st.integers(9, 20), st.integers(0, 2**32 - 1))
+    def test_small_dense_models_match_round_for_round(self, degrees, n, seed):
+        assume(_check_rounds(degrees, n, seed) is not None)
+
+    @pytest.mark.parametrize("degrees, n, seed, most, dissolved", [
+        ((3, 5), 19, 19, 4, [5, 1, 0]),
+        ((4, 7), 13, 0, 3, [9, 6, 4, 2, 0]),
+    ])
+    def test_repeats_and_wide_dissolves_match_round_for_round(self, degrees, n, seed, most,
+                                                              dissolved):
+        # round 1 draws one edge ``most`` times, and the dissolves pick several
+        # edges each, so a pick must skip the positions the picks before it took
+        drawn = _check_rounds(degrees, n, seed)
+        pairs = drawn.pools[0].reshape(-1, 2)
+        edges = Counter(map(tuple, np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1).tolist()))
+        assert max(edges.values()) == most
+        assert drawn.dissolved == dissolved
+
     def test_pinned_example_network(self):
         net = generate(EXAMPLE, 100000, seed=[1, 0], simple=True)
         digest = hashlib.sha256(np.ascontiguousarray(net.edges, dtype="<i8").tobytes())
@@ -423,6 +499,23 @@ class TestAssortativity:
         moved = replace(net, node_class=np.where(np.arange(net.n) == 0, 1, net.node_class))
         with pytest.raises(ModelError, match="needs every node at its class degree"):
             degree_assortativity(moved)
+
+    def test_a_class_swap_is_off_rule(self):
+        # nodes 0 and n - 1 trade classes: every class keeps its size and its
+        # degree total, yet both nodes sit two off their class degrees
+        net = generate(EXAMPLE, 200, seed=1)
+        node_class = net.node_class.copy()
+        node_class[[0, -1]] = node_class[[-1, 0]]
+        with pytest.raises(ModelError, match="needs every node at its class degree"):
+            degree_assortativity(replace(net, node_class=node_class))
+
+    @pytest.mark.parametrize("model, n", [(EXAMPLE, 200), (K3, 1001)], ids=["k2", "k3-parity"])
+    def test_the_parity_flag_must_match_the_last_node(self, model, n):
+        # flipping the flag puts the last node one off the degree it should have
+        net = generate(model, n, seed=1)
+        flipped = replace(net, parity_adjusted=not net.parity_adjusted)
+        with pytest.raises(ModelError, match="needs every node at its class degree"):
+            degree_assortativity(flipped)
 
 
 class TestMonteCarloCheck:
@@ -792,24 +885,26 @@ class TestStubBudget:
 
     def test_the_check_refuses_before_starting_a_thread(self):
         before = threading.active_count()
-        with pytest.raises(ModelError, match="5 int64 stub arrays need 600000000000 bytes"):
+        with pytest.raises(ModelError, match="6 int64 stub arrays and 10 int64 node arrays "
+                                             "need 720000000800 bytes"):
             monte_carlo_estimator_check(self.HUGE, 10, trials=3)
         assert threading.active_count() == before
 
     def test_the_scaling_refuses_before_laying_out(self):
-        with pytest.raises(ModelError, match="5 int64 stub arrays need"):
+        with pytest.raises(ModelError, match="6 int64 stub arrays and 10 int64 node arrays need"):
             sampling_error_scaling(self.HUGE, [10, 20], [2, 2])
 
     def test_a_call_fits_exactly_at_the_budget(self, monkeypatch):
-        # 4800 stubs at n = 1000: one int64 array of them is 38,400 bytes;
-        # generate holds two such arrays, a Monte-Carlo run five (the layout,
-        # three stub buffers and trial 0's edges)
+        # 4800 stubs at n = 1000: one int64 array of them is 38,400 bytes, one
+        # of the nodes 8,000; generate holds two stub arrays, a multigraph run
+        # six and 2K + 6 = 10 node arrays (see ``_trial_networks``)
         monkeypatch.setattr(population, "MEMORY_BUDGET", 2 * 38_400)
         assert generate(EXAMPLE, 1000, seed=0).m == 2400
-        monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400 - 1)
-        with pytest.raises(ModelError, match="5 int64 stub arrays need 192000 bytes"):
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 6 * 38_400 + 10 * 8_000 - 1)
+        with pytest.raises(ModelError, match="6 int64 stub arrays and 10 int64 node arrays "
+                                             "need 310400 bytes"):
             monte_carlo_estimator_check(EXAMPLE, 1000, trials=2)
-        monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400)
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 6 * 38_400 + 10 * 8_000)
         assert monte_carlo_estimator_check(EXAMPLE, 1000, trials=2).first_network.m == 2400
         monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400 - 1)
         with pytest.raises(ModelError, match="5 int64 stub arrays need 192000 bytes"):
@@ -836,6 +931,21 @@ class TestStubBudget:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * netsim.DRAW_ARRAYS[True] * 8 * 2 * net.m
+
+    @pytest.mark.parametrize("model", [EXAMPLE, K3], ids=["k2", "k3-low-degree"])
+    def test_a_multigraph_run_peaks_within_its_charge(self, model, monkeypatch):
+        # four trials draw into all three stub buffers; the executor's module is
+        # loaded first, since a first call's imports read as about two stub arrays
+        charged = []
+        monkeypatch.setattr(netsim, "check_budget", lambda need, what: charged.append(need))
+        assert concurrent.futures.ThreadPoolExecutor
+        tracemalloc.start()
+        try:
+            monte_carlo_estimator_check(model, 100_000, trials=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * max(charged)
 
 
 class TestTypeLawOracle:
