@@ -8,27 +8,27 @@ largest-remainder rounding with ties going to the lower degree class; if the
 stub total is odd, the last node of the highest-degree class loses one stub
 (the network records the adjustment).
 
-``monte_carlo_estimator_check`` draws trial 0, kept for export, with
-``generate`` on the calling thread while one executor thread draws the later
-trials ahead of the calling thread's summaries.  A later multigraph trial is
+``monte_carlo_estimator_check`` splits its trials over the calling thread,
+which takes the even ones, and one more thread, which takes the odd ones.
+Each thread draws a trial and summarizes it before it draws its next.  Trial
+0, kept for export, comes from ``generate``; a later multigraph trial is
 shuffled from the unshuffled draw (nodes class by class, each node's stubs
-paired in node order) into three stub buffers in turn, two draws ahead of the
-trial being summarized; a later simple trial is a ``generate`` call, one
-ahead.  Each trial's seed fixes its network, so the output bytes do not
-depend on how far ahead the worker draws.  Every trial is summarized in one
-set of work arrays.  A trial's summary counts one neighbor count table: the
+paired in node order) into its thread's one stub buffer, and a later simple
+trial is a ``generate`` call.  Each trial's seed fixes its network, so the
+output bytes do not depend on which thread draws it or when.  A thread
+summarizes its trials in work arrays of its own.  A trial's summary counts
+one neighbor count table, from keys formed in the thread's stub buffer: the
 shares divide it by the degrees, and the assortativity takes four exact
-integer moments from it.  Every float sum of the shares keeps the
-order of the numpy reduction it replaces, so the results keep their bits.
+integer moments from it.  Every float sum of the shares keeps the order of
+the numpy reduction it replaces, so the results keep their bits.
 ``sampling_error_scaling`` reads only the average shares of the same trials.
 """
 
 import json
 import math
 import operator
+import threading
 from bisect import bisect_right, insort
-from collections import deque
-from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,11 +39,13 @@ from .population import DegreeModel, ModelError, biased_neighbor_share, check_bu
 MAX_ROUNDS = 200  # re-draw rounds of simple mode before giving up
 WRITE_ROWS = 1 << 14  # edge-list lines formatted per write; bounds the byte buffer per write
 MAX_NODES = math.isqrt(np.iinfo(np.int64).max)  # edge keys lo * n + hi stay within int64
-# int64 arrays of one entry per stub that a draw holds at its peak: the layout and
-# the shuffled stubs, or in simple mode the layout, round 1's pool and keys, and the
-# accepted keys, sorted and in order, one of them twice while a dissolve copies it
-# (4.6 arrays under tracemalloc at n = 1e4 and 1e5, node arrays included)
-DRAW_ARRAYS = {False: 2, True: 5}
+# int64 arrays of one entry per stub, and of one per node, that a draw holds at its
+# peak: the layout's stubs and the shuffled stubs, with the layout's two node arrays
+# and one more while the degrees are laid out; or in simple mode the layout, round
+# 1's pool and keys, and the accepted keys, sorted and in order, one of them twice
+# while a dissolve copies it, with the layout's node arrays (under tracemalloc at
+# n = 1e4 and 1e5, at most 0.95 of the charge at one to five stubs per node)
+DRAW_ARRAYS = {False: (2, 3), True: (5, 2)}
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,8 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
     ``n`` must be an integer and ``seed`` a non-negative integer or a sequence
     of them; the network records the seed as a Python int or list of ints.
     The network owns its edges: a multigraph is drawn into a fresh array.
-    A network whose int64 stub arrays, two or in simple mode five, would pass
+    A network whose int64 arrays (``DRAW_ARRAYS``: two of the stubs and three
+    of the nodes, or in simple mode five and two) would pass
     ``population.MEMORY_BUDGET`` bytes raises ``ModelError`` before any is
     allocated.
     """
@@ -230,7 +233,7 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
     seed = _seed(seed)
     if simple and model.degrees[-1] >= n:
         raise ModelError("simple mode needs the top degree below the node count")
-    _check_stub_budget(model, n, DRAW_ARRAYS[simple])
+    _check_stub_budget(model, n, *DRAW_ARRAYS[simple])
     layout = _layout(model, n)
     if not simple:
         return draw_multigraph(layout, seed, np.empty(2 * layout.m, dtype=np.int64))
@@ -308,37 +311,48 @@ class NeighborShareSummary:
 
 
 class _Work:
-    """Arrays the per-trial passes write into, sized for networks shaped like ``net``;
-    each pass overwrites what the one before left.  ``table`` is the neighbor count
-    table of network ``counted``, which the shares and the assortativity both read."""
+    """Arrays one thread's per-trial passes write into, sized for networks shaped like
+    ``net``; each pass overwrites what the one before left.  ``stubs`` is that thread's
+    draw buffer, where the neighbor count keys of network ``counted`` are formed: a
+    network drawn into it loses its edges to them, so nothing reads its edges after
+    its summary.  ``table`` is that network's neighbor count table, which the shares
+    and the assortativity both read."""
 
     def __init__(self, net: SampledNetwork):
-        self.key = np.empty(2 * net.m, dtype=np.int64)  # one bincount key per stub
-        self.shares = np.empty((net.n, net.model.K))
+        self.stubs = np.empty(2 * net.m, dtype=np.int64)
+        self.shares = np.empty((net.model.K, net.n))  # class-major: one class per row
         # one float per node; as int64, the degrees counted; as bool, one class's nodes
         self.node = np.empty(net.n)
         self.table = self.counted = None
 
 
 def _neighbor_table(net: SampledNetwork, work: _Work) -> np.ndarray:
-    """The (K, n) table of each node's neighbors by class, counted once per network.
+    """The (n, K) table of each node's neighbors by class, counted once per network.
 
-    Stub p's partner is stub p ^ 1, so the key ``class(stub p) * n +
-    node(stub p ^ 1)`` counts one neighbor of that class for the partner's
-    node; one bincount of the keys is the table, whose column sums must be
-    the recorded degrees.  Take gathers the classes in place in ``work.key``
-    (it copies a read-only index array; "wrap" writes straight into out).
+    Stub p's partner is stub p ^ 1, so the node-major key ``node(stub p) * K +
+    class(stub p ^ 1)`` counts one neighbor of that class for stub p's node; one
+    bincount of the keys is the table, whose row sums must be the recorded
+    degrees.  The classes are gathered in the narrowest unsigned type and each
+    pair's two swapped in place by reversing the pair's bytes, then each
+    class's own.  The keys are formed in ``work.stubs``: in place when the
+    network was drawn there, else from a copy of its edges.
     """
     if work.counted is not net:
         work.table = work.counted = None  # free the last table before counting the next
-        keys = work.key.reshape(-1, 2)
-        np.copyto(keys, net.edges)
-        np.take(net.node_class, keys, out=keys, mode="wrap")
-        keys *= net.n
-        keys[:, 0] += net.edges[:, 1]
-        keys[:, 1] += net.edges[:, 0]
-        table = np.bincount(work.key, minlength=net.model.K * net.n).reshape(-1, net.n)
-        degree = np.add.reduce(table, axis=0, out=work.node.view(np.int64))
+        K, n = net.model.K, net.n
+        stubs = net.edges.ravel()
+        partner = net.node_class.astype(np.min_scalar_type(K - 1))[stubs]
+        partner.view(f"u{2 * partner.itemsize}").byteswap(inplace=True)
+        partner.byteswap(inplace=True)  # nothing to do on one byte
+        keys = np.multiply(stubs, K, out=work.stubs)
+        keys += partner
+        del partner
+        table = np.bincount(keys, minlength=K * n).reshape(n, K)
+        # columns added one at a time: a row sum over the short class axis is slow
+        degree = work.node.view(np.int64)
+        np.copyto(degree, table[:, 0])
+        for column in table.T[1:]:
+            degree += column
         if not np.array_equal(degree, net.node_degree):
             raise ModelError("recorded node degrees differ from the edges' endpoint counts")
         work.table, work.counted = table, net
@@ -352,20 +366,20 @@ def empirical_neighbor_shares(net: SampledNetwork, *, work: _Work = None) -> Nei
     own class twice, so the per-node counts always total the realized degree.
     The average converges to the degree-biased sampling law as n grows.
 
-    ``counts`` is the transposed neighbor count table, which
-    ``degree_assortativity`` reads too (counted once given the same ``work``).
-    Shares divide it by ``net.node_degree``, its column sums, into
-    ``work.shares`` when ``work`` is given, lasting until the next pass over
-    the same work arrays.  Each average is a sequential ``cumsum`` down a
-    column, the order ``shares.mean(axis=0)`` adds in, so its bits are kept.
+    ``counts`` is the neighbor count table, which ``degree_assortativity``
+    reads too (counted once given the same ``work``).  Shares divide it by
+    ``net.node_degree``, its row sums, into ``work.shares`` when ``work`` is
+    given, lasting until the next pass over the same work arrays.  Each
+    average is a sequential ``cumsum`` along a class, the order
+    ``shares.mean(axis=0)`` adds in, so its bits are kept.
     """
     if net.node_degree.min() == 0:
         raise ModelError("isolated node encountered; degree support starts at 1")
     work = work or _Work(net)
     table = _neighbor_table(net, work)
-    np.divide(table, net.node_degree, out=work.shares.T)
-    sums = np.array([np.cumsum(column, out=work.node)[-1] for column in work.shares.T])
-    return NeighborShareSummary(table.T, work.shares, sums / net.n)
+    np.divide(table.T, net.node_degree, out=work.shares)
+    sums = np.array([np.cumsum(row, out=work.node)[-1] for row in work.shares])
+    return NeighborShareSummary(table, work.shares.T, sums / net.n)
 
 
 def degree_assortativity(net: SampledNetwork, *, work: _Work = None) -> float:
@@ -382,11 +396,11 @@ def degree_assortativity(net: SampledNetwork, *, work: _Work = None) -> float:
     Raises ``ModelError`` otherwise.
     """
     work = work or _Work(net)
-    degrees = net.model.degrees
+    degrees, K = net.model.degrees, net.model.K
     table = _neighbor_table(net, work)
     # ends[k] = sum of d_i over class-k nodes, so sum_k d_k^j ends[k] = sum_i c_i^j d_i
     # with c_i node i's class degree: the moment of d^(j+1) save at a parity node
-    ends = table.sum(axis=1).tolist()
+    ends = [int(np.add.reduce(column)) for column in table.T]
     M, C1, S2 = (sum(d**j * e for d, e in zip(degrees, ends)) for j in range(3))
     # each int64 dot is at most sum d_i^2 <= (2m)^2, below 2**63 while 2m < 3e9 stubs
     S1 = int(net.node_degree @ net.node_degree)
@@ -394,86 +408,99 @@ def degree_assortativity(net: SampledNetwork, *, work: _Work = None) -> float:
     # sizes, counted through a bool view of the work arrays; a parity node at
     # c_p - 1 adds 2 (d_p - c_p) + 1 to it, so the sum is 0 just when all are on rule
     flags = work.node.view(bool)[:net.n]
-    sizes = [np.count_nonzero(np.equal(net.node_class, k, out=flags))
-             for k in range(net.model.K - 1)]
+    sizes = [np.count_nonzero(np.equal(net.node_class, k, out=flags)) for k in range(K - 1)]
     sizes.append(net.n - sum(sizes))
     off = S1 - 2 * C1 + sum(n_k * d * d for n_k, d in zip(sizes, degrees))
-    S11 = sum(d * int(net.node_degree @ row) for d, row in zip(degrees, table))
+    S11 = sum(d * int(net.node_degree @ column) for d, column in zip(degrees, table.T))
     if net.parity_adjusted:
         p = net.n - 1
         d = degrees[net.node_class[p]] - 1
         off += 2 * (int(net.node_degree[p]) - d) - 1
         S2 -= (2 * d + 1) * d
         # S11 took p at its class degree d + 1, once too often per end facing p
-        # times that end's degree: the degree at the far end of one of p's stubs
-        stubs = net.edges.ravel()
-        S11 -= int(net.node_degree[stubs[np.flatnonzero(stubs == p) ^ 1]].sum())
+        # times that end's degree: the degree at the far end of one of p's stubs.
+        # p's stubs carry the keys p * K and up, and a key's node is the key // K
+        keys = work.stubs
+        far = keys[np.flatnonzero(keys >= p * K) ^ 1] // K
+        S11 -= int(net.node_degree[far].sum())
     if off:
         raise ModelError("degree assortativity needs every node at its class degree")
     den = M * S2 - S1 * S1
     return (M * S11 - S1 * S1) / den if den else 0.0
 
 
-def _trial_networks(model: DegreeModel, n: int, trials: int, seed, simple: bool):
-    """Yield each trial's network with the work arrays to summarize it in.
+def _run_trials(model: DegreeModel, n: int, trials: int, seed, simple: bool, summarize):
+    """Draw and summarize every trial, and return trial 0's network.
 
-    Trial t draws from ``_trial_seed(seed, t)``, so no network depends on
-    which thread draws it, when, or how far ahead.  Trial 0 comes from
-    ``generate`` on the calling thread and owns its edges, since it is kept
-    for export.  Trials t >= 1 are drawn ahead on one executor thread.  A
-    multigraph trial is shuffled by ``draw_multigraph`` from one layout into
-    three stub buffers in turn: trials 1, 2 and 3 are queued while trial 0 is
-    drawn, then trial t + 2 as soon as the caller asks for trial t, into the
-    buffer of trial t - 1, which the caller is done with.  A simple trial is a
-    ``generate`` call with arrays of its own, drawn one ahead: trial 1 beside
-    trial 0, then trial t + 1 once the caller asks for trial t.  Every trial
-    has the same n and m, so all share one set of work arrays.  Close the
-    generator (``contextlib.closing``) so the executor drops the queued draws
-    and joins its thread on every exit, and take the pairs with ``next``:
-    ``enumerate`` would keep the last pair alive into the next draw.
+    Trial t draws from ``_trial_seed(seed, t)``, so no network depends on which
+    thread draws it or when.  The calling thread takes the even trials and, in
+    a run of two or more, one ``threading.Thread`` the odd ones.  Each thread
+    draws a trial, calls ``summarize(t, net, work)`` with work arrays of its
+    own, and only then draws its next.  Trial 0 comes from ``generate`` and
+    owns its edges, since it is kept for export.  A later multigraph trial is
+    shuffled by ``draw_multigraph`` from one layout into its thread's
+    ``work.stubs``, where its summary then counts; a simple trial is a
+    ``generate`` call.  A failure on either thread stops the other before its
+    next trial; the thread is joined on every exit, and its error raised.
     """
-    if simple:  # two simple draws in flight
-        _check_stub_budget(model, n, 2 * DRAW_ARRAYS[True])
-    else:
-        # At its peak a multigraph run holds the layout, three stub buffers, trial
-        # 0's edges, and trial 0's own layout or ``_Work.key``; and per node the
-        # node arrays of the layout and of trial 0, ``_Work.shares`` and ``node``,
-        # a neighbor count table and one more for temporaries (2K + 5.3 int64s
-        # per node under tracemalloc at n = 1e5 and K = 2, 3 and 6).
-        _check_stub_budget(model, n, 6, 2 * model.K + 6)
-    if trials == 1:
-        net = generate(model, n, seed=_trial_seed(seed, 0), simple=simple)
-        yield net, _Work(net)
-        return
     if simple:
-        ahead = lead = 1  # draws queued behind the trial the caller reads, and at the start
-
-        def draw(t):
-            return generate(model, n, seed=_trial_seed(seed, t), simple=True)
+        # Two simple draws, and trial 0's network beside them; or, once drawn,
+        # trials 0 and 1 with each thread's work arrays and count table.
+        _check_stub_budget(model, n, 2 * DRAW_ARRAYS[True][0] + 1, 4 * model.K + 6)
     else:
-        ahead = 2
-        layout = _layout(model, n)
-        buffers = np.empty((min(ahead + 1, trials - 1), 2 * layout.m), dtype=np.int64)
-        lead = len(buffers)  # trial 0 owns its edges, so every buffer takes a draw at once
+        # The layout, trial 0's edges and each thread's draw buffer, and one more
+        # for trial 0's own layout or the threads' partner classes; and per node
+        # the node arrays of the layout and of trial 0, each thread's work arrays
+        # and count table, and two for temporaries (at most 0.97 of this under
+        # tracemalloc at n = 1e4 and 1e5, K = 2, 3 and 6).
+        _check_stub_budget(model, n, 5, 4 * model.K + 8)
+    layout = None if simple else _layout(model, n)
 
-        def draw(t):
-            return draw_multigraph(layout, _trial_seed(seed, t), buffers[(t - 1) % lead])
-    # imported here so only runs of 2+ trials pay for its ``logging`` import
-    from concurrent.futures import ThreadPoolExecutor
-    worker = ThreadPoolExecutor(max_workers=1)
+    def take(first):
+        """Draw and summarize trials ``first``, ``first + 2``, ... in turn, and
+        return trial 0's network if it is one of them."""
+        kept = work = None
+        for t in range(first, trials, 2):
+            if stop.is_set():
+                break
+            if t == 0 or simple:
+                net = generate(model, n, seed=_trial_seed(seed, t), simple=simple)
+                work = work or _Work(net)
+            else:
+                work = work or _Work(layout)
+                net = draw_multigraph(layout, _trial_seed(seed, t), work.stubs)
+            summarize(t, net, work)
+            if t == 0:
+                kept = net
+            # free what the next draw does not need: the trial's network and count
+            # table, and beside a simple draw, which holds many arrays, the work arrays
+            net = work.counted = work.table = None
+            if simple:
+                work = None
+        return kept
+
+    def take_odd():
+        try:
+            take(1)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    errors, stop = [], threading.Event()
+    worker = threading.Thread(target=take_odd) if trials > 1 else None
+    if worker:
+        worker.start()
     try:
-        drawn = deque(worker.submit(draw, t) for t in range(1, 1 + lead))
-        net = generate(model, n, seed=_trial_seed(seed, 0), simple=simple)
-        work = _Work(net)
-        for t in range(1, trials):
-            yield net, work
-            # the caller asks for trial t, so it is done with trial t - 1 and its buffer
-            if lead < t + ahead < trials:
-                drawn.append(worker.submit(draw, t + ahead))
-            net = drawn.popleft().result()
-        yield net, work
+        first = take(0)
+    except BaseException:
+        stop.set()
+        raise
     finally:
-        worker.shutdown(cancel_futures=True)
+        if worker:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return first
 
 
 def _std(x: np.ndarray, deviations: np.ndarray) -> float:
@@ -487,27 +514,31 @@ def _std(x: np.ndarray, deviations: np.ndarray) -> float:
     return math.sqrt(np.add.reduce(deviations) / len(x))
 
 
-def _add_node_sds(sd_acc: dict, model: DegreeModel, bounds, shares: np.ndarray,
+def _add_node_sds(out: np.ndarray, model: DegreeModel, bounds, shares: np.ndarray,
                   scratch: np.ndarray) -> None:
-    """Append one trial's per-class SDs of the per-node top-class estimates.
+    """Write one trial's per-class SDs of the per-node top-class estimates into
+    ``out[rule, k]``, rule 0 naive and 1 sophisticated.
 
     The naive estimate is a node's top-class share.  The sophisticated one,
-    (s_K / d_K) / sum_k (s_k / d_k), then overwrites it in ``shares``, with
+    (s_K / d_K) / sum_k (s_k / d_k), then overwrites it in ``shares`` (n, K,
+    fastest with each class contiguous, as ``_Work.shares`` holds them), with
     the sum in ``scratch`` (one float per node).  Nodes of class k are
-    ``bounds[k]`` to ``bounds[k + 1]``; an empty class adds none.
+    ``bounds[k]`` to ``bounds[k + 1]``; an empty class leaves its entries as
+    they were.
     """
-    for rule in ("naive", "sophisticated"):
-        if rule == "sophisticated":
-            np.divide(shares.T, np.array(model.degrees, dtype=float)[:, None], out=shares.T)
-            # column adds, in the order a row sum over the short class axis adds
-            np.copyto(scratch, shares[:, 0])
-            for column in shares.T[1:]:
-                scratch += column
-            np.divide(shares[:, -1], scratch, out=shares[:, -1])
-        for k, d in enumerate(model.degrees):
+    rows = shares.T
+    for rule in range(2):
+        if rule:
+            np.divide(rows, np.array(model.degrees, dtype=float)[:, None], out=rows)
+            # class adds, in the order a row sum over the short class axis adds
+            np.copyto(scratch, rows[0])
+            for row in rows[1:]:
+                scratch += row
+            np.divide(rows[-1], scratch, out=rows[-1])
+        for k in range(model.K):
             lo, hi = bounds[k], bounds[k + 1]
             if lo < hi:
-                sd_acc[(rule, d)].append(_std(shares[lo:hi, -1], scratch[:hi - lo]))
+                out[rule, k] = _std(rows[-1][lo:hi], scratch[:hi - lo])
 
 
 @dataclass(frozen=True)
@@ -542,30 +573,30 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     which is where sample size shows up -- higher degree, tighter estimates.
 
     Trial t draws from the seed ``[seed, t]`` (``[*seed, t]`` for a sequence);
-    trial 0 is kept as ``first_network``.  Later trials are drawn ahead on an
-    executor thread (see ``_trial_networks``), and every trial is
-    summarized in one set of work arrays, so a multigraph trial allocates only
-    its neighbor count table.  A run whose stub and node arrays would pass
+    trial 0 is kept as ``first_network``.  Two threads take alternate trials,
+    each drawing and summarizing in arrays of its own (see ``_run_trials``),
+    so a multigraph trial allocates only its neighbor count table and partner
+    classes.  A run whose stub and node arrays would pass
     ``population.MEMORY_BUDGET`` bytes raises ``ModelError`` before anything is drawn.
     """
     n, trials, seed = _node_count(n), _trial_count(trials), _seed(seed)
     degrees = [float(d) for d in model.degrees]
     naive_out, soph_out = np.empty((trials, model.K)), np.empty((trials, model.K))
     assort = np.empty(trials)
-    sd_acc = {(rule, d): [] for rule in ("naive", "sophisticated") for d in model.degrees}
+    sds = np.empty((2, model.K, trials))  # (rule, class, trial); one row per mean
     bounds = np.cumsum([0] + class_counts(model, n))  # ``_layout`` lays classes out in order
-    with closing(_trial_networks(model, n, trials, seed, simple)) as networks:
-        for t in range(trials):
-            net, work = next(networks)
-            if t == 0:
-                first = net
-            summary = empirical_neighbor_shares(net, work=work)
-            naive_out[t] = summary.average
-            soph_out[t] = debias_shares(tuple(summary.average), degrees)
-            assort[t] = degree_assortativity(net, work=work)
-            _add_node_sds(sd_acc, model, bounds, summary.shares, work.node)
-            del net, work, summary  # before the next trial allocates its own
-    node_sd = {key: float(np.mean(vals)) for key, vals in sd_acc.items() if vals}
+
+    def summarize(t, net, work):
+        summary = empirical_neighbor_shares(net, work=work)
+        naive_out[t] = summary.average
+        soph_out[t] = debias_shares(tuple(summary.average), degrees)
+        assort[t] = degree_assortativity(net, work=work)
+        _add_node_sds(sds[:, :, t], model, bounds, summary.shares, work.node)
+
+    first = _run_trials(model, n, trials, seed, simple, summarize)
+    node_sd = {(rule, d): float(np.mean(sds[r, k]))
+               for r, rule in enumerate(("naive", "sophisticated"))
+               for k, d in enumerate(model.degrees) if bounds[k] < bounds[k + 1]}
     return MonteCarloReport(
         naive_estimates=naive_out, sophisticated_estimates=soph_out, node_estimate_sd=node_sd,
         assortativity=assort, first_network=first,
@@ -594,9 +625,11 @@ def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
     tilde = np.array([float(v) for v in biased_neighbor_share(model)])
     devs = []
     for i, (n, trials) in enumerate(zip(ns, trials_per_n)):
-        with closing(_trial_networks(model, n, trials, _trial_seed(seed, i), False)) as networks:
-            averages = np.array([empirical_neighbor_shares(net, work=work).average
-                                 for net, work in networks])
+        averages = np.empty((trials, model.K))
+
+        def summarize(t, net, work):
+            averages[t] = empirical_neighbor_shares(net, work=work).average
+        _run_trials(model, n, trials, _trial_seed(seed, i), False, summarize)
         devs.append(float(np.mean(np.max(np.abs(averages - tilde), axis=1))))
     slope = float(np.polyfit(np.log10(ns), np.log10(devs), 1)[0])
     return ns, devs, slope

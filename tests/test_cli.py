@@ -393,8 +393,8 @@ class TestConfigAndErrors:
                      "--trials", trials, "--out", str(fresh)]) == 2
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
-        assert err.startswith("error: 15000000000 stubs at n = 10: 6 int64 stub arrays and "
-                              "10 int64 node arrays need")
+        assert err.startswith("error: 15000000000 stubs at n = 10: 5 int64 stub arrays and "
+                              "16 int64 node arrays need")
         assert not fresh.exists()
 
     @pytest.mark.parametrize("argv, types", [

@@ -41,9 +41,17 @@ def _fresh(*args, **kwargs):
 
 
 def test_cli_import_leaves_the_executor_out():
-    # ``concurrent.futures`` pulls in ``logging``; only simulate runs of two or
-    # more trials import it, so no other command pays for it
+    # ``concurrent.futures`` pulls in ``logging``, which no command needs
     code = ("import sys, netgame.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    assert _fresh("-c", code).stdout == "[]\n"
+
+
+def test_a_run_of_trials_leaves_the_executor_out():
+    # its second thread is a plain ``threading.Thread``
+    code = ("import sys\n"
+            "from netgame import DegreeModel, netsim\n"
+            "netsim.monte_carlo_estimator_check(DegreeModel((4, 6), (0.6, 0.4)), 500, trials=3)\n"
             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
     assert _fresh("-c", code).stdout == "[]\n"
 

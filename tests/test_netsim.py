@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -561,13 +560,16 @@ class TestMonteCarloCheck:
     ])
     @pytest.mark.parametrize("simple", [False, True])
     def test_node_sd_matches_mask_reference_bit_for_bit(self, model, n, simple):
-        # the reference draws every trial with its own ``generate`` call
-        report = monte_carlo_estimator_check(model, n, trials=3, seed=11, simple=simple)
-        node_sd, naive, soph, assort = _reference_report(model, n, 3, 11, simple)
-        assert report.node_estimate_sd == node_sd
-        assert np.array_equal(report.naive_estimates, naive)
-        assert np.array_equal(report.sophisticated_estimates, soph)
-        assert np.array_equal(report.assortativity, assort)
+        # the reference draws every trial with its own ``generate`` call; one trial
+        # runs on the calling thread alone, two and five split over two threads,
+        # five unequally
+        for trials in (1, 2, 5):
+            report = monte_carlo_estimator_check(model, n, trials=trials, seed=11, simple=simple)
+            node_sd, naive, soph, assort = _reference_report(model, n, trials, 11, simple)
+            assert report.node_estimate_sd == node_sd
+            assert np.array_equal(report.naive_estimates, naive)
+            assert np.array_equal(report.sophisticated_estimates, soph)
+            assert np.array_equal(report.assortativity, assort)
 
     def test_each_traced_layer_is_called_once_per_trial(self, monkeypatch):
         # the benchmark times these by wrapping the module attributes; a call
@@ -650,16 +652,18 @@ class TestWorkArrays:
         model = DegreeModel(tuple(range(2, 2 * K + 1, 2)), (1 / K,) * K)
         shares = np.random.default_rng(K).random((3000, K))
         bounds = np.cumsum([0] + class_counts(model, 3000))
-        got = {(rule, d): [] for rule in ("naive", "sophisticated") for d in model.degrees}
-        work = shares.copy()  # left holding the per-node sophisticated estimates
+        got = np.full((2, K), np.nan)
+        # class-major, as the work arrays hold them; left holding the per-node
+        # sophisticated estimates
+        work = shares.T.copy().T
         netsim._add_node_sds(got, model, bounds, work, np.empty(3000))
         weighted = shares / np.array(model.degrees, dtype=float)
         estimates = weighted[:, -1] / weighted.sum(axis=1)
         assert np.array_equal(work[:, -1], estimates)
-        for k, d in enumerate(model.degrees):
+        for k in range(K):
             nodes = slice(bounds[k], bounds[k + 1])
-            assert got[("naive", d)] == [shares[nodes, -1].std()]
-            assert got[("sophisticated", d)] == [estimates[nodes].std()]
+            assert got[0, k] == shares[nodes, -1].std()
+            assert got[1, k] == estimates[nodes].std()
 
     @pytest.mark.parametrize("length", [1, 7, 8, 9, 1000, 8193, 60_000, 100_001])
     def test_std_matches_numpy(self, length):
@@ -669,29 +673,31 @@ class TestWorkArrays:
             assert netsim._std(column, scratch) == column.std()
 
 
-# Records this process's minor page faults at each trial's assortativity call;
-# prints the count between consecutive trials.
+# Records each thread's minor page faults at each of its trials' assortativity
+# calls; prints, one line per thread, the count between its consecutive trials.
 _FAULTS_PER_TRIAL = """
-import resource, sys
+import resource, sys, threading
 from netgame import DegreeModel, netsim
 
-marks = []
+marks = {}
 real = netsim.degree_assortativity
 
 def marking(*args, **kwargs):
-    marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    marks.setdefault(threading.get_ident(), []).append(faults)
     return real(*args, **kwargs)
 
 netsim.degree_assortativity = marking
 netsim.monte_carlo_estimator_check(DegreeModel((4, 6), (0.6, 0.4)), 100000,
                                    trials=int(sys.argv[1]), seed=1)
-print(*[b - a for a, b in zip(marks, marks[1:])])
+for counts in marks.values():
+    print(*[b - a for a, b in zip(counts, counts[1:])])
 """
 
 
 class TestPipeline:
-    """Trials after the first are drawn on one worker thread, multigraph trials
-    in a steady footprint."""
+    """The calling thread and one more each draw and summarize whole trials,
+    multigraph trials in a steady footprint."""
 
     @pytest.mark.parametrize("malloc", [{}, {"MALLOC_MMAP_THRESHOLD_": "131072"}],
                              ids=["default", "every-large-block-mapped"])
@@ -699,82 +705,112 @@ class TestPipeline:
         # A fresh process, so that no other test's heap decides the count.  With
         # glibc's mmap threshold fixed, every block over 128 KiB is mapped and
         # touched afresh; a trial then faults in only the neighbor count table
-        # its bincount allocates (K * n int64s), where trials that allocated
-        # their temporaries took about 5,700 faults each.
+        # its bincount allocates (K * n int64s) and the partner classes (one byte
+        # per stub), where trials that allocated their temporaries took about
+        # 5,700 faults each.
         env = dict(os.environ, **malloc)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(netgame.__file__).parents[1]), env.get("PYTHONPATH", "")])
         out = subprocess.run([sys.executable, "-c", _FAULTS_PER_TRIAL, "10"], env=env,
                              capture_output=True, text=True, check=True).stdout
-        per_trial = [int(word) for word in out.split()]
-        assert len(per_trial) == 9
-        # from the fourth trial on, all three stub buffers have been drawn into
+        per_trial = [[int(word) for word in line.split()] for line in out.splitlines()]
+        # two threads of five trials each; each thread's buffer is drawn into, or
+        # holds trial 0's keys, before its first mark
+        assert [len(counts) for counts in per_trial] == [4, 4]
         table_pages = 2 * 100_000 * 8 // os.sysconf("SC_PAGE_SIZE")
-        assert max(per_trial[2:]) <= 2 * table_pages, per_trial
+        assert max(max(counts) for counts in per_trial) <= 2 * table_pages, per_trial
+
+    @staticmethod
+    def _record_draws(monkeypatch, simple, record):
+        """Call ``record(t, out)`` as trial t's draw begins: a simple trial is a
+        generate call, a multigraph trial a draw_multigraph call into ``out``
+        (trial 0's inside generate); ``out`` is None for a simple trial."""
+        name = "generate" if simple else "draw_multigraph"
+        real = getattr(netsim, name)
+
+        def recording(*args, **kwargs):
+            if simple:
+                record(kwargs["seed"][-1], None)
+            else:
+                record(args[1][-1], args[2])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(netsim, name, recording)
 
     @pytest.mark.parametrize("simple", [False, True], ids=["multigraph", "simple"])
-    def test_trials_after_the_first_are_drawn_on_one_worker_thread(self, simple, monkeypatch):
-        # a simple trial is a generate call, a multigraph trial a draw_multigraph
-        # call (trial 0's inside generate); each records its seed and thread
-        drawn = {"generate": [], "draw_multigraph": []}
-        for name, records in drawn.items():
-            real = getattr(netsim, name)
-
-            def recording(*args, _real=real, _records=records, **kwargs):
-                net = _real(*args, **kwargs)
-                _records.append((tuple(net.seed), threading.get_ident()))
-                return net
-            monkeypatch.setattr(netsim, name, recording)
+    def test_two_threads_draw_alternate_trials(self, simple, monkeypatch):
+        draws = []  # (trial, thread), appended from both threads
+        self._record_draws(monkeypatch, simple,
+                           lambda t, out: draws.append((t, threading.get_ident())))
         before = threading.active_count()
         monte_carlo_estimator_check(EXAMPLE, 2000, trials=5, simple=simple)
         assert threading.active_count() == before
         main = threading.get_ident()
-        assert ((0, 0), main) in drawn["generate"]  # trial 0 comes from generate here
-        draws = drawn["generate" if simple else "draw_multigraph"]
-        assert sorted(seed for seed, _ in draws) == [(0, t) for t in range(5)]
-        thread = dict(draws)
-        assert thread[(0, 0)] == main
-        workers = {thread[(0, t)] for t in range(1, 5)}
-        assert len(workers) == 1 and main not in workers
+        assert sorted(t for t, _ in draws) == list(range(5))
+        assert sorted(t for t, thread in draws if thread == main) == [0, 2, 4]
+        others = {thread for _, thread in draws if thread != main}
+        assert len(others) == 1
+        assert sorted(t for t, thread in draws if thread != main) == [1, 3]
 
     @pytest.mark.parametrize("simple", [False, True], ids=["multigraph", "simple"])
-    def test_the_worker_draws_ahead_of_the_summary(self, simple, monkeypatch):
-        # The caller's summary of trial t waits until trial t + 2 (simple: t + 1,
-        # and trial 0's multigraph summary: trial 3, queued with trials 1 and 2
-        # at the start) is drawn, and finds no later draw begun and trial t's
-        # edges intact: the worker draws into the buffer of trial t - 1.
-        n, trials, ahead = 2000, 7, 1 if simple else 2
-        expected = [generate(EXAMPLE, n, seed=[0, t], simple=simple).edges
-                    for t in range(trials)]
-        started, drawn = ([threading.Event() for _ in range(trials)] for _ in range(2))
-        name = "generate" if simple else "draw_multigraph"
-        real_draw, real_summary = getattr(netsim, name), netsim.empirical_neighbor_shares
+    def test_each_trial_is_drawn_and_summarized_on_one_thread(self, simple, monkeypatch):
+        threads = {"draw": {}, "empirical_neighbor_shares": {}, "degree_assortativity": {}}
+        self._record_draws(monkeypatch, simple,
+                           lambda t, out: threads["draw"].__setitem__(t, threading.get_ident()))
+        for name in ("empirical_neighbor_shares", "degree_assortativity"):
+            real = getattr(netsim, name)
 
-        def drawing(*args, **kwargs):
-            t = (kwargs["seed"] if simple else args[1])[-1]
-            started[t].set()
-            net = real_draw(*args, **kwargs)
-            drawn[t].set()
-            return net
+            def summarizing(net, _real=real, _seen=threads[name], **kwargs):
+                _seen[net.seed[-1]] = threading.get_ident()
+                return _real(net, **kwargs)
+            monkeypatch.setattr(netsim, name, summarizing)
+        monte_carlo_estimator_check(EXAMPLE, 2000, trials=5, simple=simple)
+        drawn = threads.pop("draw")
+        assert sorted(drawn) == list(range(5))
+        for seen in threads.values():
+            assert seen == drawn
+        assert len(set(drawn.values())) == 2
+
+    def test_a_buffer_is_redrawn_only_after_its_summary_ends(self, monkeypatch):
+        # Each thread draws into one buffer of its own (trial 0 into generate's
+        # array, its keys then formed in the calling thread's buffer) and draws
+        # its next trial only once its last reader of the buffer, the
+        # assortativity, has returned; each summary finds its trial's edges.
+        n, trials = 2000, 7
+        expected = [generate(EXAMPLE, n, seed=[0, t]).edges for t in range(trials)]
+        events = []  # (thread, "draw" or "done", trial), appended from both threads
+        buffers = {}  # trial -> address of the array it was drawn into
+
+        def drawing(t, out):
+            events.append((threading.get_ident(), "draw", t))
+            buffers[t] = out.ctypes.data
+        self._record_draws(monkeypatch, False, drawing)
+        real_shares, real_assortativity = (netsim.empirical_neighbor_shares,
+                                           netsim.degree_assortativity)
 
         def summarizing(net, **kwargs):
-            t = net.seed[-1]
-            reach = t + ahead + (t == 0 and not simple)
-            if reach < trials:
-                assert drawn[reach].wait(timeout=10), f"trial {reach} was not drawn"
-            if reach + 1 < trials:
-                assert not started[reach + 1].is_set()
-            assert np.array_equal(net.edges, expected[t])
-            return real_summary(net, **kwargs)
-        monkeypatch.setattr(netsim, name, drawing)
+            assert np.array_equal(net.edges, expected[net.seed[-1]])
+            return real_shares(net, **kwargs)
+
+        def ending(net, **kwargs):
+            result = real_assortativity(net, **kwargs)
+            events.append((threading.get_ident(), "done", net.seed[-1]))
+            return result
         monkeypatch.setattr(netsim, "empirical_neighbor_shares", summarizing)
-        report = monte_carlo_estimator_check(EXAMPLE, n, trials=trials, simple=simple)
-        assert all(event.is_set() for event in drawn)
+        monkeypatch.setattr(netsim, "degree_assortativity", ending)
+        report = monte_carlo_estimator_check(EXAMPLE, n, trials=trials)
         assert np.array_equal(report.first_network.edges, expected[0])
+        assert len({buffers[t] for t in range(1, trials)}) == 2
+        assert buffers[0] not in {buffers[t] for t in range(1, trials)}
+        for thread in {thread for thread, _, _ in events}:
+            mine = [(what, t) for who, what, t in events if who == thread]
+            first = mine[0][1]
+            assert mine == [(what, t) for t in range(first, trials, 2)
+                            for what in ("draw", "done")]
 
     @pytest.mark.parametrize("where", ["summary", "draw"])
     def test_a_failing_trial_leaves_no_thread_behind(self, where, monkeypatch):
-        # trial 2 fails while trials 3 and 4 are queued or drawn, or its own draw fails
+        # trial 2, the calling thread's second, fails in its summary or its draw
+        # while the other thread draws or summarizes trial 3
         real = netsim.draw_multigraph
 
         def failing(layout, seed, out):
@@ -795,7 +831,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("trial", [1, 3], ids=["beside-trial-0", "later"])
     def test_a_failing_simple_draw_leaves_no_thread_behind(self, trial, monkeypatch):
-        # the worker's generate call raises; the calling thread re-raises it
+        # the other thread's generate call raises; the calling thread re-raises it
         real = netsim.generate
 
         def failing(*args, **kwargs):
@@ -821,8 +857,8 @@ class TestPipeline:
     @pytest.mark.parametrize("simple", [False, True], ids=["multigraph", "simple"])
     def test_a_one_trial_run_starts_no_thread(self, simple, monkeypatch):
         def refused(*args, **kwargs):
-            raise AssertionError("a one-trial run made an executor")
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
+            raise AssertionError("a one-trial run made a thread")
+        monkeypatch.setattr(threading, "Thread", refused)
         before = threading.active_count()
         report = monte_carlo_estimator_check(EXAMPLE, 200, trials=1, seed=5, simple=simple)
         assert threading.active_count() == before
@@ -830,7 +866,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("simple", [False, True], ids=["multigraph", "simple"])
     def test_concurrent_checks_match_one_at_a_time(self, simple):
-        # four checks at once, each with its own worker, switching threads often
+        # four checks at once, each with a thread of its own, switching threads often
         expected = [monte_carlo_estimator_check(EXAMPLE, 300, trials=8, seed=s, simple=simple)
                     for s in range(4)]
         got = [None] * 4
@@ -880,72 +916,98 @@ class TestStubBudget:
 
     def test_generate_refuses_a_stub_array_that_cannot_fit(self):
         with pytest.raises(ModelError, match=r"^15000000000 stubs at n = 10: 2 int64 stub "
-                                             r"arrays need 240000000000 bytes \(224 GiB\)"):
+                                             r"arrays and 3 int64 node arrays need "
+                                             r"240000000240 bytes \(224 GiB\)"):
             generate(self.HUGE, 10, seed=0)
 
     def test_the_check_refuses_before_starting_a_thread(self):
         before = threading.active_count()
-        with pytest.raises(ModelError, match="6 int64 stub arrays and 10 int64 node arrays "
-                                             "need 720000000800 bytes"):
+        with pytest.raises(ModelError, match="5 int64 stub arrays and 16 int64 node arrays "
+                                             "need 600000001280 bytes"):
             monte_carlo_estimator_check(self.HUGE, 10, trials=3)
         assert threading.active_count() == before
 
     def test_the_scaling_refuses_before_laying_out(self):
-        with pytest.raises(ModelError, match="6 int64 stub arrays and 10 int64 node arrays need"):
+        with pytest.raises(ModelError, match="5 int64 stub arrays and 16 int64 node arrays need"):
             sampling_error_scaling(self.HUGE, [10, 20], [2, 2])
 
     def test_a_call_fits_exactly_at_the_budget(self, monkeypatch):
         # 4800 stubs at n = 1000: one int64 array of them is 38,400 bytes, one
-        # of the nodes 8,000; generate holds two stub arrays, a multigraph run
-        # six and 2K + 6 = 10 node arrays (see ``_trial_networks``)
-        monkeypatch.setattr(population, "MEMORY_BUDGET", 2 * 38_400)
+        # of the nodes 8,000; generate holds two stub arrays and three node
+        # arrays, a multigraph run five and 4K + 8 = 16 (see ``_run_trials``), a
+        # simple draw five and two
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 2 * 38_400 + 3 * 8_000 - 1)
+        with pytest.raises(ModelError, match="2 int64 stub arrays and 3 int64 node arrays "
+                                             "need 100800 bytes"):
+            generate(EXAMPLE, 1000, seed=0)
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 2 * 38_400 + 3 * 8_000)
         assert generate(EXAMPLE, 1000, seed=0).m == 2400
-        monkeypatch.setattr(population, "MEMORY_BUDGET", 6 * 38_400 + 10 * 8_000 - 1)
-        with pytest.raises(ModelError, match="6 int64 stub arrays and 10 int64 node arrays "
-                                             "need 310400 bytes"):
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400 + 16 * 8_000 - 1)
+        with pytest.raises(ModelError, match="5 int64 stub arrays and 16 int64 node arrays "
+                                             "need 320000 bytes"):
             monte_carlo_estimator_check(EXAMPLE, 1000, trials=2)
-        monkeypatch.setattr(population, "MEMORY_BUDGET", 6 * 38_400 + 10 * 8_000)
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400 + 16 * 8_000)
         assert monte_carlo_estimator_check(EXAMPLE, 1000, trials=2).first_network.m == 2400
-        monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400 - 1)
-        with pytest.raises(ModelError, match="5 int64 stub arrays need 192000 bytes"):
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400 + 2 * 8_000 - 1)
+        with pytest.raises(ModelError, match="5 int64 stub arrays and 2 int64 node arrays "
+                                             "need 208000 bytes"):
             generate(EXAMPLE, 1000, seed=0, simple=True)
 
     def test_simple_draws_are_charged_what_they_hold(self, monkeypatch):
         # a simple draw holds about five stub arrays at its peak, and a run of
-        # trials two draws at once: the nominal two and four let these through
+        # trials two draws at once beside trial 0: the nominal two and four stub
+        # arrays let these through
         monkeypatch.setattr(population, "MEMORY_BUDGET", 4 * 38_400)
-        with pytest.raises(ModelError, match="5 int64 stub arrays need 192000 bytes"):
+        with pytest.raises(ModelError, match="5 int64 stub arrays and 2 int64 node arrays "
+                                             "need 208000 bytes"):
             generate(EXAMPLE, 1000, seed=0, simple=True)
-        with pytest.raises(ModelError, match="10 int64 stub arrays need 384000 bytes"):
+        with pytest.raises(ModelError, match="11 int64 stub arrays and 14 int64 node arrays "
+                                             "need 534400 bytes"):
             monte_carlo_estimator_check(EXAMPLE, 1000, trials=2, simple=True)
-        monkeypatch.setattr(population, "MEMORY_BUDGET", 10 * 38_400)
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 11 * 38_400 + 14 * 8_000)
         report = monte_carlo_estimator_check(EXAMPLE, 1000, trials=2, simple=True)
         assert report.first_network.simple and report.first_network.m == 2400
 
-    def test_a_simple_draw_peaks_within_its_charge(self):
-        # the charge holds against what tracemalloc sees, node arrays included
+    @staticmethod
+    def _peak_and_charge(monkeypatch, run):
+        """What tracemalloc sees ``run()`` hold at its peak, and the largest charge
+        it checked; a small run first leaves out one-time allocations."""
+        monte_carlo_estimator_check(EXAMPLE, 200, trials=3)
+        monte_carlo_estimator_check(EXAMPLE, 200, trials=3, simple=True)
+        charged = []
+        monkeypatch.setattr(netsim, "check_budget", lambda need, what: charged.append(need))
         tracemalloc.start()
         try:
-            net = generate(EXAMPLE, 10_000, seed=0, simple=True)
+            run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * netsim.DRAW_ARRAYS[True] * 8 * 2 * net.m
+        return peak, max(charged)
+
+    # about one stub per node, where the node arrays outweigh the stub arrays
+    LOW_DEGREE = [DegreeModel((1, 2), (0.9, 0.1)), K3]
+
+    def test_a_simple_draw_peaks_within_its_charge(self, monkeypatch):
+        # the charge holds against what tracemalloc sees, node arrays included
+        for model, n in [(EXAMPLE, 10_000)] + [(model, 100_000) for model in self.LOW_DEGREE]:
+            peak, charge = self._peak_and_charge(
+                monkeypatch, lambda: generate(model, n, seed=0, simple=True))
+            assert peak <= 1.1 * charge, model
+
+    @pytest.mark.parametrize("model", LOW_DEGREE, ids=["k2-low-degree", "k3-low-degree"])
+    def test_a_simple_run_peaks_within_its_charge(self, model, monkeypatch):
+        # two trials draw at once; five hold two draws beside trial 0
+        for trials in (2, 5):
+            peak, charge = self._peak_and_charge(monkeypatch, lambda: monte_carlo_estimator_check(
+                model, 100_000, trials=trials, simple=True))
+            assert peak <= 1.1 * charge, trials
 
     @pytest.mark.parametrize("model", [EXAMPLE, K3], ids=["k2", "k3-low-degree"])
     def test_a_multigraph_run_peaks_within_its_charge(self, model, monkeypatch):
-        # four trials draw into all three stub buffers; the executor's module is
-        # loaded first, since a first call's imports read as about two stub arrays
-        charged = []
-        monkeypatch.setattr(netsim, "check_budget", lambda need, what: charged.append(need))
-        assert concurrent.futures.ThreadPoolExecutor
-        tracemalloc.start()
-        try:
-            monte_carlo_estimator_check(model, 100_000, trials=4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * max(charged)
+        # four trials: each thread draws into its buffer twice
+        peak, charge = self._peak_and_charge(
+            monkeypatch, lambda: monte_carlo_estimator_check(model, 100_000, trials=4))
+        assert peak <= 1.1 * charge
 
 
 class TestTypeLawOracle:
