@@ -643,6 +643,21 @@ def _simulate(opts, out):
 # solve
 # ---------------------------------------------------------------------------
 
+def _solution_rows(system, xi) -> list:
+    """One (label, rule, degree, observed shares, expectation) row per type of
+    ``system``, in its row order.  The two rule blocks list the same
+    observations, so each observation's degree and texts are made once and
+    serve both; no :class:`~netgame.typespace.AgentType` is made."""
+    from .estimators import RULES
+    from .typespace import type_labels
+
+    degrees, shares = system.observations
+    observed = ["/".join(map(repr, row)) for row in shares]
+    rules = [rule for rule in RULES for _ in degrees]
+    return list(zip(type_labels(degrees, shares), rules, degrees * 2, observed * 2,
+                    xi.tolist()))
+
+
 def _solve(opts, out):
     from .equilibrium import solve_direct
     from .typespace import build_pi
@@ -650,11 +665,7 @@ def _solve(opts, out):
     model, params = opts.game(opts.get("sigma", float))
     solution = solve_direct(build_pi(model, params), params)
     columns = ("label", "rule", "degree", "observed", "expectation")
-    rows = [
-        (t.label, t.rule, t.degree,
-         "/".join(map(repr, t.shares)), float(x))
-        for t, x in zip(solution.system.types, solution.xi)
-    ]
+    rows = _solution_rows(solution.system, solution.xi)
     meta = {**_game_meta(opts, params), "sigma": params.sigma,
             "method": solution.method, "residual": solution.residual}
     return _tabulate("solution", columns, rows, meta, out, "per-type expectations")

@@ -10,7 +10,7 @@ maximizes the multinomial likelihood of the observed neighbor counts.
 import math
 from fractions import Fraction
 
-from .population import ModelError
+from .population import ModelError, ordered_sum
 
 NAIVE = "naive"
 SOPHISTICATED = "sophisticated"
@@ -21,20 +21,26 @@ def debias_shares(values, degrees) -> tuple:
     """Divide shares by their degree and renormalize (the bias-inverting map).
 
     Applied to the biased neighbor shares this returns the true population
-    shares exactly; classes with zero observed mass stay at zero.
+    shares exactly; classes with zero observed mass stay at zero.  The
+    weights are added left to right (:func:`~netgame.population.ordered_sum`),
+    so a float result has the same bits on every Python version.  ``values``
+    may also be K numpy columns, one per class, of many share vectors: each
+    vector is then debiased bit for bit as alone, and K columns come back.
     """
     if len(values) != len(degrees):
         raise ModelError("shares and degrees must have equal length")
     weights = [v / d for v, d in zip(values, degrees)]
-    total = sum(weights)
-    if total == 0:
+    total = ordered_sum(weights)
+    nonzero = total.all() if hasattr(total, "all") else total != 0
+    if not nonzero:
         raise ModelError("cannot debias an all-zero share vector")
     return tuple(w / total for w in weights)
 
 
 def sophisticated_mle(shares, degrees) -> tuple:
     """Degree-debiased maximum-likelihood estimate of the population shares
-    from one agent's observed neighbor ``shares``."""
+    from one agent's observed neighbor ``shares``, or from many agents' as
+    numpy columns (see :func:`debias_shares`)."""
     return debias_shares(shares, degrees)
 
 

@@ -11,12 +11,25 @@ Values may be floats or :class:`fractions.Fraction`; every operation here is
 plain arithmetic, so exact inputs give exact outputs.
 """
 
+import functools
 import math
+import operator
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 SHARE_TOL = 1e-12
 MEMORY_BUDGET = 2 << 30  # bytes of the large arrays one call may hold at once
+
+
+def ordered_sum(values):
+    """``values`` added one at a time from the left, starting at 0.
+
+    So ``sum`` adds before Python 3.12; from 3.12 it adds floats with
+    compensation, which moves a result's last bits.  Ints and fractions add
+    exactly either way.  Numpy arrays add elementwise, each entry in the same
+    order as a scalar sum.
+    """
+    return functools.reduce(operator.add, values, 0)
 
 
 def _positive_integer(x) -> bool:
@@ -75,7 +88,7 @@ class DegreeModel:
         for s in self.shares:
             if not 0 < s < 1:
                 raise ModelError(f"shares must lie strictly inside (0, 1), got {s!r}")
-        if abs(sum(self.shares) - 1) > SHARE_TOL:
+        if abs(ordered_sum(self.shares) - 1) > SHARE_TOL:
             raise ModelError("shares must sum to 1")
 
     @property
@@ -154,7 +167,7 @@ def biased_neighbor_share(model: DegreeModel) -> tuple:
     mean degree are over-represented.
     """
     weights = [d * s for d, s in zip(model.degrees, model.shares)]
-    total = sum(weights)
+    total = ordered_sum(weights)
     return tuple(w / total for w in weights)
 
 
@@ -189,6 +202,6 @@ def degree_ratios(model: DegreeModel) -> tuple:
     random *neighbor*; it exceeds E[rho] whenever the degrees vary at all.
     """
     rho = model.rho
-    e1 = sum(s * r for s, r in zip(model.shares, rho))
-    e2 = sum(s * r * r for s, r in zip(model.shares, rho))
+    e1 = ordered_sum(s * r for s, r in zip(model.shares, rho))
+    e2 = ordered_sum(s * r * r for s, r in zip(model.shares, rho))
     return rho, e1, e2

@@ -53,8 +53,16 @@ class AgentType:
 
     @property
     def label(self) -> str:
-        shares = "/".join(f"{v:g}" for v in self.shares)
-        return f"{self.rule[0]}:d{self.degree}:{shares}"
+        return type_labels((self.degree,), (self.shares,))[RULES.index(self.rule)]
+
+
+def type_labels(degrees, shares) -> list:
+    """Labels such as ``s:d4:0.75/0.25``: a rule's initial, the degree, then each
+    observed share with ``:g``.  Given each observation's degree and shares,
+    the naive block's labels and then the sophisticated block's; each
+    observation's text is formatted once for both."""
+    tails = [f"d{d}:" + "/".join(f"{v:g}" for v in row) for d, row in zip(degrees, shares)]
+    return [f"{rule[0]}:{tail}" for rule in RULES for tail in tails]
 
 
 def enumerate_types(model: DegreeModel) -> list:
@@ -170,6 +178,14 @@ class ExpectationMatrix:
         copy.__dict__.pop("pi", None)
         return copy
 
+    @property
+    def observations(self) -> tuple:
+        """Degree and observed shares of each of the L/2 observations, as a list
+        of ints and a list of float lists, in the row order of either rule block."""
+        counts, degrees, _ = self.columns
+        half = self.L // 2
+        return degrees[:half].tolist(), (counts[:half] / degrees[:half, None]).tolist()
+
     @functools.cached_property
     def types(self) -> tuple:
         """Each row's :class:`AgentType`, made when first read."""
@@ -218,7 +234,11 @@ def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
     """Build a finite population's type system.
 
     Naive observers believe their observed shares, sophisticated ones
-    :func:`sophisticated_mle` of them, and sigma is kept as a scalar.  Both
+    :func:`sophisticated_mle` of them, and sigma is kept as a scalar.  One
+    :func:`sophisticated_mle` call takes the observed shares' K class columns
+    and forms every observation's belief at once: each share over its degree,
+    the classes added one at a time left to right, then each divided by the
+    sum, bit for bit as one observation at a time.  Both
     rules read the same observations, so one :func:`multinomial_pmf` call per
     target degree over the L/2 distinct ones writes that degree's columns of
     the table in place.  A model whose table and solve block would pass
@@ -228,8 +248,8 @@ def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
     check_fits(model)
     counts, degrees, blocks = _lattice(model.degrees)
     observed = counts / degrees[:, None]
-    beliefs = np.stack([observed, np.array(
-        [sophisticated_mle(row, model.degrees) for row in observed.tolist()])])
+    sophisticated = np.stack(sophisticated_mle(observed.T, model.degrees), axis=1)
+    beliefs = np.stack([observed, sophisticated])
     pmf = np.empty((len(degrees), len(degrees)))
     for cols in blocks:
         multinomial_pmf(counts[cols], observed, out=pmf[:, cols])
@@ -239,7 +259,7 @@ def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
 def pi_csv_rows(system: ExpectationMatrix):
     """Header, then one labeled row of floats per observer type, yielded one at
     a time for debug dumps."""
-    labels = [t.label for t in system.types]
+    labels = type_labels(*system.observations)
     yield ["observer", *labels]
     for label, row in zip(labels, system.pi):
         yield [label, *row.tolist()]

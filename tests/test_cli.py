@@ -11,21 +11,25 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netgame import DegreeModel, GameParams, build_pi, sophisticated_mle
 from netgame.cli import (
     DEFAULTS,
     PRESETS,
     _boolean,
     _Options,
     _scalar_list,
+    _solution_rows,
     _tabulate,
     build_parser,
     main,
 )
 from netgame.population import ModelError
+from netgame.typespace import type_labels
 
 POSITIVE_EPS = "excess ratio eps = d_2/d_1 - 1 must be positive"
 
@@ -293,6 +297,68 @@ class TestSolveDump:
         assert code == 0
         assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                      for name in ("solution.csv", "solution.json")) == digests
+
+    def test_k3_bytes_hold_under_a_compensated_sum(self, tmp_path, capsys, request):
+        # Python 3.12 adds floats in sum() with compensation; the bytes must not move
+        def written(out):
+            argv = ["--model", "1,2,3:0.2,0.3,0.5", "--sigma", "0.3", "--alpha", "1",
+                    "--c", "4", "--out", str(out)]
+            assert run(capsys, "solve", *argv)[0] == 0
+            assert run(capsys, "pi", *argv)[0] == 0
+            return [(out / name).read_bytes()
+                    for name in ("solution.csv", "solution.json", "pi.csv")]
+
+        plain = written(tmp_path / "sum")
+        request.getfixturevalue("compensated_sum")
+        assert written(tmp_path / "compensated") == plain
+
+    def test_solve_and_pi_make_no_agent_type(self, tmp_path, capsys, monkeypatch):
+        import netgame.typespace
+
+        def refuse(self):
+            raise AssertionError("an AgentType was made")
+
+        monkeypatch.setattr(netgame.typespace.AgentType, "__post_init__", refuse)
+        for command in ("solve", "pi"):
+            code, _ = run(capsys, command, "--model", "1,2,3:0.2,0.3,0.5", "--sigma", "0.3",
+                          "--alpha", "1", "--c", "4", "--out", str(tmp_path / command))
+            assert code == 0
+
+
+@st.composite
+def solved_shapes(draw):
+    """A model with K = 2 to 4 classes of degree 8 at most, its system at a
+    drawn sigma, and one expectation per type."""
+    k = draw(st.integers(2, 4))
+    degrees = sorted(draw(st.lists(st.integers(1, 8), min_size=k, max_size=k, unique=True)))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    model = DegreeModel(tuple(degrees), tuple(r / sum(raw) for r in raw))
+    sigma = draw(st.floats(0, 1))
+    params = GameParams(1.0, 1.0, 2.0 * model.rho[-1] + 1.0, sigma, model)
+    system = build_pi(model, params)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return model, system, rng.random(system.L) * 3
+
+
+def _hexed(cells):
+    return [cell.hex() if isinstance(cell, float) else cell for cell in cells]
+
+
+class TestSolveRows:
+    @settings(max_examples=40, deadline=None)
+    @given(solved_shapes())
+    def test_rows_labels_and_beliefs_match_the_types(self, shaped):
+        model, system, xi = shaped
+        types = system.types
+        assert [_hexed(row) for row in _solution_rows(system, xi)] == [
+            _hexed((t.label, t.rule, t.degree, "/".join(map(repr, t.shares)), float(x)))
+            for t, x in zip(types, xi)]
+        assert type_labels(*system.observations) == [t.label for t in types]
+        half = system.L // 2
+        for p, t in enumerate(types[:half]):
+            assert _hexed(system.beliefs[0, p].tolist()) == _hexed(t.shares)
+            assert _hexed(system.beliefs[1, p].tolist()) == \
+                _hexed(sophisticated_mle(t.shares, model.degrees))
 
 
 class TestPiDump:

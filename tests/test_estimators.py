@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from netgame import (
     DegreeModel,
     GameParams,
+    ModelError,
     bias_surface,
     biased_neighbor_share,
     build_pi,
@@ -78,6 +79,26 @@ class TestSophisticatedMLE:
         est = sophisticated_mle((0.5, 0.0, 0.5), (1, 2, 4))
         assert est[1] == 0.0
         assert sum(est) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("adding", [None, "compensated_sum"])
+    def test_bits_do_not_depend_on_how_sum_adds_floats(self, adding, request):
+        # Python 3.12 made sum() of floats compensated, which moved these last bits
+        if adding:
+            request.getfixturevalue(adding)
+        est = sophisticated_mle((1 / 3, 1 / 3, 1 / 3), (1, 2, 3))
+        assert [v.hex() for v in est] == [v.hex() for v in (
+            0.5454545454545454, 0.2727272727272727, 0.1818181818181818)]
+
+    def test_columns_are_debiased_as_one_vector_at_a_time(self):
+        rows = [(0.5, 0.0, 0.5), (0.1, 0.2, 0.7), (1 / 3, 1 / 3, 1 / 3)]
+        columns = sophisticated_mle(np.array(rows).T, (1, 2, 3))
+        assert [[v.hex() for v in row] for row in np.stack(columns, axis=1).tolist()] == \
+            [[v.hex() for v in sophisticated_mle(row, (1, 2, 3))] for row in rows]
+
+    def test_an_all_zero_vector_among_columns_is_refused(self):
+        columns = (np.array([0.5, 0.0]), np.array([0.5, 0.0]))
+        with pytest.raises(ModelError, match="all-zero"):
+            debias_shares(columns, (1, 2))
 
 
 class TestLogLikelihood:

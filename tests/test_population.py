@@ -139,6 +139,15 @@ class TestBiasedNeighborShare:
         m = DegreeModel((2, 3, 7), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
         assert debias_shares(biased_neighbor_share(m), m.degrees) == m.shares
 
+    @pytest.mark.parametrize("adding", [None, "compensated_sum"])
+    def test_bits_do_not_depend_on_how_sum_adds_floats(self, adding, request):
+        # a compensated sum, as Python 3.12 adds floats, gives 0.5, 0.28571428571428575, ...
+        if adding:
+            request.getfixturevalue(adding)
+        share = biased_neighbor_share(DegreeModel((1, 2, 3), (0.7, 0.2, 0.1)))
+        assert [v.hex() for v in share] == [v.hex() for v in (
+            0.49999999999999994, 0.2857142857142857, 0.2142857142857143)]
+
 
 class TestFeasibleObservedShares:
     def test_degree_two(self):
@@ -182,6 +191,14 @@ class TestDegreeRatios:
         m = DegreeModel((2, 6), (0.7, 0.3))
         assert m.rho[1] - 1 == 2.0
         assert m.rho == (1.0, 3.0)
+
+    @pytest.mark.parametrize("adding", [None, "compensated_sum"])
+    def test_bits_do_not_depend_on_how_sum_adds_floats(self, adding, request):
+        # a compensated sum, as Python 3.12 adds floats, gives E[rho^2] = 7.500000000000001
+        if adding:
+            request.getfixturevalue(adding)
+        _, e1, e2 = degree_ratios(DegreeModel((1, 2, 3, 5), (0.2, 0.3, 0.4, 0.1)))
+        assert (e1.hex(), e2.hex()) == ((2.5).hex(), (7.5).hex())
 
     @settings(max_examples=50, deadline=None)
     @given(models())
