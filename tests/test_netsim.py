@@ -986,20 +986,25 @@ class TestStubBudget:
 
     # about one stub per node, where the node arrays outweigh the stub arrays
     LOW_DEGREE = [DegreeModel((1, 2), (0.9, 0.1)), K3]
+    # sixty stubs per node, where a round repeats over a thousand keys
+    DENSE = DegreeModel((30, 90), (0.5, 0.5))
 
     def test_a_simple_draw_peaks_within_its_charge(self, monkeypatch):
         # the charge holds against what tracemalloc sees, node arrays included
-        for model, n in [(EXAMPLE, 10_000)] + [(model, 100_000) for model in self.LOW_DEGREE]:
+        for model, n in ([(EXAMPLE, 10_000), (self.DENSE, 10_000)]
+                         + [(model, 100_000) for model in self.LOW_DEGREE]):
             peak, charge = self._peak_and_charge(
                 monkeypatch, lambda: generate(model, n, seed=0, simple=True))
             assert peak <= 1.1 * charge, model
 
-    @pytest.mark.parametrize("model", LOW_DEGREE, ids=["k2-low-degree", "k3-low-degree"])
-    def test_a_simple_run_peaks_within_its_charge(self, model, monkeypatch):
+    @pytest.mark.parametrize("model, n", [(LOW_DEGREE[0], 100_000), (LOW_DEGREE[1], 100_000),
+                                          (DENSE, 10_000)],
+                             ids=["k2-low-degree", "k3-low-degree", "dense"])
+    def test_a_simple_run_peaks_within_its_charge(self, model, n, monkeypatch):
         # two trials draw at once; five hold two draws beside trial 0
         for trials in (2, 5):
             peak, charge = self._peak_and_charge(monkeypatch, lambda: monte_carlo_estimator_check(
-                model, 100_000, trials=trials, simple=True))
+                model, n, trials=trials, simple=True))
             assert peak <= 1.1 * charge, trials
 
     @pytest.mark.parametrize("model", [EXAMPLE, K3], ids=["k2", "k3-low-degree"])

@@ -104,6 +104,23 @@ class TestEnumerateTypes:
         for naive, soph in zip(types[:half], types[half:]):
             assert soph.degree == naive.degree and soph.counts is naive.counts
 
+    def test_a_build_lays_out_each_degrees_lattice_once(self, monkeypatch):
+        # build_pi hands the system it makes the lattice it laid out for the tables
+        import netgame.typespace
+        calls = []
+        real = netgame.typespace.feasible_observed_shares
+        monkeypatch.setattr(netgame.typespace, "feasible_observed_shares",
+                            lambda d, K: calls.append(d) or real(d, K))
+        m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
+        systems = [build_pi(m, _stable_params(m)) for _ in range(2)]
+        assert calls == [2, 3, 5, 2, 3, 5]
+        rebuilt = ExpectationMatrix(m, systems[0].pmf, systems[0].beliefs, systems[0].sigma)
+        assert calls[6:] == [2, 3, 5]
+        for got, want in zip(systems[1].columns + systems[1].blocks + (systems[1].d_diag,),
+                             rebuilt.columns + rebuilt.blocks + (rebuilt.d_diag,)):
+            assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+        assert not any(array.flags.writeable for array in (*systems[1].columns, systems[1].d_diag))
+
     def test_index_bijection(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
         params = _stable_params(m)
