@@ -26,6 +26,7 @@ from .equilibrium import (
     benchmark_expectation,
     infinite_naive,
     infinite_sophisticated,
+    solve_direct,
 )
 from .estimators import NAIVE, RULES, SOPHISTICATED, observed_high_share
 from .population import DegreeModel, GameParams, ModelError, _positive_integer
@@ -229,12 +230,6 @@ class PrecisionSweepResult:
                     out.append((d1, r.value))
         return out
 
-    def gap(self, d1) -> float:
-        """Infinity-norm distance to the closed form over this d1's rows."""
-        if d1 not in self.d1_list:
-            raise ModelError(f"lowest degree {d1!r} is not in the sweep's {list(self.d1_list)}")
-        return max(abs(r.value - r.closed_form) for r in self.rows if r.d1 == d1)
-
     def matched_shares(self, class_index) -> list:
         self._check_class_index(class_index)
         return sorted({r.share for r in self.rows if r.class_index == class_index})
@@ -267,19 +262,6 @@ def _two_class_model(d1, eps) -> DegreeModel:
     return model
 
 
-def _solutions(model, alpha, cost, etheta, sigmas):
-    """The model's solved system for each sigma, solved as the caller asks for
-    it, each as :func:`netgame.equilibrium.solve_direct` solves it.  The table
-    and the sigma-free naive block are solved once and every sigma reuses them;
-    each sigma's solve keeps its own full-system residual gate."""
-    params = [GameParams(etheta, alpha, cost, sigma, model) for sigma in sigmas]
-    system = build_pi(model, params[0])
-    a_c, t_c = _rates(system, params[0])
-    naive = _naive_xi(system, a_c, t_c)
-    for p in params:
-        yield _solve_after_naive(system.with_sigma(p.sigma), a_c, t_c, naive)
-
-
 def precision_sweep(eps, alpha, cost, sigma, etheta, d1_list) -> PrecisionSweepResult:
     """Solve the finite system for each lowest degree (at a fixed degree ratio)
     and tabulate per-rule expectations at matched interior observed shares.
@@ -300,7 +282,8 @@ def precision_sweep(eps, alpha, cost, sigma, etheta, d1_list) -> PrecisionSweepR
     convexity = convexity_check(eps, alpha, cost, sigma=sigma, etheta=etheta)
     rows = []
     for model in models:
-        (solution,) = _solutions(model, alpha, cost, etheta, [sigma])
+        params = GameParams(etheta, alpha, cost, sigma, model)
+        solution = solve_direct(build_pi(model, params), params)
         for k, degree in enumerate(model.degrees):
             # plain division keeps equal rationals bit-identical across degrees
             shares = np.arange(1, coarsest[k]) / coarsest[k]
@@ -336,9 +319,10 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     sigma is checked with the other scalars as ``GameParams`` checks them,
     even where only ``inf`` is asked for; no sigma or an empty grid is an error.
 
-    A d1's table and type weights depend on neither sigma nor the solution,
-    so each takes one build and one kernel call for every sigma and the grid.
-    A d1 whose table cannot fit is refused before any is built.
+    A d1's table, naive block and type weights depend on neither sigma nor the
+    solution, so each takes one build, one naive solve and one kernel call for
+    every sigma and the grid.  A d1 whose table cannot fit is refused before
+    any is built.
     """
     _check_excess_ratio(eps)
     if not len(sigmas):
@@ -355,12 +339,15 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
         raise ModelError("grid has no true high share delta2 inside (0, 1)")
     averages = {}
     for model in models:
-        weights = None
-        for sigma, solution in zip(sigmas, _solutions(model, alpha, cost, etheta, sigmas)):
-            if weights is None:
-                weights = _type_weights([DegreeModel(model.degrees, (1 - x, x))
-                                         for x in grid], solution.system.columns)
-            averages[sigma, model.degrees[0]] = _rule_averages(weights, solution, sigma)
+        params = GameParams(etheta, alpha, cost, sigmas[0], model)
+        system = build_pi(model, params)
+        a_c, t_c = _rates(system, params)
+        naive = _naive_xi(system, a_c, t_c)
+        weights = _type_weights([DegreeModel(model.degrees, (1 - x, x)) for x in grid],
+                                system.columns)
+        for sigma in sigmas:
+            xi, _ = _solve_after_naive(system, sigma, a_c, t_c, naive)
+            averages[sigma, model.degrees[0]] = _rule_averages(weights, xi, sigma)
     rows = []
     for sigma in sigmas:
         limits = _limit_rows(sigma, grid, eps, alpha, cost, etheta) if infinite else None

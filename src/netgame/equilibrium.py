@@ -6,10 +6,11 @@ The finite system stacks one equation per agent type,
 
 whose unique solution exists whenever alpha * d_K/d_1 < c (the map is then a
 contraction).  Naive types believe everyone is naive, so the system is block
-lower-triangular in the rule and is solved naive block first.  The
-large-sample limit collapses to one expectation per rule, for which closed
-forms are provided, along with the full-information benchmark that has no
-sampling bias at all.
+lower-triangular in the rule and is solved naive block first, from the
+sigma-free table with sigma as an argument: one naive solve serves every
+sigma.  The large-sample limit collapses to one expectation per rule, for
+which closed forms are provided, along with the full-information benchmark
+that has no sampling bias at all.
 """
 
 import math
@@ -55,11 +56,11 @@ class EquilibriumSolution:
         return float(self.xi[self.system.index(rule, degree, counts)])
 
 
-def _best_response(system, a_c, t_c, xi) -> np.ndarray:
-    """t + (alpha/c) Pi D xi from K mat-vecs per rule on ``pmf``'s degree columns."""
+def _best_response(system, sigma, a_c, t_c, xi) -> np.ndarray:
+    """t + (alpha/c) Pi D xi at ``sigma``: K mat-vecs per rule on ``pmf``'s degree columns."""
     naive, sophisticated = (system.d_diag * xi).reshape(2, -1)
     # D xi as each rule's observers weigh the targets' rules: naive ones see only naive
-    believed = (naive, float(1 - system.sigma) * naive + float(system.sigma) * sophisticated)
+    believed = (naive, float(1 - sigma) * naive + float(sigma) * sophisticated)
     products = [[system.pmf[:, c] @ x[c] for c in system.blocks] for x in believed]
     return t_c + a_c * (system.beliefs * np.swapaxes(products, 1, 2)).sum(axis=2).ravel()
 
@@ -73,8 +74,8 @@ def _rates(system, params) -> tuple:
             float(params.mean_preference) / float(params.cost))
 
 
-def _fixed_point_residual(system, a_c, t_c, xi) -> float:
-    return float(np.max(np.abs(xi - _best_response(system, a_c, t_c, xi))))
+def _fixed_point_residual(system, sigma, a_c, t_c, xi) -> float:
+    return float(np.max(np.abs(xi - _best_response(system, sigma, a_c, t_c, xi))))
 
 
 def _solve_block(system, weights, a_c, b) -> np.ndarray:
@@ -103,7 +104,8 @@ def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSo
     the system's.
     """
     a_c, t_c = _rates(system, params)
-    return _solve_after_naive(system, a_c, t_c, _naive_xi(system, a_c, t_c))
+    xi, res = _solve_after_naive(system, system.sigma, a_c, t_c, _naive_xi(system, a_c, t_c))
+    return EquilibriumSolution(xi, system, "direct", res)
 
 
 def _naive_xi(system, a_c, t_c) -> np.ndarray:
@@ -113,21 +115,21 @@ def _naive_xi(system, a_c, t_c) -> np.ndarray:
     return _solve_block(system, system.beliefs[0], a_c, np.full(half, t_c))
 
 
-def _solve_after_naive(system, a_c, t_c, naive) -> EquilibriumSolution:
-    """:func:`solve_direct` given the naive block's xi: the sophisticated block,
-    then the full-system residual gate."""
+def _solve_after_naive(system, sigma, a_c, t_c, naive) -> tuple:
+    """:func:`solve_direct` at ``sigma`` given the naive block's xi: the
+    sophisticated block, then the full-system residual gate; xi and the residual."""
     half = system.L // 2
     xi = np.zeros(system.L)
     xi[:half] = naive
     # the sophisticated xi are still 0, so this product is the naive cross term
-    b = _best_response(system, a_c, t_c, xi)[half:]
-    xi[half:] = _solve_block(system, float(system.sigma) * system.beliefs[1], a_c, b)
-    res = _fixed_point_residual(system, a_c, t_c, xi)
+    b = _best_response(system, sigma, a_c, t_c, xi)[half:]
+    xi[half:] = _solve_block(system, float(sigma) * system.beliefs[1], a_c, b)
+    res = _fixed_point_residual(system, sigma, a_c, t_c, xi)
     if not res <= RESIDUAL_TOL:  # also catches NaN
         raise ConvergenceError(
             f"direct solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}", res
         )
-    return EquilibriumSolution(xi, system, "direct", res)
+    return xi, res
 
 
 def solve_iterative(system: ExpectationMatrix, params: GameParams) -> EquilibriumSolution:
@@ -144,11 +146,11 @@ def solve_iterative(system: ExpectationMatrix, params: GameParams) -> Equilibriu
     a_c, t_c = _rates(system, params)
     xi = np.full(system.L, t_c)
     for it in range(1, MAX_SWEEPS + 1):
-        nxt = _best_response(system, a_c, t_c, xi)
+        nxt = _best_response(system, system.sigma, a_c, t_c, xi)
         diff = float(np.max(np.abs(nxt - xi)))
         xi = nxt
         if diff < ITERATIVE_TOL:
-            res = _fixed_point_residual(system, a_c, t_c, xi)
+            res = _fixed_point_residual(system, system.sigma, a_c, t_c, xi)
             return EquilibriumSolution(xi, system, "iterative", res, iterations=it)
     margin = 1 - a_c * float(system.d_diag.max())
     needed = math.log(1 / ITERATIVE_TOL) / margin if margin > 0 else math.inf
@@ -239,14 +241,14 @@ def type_probabilities(model: DegreeModel, system: ExpectationMatrix) -> np.ndar
     return _type_weights([model], system.columns)[0]
 
 
-def _rule_averages(weights, solution, sigma) -> list:
-    """Naive, sophisticated and sigma-mixed averages of ``solution.xi`` per
+def _rule_averages(weights, xi, sigma) -> list:
+    """Naive, sophisticated and sigma-mixed averages of a solution's ``xi`` per
     row of ``weights``, as (naive, sophisticated, mixed) tuples.
 
     Each rule's value is one row dot over its block: a single matrix product
     sums in another order and moves the last bits.
     """
-    xi, half = solution.xi, solution.system.L // 2
+    half = len(xi) // 2
     rules = [(float(w[:half] @ xi[:half]), float(w[half:] @ xi[half:])) for w in weights]
     return [(n, s, (1 - float(sigma)) * n + float(sigma) * s) for n, s in rules]
 
@@ -268,5 +270,5 @@ def average_expectation(solution: EquilibriumSolution, model: DegreeModel,
         GameParams.check(0, 0, 1, sigma)  # the other scalars pass, so only sigma is checked
     weights = type_probabilities(model, solution.system)[np.newaxis]
     # with a rule given, the mixed average is not read and sigma may be unset
-    averages = _rule_averages(weights, solution, 0.0 if sigma is None else sigma)[0]
+    averages = _rule_averages(weights, solution.xi, 0.0 if sigma is None else sigma)[0]
     return averages[(NAIVE, SOPHISTICATED, None).index(rule)]

@@ -42,12 +42,12 @@ LOOKUP_ROWS = 1 << 16  # a simple round's pairs per repeated-key lookup; bounds 
 MAX_NODES = math.isqrt(np.iinfo(np.int64).max)  # edge keys lo * n + hi stay within int64
 # int64 arrays of one entry per stub, and of one per node, that a draw holds at its
 # peak: the layout's stubs and the shuffled stubs, with the layout's two node arrays
-# and one more while the degrees are laid out; or in simple mode the layout, round
-# 1's pool and keys, and the accepted keys, sorted and in order, one of them twice
-# while a dissolve copies it, with the layout's node arrays (under tracemalloc at
-# n = 1e4 and 1e5, at most 0.95 of the charge at one to five stubs per node, and
-# 0.89 at sixty)
-DRAW_ARRAYS = {False: (2, 3), True: (5, 2)}
+# and one more while the degrees are laid out; or in simple mode, where the pool
+# takes over the layout's stubs, round 1's pool and keys, and the accepted keys,
+# sorted and in order, one of them twice while a dissolve copies it, with the
+# layout's node arrays (under tracemalloc at n = 1e4 and 1e5, at most 0.94 of the
+# charge at one to five stubs per node, and 0.86 at sixty)
+DRAW_ARRAYS = {False: (2, 3), True: (4, 2)}
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
     of them; the network records the seed as a Python int or list of ints.
     The network owns its edges: a multigraph is drawn into a fresh array.
     A network whose int64 arrays (``DRAW_ARRAYS``: two of the stubs and three
-    of the nodes, or in simple mode five and two) would pass
+    of the nodes, or in simple mode four and two) would pass
     ``population.MEMORY_BUDGET`` bytes raises ``ModelError`` before any is
     allocated.
     """
@@ -245,6 +245,7 @@ def generate(model: DegreeModel, n: int, seed, simple: bool = False) -> SampledN
     accepted = np.empty(0, dtype=np.int64)  # edge keys lo * n + hi, in acceptance order
     known = accepted                          # the same keys, sorted
     pool = layout.edges.ravel()
+    layout = replace(layout, edges=np.empty((0, 2), dtype=np.int64))  # the pool holds the stubs
     for _ in range(MAX_ROUNDS):
         pool = rng.permutation(pool)
         u, v = pool[0::2], pool[1::2]

@@ -9,7 +9,8 @@ observer's chance of meeting a target type is its believed share of the
 target's degree, times the multinomial chance of the target's neighbor counts
 under the observer's observed shares, times its believed share of the
 target's rule (naive observers think everyone is naive).  The middle factor
-depends on neither rule nor sigma: it is one (L/2) x (L/2) table per model.
+depends on neither rule nor sigma: it is one (L/2) x (L/2) table per model,
+and each row of the L x L matrix of these chances is formed from it on demand.
 """
 import functools
 import itertools
@@ -117,11 +118,13 @@ def _lattice(degrees) -> tuple:
 
 
 def check_fits(model: DegreeModel) -> None:
-    """Raise ``ModelError`` when the model's (L/2)^2 table and the one rule block
-    a solve forms from it would pass ``MEMORY_BUDGET``; L = 2 * sum_k
-    C(d_k + K - 1, K - 1) comes from the degrees, so no type is enumerated."""
+    """Raise ``ModelError`` when the model's (L/2)^2 table, the one rule block a
+    solve forms from it and the Fortran copy of it LAPACK makes would pass
+    ``MEMORY_BUDGET``; L = 2 * sum_k C(d_k + K - 1, K - 1) comes from the
+    degrees, so no type is enumerated."""
     L = 2 * sum(math.comb(d + model.K - 1, model.K - 1) for d in model.degrees)
-    check_budget(2 * 8 * (L // 2) ** 2, f"L = {L} types: the (L/2)^2 table and a solve block")
+    check_budget(3 * 8 * (L // 2) ** 2, f"L = {L} types: the (L/2)^2 table, a solve block "
+                                        "and LAPACK's copy of it")
 
 
 @dataclass(frozen=True)
@@ -171,16 +174,6 @@ class ExpectationMatrix:
     def L(self) -> int:
         return len(self.d_diag)
 
-    def with_sigma(self, sigma) -> "ExpectationMatrix":
-        """This system at another sigma, checked as ``GameParams`` checks it.  The
-        checked tables, the derived arrays and the cached types are shared; ``pi``,
-        which depends on sigma, is assembled afresh when first read."""
-        GameParams.check(0, 0, 1, sigma)  # the other scalars pass
-        copy = object.__new__(type(self))
-        copy.__dict__.update(self.__dict__, sigma=sigma)
-        copy.__dict__.pop("pi", None)
-        return copy
-
     @property
     def observations(self) -> tuple:
         """Degree and observed shares of each of the L/2 observations, as a list
@@ -194,25 +187,35 @@ class ExpectationMatrix:
         """Each row's :class:`AgentType`, made when first read."""
         return tuple(enumerate_types(self.model))
 
-    @functools.cached_property
+    @property
     def pi(self) -> np.ndarray:
-        """``pi[p, q]``, observer type p's chance of meeting type q, assembled when
-        first read, once its L^2 * 8 bytes pass the ``MEMORY_BUDGET`` check."""
-        L, half = self.L, self.L // 2
+        """``pi[p, q]``, observer type p's chance of meeting type q: every
+        :meth:`pi_row` assembled afresh on each read, once its L^2 * 8 bytes pass
+        the ``MEMORY_BUDGET`` check.  A dense oracle; no solve or dump reads it."""
+        L = self.L
         check_budget(8 * L * L, f"the L^2 = {L * L} entries of pi")
         pi = np.empty((L, L))
-        # [observer rule][target rule]: naive observers think everyone is naive
-        for r, rule_shares in enumerate(((1, 0), (1 - self.sigma, self.sigma))):
-            for r_j, w_rule in enumerate(rule_shares):
-                self.weighted_table(float(w_rule) * self.beliefs[r],
-                                    pi[r * half:(r + 1) * half, r_j * half:(r_j + 1) * half])
-        pi.setflags(write=False)
+        for p in range(L):
+            pi[p] = self.pi_row(p)
         return pi
 
-    def weighted_table(self, weights, out) -> np.ndarray:
-        """Write ``pmf`` into ``out``, row p's degree-k columns times ``weights[p, k]``."""
+    def pi_row(self, p) -> np.ndarray:
+        """Row p of ``pi``, formed from row p's observation in the table: each target
+        block's ``pmf`` columns times (believed rule share x believed degree share)."""
+        half = self.L // 2
+        r, o = divmod(p, half)
+        rows = slice(o, o + 1)
+        row = np.empty((2, 1, half))
+        # [observer rule][target rule]: naive observers think everyone is naive
+        for r_j, w_rule in enumerate(((1, 0), (1 - self.sigma, self.sigma))[r]):
+            self.weighted_table(float(w_rule) * self.beliefs[r, rows], row[r_j], rows)
+        return row.ravel()
+
+    def weighted_table(self, weights, out, rows=slice(None)) -> np.ndarray:
+        """Write ``pmf[rows]`` into ``out``, each row's degree-k columns times its
+        ``weights[:, k]``."""
         for k, cols in enumerate(self.blocks):
-            np.multiply(weights[:, k, None], self.pmf[:, cols], out=out[:, cols])
+            np.multiply(weights[:, k, None], self.pmf[rows, cols], out=out[:, cols])
         return out
 
     @functools.cached_property
@@ -230,7 +233,7 @@ class ExpectationMatrix:
             raise ModelError(f"no type ({rule}, {degree}, {counts})") from None
 
     def row(self, rule, degree, counts) -> np.ndarray:
-        return self.pi[self.index(rule, degree, counts)]
+        return self.pi_row(self.index(rule, degree, counts))
 
 
 def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
@@ -244,9 +247,9 @@ def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
     sum, bit for bit as one observation at a time.  Both
     rules read the same observations, so one :func:`multinomial_pmf` call per
     target degree over the L/2 distinct ones writes that degree's columns of
-    the table in place.  A model whose table and solve block would pass
-    ``MEMORY_BUDGET`` bytes raises ``ModelError`` before any observation is
-    enumerated.
+    the table in place.  A model whose table and solve would pass
+    ``MEMORY_BUDGET`` bytes (:func:`check_fits`) raises ``ModelError`` before
+    any observation is enumerated.
     """
     check_fits(model)
     lattice = counts, degrees, blocks = _lattice(model.degrees)
@@ -260,9 +263,9 @@ def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
 
 
 def pi_csv_rows(system: ExpectationMatrix):
-    """Header, then one labeled row of floats per observer type, yielded one at
-    a time for debug dumps."""
+    """Header, then one labeled row of floats per observer type, each formed and
+    yielded one at a time for debug dumps."""
     labels = type_labels(*system.observations)
     yield ["observer", *labels]
-    for label, row in zip(labels, system.pi):
-        yield [label, *row.tolist()]
+    for p, label in enumerate(labels):
+        yield [label, *system.pi_row(p).tolist()]

@@ -292,15 +292,15 @@ class TestPrecisionSweep:
 
     def test_gap_to_closed_form_shrinks(self):
         sweep = precision_sweep(2.0, 1.2, 3.7, 1.0, 1.0, [2, 4, 8])
-        gaps = [sweep.gap(d) for d in (2, 4, 8)]
+        gaps = [max(abs(r.value - r.closed_form) for r in sweep.rows if r.d1 == d)
+                for d in (2, 4, 8)]
         assert gaps[0] > gaps[1] > gaps[2]
 
     @pytest.mark.parametrize("query, message", [
-        (lambda s: s.gap(3), "lowest degree 3 is not in the sweep's [2, 4]"),
         (lambda s: s.values("sophistocated", 0, 0.5), "unknown rule 'sophistocated'"),
         (lambda s: s.values("naive", 2, 0.5), "class index must be 0 or 1, got 2"),
         (lambda s: s.matched_shares(-1), "class index must be 0 or 1, got -1"),
-    ], ids=["gap-d1", "values-rule", "values-class", "matched-class"])
+    ], ids=["values-rule", "values-class", "matched-class"])
     def test_rejects_a_query_the_sweep_does_not_hold(self, query, message):
         sweep = precision_sweep(2.0, 1.2, 3.7, 0.5, 1.0, [2, 4])
         with pytest.raises(ModelError, match=re.escape(message)):
@@ -499,25 +499,28 @@ class TestPopulationPrecisionSweep:
         # per sigma, each sigma with its own residual gate, all bit-identical
         # to a solve_direct per sigma
         from netgame import equilibrium
-        solves, gates = [], []
+        solves, gates, xis = [], [], []
         real_solve, real_gate = equilibrium._solve_block, equilibrium._fixed_point_residual
+        real_averages = an._rule_averages
         monkeypatch.setattr(equilibrium, "_solve_block",
                             lambda *a: solves.append(1) or real_solve(*a))
         monkeypatch.setattr(equilibrium, "_fixed_point_residual",
-                            lambda *a: gates.append(1) or real_gate(*a))
+                            lambda *a: gates.append(real_gate(*a)) or gates[-1])
+        monkeypatch.setattr(an, "_rule_averages",
+                            lambda w, xi, sigma: xis.append(xi) or real_averages(w, xi, sigma))
         sigmas = [0.0, 0.25, 0.5, 0.75, 1.0]
         for d1 in (2, 8):
-            model = an._two_class_model(d1, 2.0)
             solves.clear()
             gates.clear()
-            got = list(an._solutions(model, 1.2, 3.7, 1.0, sigmas))
-            assert (len(solves), len(gates)) == (1 + len(sigmas), len(sigmas))
-            for sigma, solution in zip(sigmas, got):
+            xis.clear()
+            population_precision_sweep(2.0, 1.2, 3.7, 1.0, sigmas, [d1], [0.3, 0.6])
+            assert (len(solves), len(gates), len(xis)) == (1 + len(sigmas),) + 2 * (len(sigmas),)
+            model = an._two_class_model(d1, 2.0)
+            for sigma, xi, residual in zip(sigmas, xis, list(gates)):
                 params = GameParams(1.0, 1.2, 3.7, sigma, model)
                 want = solve_direct(build_pi(model, params), params)
-                assert solution.system.sigma == sigma
-                assert solution.xi.tobytes() == want.xi.tobytes()
-                assert solution.residual == want.residual
+                assert xi.tobytes() == want.xi.tobytes()
+                assert residual == want.residual
 
     def test_unstable_limit_rows(self):
         rows = population_precision_sweep(2.0, 1.5, 3.7, 1.0, [0.5], [math.inf],

@@ -514,8 +514,8 @@ class TestConfigAndErrors:
         assert main([*argv, "--out", str(fresh)]) == 2
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: L = {types} types: the (L/2)^2 table and a solve "
-                              f"block need {16 * (types // 2) ** 2} bytes")
+        assert err.startswith(f"error: L = {types} types: the (L/2)^2 table, a solve block "
+                              f"and LAPACK's copy of it need {24 * (types // 2) ** 2} bytes")
         assert not fresh.exists()
 
     def test_failed_sweep_leaves_no_default_out_dir(self, tmp_path, capsys, monkeypatch):

@@ -935,7 +935,7 @@ class TestStubBudget:
         # 4800 stubs at n = 1000: one int64 array of them is 38,400 bytes, one
         # of the nodes 8,000; generate holds two stub arrays and three node
         # arrays, a multigraph run five and 4K + 8 = 16 (see ``_run_trials``), a
-        # simple draw five and two
+        # simple draw four and two
         monkeypatch.setattr(population, "MEMORY_BUDGET", 2 * 38_400 + 3 * 8_000 - 1)
         with pytest.raises(ModelError, match="2 int64 stub arrays and 3 int64 node arrays "
                                              "need 100800 bytes"):
@@ -948,23 +948,25 @@ class TestStubBudget:
             monte_carlo_estimator_check(EXAMPLE, 1000, trials=2)
         monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400 + 16 * 8_000)
         assert monte_carlo_estimator_check(EXAMPLE, 1000, trials=2).first_network.m == 2400
-        monkeypatch.setattr(population, "MEMORY_BUDGET", 5 * 38_400 + 2 * 8_000 - 1)
-        with pytest.raises(ModelError, match="5 int64 stub arrays and 2 int64 node arrays "
-                                             "need 208000 bytes"):
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 4 * 38_400 + 2 * 8_000 - 1)
+        with pytest.raises(ModelError, match="4 int64 stub arrays and 2 int64 node arrays "
+                                             "need 169600 bytes"):
             generate(EXAMPLE, 1000, seed=0, simple=True)
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 4 * 38_400 + 2 * 8_000)
+        assert generate(EXAMPLE, 1000, seed=0, simple=True).m == 2400
 
     def test_simple_draws_are_charged_what_they_hold(self, monkeypatch):
-        # a simple draw holds about five stub arrays at its peak, and a run of
+        # a simple draw holds about four stub arrays at its peak, and a run of
         # trials two draws at once beside trial 0: the nominal two and four stub
         # arrays let these through
         monkeypatch.setattr(population, "MEMORY_BUDGET", 4 * 38_400)
-        with pytest.raises(ModelError, match="5 int64 stub arrays and 2 int64 node arrays "
-                                             "need 208000 bytes"):
+        with pytest.raises(ModelError, match="4 int64 stub arrays and 2 int64 node arrays "
+                                             "need 169600 bytes"):
             generate(EXAMPLE, 1000, seed=0, simple=True)
-        with pytest.raises(ModelError, match="11 int64 stub arrays and 14 int64 node arrays "
-                                             "need 534400 bytes"):
+        with pytest.raises(ModelError, match="9 int64 stub arrays and 14 int64 node arrays "
+                                             "need 457600 bytes"):
             monte_carlo_estimator_check(EXAMPLE, 1000, trials=2, simple=True)
-        monkeypatch.setattr(population, "MEMORY_BUDGET", 11 * 38_400 + 14 * 8_000)
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 9 * 38_400 + 14 * 8_000)
         report = monte_carlo_estimator_check(EXAMPLE, 1000, trials=2, simple=True)
         assert report.first_network.simple and report.first_network.m == 2400
 

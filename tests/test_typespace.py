@@ -309,21 +309,8 @@ class TestBuildPi:
     def test_rejects_a_bad_sigma(self, sigma):
         m = DegreeModel((2, 4), (0.5, 0.5))
         system = build_pi(m, _stable_params(m))
-        for copy in (lambda: replace(system, sigma=sigma), lambda: system.with_sigma(sigma)):
-            with pytest.raises(ModelError, match="sigma must be finite|must lie in"):
-                copy()
-
-    @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
-    def test_a_sigma_copy_shares_the_tables_but_not_pi(self, sigma):
-        m = DegreeModel((2, 4, 5), (0.3, 0.3, 0.4))
-        system = build_pi(m, _stable_params(m, 0.7))
-        assert system.pi[0, 0] > 0 and system.types  # cached at sigma 0.7
-        copy = system.with_sigma(sigma)
-        assert (copy.sigma, system.sigma) == (sigma, 0.7)
-        assert np.array_equal(copy.pi, build_pi(m, _stable_params(m, sigma)).pi)
-        assert not np.array_equal(system.pi, copy.pi)
-        for name in ("model", "pmf", "beliefs", "columns", "blocks", "d_diag", "types"):
-            assert getattr(copy, name) is getattr(system, name)
+        with pytest.raises(ModelError, match="sigma must be finite|must lie in"):
+            replace(system, sigma=sigma)
 
     def test_build_peak_memory_stays_near_pi(self):
         # the table itself and the types: the kernel writes each degree's
@@ -345,12 +332,23 @@ class TestBuildPi:
         import netgame.typespace
         monkeypatch.setattr(netgame.typespace, "enumerate_types", None)
         m = DegreeModel((200, 400, 600), (0.5, 0.3, 0.2))   # L = 563,606
-        with pytest.raises(ModelError, match=r"^L = 563606 types: the \(L/2\)\^2 table "
-                                             r"and a solve block need 1270606892944 bytes"):
+        with pytest.raises(ModelError, match=r"^L = 563606 types: the \(L/2\)\^2 table, "
+                                             r"a solve block and LAPACK's copy of it need "
+                                             r"1905910339416 bytes"):
             build_pi(m, _stable_params(m))
 
+    def test_a_build_is_charged_the_lapack_copy_of_its_solve_block(self, monkeypatch):
+        # L = 16: the table, a solve block and the Fortran copy np.linalg.solve
+        # makes of it take 3 * 8^2 * 8 = 1536 bytes
+        m = DegreeModel((2, 4), (0.5, 0.5))
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 1535)
+        with pytest.raises(ModelError, match=r"^L = 16 types: .* need 1536 bytes"):
+            build_pi(m, _stable_params(m))
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 1536)
+        assert build_pi(m, _stable_params(m)).L == 16
+
     def test_the_pi_view_is_charged_when_assembled(self, monkeypatch):
-        # L = 16: the table and a solve block take 2 * 8^2 * 8 = 1024 bytes, pi 2048
+        # L = 16: the build is charged 3 * 8^2 * 8 = 1536 bytes, pi 2048
         m = DegreeModel((2, 4), (0.5, 0.5))
         monkeypatch.setattr(population, "MEMORY_BUDGET", 2047)
         system = build_pi(m, _stable_params(m))
@@ -359,6 +357,30 @@ class TestBuildPi:
         assert "pi" not in vars(system)
         monkeypatch.setattr(population, "MEMORY_BUDGET", 2048)
         assert system.pi.shape == (16, 16)
+
+    def test_rows_are_formed_without_an_l_by_l_array(self):
+        # pi at (8, 16, 24) is L^2 * 8 = 8.75 MB; a row, or a dump's pass over
+        # every row, forms one row at a time from the table and keeps nothing
+        m = DegreeModel((8, 16, 24), (0.5, 0.3, 0.2))
+        system = build_pi(m, _stable_params(m, sigma=0.5))
+        for form in (lambda: system.row("sophisticated", 16, (4, 8, 4)),
+                     lambda: sum(len(row) for row in pi_csv_rows(system))):
+            tracemalloc.start()
+            try:
+                form()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.05 * 8 * system.L ** 2
+        assert "pi" not in vars(system)
+
+    def test_pi_is_assembled_afresh_on_each_read(self):
+        m = DegreeModel((2, 4, 5), (0.3, 0.3, 0.4))
+        system = build_pi(m, _stable_params(m, 0.7))
+        first = system.pi
+        assert np.array_equal(first, system.pi) and first is not system.pi
+        assert "pi" not in vars(system)
+        assert all(np.array_equal(first[p], system.pi_row(p)) for p in range(system.L))
 
     def test_three_class_rows_sum_to_one(self):
         m = DegreeModel((1, 2, 3), (0.3, 0.4, 0.3))
@@ -474,13 +496,14 @@ class TestMultinomialPmf:
         # the per-entry definition, evaluated exactly for every (observer, target)
         m = DegreeModel((1, 2, 4), (0.3, 0.4, 0.3))
         system = build_pi(m, _stable_params(m, sigma=0.35))
+        pi = system.pi  # assembled afresh on each read
         for p, obs in enumerate(system.types):
             for q, tgt in enumerate(system.types):
                 weight = (_believed_rule_share(obs.rule, tgt.rule, 0.35)
                           * _believed_degree_share(obs.rule, obs.shares, tgt.degree,
                                                    m.degrees))
                 ref = float(weight) * float(_exact_pmf(tgt.counts, obs.shares))
-                assert system.pi[p, q] == pytest.approx(ref, rel=1e-13, abs=0.0)
+                assert pi[p, q] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_large_degree_system_passes_matrix_checks(self):
         m = DegreeModel((2, 1100), (0.5, 0.5))
@@ -504,7 +527,6 @@ class TestCsvDump:
         # holding every row's strings at once took the peak to 7.8 x the text
         m = DegreeModel((4, 8, 12), (0.5, 0.3, 0.2))
         system = build_pi(m, _stable_params(m, sigma=0.5))
-        system.pi
         buf = io.StringIO()
         tracemalloc.start()
         try:
