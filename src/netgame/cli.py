@@ -405,14 +405,13 @@ def _tabulate(name, columns, rows, meta, out, noun="rows"):
         header = [f or '""' for f in header]
         fields[0] = [f or '""' for f in fields[0]]
 
-    # the scalar members go through json.dumps, indented one level deeper
-    payload = {**meta, "command": name, "columns": list(columns), "rows": None}
-    keys = sorted(payload)
-    members = [f"{json.encoder.encode_basestring_ascii(key)}: "
-               + _json_text(payload[key])[:-1].replace("\n", "\n  ") for key in keys]
-    at = keys.index("rows")
-    head = "{\n  " + "".join(m + ",\n  " for m in members[:at]) + '"rows": ['
-    tail = ("\n  ]" if rows else "]") + "".join(",\n  " + m for m in members[at + 1:]) + "\n}\n"
+    # the scalar members go through one json.dumps, split at the rows member: a
+    # nested key is indented deeper, and a string's newlines are escaped
+    marker = '\n  "rows": ['
+    payload = {**meta, "command": name, "columns": list(columns), "rows": []}
+    head, _, tail = _json_text(payload).partition(marker + "]")
+    head += marker
+    tail = ("\n  ]" if rows else "]") + tail
 
     def csv_file():
         yield ",".join(header) + "\n"

@@ -11,11 +11,13 @@ under the observer's observed shares, times its believed share of the
 target's rule (naive observers think everyone is naive).  The middle factor
 depends on neither rule nor sigma: it is one (L/2) x (L/2) table per model,
 and each row of the L x L matrix of these chances is formed from it on demand.
+A type system is its model and sigma; :class:`ExpectationMatrix` builds its
+tables from them.
 """
 import functools
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,39 +131,45 @@ def check_fits(model: DegreeModel) -> None:
 
 @dataclass(frozen=True)
 class ExpectationMatrix:
-    """The type system of ``model``: a naive and then a sophisticated block over
-    the observations its degree support fixes, as :func:`enumerate_types` lists
-    them.  ``pmf[p, q]`` is the chance of observation q's counts with p's
-    shares as cell probabilities, ``beliefs[r, p, k]`` the share of degree
-    class k a ``RULES[r]`` observer with observation p believes in.  Derived
-    from the support: ``columns`` (neighbor counts (L, K), degrees (L,) and a
-    mask of the sophisticated types), ``blocks`` (each degree's ``pmf``
-    columns) and ``d_diag`` (d_j/d_1).  ``lattice``, when given, is
-    ``_lattice(model.degrees)`` as :func:`build_pi` laid it out for the
-    tables, so one build lays out each degree's lattice once.
+    """The type system of ``model`` at sophistication share ``sigma``: a naive and
+    then a sophisticated block over the observations its degree support fixes,
+    as :func:`enumerate_types` lists them.
+
+    Both are checked before anything is built: a bad sigma, or a model whose
+    table and solve would pass ``MEMORY_BUDGET`` bytes (:func:`check_fits`),
+    raises ``ModelError`` before any observation is enumerated.  Derived and
+    read-only: ``beliefs[r, p, k]``, the share of degree class k a ``RULES[r]``
+    observer with observation p believes in (naive observers believe their
+    observed shares, sophisticated ones :func:`sophisticated_mle` of them, formed
+    for every observation in one call); ``pmf[p, q]``, the chance of observation
+    q's counts with p's shares as cell probabilities, written one target degree
+    at a time by :func:`multinomial_pmf` over the L/2 distinct observations both
+    rules read; ``columns`` (neighbor counts (L, K), degrees (L,) and a mask of
+    the sophisticated types), ``blocks`` (each degree's ``pmf`` columns) and
+    ``d_diag`` (d_j/d_1).  Systems compare and hash by model and sigma.
     """
 
     model: DegreeModel
-    pmf: np.ndarray
-    beliefs: np.ndarray
     sigma: float
-    lattice: InitVar[tuple] = None
+    pmf: np.ndarray = field(init=False, repr=False, compare=False)
+    beliefs: np.ndarray = field(init=False, repr=False, compare=False)
     columns: tuple = field(init=False, repr=False, compare=False)
     blocks: tuple = field(init=False, repr=False, compare=False)
-    d_diag: np.ndarray = field(init=False, repr=False)
+    d_diag: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, lattice):
+    def __post_init__(self):
         if not isinstance(self.model, DegreeModel):
             raise ModelError(f"a type system is built on a DegreeModel, got {self.model!r}")
-        counts, degrees, blocks = lattice or _lattice(self.model.degrees)
-        half = len(degrees)
-        pmf, beliefs = (np.asarray(table, dtype=float) for table in (self.pmf, self.beliefs))
-        if pmf.shape != (half, half) or beliefs.shape != (2, half, len(blocks)):
-            raise ModelError("table shapes must match the type count")
-        # a NaN or infinite entry makes a sum non-finite, and min() NaN; no mask needed
-        if not (np.isfinite(pmf.sum() + beliefs.sum()) and min(pmf.min(), beliefs.min()) >= 0):
-            raise ModelError("interaction expectations must be non-negative and finite")
         GameParams.check(0, 0, 1, self.sigma)  # the other scalars pass
+        check_fits(self.model)
+        counts, degrees, blocks = _lattice(self.model.degrees)
+        half = len(degrees)
+        observed = counts / degrees[:, None]
+        sophisticated = np.stack(sophisticated_mle(observed.T, self.model.degrees), axis=1)
+        beliefs = np.stack([observed, sophisticated])
+        pmf = np.empty((half, half))
+        for cols in blocks:
+            multinomial_pmf(counts[cols], observed, out=pmf[:, cols])
         columns = (np.tile(counts, (2, 1)), np.tile(degrees, 2), np.arange(2 * half) >= half)
         d_diag = columns[1] / degrees[0]
         for array in (pmf, beliefs, d_diag, *columns):
@@ -237,29 +245,8 @@ class ExpectationMatrix:
 
 
 def build_pi(model: DegreeModel, params: GameParams) -> ExpectationMatrix:
-    """Build a finite population's type system.
-
-    Naive observers believe their observed shares, sophisticated ones
-    :func:`sophisticated_mle` of them, and sigma is kept as a scalar.  One
-    :func:`sophisticated_mle` call takes the observed shares' K class columns
-    and forms every observation's belief at once: each share over its degree,
-    the classes added one at a time left to right, then each divided by the
-    sum, bit for bit as one observation at a time.  Both
-    rules read the same observations, so one :func:`multinomial_pmf` call per
-    target degree over the L/2 distinct ones writes that degree's columns of
-    the table in place.  A model whose table and solve would pass
-    ``MEMORY_BUDGET`` bytes (:func:`check_fits`) raises ``ModelError`` before
-    any observation is enumerated.
-    """
-    check_fits(model)
-    lattice = counts, degrees, blocks = _lattice(model.degrees)
-    observed = counts / degrees[:, None]
-    sophisticated = np.stack(sophisticated_mle(observed.T, model.degrees), axis=1)
-    beliefs = np.stack([observed, sophisticated])
-    pmf = np.empty((len(degrees), len(degrees)))
-    for cols in blocks:
-        multinomial_pmf(counts[cols], observed, out=pmf[:, cols])
-    return ExpectationMatrix(model, pmf, beliefs, params.sigma, lattice)
+    """Build a finite population's type system at ``params.sigma``."""
+    return ExpectationMatrix(model, params.sigma)
 
 
 def pi_csv_rows(system: ExpectationMatrix):

@@ -105,7 +105,7 @@ class TestEnumerateTypes:
             assert soph.degree == naive.degree and soph.counts is naive.counts
 
     def test_a_build_lays_out_each_degrees_lattice_once(self, monkeypatch):
-        # build_pi hands the system it makes the lattice it laid out for the tables
+        # the tables and the derived columns read one lattice per degree
         import netgame.typespace
         calls = []
         real = netgame.typespace.feasible_observed_shares
@@ -114,12 +114,9 @@ class TestEnumerateTypes:
         m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
         systems = [build_pi(m, _stable_params(m)) for _ in range(2)]
         assert calls == [2, 3, 5, 2, 3, 5]
-        rebuilt = ExpectationMatrix(m, systems[0].pmf, systems[0].beliefs, systems[0].sigma)
-        assert calls[6:] == [2, 3, 5]
-        for got, want in zip(systems[1].columns + systems[1].blocks + (systems[1].d_diag,),
-                             rebuilt.columns + rebuilt.blocks + (rebuilt.d_diag,)):
-            assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
-        assert not any(array.flags.writeable for array in (*systems[1].columns, systems[1].d_diag))
+        for system in systems:
+            assert not any(array.flags.writeable for array in (
+                system.pmf, system.beliefs, *system.columns, system.d_diag))
 
     def test_index_bijection(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
@@ -243,10 +240,8 @@ class TestBuildPi:
 
     def test_d_diag_is_derived_from_the_types(self):
         m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
-        built = build_pi(m, _stable_params(m, sigma=0.5))
-        system = ExpectationMatrix(m, built.pmf, built.beliefs, built.sigma)
+        system = build_pi(m, _stable_params(m, sigma=0.5))
         assert system.d_diag.tolist() == [t.degree / 2 for t in system.types]
-        assert np.array_equal(system.d_diag, built.d_diag)
 
     def test_solving_and_averaging_make_no_agent_type(self, monkeypatch):
         # the system is derived from the degree support; types are made only
@@ -278,33 +273,6 @@ class TestBuildPi:
         with pytest.raises(ModelError, match="built on a DegreeModel"):
             replace(system, model=system.types)
 
-    def test_rejects_non_finite_entries(self):
-        m = DegreeModel((2, 4), (0.5, 0.5))
-        system = build_pi(m, _stable_params(m))
-        for field, bad in itertools.product(("pmf", "beliefs"), (np.nan, np.inf)):
-            table = getattr(system, field).copy()
-            table[0, 0] = bad
-            with pytest.raises(ModelError, match="must be non-negative and finite"):
-                replace(system, **{field: table})
-
-    def test_rejects_a_negative_entry(self):
-        m = DegreeModel((2, 4), (0.5, 0.5))
-        system = build_pi(m, _stable_params(m))
-        for field in ("pmf", "beliefs"):
-            table = getattr(system, field).copy()
-            table[0, 1] = -1e-300               # too small to move a sum
-            with pytest.raises(ModelError, match="must be non-negative"):
-                replace(system, **{field: table})
-
-    @pytest.mark.parametrize("field, shape", [
-        ("pmf", (8, 7)), ("pmf", (16, 16)), ("beliefs", (8, 2)), ("beliefs", (2, 8, 3)),
-    ])
-    def test_rejects_a_table_of_the_wrong_shape(self, field, shape):
-        m = DegreeModel((2, 4), (0.5, 0.5))
-        system = build_pi(m, _stable_params(m))
-        with pytest.raises(ModelError, match="table shapes must match the type count"):
-            replace(system, **{field: np.full(shape, 0.5)})
-
     @pytest.mark.parametrize("sigma", [-0.1, 1.5, np.nan])
     def test_rejects_a_bad_sigma(self, sigma):
         m = DegreeModel((2, 4), (0.5, 0.5))
@@ -312,10 +280,44 @@ class TestBuildPi:
         with pytest.raises(ModelError, match="sigma must be finite|must lie in"):
             replace(system, sigma=sigma)
 
+    def test_a_bad_sigma_or_an_oversized_model_raises_before_any_layout(self, monkeypatch):
+        import netgame.typespace
+
+        def refuse(degrees):
+            raise AssertionError("a lattice was laid out")
+
+        monkeypatch.setattr(netgame.typespace, "_lattice", refuse)
+        with pytest.raises(ModelError, match="must lie in"):
+            ExpectationMatrix(DegreeModel((2, 4), (0.5, 0.5)), 1.5)
+        with pytest.raises(ModelError, match="^L = 563606 types"):
+            ExpectationMatrix(DegreeModel((200, 400, 600), (0.5, 0.3, 0.2)), 0.5)
+
+    def test_systems_compare_and_hash_by_model_and_sigma(self):
+        m = DegreeModel((2, 4), (0.5, 0.5))
+        system = build_pi(m, _stable_params(m, sigma=0.5))
+        again = build_pi(m, _stable_params(m, sigma=0.5))
+        assert system == again and hash(system) == hash(again)
+        assert system != build_pi(m, _stable_params(m, sigma=0.25))
+        assert {system, again} == {system}
+
+    def test_repr_holds_the_model_and_sigma_but_no_array(self):
+        m = DegreeModel((2, 4), (0.5, 0.5))
+        system = build_pi(m, _stable_params(m, sigma=0.5))
+        assert repr(system) == f"ExpectationMatrix(model={m!r}, sigma=0.5)"
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_models(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_a_sigma_replacement_rebuilds_the_same_tables(self, m, sigma, s):
+        system = build_pi(m, _stable_params(m, sigma=sigma))
+        other = replace(system, sigma=s)
+        assert other.pmf.tobytes() == system.pmf.tobytes()
+        assert other.beliefs.tobytes() == system.beliefs.tobytes()
+        assert other == build_pi(m, _stable_params(m, sigma=s))
+
     def test_build_peak_memory_stays_near_pi(self):
         # the table itself and the types: the kernel writes each degree's
-        # columns into the table, and the checks read it through reductions
-        # (a per-degree block copy took the peak to 1.62 x pmf.nbytes)
+        # columns into the table (a per-degree block copy took the peak to
+        # 1.62 x pmf.nbytes)
         m = DegreeModel((8, 16, 24), (0.5, 0.3, 0.2))
         params = _stable_params(m, sigma=0.5)
         tracemalloc.start()
@@ -510,8 +512,7 @@ class TestMultinomialPmf:
         system = build_pi(m, _stable_params(m, sigma=0.5))
         assert system.L == 2 * (3 + 1101)
         assert np.max(np.abs(system.pi.sum(axis=1) - 1.0)) <= 1e-12
-        # re-running the constructor repeats every check on the same data
-        ExpectationMatrix(m, system.pmf, system.beliefs, system.sigma)
+        assert ExpectationMatrix(m, system.sigma) == system
 
 
 class TestCsvDump:
