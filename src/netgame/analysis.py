@@ -29,7 +29,14 @@ from .equilibrium import (
     solve_direct,
 )
 from .estimators import NAIVE, RULES, SOPHISTICATED, observed_high_share
-from .population import DegreeModel, GameParams, ModelError, _positive_integer
+from .population import (
+    DegreeModel,
+    GameParams,
+    ModelError,
+    _positive_integer,
+    check_shares,
+    sampling_law,
+)
 from .typespace import build_pi, check_fits
 
 DIFF_STEP = 1e-4
@@ -337,14 +344,20 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     grid = [float(x) for x in grid]
     if not grid:
         raise ModelError("grid has no true high share delta2 inside (0, 1)")
+    if models:  # each delta2's shares are checked as a DegreeModel checks them
+        for x in grid:
+            check_shares((1 - x, x))
+    points = np.array(grid)
+    true_shares = (1 - points, points)
+    shares = np.column_stack(true_shares)
     averages = {}
     for model in models:
         params = GameParams(etheta, alpha, cost, sigmas[0], model)
         system = build_pi(model, params)
         a_c, t_c = _rates(system, params)
         naive = _naive_xi(system, a_c, t_c)
-        weights = _type_weights([DegreeModel(model.degrees, (1 - x, x)) for x in grid],
-                                system.columns)
+        law = np.column_stack(sampling_law(model.degrees, true_shares))
+        weights = _type_weights(model.degrees, shares, law, system.columns)
         for sigma in sigmas:
             xi, _ = _solve_after_naive(system, sigma, a_c, t_c, naive)
             averages[sigma, model.degrees[0]] = _rule_averages(weights, xi, sigma)

@@ -24,29 +24,31 @@ returned text.  So a command that fails creates no file and no directory.
 Each handler imports the modules it runs when it is called, so a command loads
 only those: ``import netgame.cli`` loads ``netgame.population`` and nothing
 else of the package, ``simulate`` adds ``netsim`` but never the type system,
-and ``solve`` never loads ``netsim`` or ``analysis``.
+and ``solve`` never loads ``netsim`` or ``analysis``.  Nor does ``import
+netgame.cli`` load ``fractions`` (which loads ``decimal``) or ``csv``: only
+``example`` builds fractions, and only a cell the CSV writer must quote
+reaches the writer.
 
 The program has one entry, ``run``: the ``netgame`` script and ``python -m
-netgame.cli`` both go through it.  It calls ``main``, then ``gc.freeze()``,
-also when argparse exits, then exits with main's status.  The interpreter's
-shutdown runs several full collections over every tracked object, about
-22,000 after a ``solve``, at about 2.4 ms each; frozen objects sit in the
-permanent generation, which those collections skip.  ``main`` leaves the
-collector alone, so a caller that runs a command in-process keeps its GC as
-it was.
+netgame.cli`` both go through it.  It calls ``main``, flushes stdout and
+stderr, and ends the process with ``os._exit`` and main's status, also when
+argparse exits for ``--help`` or a usage error.  The interpreter's shutdown
+would only tear down modules and free objects the process is about to drop;
+nothing the package makes needs it, as ``simulate`` joins its thread inside
+``main`` and ``_write_outputs`` closes every file.  A reader that closes
+stdout early ends the process with status 141, as SIGPIPE would, and no
+traceback.  ``main`` leaves the collector and the process alone, so a caller
+that runs a command in-process keeps both as they were.
 """
 
 import argparse
-import csv
 import functools
-import gc
 import io
 import json
 import math
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +180,8 @@ class _Options:
 def _scalar(text, exact=False):
     # exact mode parses through str so decimal literals become true rationals
     if exact:
+        from fractions import Fraction
+
         return Fraction(str(text))
     return float(text)
 
@@ -308,6 +312,8 @@ def _csv_field(text) -> str:
     unless it holds a character the writer may quote, else as the writer writes it."""
     if not any(ch in text for ch in _CSV_SPECIAL):
         return text
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([text])
     return buf.getvalue()[:-1]
@@ -435,6 +441,8 @@ def _tabulate(name, columns, rows, meta, out, noun="rows"):
 # ---------------------------------------------------------------------------
 
 def _example_checks(exact: bool) -> list:
+    from fractions import Fraction
+
     from .behavior import best_response, utility
     from .equilibrium import benchmark_expectation, infinite_naive
     from .estimators import debias_shares
@@ -755,15 +763,21 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The program: :func:`main` on ``sys.argv``, then ``gc.freeze()``, then exit
-    with main's status.  The freeze also follows argparse's own exit (``--help``,
-    a bad flag), so the interpreter's shutdown skips every object the command
-    left in its full collections."""
+    """The program: :func:`main` on ``sys.argv``, then a flush of stdout and
+    stderr, then ``os._exit`` with main's status, or argparse's for ``--help``
+    and a usage error.  A closed stdout pipe ends it with status 141 and
+    nothing on stderr.  Any other exception, a failed flush too, takes the
+    interpreter's own path: a traceback and a non-zero status."""
     try:
-        status = main()
-    finally:
-        gc.freeze()
-    sys.exit(status)
+        try:
+            status = main()
+        except SystemExit as exc:       # argparse's exits carry an int or None
+            status = exc.code or 0
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        os._exit(141)
+    os._exit(status)
 
 
 if __name__ == "__main__":

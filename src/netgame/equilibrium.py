@@ -210,27 +210,27 @@ def benchmark_expectation(model: DegreeModel, params: GameParams):
     return params.mean_preference / denom
 
 
-def _type_weights(models, columns) -> np.ndarray:
-    """True occurrence probability of each type under each model.
+def _type_weights(support, shares, law, columns) -> np.ndarray:
+    """True occurrence probability of each type under each of m share vectors.
 
-    ``columns`` are a type system's per-type neighbor counts, degrees and
-    sophisticated mask (:class:`netgame.typespace.ExpectationMatrix`).
-    Row i is model i's class share times the multinomial chance of the
-    observed neighbor counts under its biased sampling law, conditional on the
-    rule (each rule block of a row sums to one).  The models share one degree
-    support, so a single :func:`multinomial_pmf` call weighs every row; both
-    rules read the same L/2 observations, so it weighs those once and the
-    sophisticated half repeats the naive one.
+    ``support`` is the degree support, ``shares`` an (m, K) float array of true
+    shares and ``law`` the (m, K) biased sampling law of each row
+    (:func:`~netgame.population.sampling_law`).  ``columns`` are a type
+    system's per-type neighbor counts, degrees and sophisticated mask
+    (:class:`netgame.typespace.ExpectationMatrix`).  Row i is row i's class
+    share times the multinomial chance of the observed neighbor counts under
+    its law, conditional on the rule (each rule block of a row sums to one).
+    A single :func:`multinomial_pmf` call weighs every row; both rules read
+    the same L/2 observations, so it weighs those once and the sophisticated
+    half repeats the naive one.
     """
     half = len(columns[1]) // 2
     counts, degrees = columns[0][:half], columns[1][:half]
-    support = np.array(models[0].degrees)
+    support = np.array(support)
     cls = np.minimum(np.searchsorted(support, degrees), len(support) - 1)
     if (support[cls] != degrees).any():
         raise ModelError("every type's degree must lie in the model's support")
-    tilde = [[float(v) for v in biased_neighbor_share(m)] for m in models]
-    shares = np.array([[float(s) for s in m.shares] for m in models])
-    return np.tile(shares[:, cls] * multinomial_pmf(counts, tilde), 2)
+    return np.tile(shares[:, cls] * multinomial_pmf(counts, law), 2)
 
 
 def type_probabilities(model: DegreeModel, system: ExpectationMatrix) -> np.ndarray:
@@ -238,7 +238,9 @@ def type_probabilities(model: DegreeModel, system: ExpectationMatrix) -> np.ndar
     the rule (each rule block sums to one): class share times the multinomial
     chance of the observed neighbor counts under the biased sampling law.
     """
-    return _type_weights([model], system.columns)[0]
+    shares = np.array([[float(s) for s in model.shares]])
+    law = [[float(v) for v in biased_neighbor_share(model)]]
+    return _type_weights(model.degrees, shares, law, system.columns)[0]
 
 
 def _rule_averages(weights, xi, sigma) -> list:

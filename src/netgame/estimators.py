@@ -8,7 +8,6 @@ maximizes the multinomial likelihood of the observed neighbor counts.
 """
 
 import math
-from fractions import Fraction
 
 from .population import ModelError, ordered_sum
 
@@ -67,6 +66,8 @@ def bias_surface(epsilon, grid=None) -> list:
     if epsilon < 0:
         raise ModelError("excess ratio must be non-negative")
     if grid is None:
+        from fractions import Fraction
+
         grid = [Fraction(i, 1000) if isinstance(epsilon, Fraction) else i / 1000
                 for i in range(1001)]
     return [(x, observed_high_share(x, epsilon) - x) for x in grid]

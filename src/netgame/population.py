@@ -13,9 +13,9 @@ plain arithmetic, so exact inputs give exact outputs.
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import InitVar, dataclass
-from fractions import Fraction
 
 SHARE_TOL = 1e-12
 MEMORY_BUDGET = 2 << 30  # bytes of the large arrays one call may hold at once
@@ -85,11 +85,7 @@ class DegreeModel:
             raise ModelError("degrees and shares must have equal length")
         if any(a >= b for a, b in zip(self.degrees, self.degrees[1:])):
             raise ModelError("degrees must be distinct and strictly increasing")
-        for s in self.shares:
-            if not 0 < s < 1:
-                raise ModelError(f"shares must lie strictly inside (0, 1), got {s!r}")
-        if abs(ordered_sum(self.shares) - 1) > SHARE_TOL:
-            raise ModelError("shares must sum to 1")
+        check_shares(self.shares)
 
     @property
     def K(self) -> int:
@@ -97,13 +93,16 @@ class DegreeModel:
 
     @property
     def exact(self) -> bool:
-        return any(isinstance(s, Fraction) for s in self.shares)
+        # a share inside (0, 1) that is Rational is a fraction, never an int
+        return any(isinstance(s, numbers.Rational) for s in self.shares)
 
     @property
     def rho(self) -> tuple:
         """Degree ratios d_k / d_1, a scale-free measure of degree spread."""
         d1 = self.degrees[0]
         if self.exact:
+            from fractions import Fraction
+
             return tuple(Fraction(d, d1) for d in self.degrees)
         return tuple(d / d1 for d in self.degrees)
 
@@ -122,10 +121,10 @@ class GameParams:
     strictly below the top ratio) while finite solves fail loudly.
     """
 
-    mean_preference: float | Fraction
-    alpha: float | Fraction
-    cost: float | Fraction
-    sigma: float | Fraction
+    mean_preference: "float | Fraction"
+    alpha: "float | Fraction"
+    cost: "float | Fraction"
+    sigma: "float | Fraction"
     model: InitVar[DegreeModel]
 
     def __post_init__(self, model):
@@ -158,6 +157,16 @@ class GameParams:
             raise ModelError("sophistication share must lie in [0, 1]")
 
 
+def check_shares(shares) -> None:
+    """Raise ``ModelError`` unless every share lies inside (0, 1) and they sum
+    to 1 within ``SHARE_TOL``: the checks a :class:`DegreeModel` makes."""
+    for s in shares:
+        if not 0 < s < 1:
+            raise ModelError(f"shares must lie strictly inside (0, 1), got {s!r}")
+    if abs(ordered_sum(shares) - 1) > SHARE_TOL:
+        raise ModelError("shares must sum to 1")
+
+
 def biased_neighbor_share(model: DegreeModel) -> tuple:
     """Chance that a random neighbor belongs to each degree class.
 
@@ -166,7 +175,14 @@ def biased_neighbor_share(model: DegreeModel) -> tuple:
     probability d_k * s_k / sum(d * s) rather than s_k, so classes above the
     mean degree are over-represented.
     """
-    weights = [d * s for d, s in zip(model.degrees, model.shares)]
+    return sampling_law(model.degrees, model.shares)
+
+
+def sampling_law(degrees, shares) -> tuple:
+    """:func:`biased_neighbor_share` of the true ``shares`` on ``degrees``.
+    ``shares`` may also be K numpy columns of many share vectors: K columns
+    come back, each entry with the bits of a scalar call."""
+    weights = [d * s for d, s in zip(degrees, shares)]
     total = ordered_sum(weights)
     return tuple(w / total for w in weights)
 

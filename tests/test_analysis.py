@@ -403,6 +403,16 @@ class TestPopulationPrecisionSweep:
         with pytest.raises(ModelError, match=r"^lowest degrees must be distinct, got \["):
             population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0.5], d1_list, [0.5])
 
+    @pytest.mark.parametrize("delta2, share", [
+        (0.0, "1.0"), (1.0, "0.0"), (1.5, "-0.5"), (-0.25, "1.25"), (math.nan, "nan"),
+    ], ids=["zero", "one", "above", "below", "nan"])
+    def test_rejects_a_true_share_outside_the_unit_interval(self, delta2, share):
+        # the shares (1 - delta2, delta2) fail as a DegreeModel of them fails
+        message = f"shares must lie strictly inside (0, 1), got {share}"
+        with pytest.raises(ModelError, match=re.escape(message) + "$"):
+            population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0.5], [2, 4, math.inf],
+                                       [0.5, delta2])
+
     @pytest.mark.parametrize("study, models", [
         (lambda: population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0, 0.5, 1], [2, 4, 8],
                                             [0.5]), 3),

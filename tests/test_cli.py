@@ -51,20 +51,35 @@ class TestProgramEntry:
         (["solve", "--model", "oops"], 2),
         (["--no-such-flag"], 2),
     ], ids=["example", "model-error", "argparse-exit"])
-    def test_only_the_entry_freezes_the_heap(self, argv, status, monkeypatch, capsys):
-        frozen = []
-        monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(argv))
+    def test_only_the_entry_ends_the_process(self, argv, status, monkeypatch, capsys):
+        class Ended(Exception):
+            pass
+
+        ended = []
+
+        def end(code):  # os._exit never returns, so the stand-in raises
+            ended.append((code, capsys.readouterr().out))
+            raise Ended
+
+        monkeypatch.setattr(cli.os, "_exit", end)
         before = gc.isenabled(), gc.get_freeze_count()
         try:
             assert main(argv) == status
         except SystemExit as exc:
             assert exc.code == status
-        assert (gc.isenabled(), gc.get_freeze_count(), frozen) == (*before, [])
+        out = capsys.readouterr().out
+        assert (gc.isenabled(), gc.get_freeze_count(), ended) == (*before, [])
         monkeypatch.setattr(sys, "argv", ["netgame", *argv])
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(Ended):
             cli.run()
-        assert (exc.value.code, frozen) == (status, [argv])
-        capsys.readouterr()
+        assert ended == [(status, out)]
+
+    def test_an_exception_from_main_takes_the_interpreters_path(self, monkeypatch):
+        # a traceback and status 1, not an os._exit that would hide it
+        monkeypatch.setattr(cli.os, "_exit", None)
+        monkeypatch.setattr(cli, "main", lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            cli.run()
 
     def test_the_console_script_is_the_entry(self):
         text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

@@ -508,9 +508,10 @@ class TestAveraging:
         system = build_pi(models[0], GameParams(1.0, 0.1, 3.0, 0.5, models[0]))
         counts, type_degrees, _ = system.columns
         cls = np.searchsorted(np.array(degrees), type_degrees)
-        full = np.array(shares)[:, cls] * multinomial_pmf(
-            counts, [[float(v) for v in biased_neighbor_share(m)] for m in models])
-        assert equilibrium._type_weights(models, system.columns).tobytes() == full.tobytes()
+        law = [[float(v) for v in biased_neighbor_share(m)] for m in models]
+        full = np.array(shares)[:, cls] * multinomial_pmf(counts, law)
+        weights = equilibrium._type_weights(degrees, np.array(shares), law, system.columns)
+        assert weights.tobytes() == full.tobytes()
 
     def test_rejects_types_outside_the_support(self):
         model, _, system = fig_system(sigma=0.3)

@@ -32,11 +32,21 @@ def test_every_module_is_checked():
     assert {path.stem for path in MODULES} >= {"analysis", "cli", "netsim", "typespace"}
 
 
-def _fresh(*args, check=True, **kwargs):
-    """A fresh interpreter's run with ``src`` first on its path and no $NETGAME_OUT."""
+def _env(unbuffered=None):
+    """The environment of a fresh interpreter: ``src`` first on its path, no
+    $NETGAME_OUT, and $PYTHONUNBUFFERED as it is here unless a bool is given."""
     env = {key: value for key, value in os.environ.items() if key != "NETGAME_OUT"}
     env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent), env.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _fresh(*args, check=True, **kwargs):
+    """A fresh interpreter's run in :func:`_env`, its output captured as text."""
+    return subprocess.run([sys.executable, *args], env=_env(), capture_output=True,
                           text=True, check=check, **kwargs)
 
 
@@ -56,21 +66,26 @@ def test_a_run_of_trials_leaves_the_executor_out():
     assert _fresh("-c", code).stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    ([], "cli population"),
-    (["solve", "--out", "."], "cli equilibrium estimators population typespace"),
+@pytest.mark.parametrize("argv, loaded, slow", [
+    ([], "cli population", []),
+    (["solve", "--out", "."], "cli equilibrium estimators population typespace", []),
     (["sweep", "precision", "--d1", "2,inf", "--grid", "5", "--out", "."],
-     "analysis cli equilibrium estimators population typespace"),
+     "analysis cli equilibrium estimators population typespace", []),
     (["simulate", "--n", "200", "--trials", "1", "--tol", "0.5"],
-     "cli estimators netsim population"),
-], ids=["import", "solve", "sweep-precision", "simulate"])
-def test_each_command_loads_only_its_modules(argv, loaded, tmp_path):
+     "cli estimators netsim population", []),
+    (["example", "--exact"], "behavior cli equilibrium estimators population typespace",
+     ["decimal", "fractions"]),
+], ids=["import", "solve", "sweep-precision", "simulate", "example-exact"])
+def test_each_command_loads_only_its_modules(argv, loaded, slow, tmp_path):
+    # fractions (which loads decimal) and csv cost about 3 ms to import, and
+    # only exact arithmetic or a quoted CSV cell needs them
     code = ("import contextlib, io, sys, netgame.cli\n"
             "if sys.argv[1:]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert netgame.cli.main(sys.argv[1:]) == 0\n"
-            "print(*sorted(name[8:] for name in sys.modules if name.startswith('netgame.')))")
-    assert _fresh("-c", code, *argv, cwd=tmp_path).stdout == loaded + "\n"
+            "print(*sorted(name[8:] for name in sys.modules if name.startswith('netgame.')))\n"
+            "print(sorted({'csv', 'decimal', 'fractions'} & set(sys.modules)))")
+    assert _fresh("-c", code, *argv, cwd=tmp_path).stdout == f"{loaded}\n{slow}\n"
 
 
 def test_cli_runs_as_a_module_without_warnings():
@@ -78,10 +93,10 @@ def test_cli_runs_as_a_module_without_warnings():
     assert _fresh("-W", "error", "-m", "netgame.cli", "example").stderr == ""
 
 
-# runs the module as ``-m`` does; an atexit hook runs after the entry has exited
-# and before the interpreter's shutdown collections
-HOOKED_ENTRY = ("import atexit, gc, runpy\n"
-                "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+# runs the module as ``-m`` does, with an atexit hook that only the
+# interpreter's shutdown runs
+HOOKED_ENTRY = ("import atexit, runpy\n"
+                "atexit.register(print, 'shut down')\n"
                 "runpy.run_module('netgame.cli', run_name='__main__', alter_sys=True)")
 
 
@@ -92,22 +107,53 @@ HOOKED_ENTRY = ("import atexit, gc, runpy\n"
     (["solve", "--model", "oops"], 2),
     (["--no-such-flag"], 2),
 ], ids=["example", "help", "simulate-over-tol", "bad-model", "unknown-flag"])
-def test_the_module_entry_freezes_the_heap_and_keeps_the_exit_status(argv, status, tmp_path):
+def test_the_module_entry_keeps_the_status_and_skips_the_shutdown(argv, status, tmp_path):
     hooked = _fresh("-c", HOOKED_ENTRY, *argv, cwd=tmp_path, check=False)
-    assert (hooked.returncode, hooked.stdout.splitlines()[-1]) == (status, "frozen True")
+    assert hooked.returncode == status
+    assert "shut down" not in hooked.stdout
     assert _fresh("-m", "netgame.cli", *argv, cwd=tmp_path, check=False).returncode == status
 
 
-def test_the_frozen_entry_writes_what_main_writes(tmp_path):
-    # both processes share one BLAS thread count, at which the solve's bytes hold
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_the_entry_writes_what_main_writes(unbuffered, tmp_path):
+    # both processes share one BLAS thread count, at which the solve's bytes hold;
+    # the entry's stdout is complete although the process ends without a shutdown
     argv = ["solve", "--model", "8,16,24:0.5,0.3,0.2", "--out"]
     code = ("import contextlib, io, sys, netgame.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    sys.exit(netgame.cli.main(sys.argv[1:]))")
     _fresh("-c", code, *argv, str(tmp_path / "main"))
-    assert _fresh("-c", HOOKED_ENTRY, *argv, str(tmp_path / "entry")).stdout.endswith(
-        "\nfrozen True\n")
+    entry = subprocess.run([sys.executable, "-c", HOOKED_ENTRY, *argv, str(tmp_path / "entry")],
+                           env=_env(unbuffered), capture_output=True, text=True, check=True)
+    solution = tmp_path / "entry" / "solution.csv"
+    assert entry.stdout == f"wrote 1046 per-type expectations to {solution}\n"
     names = sorted(path.name for path in (tmp_path / "main").iterdir())
     assert names == ["solution.csv", "solution.json"]
     assert [(tmp_path / "entry" / name).read_bytes() for name in names] == [
         (tmp_path / "main" / name).read_bytes() for name in names]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_ends_the_entry_quietly(unbuffered, tmp_path):
+    # status 141, as a shell reports a writer that SIGPIPE ended, and no
+    # traceback; pi writes about 1.5 MB, far more than a pipe holds
+    argv = ["-m", "netgame.cli", "pi", "--model", "4,8,12:0.5,0.3,0.2"]
+    with subprocess.Popen([sys.executable, *argv], env=_env(unbuffered), cwd=tmp_path,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"observer,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_failed_write_to_stdout_is_an_error(unbuffered, tmp_path):
+    # a buffered run writes stdout only in the entry's final flush
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "netgame.cli", "example"],
+                                env=_env(unbuffered), cwd=tmp_path, stdout=full,
+                                stderr=subprocess.PIPE, text=True)
+    assert result.returncode != 0
+    assert "No space left on device" in result.stderr

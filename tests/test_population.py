@@ -19,6 +19,7 @@ from netgame import (
     feasible_observed_shares,
     generate,
 )
+from netgame.population import sampling_law
 
 
 @st.composite
@@ -58,6 +59,16 @@ class TestDegreeModel:
         assert m.exact
         assert m.rho == (Fraction(1), Fraction(3, 2))
         assert m.rho[1] - 1 == Fraction(1, 2)
+
+    @pytest.mark.parametrize("shares, exact", [
+        ((0.6, 0.4), False),
+        ((np.float64(0.6), np.float64(0.4)), False),
+        ((Fraction(3, 5), 0.4), True),
+    ], ids=["float", "numpy-float", "fraction"])
+    def test_exact_mode_follows_a_fraction_share(self, shares, exact):
+        m = DegreeModel((4, 6), shares)
+        assert m.exact is exact
+        assert all(isinstance(r, Fraction) is exact for r in m.rho)
 
 
 class TestGameParams:
@@ -138,6 +149,14 @@ class TestBiasedNeighborShare:
     def test_roundtrip_exact(self):
         m = DegreeModel((2, 3, 7), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
         assert debias_shares(biased_neighbor_share(m), m.degrees) == m.shares
+
+    def test_columns_give_the_bits_of_each_model(self):
+        # the precision study weighs its whole grid of true shares at once
+        points = np.linspace(0, 1, 41)[1:-1]
+        law = sampling_law((4, 12), (1 - points, points))
+        for i, x in enumerate(points.tolist()):
+            share = biased_neighbor_share(DegreeModel((4, 12), (1 - x, x)))
+            assert [float(col[i]).hex() for col in law] == [v.hex() for v in share]
 
     @pytest.mark.parametrize("adding", [None, "compensated_sum"])
     def test_bits_do_not_depend_on_how_sum_adds_floats(self, adding, request):
