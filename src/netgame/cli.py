@@ -25,9 +25,9 @@ Each handler imports the modules it runs when it is called, so a command loads
 only those: ``import netgame.cli`` loads ``netgame.population`` and nothing
 else of the package, ``simulate`` adds ``netsim`` but never the type system,
 and ``solve`` never loads ``netsim`` or ``analysis``.  Nor does ``import
-netgame.cli`` load ``fractions`` (which loads ``decimal``) or ``csv``: only
-``example`` builds fractions, and only a cell the CSV writer must quote
-reaches the writer.
+netgame.cli`` load ``fractions`` (which loads ``decimal``): only ``example``
+builds fractions.  The package never loads ``csv``: ``_tabulate`` writes each
+field itself, and takes no cell that csv.writer would quote.
 
 The program has one entry, ``run``: the ``netgame`` script and ``python -m
 netgame.cli`` both go through it.  It calls ``main``, flushes stdout and
@@ -43,7 +43,6 @@ that runs a command in-process keeps both as they were.
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -255,37 +254,58 @@ def _output_dir(opts, default=None) -> Path | None:
     return out
 
 
+def _cannot_write(target, exc) -> ModelError:
+    """The error for an ``OSError`` while writing ``target``: one line, its reason."""
+    return ModelError(f"cannot write {target}: {exc.strerror or exc}")
+
+
 def _write_outputs(out: Path, files: dict) -> None:
     """Put ``files`` (name: a text, an iterable of texts written one after
     another, or a function that writes a path) in the directory ``out`` from
     :func:`_output_dir`.
 
     Each file is written to a temp file there with the mode a plain ``open``
-    would give it (``mkstemp`` makes it 0600), then renamed into place; on any
-    failure the temp file is removed.  A directory that cannot be made or
-    written to is a ``ModelError``.
+    would give it (``mkstemp`` makes it 0600); only when every one is written
+    are they renamed into place, so a failed write leaves the files already
+    there as they were, and removes every temp file.  A directory that cannot
+    be made or written to, or a file that cannot be written, is a ``ModelError``.
     """
     umask = os.umask(0)
     os.umask(umask)
-    for name, content in files.items():
-        try:  # the first file makes the directory
-            out.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=out, prefix=name + ".")
-        except OSError as exc:
-            raise ModelError(f"cannot write to output directory {out}: "
-                             f"{exc.strerror or exc}") from None
-        os.close(fd)
-        try:
-            os.chmod(tmp, 0o666 & ~umask)
+    temps = {}
+    try:
+        for name, content in files.items():
+            try:  # the first file makes the directory
+                out.mkdir(parents=True, exist_ok=True)
+                fd, temps[name] = tempfile.mkstemp(dir=out, prefix=name + ".")
+            except OSError as exc:
+                raise _cannot_write(f"to output directory {out}", exc) from None
+            os.close(fd)
+            os.chmod(temps[name], 0o666 & ~umask)
             if callable(content):
-                content(tmp)
+                content(temps[name])
             else:
-                with open(tmp, "w", newline="\n") as fh:
+                with open(temps[name], "w", newline="\n") as fh:
                     fh.writelines(_chunks(content))
+        for name, tmp in temps.items():
             os.replace(tmp, out / name)
-        except BaseException:
+    except BaseException as exc:
+        for tmp in temps.values():
             Path(tmp).unlink(missing_ok=True)
-            raise
+        if isinstance(exc, OSError):    # writing or renaming the file ``name``
+            raise _cannot_write(out / name, exc) from None
+        raise
+
+
+def _print(text) -> None:
+    """Write a text, or an iterable of texts, to stdout.  A failed write is a
+    ``ModelError``; a reader that closed the pipe is left to :func:`run`."""
+    try:
+        sys.stdout.writelines(_chunks(text))
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _cannot_write("stdout", exc) from None
 
 
 def _chunks(content):
@@ -307,50 +327,25 @@ _CSV_SPECIAL = (",", '"', "\r", "\n")
 _CHUNK_ROWS = 1024
 
 
-def _csv_field(text) -> str:
-    """``text`` as one field of ``csv.writer(lineterminator="\\n")``: unchanged
-    unless it holds a character the writer may quote, else as the writer writes it."""
-    if not any(ch in text for ch in _CSV_SPECIAL):
-        return text
-    import csv
-
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text])
-    return buf.getvalue()[:-1]
-
-
 def _field(cell) -> str:
-    """One cell's CSV field as csv.writer writes it; a float must be finite, as
-    it must be in the JSON twin."""
-    if isinstance(cell, str):
-        return _csv_field(cell)
-    if cell is None:
-        return ""
-    if isinstance(cell, bool):
-        return str(cell)
-    if isinstance(cell, int):
-        return int.__repr__(cell)
-    if isinstance(cell, float):
+    """One cell's CSV field as csv.writer writes it.  A command's cell is a
+    finite float, as the JSON twin needs, an int, or a string csv.writer does
+    not quote, such as a type label or ``"inf"``; any other is an error."""
+    kind = type(cell)
+    if kind is float:
         if not math.isfinite(cell):
             raise ModelError(f"cannot write JSON: {cell!r} is not a finite number")
         return float.__repr__(cell)
-    raise TypeError(f"Object of type {type(cell).__name__} is not JSON serializable")
-
-
-def _value(cell, field) -> str:
-    """One cell's JSON value as json.dumps writes it, given its CSV ``field``."""
-    if isinstance(cell, str):
-        return json.encoder.encode_basestring_ascii(cell)
-    if cell is None:
-        return "null"
-    if isinstance(cell, bool):
-        return "true" if cell else "false"
-    return field  # a number reads the same in both
+    if kind is int:
+        return int.__repr__(cell)
+    if kind is str and not any(ch in cell for ch in _CSV_SPECIAL):
+        return cell
+    raise TypeError(f"a table cell must be a float, an int or an unquoted string: {cell!r}")
 
 
 def _fields(cells) -> list:
     """The CSV fields of a run of cells (a column, or a row of ``pi``), each
-    formatted once; a run of plain floats, ints or strings takes one ``map``."""
+    formatted once as :func:`_field` does; a run of one kind takes one ``map``."""
     kinds = set(map(type, cells))
     if kinds == {float} and all(map(math.isfinite, cells)):
         return list(map(float.__repr__, cells))
@@ -362,13 +357,11 @@ def _fields(cells) -> list:
 
 
 def _values(cells, fields) -> list:
-    """The JSON values of the same cells: a number's is its CSV field."""
-    kinds = set(map(type, cells))
-    if kinds <= {float, int}:
+    """The JSON values of the same cells: a string's is quoted, a number's is its CSV field."""
+    if str not in set(map(type, cells)):
         return fields
-    if kinds == {str}:
-        return list(map(json.encoder.encode_basestring_ascii, cells))
-    return list(map(_value, cells, fields))
+    quote = json.encoder.encode_basestring_ascii
+    return [quote(cell) if type(cell) is str else field for cell, field in zip(cells, fields)]
 
 
 def _joined(columns, cell_sep, row_sep):
@@ -387,7 +380,7 @@ def _run(name, handler, default_out, args) -> int:
     files, text, code = handler(opts, out)
     if out is not None:
         _write_outputs(out, files)
-    sys.stdout.writelines(_chunks(text))
+    _print(text)
     return code
 
 
@@ -398,18 +391,16 @@ def _tabulate(name, columns, rows, meta, out, noun="rows"):
     Every cell is formatted here, once, for both files, so a cell that cannot
     be written fails before any file is.  Each file is then joined from those
     texts as it is written, byte for byte as ``csv.writer(lineterminator="\\n")``
-    and ``json.dumps(indent=2, sort_keys=True)`` write the table.
+    and ``json.dumps(indent=2, sort_keys=True)`` write the table.  A table
+    needs two columns, as csv.writer quotes a row that is one empty field.
     """
     width = len(columns)
-    if not width or any(len(row) != width for row in rows):
-        raise ValueError("a table needs one cell per column in every row")
+    if width < 2 or any(len(row) != width for row in rows):
+        raise ValueError("a table needs two columns or more and one cell per column in every row")
     cells = list(zip(*rows)) or [()] * width
     fields = [_fields(column) for column in cells]
     values = [_values(column, texts) for column, texts in zip(cells, fields)]
     header = _fields(columns)
-    if width == 1:  # csv.writer writes a row of one empty field as ""
-        header = [f or '""' for f in header]
-        fields[0] = [f or '""' for f in fields[0]]
 
     # the scalar members go through one json.dumps, split at the rows member: a
     # nested key is indented deeper, and a string's newlines are escaped
@@ -498,14 +489,13 @@ def cmd_example(args) -> int:
     if args.json:
         report = {"command": "example", "exact": bool(args.exact),
                   "passed": passed, "checks": checks}
-        print(_json_text(report), end="")
+        _print(_json_text(report))
     else:
         width = max(len(c["name"]) for c in checks)
-        for c in checks:
-            status = "ok" if c["passed"] else "FAIL"
-            print(f"{c['name']:<{width}}  {c['value']!s:>22}  "
-                  f"expected {c['expected']!s:>10}  [{status}]")
-        print("all checks passed" if passed else "CHECK FAILURES ABOVE")
+        _print([f"{c['name']:<{width}}  {c['value']!s:>22}  "
+                f"expected {c['expected']!s:>10}  [{'ok' if c['passed'] else 'FAIL'}]\n"
+                for c in checks])
+        _print("all checks passed\n" if passed else "CHECK FAILURES ABOVE\n")
     return 0 if passed else 1
 
 
@@ -758,22 +748,35 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ModelError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
+
+
+def _error(exc) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def run() -> None:
     """The program: :func:`main` on ``sys.argv``, then a flush of stdout and
     stderr, then ``os._exit`` with main's status, or argparse's for ``--help``
     and a usage error.  A closed stdout pipe ends it with status 141 and
-    nothing on stderr.  Any other exception, a failed flush too, takes the
-    interpreter's own path: a traceback and a non-zero status."""
+    nothing on stderr.  A failed flush of stdout is status 2 and one ``error:``
+    line, as a failed write inside ``main`` is; after one of those, the flush
+    of what stdout still holds fails again and adds no second line.  Any other
+    exception takes the interpreter's own path: a traceback and a non-zero
+    status."""
     try:
         try:
             status = main()
         except SystemExit as exc:       # argparse's exits carry an int or None
             status = exc.code or 0
-        sys.stdout.flush()
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            if status != 2:             # else main has reported its failed write
+                status = _error(_cannot_write("stdout", exc))
         sys.stderr.flush()
     except BrokenPipeError:
         os._exit(141)

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import gc
 import hashlib
 import io
@@ -192,6 +193,20 @@ class TestSweeps:
             "precision.json":
                 "decdf815699d64ae9d40c92116cb02527e68849961b6ff6110f5fe0d856b822e",
         }
+
+    def test_unstable_precision_rows_are_pinned(self, tmp_path, capsys):
+        # the one mixed float column: an unstable row's value is ""
+        code, _ = run(capsys, "sweep", "precision", "--d1", "inf", "--eps", "2", "--alpha",
+                      "1.2", "--c", "3", "--etheta", "1", "--sigma", "0,1", "--grid", "9",
+                      "--out", str(tmp_path))
+        assert code == 0
+        _, payload = self._read_pair(tmp_path, "precision")
+        assert len(payload["rows"]) == 26
+        assert sum(row[4] == "" and row[5] == "unstable" for row in payload["rows"]) == 8
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in ("precision.csv", "precision.json")) == (
+            "1457aae6b2e196980c07f2faf6f0817df1d5c10d8d48ddf17f663b7c4ae51506",
+            "a36979db42af6c2c5666ce2a09db39093e712fd8492d39dab9508a171ca5bc79")
 
     @pytest.mark.parametrize("preset, digests", [
         ("example", ("bfbd61bcdc286a29236ad15ebe6619a490b313fb884dfa2e33c431a07583be0b",
@@ -549,9 +564,29 @@ class TestConfigAndErrors:
 
         monkeypatch.setattr(netgame.netsim, "write_edgelist", torn)
         out = tmp_path / "o"
-        with pytest.raises(OSError, match="disk full"):
-            main(["simulate", "--n", "200", "--trials", "1", "--tol", "0.5", "--out", str(out)])
-        assert [p.name for p in out.iterdir()] == ["simulate.json"]
+        assert main(["simulate", "--n", "200", "--trials", "1", "--tol", "0.5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out / 'edges.txt'}: disk full\n"
+        assert list(out.iterdir()) == []
+
+    def test_a_failed_last_write_keeps_every_old_file(self, tmp_path, capsys, monkeypatch):
+        # no file is renamed into place until every one is written
+        import netgame.netsim
+        out = tmp_path / "o"
+        argv = ["simulate", "--n", "200", "--trials", "1", "--tol", "0.5", "--out", str(out)]
+        assert main(argv) == 0
+        old = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(old) == ["edges.meta.json", "edges.txt", "simulate.json"]
+
+        def full(net, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(netgame.netsim, "write_metadata", full)
+        capsys.readouterr()
+        assert main([*argv, "--seed", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out / 'edges.meta.json'}: No space left on device\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
 
     @pytest.mark.parametrize("argv, computes", [
         (["sweep", "bias", "--eps", "1", "--grid", "11"], "netgame.estimators.bias_surface"),
@@ -741,14 +776,18 @@ _FLOATS = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308]))
 _STRINGS = st.one_of(
     st.text(), st.sampled_from(["", "a,b", 'say "hi"', '"', "\r\n", "x\ry", "x\ny", "é", "日本"]))
-_CELLS = st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), _STRINGS)
+# the strings a table cell may be: none that csv.writer quotes
+_UNQUOTED = st.one_of(
+    st.text(st.characters(exclude_characters=',"\r\n')),
+    st.sampled_from(["", "inf", "unstable", "é", "日本", "\t", "\x00", "d1=2/4"]))
+_CELLS = st.one_of(_FLOATS, st.integers(), _UNQUOTED)
 _META = st.dictionaries(st.text(), st.recursive(
     st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), _STRINGS),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.dictionaries(st.text(), inner, max_size=3)),
     max_leaves=6), max_size=4)
-_TABLES = st.integers(1, 4).flatmap(lambda width: st.tuples(
-    st.lists(_STRINGS, min_size=width, max_size=width).map(tuple),
+_TABLES = st.integers(2, 4).flatmap(lambda width: st.tuples(
+    st.lists(_UNQUOTED, min_size=width, max_size=width).map(tuple),
     st.lists(st.lists(_CELLS, min_size=width, max_size=width).map(tuple), max_size=5)))
 
 
@@ -776,13 +815,35 @@ class TestRenderer:
         assert _rendered("t", columns, rows, meta) == _stdlib_table("t", columns, rows, meta)
 
     @pytest.mark.parametrize("columns, rows", [
-        (("",), [("",)]), (("a",), [(None,), ("",), ("x",)]), (("a",), []),
-        (("a", "b"), [("", "")]), (("n", "v"), [(1, 2.0)] * 2500),
-        (("a,b", 'c"d'), [("e\r\nf", -0.0), (True, "é")]),
-    ], ids=["lone-empty", "one-column", "no-rows", "two-empty", "chunks", "quoted"])
+        (("a", "b"), []), (("a", "b"), [("", "")]), (("n", "v"), [(1, 2.0)] * 2500),
+    ], ids=["no-rows", "two-empty", "chunks"])
     def test_edge_tables_match_the_stdlib_writers(self, columns, rows):
         meta = {"nested": {"b": [1, 2.5, {"c": None}], "a": "x"}, "empty": [], "zero": -0.0}
         assert _rendered("t", columns, rows, meta) == _stdlib_table("t", columns, rows, meta)
+
+    @pytest.mark.parametrize("bad", [None, True, np.float64(0.5), "a,b", '"', "x\ny"],
+                             ids=["none", "bool", "numpy-float", "comma", "quote", "newline"])
+    def test_a_cell_no_command_writes_is_refused(self, bad, tmp_path, capsys, monkeypatch):
+        # only floats, ints and strings csv.writer leaves unquoted are formatted
+        with pytest.raises(TypeError, match="a table cell must be"):
+            _tabulate("t", ("x", "y"), [(0.5, "a"), (bad, "b")], {}, Path("out"))
+        import netgame.analysis
+        real = netgame.analysis.sigma_sweep
+
+        def sweep(*args):
+            rows = real(*args)
+            return [*rows[:-1], dataclasses.replace(rows[-1], sophisticated=bad)]
+
+        monkeypatch.setattr(netgame.analysis, "sigma_sweep", sweep)
+        out = tmp_path / "out"
+        with pytest.raises(TypeError, match="a table cell must be"):
+            main(["sweep", "sophistication", "--grid", "3", "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [[], [("",)], [(1.0,)]], ids=["no-rows", "empty", "float"])
+    def test_a_one_column_table_is_refused(self, rows):
+        with pytest.raises(ValueError, match="two columns or more"):
+            _tabulate("t", ("x",), rows, {}, Path("out"))
 
     @pytest.mark.parametrize("rows", [
         [(0.5, "a"), (math.nan, "b")], [(math.inf, "a")], [(-math.inf, 1)],

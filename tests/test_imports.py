@@ -77,8 +77,8 @@ def test_a_run_of_trials_leaves_the_executor_out():
      ["decimal", "fractions"]),
 ], ids=["import", "solve", "sweep-precision", "simulate", "example-exact"])
 def test_each_command_loads_only_its_modules(argv, loaded, slow, tmp_path):
-    # fractions (which loads decimal) and csv cost about 3 ms to import, and
-    # only exact arithmetic or a quoted CSV cell needs them
+    # fractions (which loads decimal) and csv cost about 3 ms to import; only
+    # exact arithmetic needs fractions, and no command needs csv
     code = ("import contextlib, io, sys, netgame.cli\n"
             "if sys.argv[1:]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -155,5 +155,5 @@ def test_a_failed_write_to_stdout_is_an_error(unbuffered, tmp_path):
         result = subprocess.run([sys.executable, "-m", "netgame.cli", "example"],
                                 env=_env(unbuffered), cwd=tmp_path, stdout=full,
                                 stderr=subprocess.PIPE, text=True)
-    assert result.returncode != 0
-    assert "No space left on device" in result.stderr
+    assert (result.returncode, result.stderr) == (
+        2, "error: cannot write stdout: No space left on device\n")
