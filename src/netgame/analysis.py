@@ -86,14 +86,6 @@ def sophisticated_value_at_observed(u, eps, alpha, cost, sigma, etheta):
     return (etheta + (1 - sigma) * alpha * believed * x_n) / denom
 
 
-def _defined(delta2, eps, alpha, cost, sigma):
-    """Where both rules' curves are defined at true high shares ``delta2``
-    (elementwise): exactly where their scalar evaluation does not raise."""
-    u = observed_high_share(delta2, eps)
-    return ((_naive_denominator(u, eps, alpha, cost) > 0)
-            & (cost - sigma * alpha * _believed_ratio(u, eps) > 0))
-
-
 def naive_curve(delta2, eps, alpha, cost, etheta):
     """Naive expectation as a function of the true high share."""
     return naive_value_at_observed(observed_high_share(delta2, eps),
@@ -337,10 +329,9 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     for sigma in sigmas:
         GameParams.check(etheta, alpha, cost, sigma)
     models = [_two_class_model(d1, eps) for d1 in d1_list if d1 != math.inf]
-    finite = [model.degrees[0] for model in models]
-    if len(set(finite)) < len(finite) or len(d1_list) - len(finite) > 1:
+    d1s = [model.degrees[0] for model in models]
+    if len(set(d1s)) < len(d1s) or len(d1_list) - len(d1s) > 1:
         raise ModelError(f"lowest degrees must be distinct, got {list(d1_list)}")
-    infinite = len(models) < len(d1_list)
     grid = [float(x) for x in grid]
     if not grid:
         raise ModelError("grid has no true high share delta2 inside (0, 1)")
@@ -350,7 +341,7 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     points = np.array(grid)
     true_shares = (1 - points, points)
     shares = np.column_stack(true_shares)
-    averages = {}
+    values = {}
     for model in models:
         params = GameParams(etheta, alpha, cost, sigmas[0], model)
         system = build_pi(model, params)
@@ -360,42 +351,38 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
         weights = _type_weights(model.degrees, shares, law, system.columns)
         for sigma in sigmas:
             xi, _ = _solve_after_naive(system, sigma, a_c, t_c, naive)
-            averages[sigma, model.degrees[0]] = _rule_averages(weights, xi, sigma)
+            values[sigma, model.degrees[0]] = _rule_averages(weights, xi, sigma)
+    if len(d1s) < len(d1_list):
+        d1s.append("inf")
+        for sigma in sigmas:
+            values[sigma, "inf"] = _limit_values(points, eps, alpha, cost, sigma, etheta)
     rows = []
     for sigma in sigmas:
-        limits = _limit_rows(sigma, grid, eps, alpha, cost, etheta) if infinite else None
         for i, delta2 in enumerate(grid):
-            for d1 in finite:
-                naive, sophisticated, mixed = averages[sigma, d1][i]
-                rows.append((sigma, d1, delta2, NAIVE, naive, ""))
-                rows.append((sigma, d1, delta2, SOPHISTICATED, sophisticated, ""))
-                rows.append((sigma, d1, delta2, "all", mixed, ""))
-            if infinite:
-                rows.extend(limits[i])
+            for d1 in d1s:
+                value = values[sigma, d1][i]
+                if value is None:
+                    rows.append((sigma, d1, delta2, "all", "", "unstable"))
+                    continue
+                rows.append((sigma, d1, delta2, NAIVE, value[0], ""))
+                rows.append((sigma, d1, delta2, SOPHISTICATED, value[1], ""))
+                rows.append((sigma, d1, delta2, "all", value[2], ""))
     return rows
 
 
-def _limit_rows(sigma, grid, eps, alpha, cost, etheta) -> list:
-    """The ``inf`` rows of :func:`population_precision_sweep` at each delta2 of
-    ``grid``: the naive, sophisticated and mixed closed forms, or one "unstable"
-    row where they are undefined.  Each curve is one array call over the points
-    where it is defined, so every value has the bits of a scalar call."""
-    points = np.array(grid)
-    defined = _defined(points, eps, alpha, cost, sigma)
+def _limit_values(points, eps, alpha, cost, sigma, etheta) -> list:
+    """The closed forms' (naive, sophisticated, mixed) values at each true high
+    share of the array ``points``, or None where either curve is undefined:
+    exactly where its scalar evaluation raises.  Each curve is one array call
+    over the defined points, so every value has the bits of a scalar call."""
+    u = observed_high_share(points, eps)
+    defined = ((_naive_denominator(u, eps, alpha, cost) > 0)
+               & (cost - sigma * alpha * _believed_ratio(u, eps) > 0))
     naive = naive_curve(points[defined], eps, alpha, cost, etheta)
     sophisticated = sophisticated_curve(points[defined], eps, alpha, cost, sigma, etheta)
     values = iter(zip(naive.tolist(), sophisticated.tolist(),
                       ((1 - sigma) * naive + sigma * sophisticated).tolist()))
-    out = []
-    for delta2, ok in zip(grid, defined.tolist()):
-        if not ok:
-            out.append([(sigma, "inf", delta2, "all", "", "unstable")])
-            continue
-        nv, sv, mixed = next(values)
-        out.append([(sigma, "inf", delta2, NAIVE, nv, ""),
-                    (sigma, "inf", delta2, SOPHISTICATED, sv, ""),
-                    (sigma, "inf", delta2, "all", mixed, "")])
-    return out
+    return [next(values) if ok else None for ok in defined.tolist()]
 
 
 # ---------------------------------------------------------------------------

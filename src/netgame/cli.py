@@ -42,6 +42,7 @@ that runs a command in-process keeps both as they were.
 """
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -265,13 +266,16 @@ def _write_outputs(out: Path, files: dict) -> None:
     :func:`_output_dir`.
 
     Each file is written to a temp file there with the mode a plain ``open``
-    would give it (``mkstemp`` makes it 0600); only when every one is written
-    are they renamed into place, so a failed write leaves the files already
-    there as they were, and removes every temp file.  A directory that cannot
-    be made or written to, or a file that cannot be written, is a ``ModelError``.
+    would give it (``mkstemp`` makes it 0600); only when every one is written,
+    and no name is taken by a directory, are they renamed into place.  So a
+    failed write leaves the files already there as they were, and removes every
+    temp file, then every directory of ``out`` and its parents that it made,
+    deepest first.  A directory that cannot be made or written to, or a file
+    that cannot be written, is a ``ModelError``.
     """
     umask = os.umask(0)
     os.umask(umask)
+    made = [p for p in (out, *out.parents) if not p.exists()]
     temps = {}
     try:
         for name, content in files.items():
@@ -287,11 +291,19 @@ def _write_outputs(out: Path, files: dict) -> None:
             else:
                 with open(temps[name], "w", newline="\n") as fh:
                     fh.writelines(_chunks(content))
+        for name in temps:  # a directory in a file's place fails before any rename
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         for name, tmp in temps.items():
             os.replace(tmp, out / name)
     except BaseException as exc:
         for tmp in temps.values():
             Path(tmp).unlink(missing_ok=True)
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:  # not empty: another process put something there
+                pass
         if isinstance(exc, OSError):    # writing or renaming the file ``name``
             raise _cannot_write(out / name, exc) from None
         raise

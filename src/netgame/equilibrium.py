@@ -137,13 +137,18 @@ def solve_iterative(system: ExpectationMatrix, params: GameParams) -> Equilibriu
 
     Each sweep applies xi <- (E[theta]/c)*1 + (alpha/c)*Pi D xi.  Starting
     from (E[theta]/c)*1 the iterates rise monotonically to the fixed point,
-    converging geometrically with ratio at most (alpha/c)*d_K/d_1.  It stops
-    at the first step below ``ITERATIVE_TOL`` and gives up after
-    ``MAX_SWEEPS`` sweeps; the error states the contraction margin
-    1 - (alpha/c)*d_K/d_1 and the sweeps it needs, about ln(1/tol)/margin.
+    converging geometrically with ratio at most (alpha/c)*d_K/d_1.  A
+    contraction margin 1 - (alpha/c)*d_K/d_1 that is not positive raises
+    ``StabilityError`` before the first sweep, as :func:`solve_direct` does on
+    the stability boundary.  It stops at the first step below
+    ``ITERATIVE_TOL`` and gives up after ``MAX_SWEEPS`` sweeps; the error
+    states the margin and the sweeps it needs, about ln(1/tol)/margin.
     A ``params.sigma`` other than the system's raises ``ModelError``.
     """
     a_c, t_c = _rates(system, params)
+    margin = 1 - a_c * float(system.d_diag.max())
+    if margin <= 0:
+        raise StabilityError("singular type system; stability requires alpha * d_K/d_1 < cost")
     xi = np.full(system.L, t_c)
     for it in range(1, MAX_SWEEPS + 1):
         nxt = _best_response(system, system.sigma, a_c, t_c, xi)
@@ -152,8 +157,7 @@ def solve_iterative(system: ExpectationMatrix, params: GameParams) -> Equilibriu
         if diff < ITERATIVE_TOL:
             res = _fixed_point_residual(system, system.sigma, a_c, t_c, xi)
             return EquilibriumSolution(xi, system, "iterative", res, iterations=it)
-    margin = 1 - a_c * float(system.d_diag.max())
-    needed = math.log(1 / ITERATIVE_TOL) / margin if margin > 0 else math.inf
+    needed = math.log(1 / ITERATIVE_TOL) / margin
     raise ConvergenceError(
         f"no convergence within {MAX_SWEEPS} sweeps (last step {diff:.3e}): the "
         f"contraction margin 1 - (alpha/c)*d_K/d_1 is {margin:.3g}, so the iteration "

@@ -493,16 +493,16 @@ class TestPopulationPrecisionSweep:
                     nv = naive_curve(delta2, eps, alpha, cost, 1.0)
                     sv = sophisticated_curve(delta2, eps, alpha, cost, sigma, 1.0)
                 except ModelError:
-                    want.append([(sigma, "inf", delta2, "all", "", "unstable")])
+                    want.append((sigma, "inf", delta2, "all", "", "unstable"))
                     continue
-                want.append([(sigma, "inf", delta2, "naive", nv, ""),
-                             (sigma, "inf", delta2, "sophisticated", sv, ""),
-                             (sigma, "inf", delta2, "all", (1 - sigma) * nv + sigma * sv, "")])
-            got = an._limit_rows(sigma, grid, eps, alpha, cost, 1.0)
-            bits = lambda rows: [[tuple(v.hex() if isinstance(v, float) else v for v in row)
-                                  for row in point] for point in rows]
+                want += [(sigma, "inf", delta2, "naive", nv, ""),
+                         (sigma, "inf", delta2, "sophisticated", sv, ""),
+                         (sigma, "inf", delta2, "all", (1 - sigma) * nv + sigma * sv, "")]
+            got = population_precision_sweep(eps, alpha, cost, 1.0, [sigma], [math.inf], grid)
+            bits = lambda rows: [tuple(v.hex() if isinstance(v, float) else v for v in row)
+                                 for row in rows]
             assert bits(got) == bits(want)
-            assert 1 < sum(len(point) == 1 for point in got) < len(grid) - 1
+            assert 1 < sum(row[5] == "unstable" for row in got) < len(grid) - 1
 
     def test_one_naive_solve_per_model_whatever_the_sigmas(self, monkeypatch):
         # the naive block does not depend on sigma: one LU per model, then one

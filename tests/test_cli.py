@@ -567,7 +567,47 @@ class TestConfigAndErrors:
         assert main(["simulate", "--n", "200", "--trials", "1", "--tol", "0.5",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: cannot write {out / 'edges.txt'}: disk full\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["new/deeper", "."], ids=["nested", "existing"])
+    def test_a_failed_write_removes_only_the_directories_it_made(self, below, tmp_path,
+                                                                 capsys, monkeypatch):
+        # the directories the command made go, deepest first; one that was
+        # there before stays, with its files' bytes
+        import netgame.netsim
+
+        def full(net, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(netgame.netsim, "write_edgelist", full)
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_bytes(b"kept\n")
+        out = kept / below
+        assert main(["simulate", "--n", "200", "--trials", "1", "--tol", "0.5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / 'edges.txt'}: No space left on device\n")
+        assert list(tmp_path.iterdir()) == [kept]
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+        assert (kept / "notes.txt").read_bytes() == b"kept\n"
+
+    def test_a_directory_in_a_files_place_renames_nothing(self, tmp_path, capsys):
+        # every target is checked before the first rename, so bias.csv keeps
+        # the old run's bytes and no temp file is left
+        out = tmp_path / "d"
+        assert main(["sweep", "bias", "--grid", "5", "--out", str(out)]) == 0
+        (out / "bias.json").unlink()
+        (out / "bias.json").mkdir()
+        (out / "bias.json" / "inside.txt").write_text("kept\n")
+        old = (out / "bias.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["sweep", "bias", "--grid", "7", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out / 'bias.json'}: Is a directory\n")
+        assert sorted(p.name for p in out.iterdir()) == ["bias.csv", "bias.json"]
+        assert (out / "bias.csv").read_bytes() == old
+        assert _snapshot(out / "bias.json") == {"inside.txt": b"kept\n"}
 
     def test_a_failed_last_write_keeps_every_old_file(self, tmp_path, capsys, monkeypatch):
         # no file is renamed into place until every one is written

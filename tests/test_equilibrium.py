@@ -130,8 +130,22 @@ class TestSolvers:
         system = build_pi(EXAMPLE, params)
         with pytest.raises((StabilityError, ConvergenceError)):
             solve_direct(system, params)
+        # refused before the first sweep, with solve_direct's message; a small
+        # MAX_SWEEPS keeps a solver that sweeps instead quick to fail
         monkeypatch.setattr(equilibrium, "MAX_SWEEPS", 2000)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(StabilityError, match="^singular type system; stability requires "
+                           r"alpha \* d_K/d_1 < cost$"):
+            solve_iterative(system, params)
+
+    def test_boundary_system_without_preference_fails_loudly(self, monkeypatch):
+        # at E[theta] = 0 the first sweep returns xi = 0 unchanged, which a
+        # solver that sweeps would accept as converged
+        params = GameParams(0.0, 4.0, 6.0, 0.5, EXAMPLE)
+        system = build_pi(EXAMPLE, params)
+        with pytest.raises(StabilityError):
+            solve_direct(system, params)
+        monkeypatch.setattr(equilibrium, "MAX_SWEEPS", 2000)
+        with pytest.raises(StabilityError):
             solve_iterative(system, params)
 
     def test_residual_gate_rejects_nan(self):
