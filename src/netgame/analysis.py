@@ -150,10 +150,11 @@ def convexity_check(eps, alpha, cost, sigma=1.0, etheta=1.0) -> ConvexityReport:
     The naive curve is convex exactly where c/a < (1 + eps*u) +
     (1+eps)/(1+eps*delta2); with alpha*eps == 0 both curves are flat and the
     sign test is vacuous, so no point is checked.  Raises ``ModelError``
-    unless eps is finite and the other scalars pass ``GameParams.check``.
+    unless eps is finite and non-negative and the other scalars pass
+    ``GameParams.check``.
     """
-    if not math.isfinite(eps):
-        raise ModelError(f"excess ratio must be finite, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ModelError(f"excess ratio must be finite and non-negative, got {eps}")
     GameParams.check(etheta, alpha, cost, sigma)
     grid, h = CHECK_GRID, DIFF_STEP
     stencil = np.stack([grid - h, grid, grid + h])
@@ -190,11 +191,14 @@ def lattice_values(solution, rule, degree) -> np.ndarray:
     """Expectations of one (rule, degree) block of a two-class system, at
     j = 0, ..., degree high-degree neighbors.
 
-    Raises ``ModelError`` when the system has no such type.
+    A read-only view of the rule's half of xi, sliced at the degree's block;
+    raises ``ModelError`` when the system has no such block.
     """
-    system = solution.system
-    return solution.xi[[system.index(rule, degree, (degree - j, j))
-                        for j in range(degree + 1)]]
+    degrees = solution.system.model.degrees
+    if len(degrees) != 2 or degree not in degrees or rule not in RULES:
+        raise ModelError(f"no ({rule}, {degree}) block in a two-class system of degrees {degrees}")
+    block = solution.system.blocks[degrees.index(degree)]
+    return solution.xi.reshape(2, -1)[RULES.index(rule), block]
 
 
 @dataclass(frozen=True)
@@ -348,7 +352,7 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
         a_c, t_c = _rates(system, params)
         naive = _naive_xi(system, a_c, t_c)
         law = np.column_stack(sampling_law(model.degrees, true_shares))
-        weights = _type_weights(model.degrees, shares, law, system.columns)
+        weights = _type_weights(system, shares, law)
         for sigma in sigmas:
             xi, _ = _solve_after_naive(system, sigma, a_c, t_c, naive)
             values[sigma, model.degrees[0]] = _rule_averages(weights, xi, sigma)

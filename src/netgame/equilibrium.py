@@ -14,6 +14,7 @@ that has no sampling bias at all.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .typespace import ExpectationMatrix, multinomial_pmf
 RESIDUAL_TOL = 1e-8
 ITERATIVE_TOL = 1e-12
 MAX_SWEEPS = 10**6
+_SINGULAR = "singular type system; stability requires alpha * d_K/d_1 < cost"
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class EquilibriumSolution:
 
 def _best_response(system, sigma, a_c, t_c, xi) -> np.ndarray:
     """t + (alpha/c) Pi D xi at ``sigma``: K mat-vecs per rule on ``pmf``'s degree columns."""
-    naive, sophisticated = (system.d_diag * xi).reshape(2, -1)
+    naive, sophisticated = system.rho * xi.reshape(2, -1)
     # D xi as each rule's observers weigh the targets' rules: naive ones see only naive
     believed = (naive, float(1 - sigma) * naive + float(sigma) * sophisticated)
     products = [[system.pmf[:, c] @ x[c] for c in system.blocks] for x in believed]
@@ -66,12 +68,21 @@ def _best_response(system, sigma, a_c, t_c, xi) -> np.ndarray:
 
 
 def _rates(system, params) -> tuple:
-    """alpha/c and E[theta]/c, once ``params`` is checked to carry the system's sigma."""
+    """alpha/c and E[theta]/c, once ``params`` is checked to carry the system's
+    sigma and to keep it stable.  Every solve decides stability here, by two
+    tests: alpha * d_K < cost * d_1 exactly, on integer ratios, and
+    (alpha/c) * d_K/d_1 < 1 as the solvers round it; either alone passes a
+    system that no solver can solve."""
     if params.sigma != system.sigma:
         raise ModelError(f"params.sigma = {params.sigma} but the system was built with "
                          f"sigma = {system.sigma}")
-    return (float(params.alpha) / float(params.cost),
-            float(params.mean_preference) / float(params.cost))
+    (a, b), (c, d) = ((x.numerator, x.denominator) if isinstance(x, numbers.Rational)
+                      else x.as_integer_ratio() for x in (params.alpha, params.cost))
+    a_c = float(params.alpha) / float(params.cost)
+    d_1, d_K = system.model.degrees[0], system.model.degrees[-1]
+    if a * d * d_K >= c * b * d_1 or a_c * (d_K / d_1) >= 1:
+        raise StabilityError(_SINGULAR)
+    return a_c, float(params.mean_preference) / float(params.cost)
 
 
 def _fixed_point_residual(system, sigma, a_c, t_c, xi) -> float:
@@ -81,14 +92,12 @@ def _fixed_point_residual(system, sigma, a_c, t_c, xi) -> float:
 def _solve_block(system, weights, a_c, b) -> np.ndarray:
     """Solve (I - a_c Pi_bb D) x = b, the rule block formed from row ``weights``."""
     m = system.weighted_table(weights, np.empty(system.pmf.shape))
-    m *= -a_c * system.d_diag[:len(b)]
+    m *= -a_c * system.rho
     m.flat[::len(b) + 1] += 1.0
     try:
         return np.linalg.solve(m, b)
     except np.linalg.LinAlgError as exc:
-        raise StabilityError(
-            "singular type system; stability requires alpha * d_K/d_1 < cost"
-        ) from exc
+        raise StabilityError(_SINGULAR) from exc
 
 
 def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSolution:
@@ -111,14 +120,13 @@ def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSo
 def _naive_xi(system, a_c, t_c) -> np.ndarray:
     """The naive block's xi.  Naive observers see no sigma, so one solve serves
     every sigma of a table at the same alpha/c and E[theta]/c."""
-    half = system.L // 2
-    return _solve_block(system, system.beliefs[0], a_c, np.full(half, t_c))
+    return _solve_block(system, system.beliefs[0], a_c, np.full(len(system.degrees), t_c))
 
 
 def _solve_after_naive(system, sigma, a_c, t_c, naive) -> tuple:
     """:func:`solve_direct` at ``sigma`` given the naive block's xi: the
     sophisticated block, then the full-system residual gate; xi and the residual."""
-    half = system.L // 2
+    half = len(naive)
     xi = np.zeros(system.L)
     xi[:half] = naive
     # the sophisticated xi are still 0, so this product is the naive cross term
@@ -137,18 +145,15 @@ def solve_iterative(system: ExpectationMatrix, params: GameParams) -> Equilibriu
 
     Each sweep applies xi <- (E[theta]/c)*1 + (alpha/c)*Pi D xi.  Starting
     from (E[theta]/c)*1 the iterates rise monotonically to the fixed point,
-    converging geometrically with ratio at most (alpha/c)*d_K/d_1.  A
-    contraction margin 1 - (alpha/c)*d_K/d_1 that is not positive raises
-    ``StabilityError`` before the first sweep, as :func:`solve_direct` does on
-    the stability boundary.  It stops at the first step below
+    converging geometrically with ratio at most (alpha/c)*d_K/d_1.  A system
+    on or beyond the stability boundary raises ``StabilityError`` before the
+    first sweep, as :func:`solve_direct` does.  It stops at the first step below
     ``ITERATIVE_TOL`` and gives up after ``MAX_SWEEPS`` sweeps; the error
     states the margin and the sweeps it needs, about ln(1/tol)/margin.
     A ``params.sigma`` other than the system's raises ``ModelError``.
     """
     a_c, t_c = _rates(system, params)
-    margin = 1 - a_c * float(system.d_diag.max())
-    if margin <= 0:
-        raise StabilityError("singular type system; stability requires alpha * d_K/d_1 < cost")
+    margin = 1 - a_c * float(system.rho[-1])
     xi = np.full(system.L, t_c)
     for it in range(1, MAX_SWEEPS + 1):
         nxt = _best_response(system, system.sigma, a_c, t_c, xi)
@@ -214,48 +219,41 @@ def benchmark_expectation(model: DegreeModel, params: GameParams):
     return params.mean_preference / denom
 
 
-def _type_weights(support, shares, law, columns) -> np.ndarray:
-    """True occurrence probability of each type under each of m share vectors.
-
-    ``support`` is the degree support, ``shares`` an (m, K) float array of true
-    shares and ``law`` the (m, K) biased sampling law of each row
-    (:func:`~netgame.population.sampling_law`).  ``columns`` are a type
-    system's per-type neighbor counts, degrees and sophisticated mask
-    (:class:`netgame.typespace.ExpectationMatrix`).  Row i is row i's class
-    share times the multinomial chance of the observed neighbor counts under
-    its law, conditional on the rule (each rule block of a row sums to one).
-    A single :func:`multinomial_pmf` call weighs every row; both rules read
-    the same L/2 observations, so it weighs those once and the sophisticated
-    half repeats the naive one.
-    """
-    half = len(columns[1]) // 2
-    counts, degrees = columns[0][:half], columns[1][:half]
-    support = np.array(support)
-    cls = np.minimum(np.searchsorted(support, degrees), len(support) - 1)
-    if (support[cls] != degrees).any():
-        raise ModelError("every type's degree must lie in the model's support")
-    return np.tile(shares[:, cls] * multinomial_pmf(counts, law), 2)
+def _type_weights(system, shares, law) -> np.ndarray:
+    """(m, L/2) true occurrence probabilities of ``system``'s observations, which
+    both rules share: row i is each observation's class share in row i of the
+    (m, K) true ``shares`` times the multinomial chance of its counts under row i
+    of the (m, K) biased sampling ``law`` (:func:`~netgame.population.sampling_law`),
+    all from one :func:`multinomial_pmf` call."""
+    weights = multinomial_pmf(system.counts, law)
+    for k, cols in enumerate(system.blocks):
+        weights[:, cols] *= shares[:, k, None]
+    return weights
 
 
 def type_probabilities(model: DegreeModel, system: ExpectationMatrix) -> np.ndarray:
     """True occurrence probability of each type of ``system``, conditional on
     the rule (each rule block sums to one): class share times the multinomial
     chance of the observed neighbor counts under the biased sampling law.
+    ``model`` must have the system's degrees, else ``ModelError``.
     """
+    if model.degrees != system.model.degrees:
+        raise ModelError(f"the model's degrees {model.degrees} differ from the type "
+                         f"system's {system.model.degrees}")
     shares = np.array([[float(s) for s in model.shares]])
     law = [[float(v) for v in biased_neighbor_share(model)]]
-    return _type_weights(model.degrees, shares, law, system.columns)[0]
+    return np.tile(_type_weights(system, shares, law)[0], 2)
 
 
 def _rule_averages(weights, xi, sigma) -> list:
     """Naive, sophisticated and sigma-mixed averages of a solution's ``xi`` per
-    row of ``weights``, as (naive, sophisticated, mixed) tuples.
+    row of the (m, L/2) ``weights``, as (naive, sophisticated, mixed) tuples.
 
-    Each rule's value is one row dot over its block: a single matrix product
-    sums in another order and moves the last bits.
+    Each rule's value is one row dot over its half of xi: a single matrix
+    product sums in another order and moves the last bits.
     """
-    half = len(xi) // 2
-    rules = [(float(w[:half] @ xi[:half]), float(w[half:] @ xi[half:])) for w in weights]
+    naive, sophisticated = xi.reshape(2, -1)
+    rules = [(float(w @ naive), float(w @ sophisticated)) for w in weights]
     return [(n, s, (1 - float(sigma)) * n + float(sigma) * s) for n, s in rules]
 
 
@@ -274,7 +272,7 @@ def average_expectation(solution: EquilibriumSolution, model: DegreeModel,
         raise ModelError("need a sophistication share to mix the rule blocks")
     if sigma is not None:
         GameParams.check(0, 0, 1, sigma)  # the other scalars pass, so only sigma is checked
-    weights = type_probabilities(model, solution.system)[np.newaxis]
+    weights = type_probabilities(model, solution.system)[np.newaxis, :solution.system.L // 2]
     # with a rule given, the mixed average is not read and sigma may be unset
     averages = _rule_averages(weights, solution.xi, 0.0 if sigma is None else sigma)[0]
     return averages[(NAIVE, SOPHISTICATED, None).index(rule)]

@@ -144,18 +144,20 @@ class ExpectationMatrix:
     for every observation in one call); ``pmf[p, q]``, the chance of observation
     q's counts with p's shares as cell probabilities, written one target degree
     at a time by :func:`multinomial_pmf` over the L/2 distinct observations both
-    rules read; ``columns`` (neighbor counts (L, K), degrees (L,) and a mask of
-    the sophisticated types), ``blocks`` (each degree's ``pmf`` columns) and
-    ``d_diag`` (d_j/d_1).  Systems compare and hash by model and sigma.
+    rules read; and each observation's ``counts`` (L/2, K), ``degrees`` (L/2,)
+    and ``rho`` (degree over d_1), with ``blocks``, each degree's slice of them.
+    The rule is an axis: type q is observation q mod L/2 under
+    ``RULES[q // (L/2)]``.  Systems compare and hash by model and sigma.
     """
 
     model: DegreeModel
     sigma: float
     pmf: np.ndarray = field(init=False, repr=False, compare=False)
     beliefs: np.ndarray = field(init=False, repr=False, compare=False)
-    columns: tuple = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    rho: np.ndarray = field(init=False, repr=False, compare=False)
     blocks: tuple = field(init=False, repr=False, compare=False)
-    d_diag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.model, DegreeModel):
@@ -163,32 +165,28 @@ class ExpectationMatrix:
         GameParams.check(0, 0, 1, self.sigma)  # the other scalars pass
         check_fits(self.model)
         counts, degrees, blocks = _lattice(self.model.degrees)
-        half = len(degrees)
         observed = counts / degrees[:, None]
         sophisticated = np.stack(sophisticated_mle(observed.T, self.model.degrees), axis=1)
         beliefs = np.stack([observed, sophisticated])
-        pmf = np.empty((half, half))
+        pmf = np.empty((len(degrees),) * 2)
         for cols in blocks:
             multinomial_pmf(counts[cols], observed, out=pmf[:, cols])
-        columns = (np.tile(counts, (2, 1)), np.tile(degrees, 2), np.arange(2 * half) >= half)
-        d_diag = columns[1] / degrees[0]
-        for array in (pmf, beliefs, d_diag, *columns):
+        arrays = {"pmf": pmf, "beliefs": beliefs, "counts": counts, "degrees": degrees,
+                  "rho": degrees / degrees[0]}
+        for name, array in arrays.items():
             array.setflags(write=False)
-        for name, value in (("pmf", pmf), ("beliefs", beliefs), ("columns", columns),
-                            ("blocks", blocks), ("d_diag", d_diag)):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def L(self) -> int:
-        return len(self.d_diag)
+        return 2 * len(self.degrees)
 
     @property
     def observations(self) -> tuple:
         """Degree and observed shares of each of the L/2 observations, as a list
         of ints and a list of float lists, in the row order of either rule block."""
-        counts, degrees, _ = self.columns
-        half = self.L // 2
-        return degrees[:half].tolist(), (counts[:half] / degrees[:half, None]).tolist()
+        return self.degrees.tolist(), self.beliefs[0].tolist()
 
     @functools.cached_property
     def types(self) -> tuple:
@@ -228,9 +226,8 @@ class ExpectationMatrix:
 
     @functools.cached_property
     def _index(self) -> dict:
-        counts, degrees, sophisticated = self.columns
-        return {(RULES[s], d, c): q for q, (s, d, c) in enumerate(
-            zip(sophisticated.tolist(), degrees.tolist(), map(tuple, counts.tolist())))}
+        rows = zip(self.degrees.tolist(), map(tuple, self.counts.tolist()))
+        return {(rule, d, c): q for q, (rule, (d, c)) in enumerate(itertools.product(RULES, rows))}
 
     def index(self, rule, degree, counts) -> int:
         """Row/column index of the type with the given neighbor counts.  Keys

@@ -178,14 +178,17 @@ class TestConvexityCheck:
     @pytest.mark.parametrize("name, value, message", [
         ("eps", math.nan, "excess ratio must be finite"),
         ("eps", math.inf, "excess ratio must be finite"),
+        # -1 once passed with ok=True and every soph_second NaN; -2 divided by zero
+        ("eps", -1.0, "excess ratio must be finite and non-negative, got -1.0"),
+        ("eps", -2.0, "excess ratio must be finite and non-negative, got -2.0"),
         ("alpha", math.nan, "alpha must be finite"),
         ("cost", math.nan, "cost must be finite"),
         ("sigma", math.nan, "sigma must be finite"),
         ("etheta", math.nan, "mean_preference must be finite"),
         ("cost", 0.0, "action cost must be positive"),
         ("sigma", 1.5, "sophistication share must lie in"),
-    ], ids=["nan-eps", "inf-eps", "nan-alpha", "nan-cost", "nan-sigma", "nan-etheta",
-            "zero-cost", "sigma-above-one"])
+    ], ids=["nan-eps", "inf-eps", "negative-eps", "minus-two-eps", "nan-alpha", "nan-cost",
+            "nan-sigma", "nan-etheta", "zero-cost", "sigma-above-one"])
     def test_rejects_invalid_scalars(self, name, value, message):
         # a NaN once passed with ok=True and no point checked
         args = {**FIG, "sigma": 1.0, name: value}

@@ -341,6 +341,15 @@ class TestSolveDump:
         code = main(["solve", "--preset", "example", "--sigma", "0.5"])
         assert code == 2
 
+    def test_a_boundary_that_rounds_inside_is_refused_as_singular(self, tmp_path, capsys):
+        # 3 * 11 = 11 * 3, yet (3/11)*(11/3) rounds below one: this was reported as a
+        # failed residual gate, not as the singular system it is
+        code = main(["solve", "--model", "3,11:0.6,0.4", "--alpha", "3", "--c", "11",
+                     "--etheta", "0.5", "--sigma", "0.5", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: singular type system; stability requires "
+                                           "alpha * d_K/d_1 < cost\n")
+
     def test_outputs_take_the_mode_of_a_plain_open(self, tmp_path, capsys):
         old = os.umask(0o022)
         try:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -98,7 +99,7 @@ class TestSolvers:
         assert np.allclose(sol.xi, 1.0 / 3.7, atol=0)
 
     def test_iteration_holds_no_scaled_matrix(self):
-        # each sweep is a mat-vec with pi; an L x L copy of pi * d_diag would
+        # each sweep is a mat-vec with pi; an L x L copy of pi * rho would
         # peak at pi.nbytes
         model = DegreeModel((8, 16, 24), (0.5, 0.3, 0.2))
         params = GameParams(1.0, 1.0, 3.7, 0.5, model)
@@ -116,7 +117,7 @@ class TestSolvers:
         model, params, system = fig_system()
         a_c = params.alpha / params.cost
         t_c = params.mean_preference / params.cost
-        scaled = system.pi * system.d_diag
+        scaled = system.pi * np.tile(system.rho, 2)
         xi = np.full(system.L, t_c)
         for _ in range(300):
             nxt = t_c + a_c * (scaled @ xi)
@@ -128,7 +129,7 @@ class TestSolvers:
         # the all-high-neighbors naive type then self-references one-for-one
         params = example_params(0.0)
         system = build_pi(EXAMPLE, params)
-        with pytest.raises((StabilityError, ConvergenceError)):
+        with pytest.raises(StabilityError):
             solve_direct(system, params)
         # refused before the first sweep, with solve_direct's message; a small
         # MAX_SWEEPS keeps a solver that sweeps instead quick to fail
@@ -147,6 +148,35 @@ class TestSolvers:
         monkeypatch.setattr(equilibrium, "MAX_SWEEPS", 2000)
         with pytest.raises(StabilityError):
             solve_iterative(system, params)
+
+    @pytest.mark.parametrize("scalars, degrees", [
+        # alpha * d_K = c * d_1 exactly, yet 1 - (3/11)*(11/3) rounds to 1.1e-16:
+        # the LU met no singular block and the residual gate raised instead
+        ((0.5, 3.0, 11.0), (3, 11)),
+        # alpha * d_K < c * d_1 exactly, yet (alpha/c)*(d_K/d_1) rounds to one:
+        # the block the solvers form is singular
+        ((1.0, 1.5857142857142856, 3.7), (3, 7)),
+    ], ids=["on-the-boundary", "ratio-rounds-to-one"])
+    def test_a_singular_system_is_decided_before_any_solve(self, scalars, degrees,
+                                                           monkeypatch):
+        model = DegreeModel(degrees, (0.6, 0.4))
+        params = GameParams(*scalars, 0.5, model)
+        system = build_pi(model, params)
+        monkeypatch.setattr(equilibrium, "MAX_SWEEPS", 2000)
+        for solve in (solve_direct, solve_iterative):
+            with pytest.raises(StabilityError, match="^singular type system; stability "
+                               r"requires alpha \* d_K/d_1 < cost$"):
+                solve(system, params)
+
+    def test_stability_is_decided_on_exact_fractions_and_integers(self):
+        # integers and fractions carry their ratio; at the boundary both raise
+        for alpha, cost in ((Fraction(4), Fraction(6)), (4, 6), (np.int64(4), np.int64(6))):
+            params = GameParams(0.5, alpha, cost, 0.5, EXAMPLE)
+            with pytest.raises(StabilityError):
+                solve_direct(build_pi(EXAMPLE, params), params)
+        # a hair inside the boundary solves
+        params = GameParams(0.5, Fraction(4) - Fraction(1, 10**6), 6.0, 0.5, EXAMPLE)
+        assert solve_direct(build_pi(EXAMPLE, params), params).residual <= 1e-8
 
     def test_residual_gate_rejects_nan(self):
         # parameters that skipped GameParams validation must not yield NaN xi
@@ -178,7 +208,7 @@ class TestSolvers:
         rng = np.random.default_rng(0)
         perm = rng.permutation(system.L)
         pi_p = system.pi[np.ix_(perm, perm)]
-        d_p = system.d_diag[perm]
+        d_p = np.tile(system.rho, 2)[perm]
         a_c = params.alpha / params.cost
         m = np.eye(system.L) - a_c * pi_p * d_p
         b = np.full(system.L, params.mean_preference / params.cost)
@@ -274,7 +304,7 @@ class TestExactOracle:
 
 def _dense_oracle(system, params) -> np.ndarray:
     """xi from one dense LU of the whole system I - (alpha/c) Pi D."""
-    m = np.eye(system.L) - params.alpha / params.cost * system.pi * system.d_diag
+    m = np.eye(system.L) - params.alpha / params.cost * system.pi * np.tile(system.rho, 2)
     return np.linalg.solve(m, np.full(system.L, params.mean_preference / params.cost))
 
 
@@ -308,7 +338,7 @@ class TestBlockSolve:
         params, system = block_system((2, 6), (0.6, 0.4), 0.5)
         half = system.L // 2
         m = (np.eye(half) - params.alpha / params.cost
-             * system.pi[:half, :half] * system.d_diag[:half])
+             * system.pi[:half, :half] * system.rho)
         dense = np.linalg.solve(m, np.full(half, params.mean_preference / params.cost))
         xi = solve_direct(system, params).xi[:half]
         assert _max_relative_gap(xi, dense) <= 1e-13
@@ -364,7 +394,7 @@ class TestComparativeStatics:
         blocks = []
         for sigma in SIGMAS:
             solution = statics_solution(model, scalars, sigma)
-            blocks.append(solution.xi[~solution.system.columns[2]])
+            blocks.append(solution.xi.reshape(2, -1)[0])
         assert all(np.array_equal(blocks[0], b) for b in blocks[1:])
 
     @settings(max_examples=20, deadline=None)
@@ -396,6 +426,77 @@ class TestComparativeStatics:
             for d in model.degrees:
                 xi = [solution.value(rule, d, (d - j, j)) for j in range(d + 1)]
                 assert all(b >= a * (1 - self.SLACK) for a, b in zip(xi, xi[1:]))
+
+
+def _assert_corners_hold(solution, scalars, sigma):
+    """The corner observation e_k, at every degree, reads only the degree-d_k corner
+    type, so with a = alpha/c, t = E[theta]/c and rho_k = d_k/d_1 its xi is
+    t/(1 - a rho_k) for naive types and (t + a rho_k (1 - sigma) x_n)/(1 - a rho_k sigma)
+    for sophisticated ones.  Solves round it by a few ulp per unit of 1/(1 - a rho_k)."""
+    etheta, alpha, cost = scalars
+    a, t = float(alpha) / float(cost), float(etheta) / float(cost)
+    degrees = solution.system.model.degrees
+    for k, d_k in enumerate(degrees):
+        a_rho = a * (d_k / degrees[0])
+        naive = t / (1 - a_rho)
+        oracle = {"naive": naive,
+                  "sophisticated": (t + a_rho * (1 - sigma) * naive) / (1 - a_rho * sigma)}
+        for d in degrees:
+            corner = tuple(d if j == k else 0 for j in range(len(degrees)))
+            for rule, want in oracle.items():
+                got = solution.value(rule, d, corner)
+                assert abs(got - want) <= 8 * np.spacing(want) / (1 - a_rho), (rule, d, k)
+
+
+def _assert_faces_hold(solution, scalars, sigma):
+    """Observations of a three-class model with no neighbor outside two classes S
+    meet only types of S, which weigh d_j/d_1 = (d_min(S)/d_1) * d_j/d_min(S): each
+    face solves as S's own model at alpha * d_min(S)/d_1.  The two solves part by
+    a few ulp per unit of 1/margin, with margin 1 - (alpha/c) * d_K/d_1."""
+    etheta, alpha, cost = scalars
+    full = solution.system.model
+    margin = 1 - float(alpha) / float(cost) * float(full.rho[-1])
+    for face in ((0, 1), (1, 2), (0, 2)):
+        degrees = tuple(full.degrees[k] for k in face)
+        sub = statics_solution(DegreeModel(degrees, (0.5, 0.5)),
+                               (etheta, alpha * degrees[0] / full.degrees[0], cost), sigma)
+        for t in sub.system.types:
+            counts = [0, 0, 0]
+            for k, c in zip(face, t.counts):
+                counts[k] = c
+            want = sub.value(t.rule, t.degree, t.counts)
+            got = solution.value(t.rule, t.degree, counts)
+            assert abs(got - want) <= 2e-15 / margin * want, (face, t)
+
+
+class TestOracles:
+    """Closed forms and sub-systems that hold at every size, where no ``Fraction``
+    oracle reaches."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(statics_instances(), st.floats(0.0, 1.0))
+    def test_corners_hold_their_closed_forms(self, inst, sigma):
+        model, scalars = inst
+        _assert_corners_hold(statics_solution(model, scalars, sigma), scalars, sigma)
+
+    def test_corners_hold_their_closed_forms_at_two_thousand_neighbors(self):
+        # L = 6148 types; rho and the rule axis at a size far past every other oracle
+        model = DegreeModel((1024, 2048), (0.6, 0.4))
+        scalars = (1.0, 1.2, 3.7)
+        _assert_corners_hold(statics_solution(model, scalars, 0.5), scalars, 0.5)
+
+    @settings(max_examples=15, deadline=None)
+    @given(statics_instances(classes=(3,)), st.floats(0.0, 1.0))
+    def test_faces_solve_as_their_sub_models(self, inst, sigma):
+        model, scalars = inst
+        _assert_faces_hold(statics_solution(model, scalars, sigma), scalars, sigma)
+
+    def test_each_face_of_8_16_24_solves_as_its_sub_model(self):
+        # margin 0.2, so within 1e-14 relative: seen at 3.0e-16 over the 52 types
+        # of {8, 16}, 4.4e-16 over the 84 of {16, 24} and 5.8e-16 over the 68 of {8, 24}
+        scalars = (1.0, 1.2, 4.5)
+        full = DegreeModel((8, 16, 24), (0.5, 0.3, 0.2))
+        _assert_faces_hold(statics_solution(full, scalars, 0.5), scalars, 0.5)
 
 
 class TestInfiniteNaive:
@@ -503,7 +604,7 @@ class TestAveraging:
 
     def test_weights_sum_to_one(self):
         model, params, system = fig_system(sigma=0.3)
-        w_all = type_probabilities(model, system) * np.where(system.columns[2], 0.3, 0.7)
+        w_all = type_probabilities(model, system) * np.repeat([0.7, 0.3], system.L // 2)
         assert w_all.sum() == pytest.approx(1.0, abs=1e-12)
         for rule in ("naive", "sophisticated"):
             w = type_probabilities(model, system)
@@ -513,25 +614,30 @@ class TestAveraging:
     @pytest.mark.parametrize("degrees", [(d1, 3 * d1) for d1 in (2, 4, 8, 16, 32)]
                              + [(8, 16, 24)])
     def test_weights_match_the_kernel_over_every_type(self, degrees):
-        # the sophisticated half repeats the naive observations, so they are
-        # weighed once and tiled; the bits equal one kernel call over all L rows
+        # both rules read the same L/2 observations, so they are weighed once;
+        # the bits equal each class share times one kernel call over them
         k = len(degrees)
         shares = [tuple(np.roll(np.arange(1.0, k + 1), i) / (k * (k + 1) / 2))
                   for i in range(3)]
         models = [DegreeModel(degrees, s) for s in shares]
         system = build_pi(models[0], GameParams(1.0, 0.1, 3.0, 0.5, models[0]))
-        counts, type_degrees, _ = system.columns
-        cls = np.searchsorted(np.array(degrees), type_degrees)
+        cls = np.searchsorted(np.array(degrees), system.degrees)
         law = [[float(v) for v in biased_neighbor_share(m)] for m in models]
-        full = np.array(shares)[:, cls] * multinomial_pmf(counts, law)
-        weights = equilibrium._type_weights(degrees, np.array(shares), law, system.columns)
+        full = np.array(shares)[:, cls] * multinomial_pmf(system.counts, law)
+        weights = equilibrium._type_weights(system, np.array(shares), law)
         assert weights.tobytes() == full.tobytes()
 
     def test_rejects_types_outside_the_support(self):
-        model, _, system = fig_system(sigma=0.3)
-        other = DegreeModel((3, 6), (0.5, 0.5))
-        with pytest.raises(ModelError):
-            type_probabilities(other, system)
+        # same K or not: a different K used to fail with the kernel's shape message
+        model, params, system = fig_system(sigma=0.3)
+        solution = solve_direct(system, params)
+        for other in (DegreeModel((3, 6), (0.5, 0.5)), DegreeModel((2, 4, 6), (0.2, 0.3, 0.5))):
+            message = re.escape(f"the model's degrees {other.degrees} differ from the type "
+                                "system's (2, 6)")
+            with pytest.raises(ModelError, match=message):
+                type_probabilities(other, system)
+            with pytest.raises(ModelError, match=message):
+                average_expectation(solution, other, rule="naive")
 
     def test_fig_span(self):
         # averaged sophisticated expectations stay between E[theta]/c and the

@@ -54,7 +54,7 @@ class TestNaiveEstimate:
         model = DegreeModel(degrees, (1 / len(values),) * len(values))
         system = build_pi(model, GameParams(1.0, 1.0, 2.0 * len(values), 0.5, model))
         row = system.row("naive", size, tuple(round(v * size) for v in values))
-        mass = [row[system.columns[1] == d].sum() for d in degrees]
+        mass = [row[np.tile(system.degrees, 2) == d].sum() for d in degrees]
         assert mass == pytest.approx(values, abs=1e-12)
 
 

@@ -1035,7 +1035,7 @@ class TestTypeLawOracle:
         params = GameParams(0.5, 4.0, 7.0, 0.5, EXAMPLE)
         solution = solve_direct(build_pi(EXAMPLE, params), params)
         system = solution.system
-        naive = ~system.columns[2]
+        naive = np.arange(system.L) < system.L // 2
         T = int(naive.sum())                  # 5 count vectors at degree 4, 7 at degree 6
         counts = empirical_neighbor_shares(generate(EXAMPLE, self.N, 0, simple)).counts
         observed, nodes = np.unique(counts, axis=0, return_counts=True)

@@ -105,7 +105,7 @@ class TestEnumerateTypes:
             assert soph.degree == naive.degree and soph.counts is naive.counts
 
     def test_a_build_lays_out_each_degrees_lattice_once(self, monkeypatch):
-        # the tables and the derived columns read one lattice per degree
+        # the tables and the derived arrays read one lattice per degree
         import netgame.typespace
         calls = []
         real = netgame.typespace.feasible_observed_shares
@@ -116,7 +116,7 @@ class TestEnumerateTypes:
         assert calls == [2, 3, 5, 2, 3, 5]
         for system in systems:
             assert not any(array.flags.writeable for array in (
-                system.pmf, system.beliefs, *system.columns, system.d_diag))
+                system.pmf, system.beliefs, system.counts, system.degrees, system.rho))
 
     def test_index_bijection(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
@@ -140,7 +140,7 @@ def _degree_mass(model, rule, counts, sigma=1.0):
     population share that observer believes each degree has."""
     system = build_pi(model, _stable_params(model, sigma=sigma))
     row = system.row(rule, sum(counts), counts)
-    return [row[system.columns[1] == d].sum() for d in model.degrees]
+    return [row[np.tile(system.degrees, 2) == d].sum() for d in model.degrees]
 
 
 class TestBelievedShares:
@@ -205,7 +205,7 @@ class TestBuildPi:
         alpha = slack * cost / float(m.rho[-1])
         params = GameParams(1.0, alpha, cost, sigma, m)
         system = build_pi(m, params)
-        mat = (alpha / cost) * system.pi * system.d_diag
+        mat = (alpha / cost) * system.pi * np.tile(system.rho, 2)
         radius = np.max(np.abs(np.linalg.eigvals(mat)))
         assert radius < 1.0
 
@@ -218,11 +218,15 @@ class TestBuildPi:
             r2 = system.row(rule, 4, (2, 2))
             assert np.array_equal(r1, r2)
 
-    def test_d_diag_holds_column_ratios(self):
+    def test_rho_holds_degree_ratios(self):
+        # each observation once, read by the type of either rule
         m = DegreeModel((2, 4), (0.5, 0.5))
         system = build_pi(m, _stable_params(m))
+        half = system.L // 2
+        assert (system.counts.shape, system.degrees.shape, system.rho.shape) == \
+            ((half, 2), (half,), (half,))
         for q, t in enumerate(system.types):
-            assert system.d_diag[q] == t.degree / 2
+            assert system.rho[q % half] == t.degree / 2
 
     def test_one_kernel_call_per_target_degree_over_distinct_observations(self,
                                                                             monkeypatch):
@@ -241,7 +245,8 @@ class TestBuildPi:
     def test_d_diag_is_derived_from_the_types(self):
         m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
         system = build_pi(m, _stable_params(m, sigma=0.5))
-        assert system.d_diag.tolist() == [t.degree / 2 for t in system.types]
+        # the diagonal of D in (alpha/c) Pi D: each rule's half reads rho
+        assert np.tile(system.rho, 2).tolist() == [t.degree / 2 for t in system.types]
 
     def test_solving_and_averaging_make_no_agent_type(self, monkeypatch):
         # the system is derived from the degree support; types are made only
@@ -263,9 +268,9 @@ class TestBuildPi:
         m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
         system = build_pi(m, _stable_params(m, sigma=0.5))
         assert system.types == tuple(enumerate_types(m))
-        counts, degrees, sophisticated = system.columns
-        assert [(t.rule == "sophisticated", t.degree, t.counts) for t in system.types] == \
-            list(zip(sophisticated.tolist(), degrees.tolist(), map(tuple, counts.tolist())))
+        rows = list(zip(system.degrees.tolist(), map(tuple, system.counts.tolist())))
+        assert [(t.rule, t.degree, t.counts) for t in system.types] == \
+            [(rule, *row) for rule in ("naive", "sophisticated") for row in rows]
 
     def test_rejects_a_system_not_built_on_a_degree_model(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
