@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import (
-    _naive_xi,
-    _rates,
     _rule_averages,
-    _solve_after_naive,
+    _solve_sigmas,
     _type_weights,
     benchmark_expectation,
     infinite_naive,
@@ -34,6 +32,7 @@ from .population import (
     GameParams,
     ModelError,
     _positive_integer,
+    check_budget,
     check_shares,
     sampling_law,
 )
@@ -324,8 +323,8 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
 
     A d1's table, naive block and type weights depend on neither sigma nor the
     solution, so each takes one build, one naive solve and one kernel call for
-    every sigma and the grid.  A d1 whose table cannot fit is refused before
-    any is built.
+    every sigma and the grid.  A d1 whose table, or whose (grid, L/2) type
+    weights, cannot fit ``MEMORY_BUDGET`` is refused before any is built.
     """
     _check_excess_ratio(eps)
     if not len(sigmas):
@@ -342,6 +341,10 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     if models:  # each delta2's shares are checked as a DegreeModel checks them
         for x in grid:
             check_shares((1 - x, x))
+    for model in models:  # the (grid, L/2) type weights of each, before any is built
+        half = sum(d + 1 for d in model.degrees)
+        check_budget(8 * len(grid) * half, f"{len(grid)} true high shares at d1 = "
+                                           f"{model.degrees[0]}: the type weights")
     points = np.array(grid)
     true_shares = (1 - points, points)
     shares = np.column_stack(true_shares)
@@ -349,12 +352,9 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     for model in models:
         params = GameParams(etheta, alpha, cost, sigmas[0], model)
         system = build_pi(model, params)
-        a_c, t_c = _rates(system, params)
-        naive = _naive_xi(system, a_c, t_c)
         law = np.column_stack(sampling_law(model.degrees, true_shares))
         weights = _type_weights(system, shares, law)
-        for sigma in sigmas:
-            xi, _ = _solve_after_naive(system, sigma, a_c, t_c, naive)
+        for sigma, (xi, _) in zip(sigmas, _solve_sigmas(system, params, sigmas)):
             values[sigma, model.degrees[0]] = _rule_averages(weights, xi, sigma)
     if len(d1s) < len(d1_list):
         d1s.append("inf")

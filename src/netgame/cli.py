@@ -59,6 +59,7 @@ from .population import (
     GameParams,
     ModelError,
     biased_neighbor_share,
+    check_budget,
 )
 
 PRESETS = {
@@ -231,6 +232,7 @@ def _grid(text) -> np.ndarray:
     count = int(text)
     if count < 2:
         raise ModelError("grid needs at least two points")
+    check_budget(8 * count, f"the {count} grid points")
     return np.linspace(0.0, 1.0, count)
 
 

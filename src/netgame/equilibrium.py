@@ -31,7 +31,7 @@ from .population import (
 )
 from .typespace import ExpectationMatrix, multinomial_pmf
 
-RESIDUAL_TOL = 1e-8
+BACKWARD_TOL = 1e-12
 ITERATIVE_TOL = 1e-12
 MAX_SWEEPS = 10**6
 _SINGULAR = "singular type system; stability requires alpha * d_K/d_1 < cost"
@@ -108,36 +108,47 @@ def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSo
     dense LU solves the naive block on its own, then the sophisticated block,
     weighed by sigma, with (alpha/c) (1 - sigma) Pi_sn D_n xi_n added to its
     right-hand side.  Each block is formed from the table, one at a time.  A
-    full-system residual above ``RESIDUAL_TOL`` raises rather than returning
+    normwise backward error above ``BACKWARD_TOL`` raises rather than returning
     silently degraded expectations, and so does a ``params.sigma`` other than
     the system's.
     """
-    a_c, t_c = _rates(system, params)
-    xi, res = _solve_after_naive(system, system.sigma, a_c, t_c, _naive_xi(system, a_c, t_c))
+    (xi, res), = _solve_sigmas(system, params, [system.sigma])
     return EquilibriumSolution(xi, system, "direct", res)
 
 
-def _naive_xi(system, a_c, t_c) -> np.ndarray:
-    """The naive block's xi.  Naive observers see no sigma, so one solve serves
-    every sigma of a table at the same alpha/c and E[theta]/c."""
-    return _solve_block(system, system.beliefs[0], a_c, np.full(len(system.degrees), t_c))
+def _solve_sigmas(system, params, sigmas):
+    """Yield :func:`solve_direct`'s xi and residual at each of ``sigmas`` in turn,
+    on ``system``'s table with ``params``' scalars.  Naive observers see no
+    sigma, so one naive solve serves every sigma; each sigma then solves its
+    sophisticated block and passes the gate of :func:`_gated_residual`."""
+    a_c, t_c = _rates(system, params)
+    half = len(system.degrees)
+    naive = _solve_block(system, system.beliefs[0], a_c, np.full(half, t_c))
+    for sigma in sigmas:
+        xi = np.zeros(system.L)
+        xi[:half] = naive
+        # the sophisticated xi are still 0, so this product is the naive cross term
+        b = _best_response(system, sigma, a_c, t_c, xi)[half:]
+        xi[half:] = _solve_block(system, float(sigma) * system.beliefs[1], a_c, b)
+        yield xi, _gated_residual(system, sigma, a_c, t_c, xi)
 
 
-def _solve_after_naive(system, sigma, a_c, t_c, naive) -> tuple:
-    """:func:`solve_direct` at ``sigma`` given the naive block's xi: the
-    sophisticated block, then the full-system residual gate; xi and the residual."""
-    half = len(naive)
-    xi = np.zeros(system.L)
-    xi[:half] = naive
-    # the sophisticated xi are still 0, so this product is the naive cross term
-    b = _best_response(system, sigma, a_c, t_c, xi)[half:]
-    xi[half:] = _solve_block(system, float(sigma) * system.beliefs[1], a_c, b)
+def _gated_residual(system, sigma, a_c, t_c, xi) -> float:
+    """The residual ||b - M xi|| of M = I - (alpha/c) Pi D and b = E[theta]/c in the
+    infinity norm, or ``ConvergenceError`` when the normwise backward error
+    ||b - M xi|| / (||M|| ||xi|| + ||b||) (Rigal-Gaches; Higham 2002, Thm 7.1)
+    passes ``BACKWARD_TOL``.  Below the stability edge M's diagonal is
+    non-negative, so row p of |M| sums to 1 + (alpha/c) ((Pi D 1)_p - 2 pi_pp rho_p)."""
     res = _fixed_point_residual(system, sigma, a_c, t_c, xi)
-    if not res <= RESIDUAL_TOL:  # also catches NaN
-        raise ConvergenceError(
-            f"direct solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}", res
-        )
-    return xi, res
+    diag = np.concatenate([system.beliefs[:, cols, k] for k, cols in enumerate(system.blocks)],
+                         axis=1) * (np.diagonal(system.pmf) * system.rho)
+    diag[1] *= float(sigma)  # pi_pp: a sophisticated observer's believed share of its own rule
+    rows = _best_response(system, sigma, a_c, 1.0, np.ones(system.L)) - 2 * a_c * diag.ravel()
+    scale = float(np.max(rows)) * float(np.max(np.abs(xi))) + abs(t_c)
+    if not res <= BACKWARD_TOL * scale:  # also catches NaN
+        raise ConvergenceError(f"direct solve backward error {res / scale:.3e} exceeds "
+                               f"{BACKWARD_TOL:.1e} (residual {res:.3e})", res)
+    return res
 
 
 def solve_iterative(system: ExpectationMatrix, params: GameParams) -> EquilibriumSolution:

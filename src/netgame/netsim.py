@@ -587,6 +587,7 @@ def monte_carlo_estimator_check(model: DegreeModel, n: int, trials: int = 20,
     ``population.MEMORY_BUDGET`` bytes raises ``ModelError`` before anything is drawn.
     """
     n, trials, seed = _node_count(n), _trial_count(trials), _seed(seed)
+    check_budget(8 * trials * (4 * model.K + 1), f"{trials} trials: the per-trial results")
     degrees = [float(d) for d in model.degrees]
     naive_out, soph_out = np.empty((trials, model.K)), np.empty((trials, model.K))
     assort = np.empty(trials)
@@ -629,6 +630,8 @@ def sampling_error_scaling(model: DegreeModel, ns, trials_per_n, seed: int = 0):
     if len(set(ns)) < 2:
         raise ModelError("need at least two distinct network sizes to fit a slope")
     seed = _seed(seed)
+    check_budget(8 * max(trials_per_n) * model.K, f"{max(trials_per_n)} trials: the "
+                                                  "per-trial average shares")
     tilde = np.array([float(v) for v in biased_neighbor_share(model)])
     devs = []
     for i, (n, trials) in enumerate(zip(ns, trials_per_n)):

@@ -76,17 +76,18 @@ def enumerate_types(model: DegreeModel) -> list:
             for rule in RULES for d, lattice in lattices for counts in lattice]
 
 
-def multinomial_pmf(counts, probs, *, out=None) -> np.ndarray:
+def multinomial_pmf(counts, probs) -> np.ndarray:
     """Multinomial probabilities of every count vector under every cell-probability row.
 
     ``counts`` is an (n, K) array of non-negative integer count vectors and
     ``probs`` an (m, K) array of cell probabilities; entry [i, j] of the
-    (m, n) result, written into ``out`` if given, is the chance of drawing
-    ``counts[j]`` with ``probs[i]``.  Each probability is evaluated in log
-    space from a log-factorial table, so large totals do not overflow; the
-    relative error grows with the total, to about 3e-13 at 200 draws and
-    2e-12 at 1100.  A zero count on a zero cell contributes a factor of one
-    (0 * log 0 = 0); a positive count on a zero cell makes the chance 0.
+    (m, n) result is the chance of drawing ``counts[j]`` with ``probs[i]``.
+    Each probability is evaluated in log space from a log-factorial table, so
+    large totals do not overflow; the relative error grows with the total, to
+    about 3e-13 at 200 draws and 2e-12 at 1100.  A zero count on a zero cell
+    contributes a factor of one (0 * log 0 = 0); a positive count on a zero
+    cell makes the chance 0.  Column j depends on ``counts[j]`` alone, so its
+    bits do not depend on which other count vectors share the call.
     """
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -102,7 +103,7 @@ def multinomial_pmf(counts, probs, *, out=None) -> np.ndarray:
     log_fact = np.array([math.lgamma(t + 1) for t in range(int(totals.max(initial=0)) + 1)])
     zero = probs == 0
     log_p = np.log(probs, out=np.zeros_like(probs), where=~zero)
-    out = np.einsum("ik,jk->ij", log_p, counts, out=out)  # the only (m, n) array
+    out = np.einsum("ik,jk->ij", log_p, counts)  # the only (m, n) array
     out += log_fact[totals] - log_fact[whole].sum(axis=1)
     for k in np.flatnonzero(zero.any(axis=0)):
         out[np.ix_(zero[:, k], whole[:, k] > 0)] = -np.inf
@@ -142,9 +143,9 @@ class ExpectationMatrix:
     observer with observation p believes in (naive observers believe their
     observed shares, sophisticated ones :func:`sophisticated_mle` of them, formed
     for every observation in one call); ``pmf[p, q]``, the chance of observation
-    q's counts with p's shares as cell probabilities, written one target degree
-    at a time by :func:`multinomial_pmf` over the L/2 distinct observations both
-    rules read; and each observation's ``counts`` (L/2, K), ``degrees`` (L/2,)
+    q's counts with p's shares as cell probabilities, from one
+    :func:`multinomial_pmf` call over the L/2 distinct observations both rules
+    read; and each observation's ``counts`` (L/2, K), ``degrees`` (L/2,)
     and ``rho`` (degree over d_1), with ``blocks``, each degree's slice of them.
     The rule is an axis: type q is observation q mod L/2 under
     ``RULES[q // (L/2)]``.  Systems compare and hash by model and sigma.
@@ -168,11 +169,8 @@ class ExpectationMatrix:
         observed = counts / degrees[:, None]
         sophisticated = np.stack(sophisticated_mle(observed.T, self.model.degrees), axis=1)
         beliefs = np.stack([observed, sophisticated])
-        pmf = np.empty((len(degrees),) * 2)
-        for cols in blocks:
-            multinomial_pmf(counts[cols], observed, out=pmf[:, cols])
-        arrays = {"pmf": pmf, "beliefs": beliefs, "counts": counts, "degrees": degrees,
-                  "rho": degrees / degrees[0]}
+        arrays = {"pmf": multinomial_pmf(counts, observed), "beliefs": beliefs,
+                  "counts": counts, "degrees": degrees, "rho": degrees / degrees[0]}
         for name, array in arrays.items():
             array.setflags(write=False)
             object.__setattr__(self, name, array)

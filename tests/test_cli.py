@@ -374,6 +374,16 @@ class TestSolveDump:
         assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                      for name in ("solution.csv", "solution.json")) == digests
 
+    @pytest.mark.parametrize("model, rows", [("2,6:0.5,0.5", 20), ("32,96:0.5,0.5", 260)])
+    def test_solves_a_hair_inside_the_stability_edge(self, model, rows, tmp_path, capsys):
+        # margin 1e-10: the absolute residual grows with xi, near 3e9, and the
+        # dump reports it while the backward error passes its gate
+        code, _ = run(capsys, "solve", "--model", model, "--alpha", "1",
+                      "--c", "3.0000000003", "--sigma", "0.5", "--out", str(tmp_path))
+        assert code == 0
+        twin = json.loads((tmp_path / "solution.json").read_text())
+        assert len(twin["rows"]) == rows and 1e-8 < twin["residual"] < 1e-5
+
     def test_k3_bytes_hold_under_a_compensated_sum(self, tmp_path, capsys, request):
         # Python 3.12 adds floats in sum() with compensation; the bytes must not move
         def written(out):
@@ -556,6 +566,39 @@ class TestConfigAndErrors:
         assert err.startswith(f"error: L = {types} types: the (L/2)^2 table, a solve block "
                               f"and LAPACK's copy of it need {24 * (types // 2) ** 2} bytes")
         assert not fresh.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["sweep", "bias", "--grid", "100000000000"], "the 100000000000 grid points"),
+        (["sweep", "sophistication", "--grid", "100000000000"], "the 100000000000 grid points"),
+        (["sweep", "outcomes", "--grid", "100000000000"], "the 100000000000 grid points"),
+        (["sweep", "precision", "--grid", "100000000000"], "the 100000000000 grid points"),
+        (["simulate", "--n", "1000", "--trials", "100000000000"],
+         "100000000000 trials: the per-trial results"),
+    ], ids=["bias", "sophistication", "outcomes", "precision", "simulate"])
+    def test_a_huge_count_exits_two_at_once(self, argv, named, tmp_path, capsys):
+        # refused from the count, before numpy is asked for the array
+        fresh = tmp_path / "fresh"
+        start = time.perf_counter()
+        assert main([*argv, "--out", str(fresh)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} need ") and err.count("\n") == 1
+        assert not fresh.exists()
+
+    def test_precision_type_weights_over_the_budget_exit_two(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # d1 = 2: L/2 = 3 + 7 observations, a 2400-byte table and solve blocks, and
+        # 39 interior grid points of 10 type weights each, 3120 bytes
+        from netgame import population
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 3119)
+        fresh = tmp_path / "fresh"
+        assert main(["sweep", "precision", "--d1", "2,inf", "--out", str(fresh)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 39 true high shares at d1 = 2: the type weights need 3120 bytes "
+            "(2.91e-06 GiB), over the budget of 3119 bytes\n")
+        assert not fresh.exists()
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 3120)
+        assert main(["sweep", "precision", "--d1", "2,inf", "--out", str(fresh)]) == 0
 
     def test_failed_sweep_leaves_no_default_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

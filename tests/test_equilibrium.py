@@ -318,6 +318,62 @@ def block_system(degrees, shares, sigma):
     return params, build_pi(model, params)
 
 
+def edge_system(d1, cost, sigma=0.5):
+    """The two-class (d1, 3 * d1) system at alpha = 1: its contraction margin
+    1 - (alpha/c) * d_K/d_1 is 1 - 3/cost."""
+    model = DegreeModel((d1, 3 * d1), (0.5, 0.5))
+    params = GameParams(1.0, 1.0, cost, sigma, model)
+    return params, build_pi(model, params)
+
+
+class TestBackwardErrorGate:
+    """The direct solve is gated by ||r|| / (||M|| ||xi|| + ||b||), not by ||r||:
+    xi grows like 1/margin, and so does the residual of a solve as good as
+    double precision gets."""
+
+    @pytest.mark.parametrize("d1", [2, 32])
+    def test_solves_a_hair_inside_the_stability_edge(self, d1):
+        # margin 1e-10: xi near 3e9, a residual of a few ulp of it (2.4e-7 and
+        # 9.5e-7 here) that an absolute 1e-8 gate refused, and a backward error
+        # near 1e-16
+        params, system = edge_system(d1, 3.0000000003)
+        solution = solve_direct(system, params)
+        assert 1e-8 < solution.residual < 1e-5
+        assert np.isfinite(solution.xi).all() and solution.xi.max() > 1e9
+
+    @pytest.mark.parametrize("d1", [2, 32])
+    def test_a_perturbed_xi_fails_at_every_margin(self, d1):
+        for margin in 10.0 ** -np.arange(2, 11):
+            params, system = edge_system(d1, 3 * (1 + margin))
+            a_c, t_c = equilibrium._rates(system, params)
+            xi = solve_direct(system, params).xi.copy()
+            assert equilibrium._gated_residual(system, 0.5, a_c, t_c, xi) <= 1e-6
+            xi[np.argmax(xi)] *= 1 + 1e-6
+            # about 1e-6 / ||M||, and ||M|| is near 2
+            with pytest.raises(ConvergenceError, match=r"^direct solve backward error 5\.0\d\de-07"
+                               r" exceeds 1\.0e-12 \(residual "):
+                equilibrium._gated_residual(system, 0.5, a_c, t_c, xi)
+
+    @pytest.mark.parametrize("degrees, shares, sigma", [
+        ((2, 6), (0.6, 0.4), 0.5),
+        ((1, 2, 3), (0.2, 0.3, 0.5), 0.3),
+        ((8, 16, 24), (0.5, 0.3, 0.2), 1.0),
+    ])
+    def test_the_row_sums_are_the_dense_norm(self, degrees, shares, sigma, monkeypatch):
+        # the gate's ||M|| from the table's diagonal and one map of a ones vector
+        params, system = block_system(degrees, shares, sigma)
+        a_c, t_c = equilibrium._rates(system, params)
+        xi = solve_direct(system, params).xi
+        dense = np.abs(np.eye(system.L) - a_c * system.pi * np.tile(system.rho, 2)).sum(axis=1)
+        scale = dense.max() * np.abs(xi).max() + t_c
+        res = equilibrium._fixed_point_residual(system, sigma, a_c, t_c, xi)
+        monkeypatch.setattr(equilibrium, "BACKWARD_TOL", res / scale * (1 + 1e-9))
+        assert equilibrium._gated_residual(system, sigma, a_c, t_c, xi) == res
+        monkeypatch.setattr(equilibrium, "BACKWARD_TOL", res / scale * (1 - 1e-9))
+        with pytest.raises(ConvergenceError):
+            equilibrium._gated_residual(system, sigma, a_c, t_c, xi)
+
+
 class TestBlockSolve:
     @pytest.mark.parametrize("degrees, shares, sigma", [
         ((8, 16, 24), (0.5, 0.3, 0.2), 0.0),

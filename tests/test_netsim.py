@@ -908,6 +908,24 @@ class TestPipeline:
         assert sorted(draws) == [[7, 0, 0], [7, 0, 1], [7, 0, 2], [7, 1, 0], [7, 1, 1]]
 
 
+class TestTrialBudget:
+    """The per-trial results a run keeps are charged against
+    ``population.MEMORY_BUDGET`` from the trial count, before any is allocated."""
+
+    def test_the_check_refuses_a_huge_trial_count(self):
+        # 4K + 1 = 9 floats per trial at K = 2
+        before = threading.active_count()
+        with pytest.raises(ModelError, match=r"^100000000000 trials: the per-trial results "
+                                             r"need 7200000000000 bytes"):
+            monte_carlo_estimator_check(EXAMPLE, 1000, trials=10**11)
+        assert threading.active_count() == before
+
+    def test_the_scaling_refuses_a_huge_trial_count(self):
+        with pytest.raises(ModelError, match=r"^100000000000 trials: the per-trial average "
+                                             r"shares need 1600000000000 bytes"):
+            sampling_error_scaling(EXAMPLE, [300, 1001], [3, 10**11])
+
+
 class TestStubBudget:
     """A draw whose int64 stub arrays would pass ``population.MEMORY_BUDGET`` bytes
     fails with ``ModelError`` before any is allocated or any thread starts."""

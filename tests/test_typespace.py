@@ -228,19 +228,21 @@ class TestBuildPi:
         for q, t in enumerate(system.types):
             assert system.rho[q % half] == t.degree / 2
 
-    def test_one_kernel_call_per_target_degree_over_distinct_observations(self,
-                                                                            monkeypatch):
-        # both rule blocks read the same observations, so each call has L/2 rows
+    def test_one_kernel_call_per_build_over_distinct_observations(self, monkeypatch):
+        # both rule blocks read the same observations, so the one call is L/2 by L/2
         import netgame.typespace
         calls = []
         real = netgame.typespace.multinomial_pmf
         monkeypatch.setattr(netgame.typespace, "multinomial_pmf",
-                            lambda c, p, **kw: calls.append((len(c), len(p)))
-                            or real(c, p, **kw))
+                            lambda c, p: calls.append((len(c), len(p))) or real(c, p))
         m = DegreeModel((8, 16, 24), (0.5, 0.3, 0.2))
         system = build_pi(m, _stable_params(m, sigma=0.5))
         assert system.L == 1046
-        assert calls == [(math.comb(d + 2, 2), 523) for d in m.degrees]
+        assert calls == [(523, 523)]
+        # each target degree's columns hold the bits of a call over that degree alone
+        for cols in system.blocks:
+            assert system.pmf[:, cols].tobytes() == \
+                real(system.counts[cols], system.beliefs[0]).tobytes()
 
     def test_d_diag_is_derived_from_the_types(self):
         m = DegreeModel((2, 3, 5), (0.3, 0.4, 0.3))
@@ -478,6 +480,19 @@ class TestMultinomialPmf:
                     assert got[i, j] == 0.0
                 else:
                     assert got[i, j] == pytest.approx(float(exact), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_columns_do_not_depend_on_the_batch(self, data):
+        # a type system's table is one call over every observation, so each column
+        # must hold the bits that a call over any selection of the counts gives it
+        K = data.draw(st.integers(2, 4))
+        counts = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 40), min_size=K, max_size=K), min_size=1, max_size=30)))
+        probs = sum((data.draw(probability_rows(K)) for _ in range(4)), [])
+        idx = data.draw(st.lists(st.integers(0, len(counts) - 1), min_size=1, max_size=30))
+        assert multinomial_pmf(counts, probs)[:, idx].tobytes() == \
+            multinomial_pmf(counts[idx], probs).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
