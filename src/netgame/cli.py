@@ -236,6 +236,12 @@ def _grid(text) -> np.ndarray:
     return np.linspace(0.0, 1.0, count)
 
 
+def _check_rows(count, columns) -> None:
+    """Refuse a table of ``count`` rows before any row is built, charging
+    ``_CELL_BYTES`` per cell."""
+    check_budget(_CELL_BYTES * count * len(columns), f"{count} rows of {len(columns)} cells")
+
+
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
@@ -339,6 +345,10 @@ def _json_text(payload) -> str:
 _CSV_SPECIAL = (",", '"', "\r", "\n")
 # Rows joined into one text when a table is written
 _CHUNK_ROWS = 1024
+# What a table cell holds at a sweep's peak: its float, its slots in a row and
+# a column, and its CSV and JSON texts; 127 to 155 bytes were measured at
+# 50,000- to 200,000-point sweeps on CPython 3.11
+_CELL_BYTES = 160
 
 
 def _field(cell) -> str:
@@ -545,6 +555,7 @@ def _sweep_sophistication(opts, out):
     model, params = opts.game(0.0)
     sigmas = opts.get("grid", _grid)
     columns = ("sigma", "naive", "sophisticated", "benchmark")
+    _check_rows(len(sigmas), columns)
     rows = [(r.sigma, r.naive, r.sophisticated, r.benchmark)
             for r in sigma_sweep(model, params.alpha, params.cost,
                                  params.mean_preference, sigmas)]
@@ -561,6 +572,7 @@ def _sweep_outcomes(opts, out):
     model, params = opts.game(0.0)
     etheta = params.mean_preference
     columns = ("sigma", "rule", "degree", "action", "expected_utility")
+    _check_rows(len(sigmas) * 3 * model.K, columns)  # naive, sophisticated, benchmark
     rows = []
     for r in sigma_sweep(model, params.alpha, params.cost, etheta, sigmas):
         held = {NAIVE: r.naive, SOPHISTICATED: r.sophisticated, "benchmark": r.benchmark}
@@ -579,6 +591,7 @@ def _sweep_bias(opts, out):
     eps_list = opts.get("eps", _scalar_list)
     grid = opts.get("grid", _grid)
     columns = ("eps", "delta2", "bias")
+    _check_rows(len(eps_list) * len(grid), columns)
     rows = []
     summary = []
     for eps in eps_list:
@@ -680,15 +693,19 @@ def _solution_rows(system, xi) -> list:
 
 
 def _solve(opts, out):
-    from .equilibrium import solve_direct
+    from .equilibrium import contraction_margin, solve_direct
     from .typespace import build_pi
 
     model, params = opts.game(opts.get("sigma", float))
-    solution = solve_direct(build_pi(model, params), params)
+    system = build_pi(model, params)
+    solution = solve_direct(system, params)
     columns = ("label", "rule", "degree", "observed", "expectation")
-    rows = _solution_rows(solution.system, solution.xi)
+    rows = _solution_rows(system, solution.xi)
+    # the solver's diagnostics: L types, one unknown per (rule, distinct share)
     meta = {**_game_meta(opts, params), "sigma": params.sigma,
-            "method": solution.method, "residual": solution.residual}
+            "method": solution.method, "residual": solution.residual,
+            "types": system.L, "unknowns": 2 * system.U,
+            "margin": contraction_margin(system, params)}
     return _tabulate("solution", columns, rows, meta, out, "per-type expectations")
 
 

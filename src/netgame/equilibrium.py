@@ -34,6 +34,7 @@ from .typespace import ExpectationMatrix, multinomial_pmf
 BACKWARD_TOL = 1e-12
 ITERATIVE_TOL = 1e-12
 MAX_SWEEPS = 10**6
+SCRATCH_BYTES = 1 << 18  # the most of the table a block solve copies at once
 _SINGULAR = "singular type system; stability requires alpha * d_K/d_1 < cost"
 
 
@@ -59,12 +60,25 @@ class EquilibriumSolution:
 
 
 def _best_response(system, sigma, a_c, t_c, xi) -> np.ndarray:
-    """t + (alpha/c) Pi D xi at ``sigma``: K mat-vecs per rule on ``pmf``'s degree columns."""
+    """t + (alpha/c) Pi D xi at ``sigma`` for the L types' ``xi``, one value per
+    (rule, distinct share) in a (2, U) array: observers with equal shares read
+    one row, so each rule takes K mat-vecs of ``pmf``'s degree columns."""
     naive, sophisticated = system.rho * xi.reshape(2, -1)
     # D xi as each rule's observers weigh the targets' rules: naive ones see only naive
     believed = (naive, float(1 - sigma) * naive + float(sigma) * sophisticated)
     products = [[system.pmf[:, c] @ x[c] for c in system.blocks] for x in believed]
-    return t_c + a_c * (system.beliefs * np.swapaxes(products, 1, 2)).sum(axis=2).ravel()
+    return t_c + a_c * (system.beliefs * np.swapaxes(products, 1, 2)).sum(axis=2)
+
+
+def _per_type(system, values) -> np.ndarray:
+    """The L per-type values of a (2, U) array of per-(rule, share) values."""
+    return values[:, system.share_row].ravel()
+
+
+def contraction_margin(system, params) -> float:
+    """1 - (alpha/c) * d_K/d_1 as the solvers round it: how far ``system`` at
+    ``params`` lies inside the stability edge."""
+    return 1 - float(params.alpha) / float(params.cost) * float(system.rho[-1])
 
 
 def _rates(system, params) -> tuple:
@@ -86,16 +100,48 @@ def _rates(system, params) -> tuple:
 
 
 def _fixed_point_residual(system, sigma, a_c, t_c, xi) -> float:
-    return float(np.max(np.abs(xi - _best_response(system, sigma, a_c, t_c, xi))))
+    return float(np.max(np.abs(xi - _per_type(system, _best_response(system, sigma, a_c,
+                                                                     t_c, xi)))))
 
 
-def _solve_block(system, weights, a_c, b) -> np.ndarray:
-    """Solve (I - a_c Pi_bb D) x = b, the rule block formed from row ``weights``."""
-    m = system.weighted_table(weights, np.empty(system.pmf.shape))
-    m *= -a_c * system.rho
+def _share_layout(system) -> tuple:
+    """The pieces a rule block is formed from, as two lists of (k, observations,
+    rows), each piece at most ``SCRATCH_BYTES`` of the table's columns, all of
+    target degree k.  The first list writes: each observation is its share's
+    first, and rows is the slice of the transposed block's rows they take
+    (shares are numbered in order of first appearance, so these rows run on).
+    The second adds, in degree order, into the shares a lower degree saw first."""
+    step = max(1, SCRATCH_BYTES // (8 * system.U))
+    writes, adds, fresh = [], [], 0
+    for k, cols in enumerate(system.blocks):
+        rows = system.share_row[cols]
+        new = rows >= fresh
+        first, later = cols.start + np.flatnonzero(new), cols.start + np.flatnonzero(~new)
+        for i in range(0, len(first), step):
+            piece = first[i:i + step]
+            writes.append((k, piece, slice(fresh + i, fresh + i + len(piece))))
+        adds.extend((k, later[i:i + step], rows[~new][i:i + step])
+                    for i in range(0, len(later), step))
+        fresh += len(first)
+    return writes, adds
+
+
+def _solve_block(system, layout, weights, a_c, b) -> np.ndarray:
+    """Solve (I - a_c Pi_bb D) y = b on the U distinct shares of one rule block,
+    whose row u is ``pmf[u]`` times ``weights[u]`` per target degree.  Equal
+    shares hold equal xi, so each observation's column adds into its share's
+    column, in degree order (:func:`_share_layout`).  The block is formed
+    transposed, a column per row, a piece of the table at a time."""
+    m = np.empty((len(b), len(b)))  # m[v, u]: share v's coefficient in share u's row
+    scaled = weights * (-a_c * system.rho[[cols.start for cols in system.blocks]])
+    writes, adds = layout
+    for k, cols, rows in writes:
+        np.multiply(system.pmf[:, cols].T, scaled[:, k], out=m[rows])
+    for k, cols, rows in adds:
+        m[rows] += system.pmf[:, cols].T * scaled[:, k]
     m.flat[::len(b) + 1] += 1.0
     try:
-        return np.linalg.solve(m, b)
+        return np.linalg.solve(m.T, b)
     except np.linalg.LinAlgError as exc:
         raise StabilityError(_SINGULAR) from exc
 
@@ -107,10 +153,12 @@ def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSo
     is block lower-triangular in the rule and forward substitution is exact:
     dense LU solves the naive block on its own, then the sophisticated block,
     weighed by sigma, with (alpha/c) (1 - sigma) Pi_sn D_n xi_n added to its
-    right-hand side.  Each block is formed from the table, one at a time.  A
-    normwise backward error above ``BACKWARD_TOL`` raises rather than returning
-    silently degraded expectations, and so does a ``params.sigma`` other than
-    the system's.
+    right-hand side.  Types with equal rule and observed shares have equal
+    rows, so each block is solved with one unknown per distinct share, formed
+    from the table one at a time, and every type gets its share's value, bit
+    for bit.  A normwise backward error of the L-type system above
+    ``BACKWARD_TOL`` raises rather than returning silently degraded
+    expectations, and so does a ``params.sigma`` other than the system's.
     """
     (xi, res), = _solve_sigmas(system, params, [system.sigma])
     return EquilibriumSolution(xi, system, "direct", res)
@@ -119,32 +167,37 @@ def solve_direct(system: ExpectationMatrix, params: GameParams) -> EquilibriumSo
 def _solve_sigmas(system, params, sigmas):
     """Yield :func:`solve_direct`'s xi and residual at each of ``sigmas`` in turn,
     on ``system``'s table with ``params``' scalars.  Naive observers see no
-    sigma, so one naive solve serves every sigma; each sigma then solves its
-    sophisticated block and passes the gate of :func:`_gated_residual`."""
+    sigma, so one naive solve serves every sigma, and so does the naive term
+    of the sophisticated right-hand side, which scales with 1 - sigma; each
+    sigma then solves its sophisticated block and passes the gate of
+    :func:`_gated_residual`."""
     a_c, t_c = _rates(system, params)
-    half = len(system.degrees)
-    naive = _solve_block(system, system.beliefs[0], a_c, np.full(half, t_c))
+    layout = _share_layout(system)
+    naive = _solve_block(system, layout, system.beliefs[0], a_c, np.full(system.U, t_c))
+    # (alpha/c) Pi_sn D_n xi_n per unit of 1 - sigma
+    cross = _best_response(system, 0.0, a_c, 0.0, _per_type(system, np.stack([naive, naive])))[1]
+    shares = np.empty((2, system.U))
+    shares[0] = naive
     for sigma in sigmas:
-        xi = np.zeros(system.L)
-        xi[:half] = naive
-        # the sophisticated xi are still 0, so this product is the naive cross term
-        b = _best_response(system, sigma, a_c, t_c, xi)[half:]
-        xi[half:] = _solve_block(system, float(sigma) * system.beliefs[1], a_c, b)
+        b = t_c + float(1 - sigma) * cross
+        shares[1] = _solve_block(system, layout, float(sigma) * system.beliefs[1], a_c, b)
+        xi = _per_type(system, shares)
         yield xi, _gated_residual(system, sigma, a_c, t_c, xi)
 
 
 def _gated_residual(system, sigma, a_c, t_c, xi) -> float:
-    """The residual ||b - M xi|| of M = I - (alpha/c) Pi D and b = E[theta]/c in the
-    infinity norm, or ``ConvergenceError`` when the normwise backward error
-    ||b - M xi|| / (||M|| ||xi|| + ||b||) (Rigal-Gaches; Higham 2002, Thm 7.1)
-    passes ``BACKWARD_TOL``.  Below the stability edge M's diagonal is
-    non-negative, so row p of |M| sums to 1 + (alpha/c) ((Pi D 1)_p - 2 pi_pp rho_p)."""
+    """The residual ||b - M xi|| of the L-type system M = I - (alpha/c) Pi D and
+    b = E[theta]/c in the infinity norm, or ``ConvergenceError`` when the
+    normwise backward error ||b - M xi|| / (||M|| ||xi|| + ||b||)
+    (Rigal-Gaches; Higham 2002, Thm 7.1) passes ``BACKWARD_TOL``.  Below the
+    stability edge M's diagonal is non-negative, so row p of |M| sums to
+    1 + (alpha/c) ((Pi D 1)_p - 2 pi_pp rho_p), from the system's sigma-free
+    ``rho_sums``."""
     res = _fixed_point_residual(system, sigma, a_c, t_c, xi)
-    diag = np.concatenate([system.beliefs[:, cols, k] for k, cols in enumerate(system.blocks)],
-                         axis=1) * (np.diagonal(system.pmf) * system.rho)
-    diag[1] *= float(sigma)  # pi_pp: a sophisticated observer's believed share of its own rule
-    rows = _best_response(system, sigma, a_c, 1.0, np.ones(system.L)) - 2 * a_c * diag.ravel()
-    scale = float(np.max(rows)) * float(np.max(np.abs(xi))) + abs(t_c)
+    mass, diagonal = system.rho_sums
+    # pi_pp: a sophisticated observer's believed share of its own rule is sigma
+    norms = 1.0 + a_c * (mass - 2 * np.array([[1.0], [float(sigma)]]) * diagonal)
+    scale = float(np.max(norms)) * float(np.max(np.abs(xi))) + abs(t_c)
     if not res <= BACKWARD_TOL * scale:  # also catches NaN
         raise ConvergenceError(f"direct solve backward error {res / scale:.3e} exceeds "
                                f"{BACKWARD_TOL:.1e} (residual {res:.3e})", res)
@@ -154,7 +207,8 @@ def _gated_residual(system, sigma, a_c, t_c, xi) -> float:
 def solve_iterative(system: ExpectationMatrix, params: GameParams) -> EquilibriumSolution:
     """Best-response iteration from the no-complementarity starting point.
 
-    Each sweep applies xi <- (E[theta]/c)*1 + (alpha/c)*Pi D xi.  Starting
+    Each sweep applies xi <- (E[theta]/c)*1 + (alpha/c)*Pi D xi, one row per
+    (rule, distinct share) and then one value per type.  Starting
     from (E[theta]/c)*1 the iterates rise monotonically to the fixed point,
     converging geometrically with ratio at most (alpha/c)*d_K/d_1.  A system
     on or beyond the stability boundary raises ``StabilityError`` before the
@@ -164,15 +218,15 @@ def solve_iterative(system: ExpectationMatrix, params: GameParams) -> Equilibriu
     A ``params.sigma`` other than the system's raises ``ModelError``.
     """
     a_c, t_c = _rates(system, params)
-    margin = 1 - a_c * float(system.rho[-1])
     xi = np.full(system.L, t_c)
     for it in range(1, MAX_SWEEPS + 1):
-        nxt = _best_response(system, system.sigma, a_c, t_c, xi)
+        nxt = _per_type(system, _best_response(system, system.sigma, a_c, t_c, xi))
         diff = float(np.max(np.abs(nxt - xi)))
         xi = nxt
         if diff < ITERATIVE_TOL:
             res = _fixed_point_residual(system, system.sigma, a_c, t_c, xi)
             return EquilibriumSolution(xi, system, "iterative", res, iterations=it)
+    margin = contraction_margin(system, params)
     needed = math.log(1 / ITERATIVE_TOL) / margin
     raise ConvergenceError(
         f"no convergence within {MAX_SWEEPS} sweeps (last step {diff:.3e}): the "
@@ -260,11 +314,12 @@ def _rule_averages(weights, xi, sigma) -> list:
     """Naive, sophisticated and sigma-mixed averages of a solution's ``xi`` per
     row of the (m, L/2) ``weights``, as (naive, sophisticated, mixed) tuples.
 
-    Each rule's value is one row dot over its half of xi: a single matrix
-    product sums in another order and moves the last bits.
+    Each row's two rule values are one mat-vec of xi's halves by that row, so
+    they hold the same bits whatever the other rows: a single matrix product
+    over every row sums in another order and moves the last bits.
     """
-    naive, sophisticated = xi.reshape(2, -1)
-    rules = [(float(w @ naive), float(w @ sophisticated)) for w in weights]
+    halves = xi.reshape(2, -1)
+    rules = [(halves @ w).tolist() for w in weights]
     return [(n, s, (1 - float(sigma)) * n + float(sigma) * s) for n, s in rules]
 
 

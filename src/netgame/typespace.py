@@ -8,11 +8,13 @@ block and then a sophisticated block over the same L/2 observations.  An
 observer's chance of meeting a target type is its believed share of the
 target's degree, times the multinomial chance of the target's neighbor counts
 under the observer's observed shares, times its believed share of the
-target's rule (naive observers think everyone is naive).  The middle factor
-depends on neither rule nor sigma: it is one (L/2) x (L/2) table per model,
-and each row of the L x L matrix of these chances is formed from it on demand.
-A type system is its model and sigma; :class:`ExpectationMatrix` builds its
-tables from them.
+target's rule (naive observers think everyone is naive).  A row depends on
+the observer's rule and observed shares alone, not on its degree, so the
+middle factor, which depends on neither rule nor sigma, is one U x (L/2)
+table per model: a row per distinct observed share and a column per
+observation.  Each row of the L x L matrix of these chances is formed from it
+on demand.  A type system is its model and sigma; :class:`ExpectationMatrix`
+builds its tables from them.
 """
 import functools
 import itertools
@@ -120,14 +122,50 @@ def _lattice(degrees) -> tuple:
             tuple(slice(a, b) for a, b in zip(edges, edges[1:])))
 
 
+def _share_rows(counts) -> tuple:
+    """Each observation's distinct-share number, counted in order of first
+    appearance, and each share's first observation.  Two observations have
+    equal shares just when their counts, each divided by the gcd of its own
+    (which divides the degree), are equal: integers are compared, never
+    floats."""
+    keys = list(map(tuple, (counts // np.gcd.reduce(counts, axis=1)[:, None]).tolist()))
+    # key -> its first observation: zipped in reverse, the first is written last
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    firsts = np.sort(np.fromiter(first.values(), np.intp, len(first)))
+    number = np.empty(len(keys), np.intp)
+    number[firsts] = np.arange(len(firsts))
+    return number[np.fromiter(map(first.__getitem__, keys), np.intp, len(keys))], firsts
+
+
+def distinct_share_count(degrees) -> int:
+    """U, the number of distinct observed shares over the lattices of ``degrees``,
+    with none enumerated.  Degree d's shares are the points of the simplex with
+    denominators dividing d, so the lattices of a degree set S share exactly
+    the C(gcd(S) + K - 1, K - 1) shares of gcd(S)'s, and by inclusion-exclusion
+    U = sum over non-empty S of (-1)^(|S|+1) C(gcd(S) + K - 1, K - 1).  The
+    subsets are summed by their gcd, one degree at a time, so the work grows
+    with the number of divisors, not with 2^K."""
+    K = len(degrees)
+    signs = {}  # gcd(S) -> the sum of (-1)^(|S|+1) over the subsets S so far
+    for d in degrees:
+        for g, sign in list(signs.items()):  # each S gains S + {d}, of opposite sign
+            h = math.gcd(g, d)
+            signs[h] = signs.get(h, 0) - sign
+        signs[d] = signs.get(d, 0) + 1
+    return sum(sign * math.comb(g + K - 1, K - 1) for g, sign in signs.items())
+
+
 def check_fits(model: DegreeModel) -> None:
-    """Raise ``ModelError`` when the model's (L/2)^2 table, the one rule block a
-    solve forms from it and the Fortran copy of it LAPACK makes would pass
-    ``MEMORY_BUDGET``; L = 2 * sum_k C(d_k + K - 1, K - 1) comes from the
-    degrees, so no type is enumerated."""
-    L = 2 * sum(math.comb(d + model.K - 1, model.K - 1) for d in model.degrees)
-    check_budget(3 * 8 * (L // 2) ** 2, f"L = {L} types: the (L/2)^2 table, a solve block "
-                                        "and LAPACK's copy of it")
+    """Raise ``ModelError`` when the model's U x (L/2) table, the one U^2 rule
+    block a solve forms from it and the Fortran copy of it LAPACK makes would
+    pass ``MEMORY_BUDGET``; L = 2 * sum_k C(d_k + K - 1, K - 1) and U
+    (:func:`distinct_share_count`) come from the degrees, so no type is
+    enumerated."""
+    half = sum(math.comb(d + model.K - 1, model.K - 1) for d in model.degrees)
+    U = distinct_share_count(model.degrees)
+    check_budget(8 * U * (half + 2 * U), f"L = {2 * half} types over U = {U} distinct shares: "
+                                         "the U x (L/2) table, a U^2 solve block and "
+                                         "LAPACK's copy of it")
 
 
 @dataclass(frozen=True)
@@ -139,16 +177,18 @@ class ExpectationMatrix:
     Both are checked before anything is built: a bad sigma, or a model whose
     table and solve would pass ``MEMORY_BUDGET`` bytes (:func:`check_fits`),
     raises ``ModelError`` before any observation is enumerated.  Derived and
-    read-only: ``beliefs[r, p, k]``, the share of degree class k a ``RULES[r]``
-    observer with observation p believes in (naive observers believe their
-    observed shares, sophisticated ones :func:`sophisticated_mle` of them, formed
-    for every observation in one call); ``pmf[p, q]``, the chance of observation
-    q's counts with p's shares as cell probabilities, from one
-    :func:`multinomial_pmf` call over the L/2 distinct observations both rules
-    read; and each observation's ``counts`` (L/2, K), ``degrees`` (L/2,)
-    and ``rho`` (degree over d_1), with ``blocks``, each degree's slice of them.
-    The rule is an axis: type q is observation q mod L/2 under
-    ``RULES[q // (L/2)]``.  Systems compare and hash by model and sigma.
+    read-only: each observation's ``counts`` (L/2, K), ``degrees`` (L/2,)
+    and ``rho`` (degree over d_1), with ``blocks``, each degree's slice of them,
+    and ``share_row`` (L/2,), the row of its observed shares among the U
+    distinct ones, numbered in order of first appearance.  Per distinct share:
+    ``beliefs[r, u, k]``, the share of degree class k a ``RULES[r]`` observer of
+    share u believes in (naive observers believe their observed shares,
+    sophisticated ones :func:`sophisticated_mle` of them, formed for every share
+    in one call); and ``pmf[u, q]``, the chance of observation q's counts with
+    share u as cell probabilities, from one :func:`multinomial_pmf` call that
+    both rules read.  Observers with equal shares thus read one row.  The rule
+    is an axis: type q is observation q mod L/2 under ``RULES[q // (L/2)]``.
+    Systems compare and hash by model and sigma.
     """
 
     model: DegreeModel
@@ -158,6 +198,7 @@ class ExpectationMatrix:
     counts: np.ndarray = field(init=False, repr=False, compare=False)
     degrees: np.ndarray = field(init=False, repr=False, compare=False)
     rho: np.ndarray = field(init=False, repr=False, compare=False)
+    share_row: np.ndarray = field(init=False, repr=False, compare=False)
     blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -166,11 +207,14 @@ class ExpectationMatrix:
         GameParams.check(0, 0, 1, self.sigma)  # the other scalars pass
         check_fits(self.model)
         counts, degrees, blocks = _lattice(self.model.degrees)
-        observed = counts / degrees[:, None]
+        share_row, first = _share_rows(counts)
+        # a correctly rounded division gives equal shares equal bits
+        observed = counts[first] / degrees[first, None]
         sophisticated = np.stack(sophisticated_mle(observed.T, self.model.degrees), axis=1)
         beliefs = np.stack([observed, sophisticated])
         arrays = {"pmf": multinomial_pmf(counts, observed), "beliefs": beliefs,
-                  "counts": counts, "degrees": degrees, "rho": degrees / degrees[0]}
+                  "counts": counts, "degrees": degrees, "rho": degrees / degrees[0],
+                  "share_row": share_row}
         for name, array in arrays.items():
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -181,10 +225,31 @@ class ExpectationMatrix:
         return 2 * len(self.degrees)
 
     @property
+    def U(self) -> int:
+        """The number of distinct observed shares: one unknown per rule each."""
+        return len(self.pmf)
+
+    @property
     def observations(self) -> tuple:
         """Degree and observed shares of each of the L/2 observations, as a list
         of ints and a list of float lists, in the row order of either rule block."""
-        return self.degrees.tolist(), self.beliefs[0].tolist()
+        return self.degrees.tolist(), self.beliefs[0, self.share_row].tolist()
+
+    @functools.cached_property
+    def rho_sums(self) -> tuple:
+        """Two (2, L/2) arrays, made when first read: each type p's (pi D 1)_p,
+        its row of pi weighed by the targets' degree ratios and summed, which no
+        sigma changes; and pi_pp rho_p over p's believed share of its own rule
+        (1 for naive observers, sigma for sophisticated ones)."""
+        per_class = np.stack([self.pmf[:, cols].sum(axis=1) * self.rho[cols.start]
+                              for cols in self.blocks], axis=1)
+        mass = (self.beliefs * per_class).sum(axis=2)[:, self.share_row]
+        own = np.searchsorted(self.model.degrees, self.degrees)
+        diagonal = (self.beliefs[:, self.share_row, own]
+                    * (self.pmf[self.share_row, np.arange(len(own))] * self.rho))
+        for array in (mass, diagonal):
+            array.setflags(write=False)
+        return mass, diagonal
 
     @functools.cached_property
     def types(self) -> tuple:
@@ -204,23 +269,19 @@ class ExpectationMatrix:
         return pi
 
     def pi_row(self, p) -> np.ndarray:
-        """Row p of ``pi``, formed from row p's observation in the table: each target
-        block's ``pmf`` columns times (believed rule share x believed degree share)."""
+        """Row p of ``pi``, formed from the table row of observer p's shares: each
+        target block's ``pmf`` columns times (believed rule share x believed degree
+        share)."""
         half = self.L // 2
         r, o = divmod(p, half)
-        rows = slice(o, o + 1)
-        row = np.empty((2, 1, half))
+        u = self.share_row[o]
+        row = np.empty((2, half))
         # [observer rule][target rule]: naive observers think everyone is naive
         for r_j, w_rule in enumerate(((1, 0), (1 - self.sigma, self.sigma))[r]):
-            self.weighted_table(float(w_rule) * self.beliefs[r, rows], row[r_j], rows)
+            weights = float(w_rule) * self.beliefs[r, u]
+            for k, cols in enumerate(self.blocks):
+                np.multiply(weights[k], self.pmf[u, cols], out=row[r_j, cols])
         return row.ravel()
-
-    def weighted_table(self, weights, out, rows=slice(None)) -> np.ndarray:
-        """Write ``pmf[rows]`` into ``out``, each row's degree-k columns times its
-        ``weights[:, k]``."""
-        for k, cols in enumerate(self.blocks):
-            np.multiply(weights[:, k, None], self.pmf[rows, cols], out=out[:, cols])
-        return out
 
     @functools.cached_property
     def _index(self) -> dict:

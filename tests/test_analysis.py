@@ -447,8 +447,8 @@ class TestPopulationPrecisionSweep:
         monkeypatch.setattr(netgame.typespace, "multinomial_pmf",
                             lambda c, p: calls.append(len(p)) or real(c, p))
         population_precision_sweep(2.0, 1.2, 3.7, 1.0, sigmas, [2, 4, math.inf], [0.5])
-        # one call per finite d1, over its L/2 = 4 * d1 + 2 observations
-        assert calls == [10, 18]
+        # one call per finite d1, over its U = 3 * d1 + 1 distinct shares
+        assert calls == [7, 13]
 
     def test_each_model_lays_out_its_lattices_once_per_build(self, monkeypatch):
         # the benchmark's precision-sweep op: five two-class models, three sigmas;
@@ -471,7 +471,8 @@ class TestPopulationPrecisionSweep:
     def test_refuses_a_table_over_the_budget_before_building_any(self, study, monkeypatch):
         # d1 = 1e5 with eps = 2 has L = 800,004 types; d1 = 2 is not solved first
         monkeypatch.setattr(an, "build_pi", None)
-        with pytest.raises(ModelError, match=r"^L = 800004 types: the \(L/2\)\^2 table"):
+        with pytest.raises(ModelError, match=r"^L = 800004 types over U = 300001 distinct "
+                                             r"shares: the U x \(L/2\) table"):
             study()
 
     def test_rejects_an_empty_sigma_list(self):

@@ -189,9 +189,9 @@ class TestSweeps:
                    for name in ("precision.csv", "precision.json")}
         assert digests == {
             "precision.csv":
-                "3ec4cf94ca4cbf73c28d083e85ec077b6fc6f160e15be7f650826de10a9ba2ba",
+                "660fe601f80e9db1a9f974952f72440b05ffdd4a795cf45889b57c20dae18889",
             "precision.json":
-                "decdf815699d64ae9d40c92116cb02527e68849961b6ff6110f5fe0d856b822e",
+                "a259dbe8aa1d3129e03dc0be1b2be01ff499797b1b8fb0b7021c06808900b833",
         }
 
     def test_unstable_precision_rows_are_pinned(self, tmp_path, capsys):
@@ -334,6 +334,9 @@ class TestSolveDump:
         assert payload["columns"] == ["label", "rule", "degree", "observed",
                                       "expectation"]
         assert len(payload["rows"]) == 2 * (3 + 7)
+        # 20 types over 7 distinct shares per rule, 1 - (1.2/3.7) * 6/2 inside the edge
+        assert (payload["types"], payload["unknowns"]) == (20, 14)
+        assert payload["margin"] == 1 - 1.2 / 3.7 * 3.0
         assert payload["residual"] <= 1e-10
         assert all(r[4] >= 1.0 / 3.7 - 1e-12 for r in payload["rows"])
 
@@ -361,12 +364,12 @@ class TestSolveDump:
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
 
     @pytest.mark.parametrize("argv, digests", [
-        ([], ("7f6b06382676e9e3d433298f69413470c5a277a4b0f491e5e54ab88e0c635bc6",
-              "741f665b0d2b50f2fb0f2d0607098831ba8955673c17ef348e4c5a66afeafb8c")),
+        ([], ("4b820406cd4a345962de38be5e224b7dc54dc4350ec11b5086517b7a1fd82258",
+              "fc365983832eacb683bd2d2b078c3bccaf78abbbe6a075d7c714684e74854ed8")),
         # K = 3: three target degrees and all four rule blocks
         (["--model", "1,2,3:0.2,0.3,0.5", "--sigma", "0.3", "--alpha", "1", "--c", "4"],
-         ("c70cfdba3175aa45490327a5e5343d74cb733000c86fcc03ec9b242d64a5aa87",
-          "1c8b3b7ccadd97f34093c88e2f3e6bd91e9da26ed8d6729f9fa46dd4704b57a0")),
+         ("3f0b10b54829e70af111287cda275d8e91250a3029b93c5fb3fa859a813f9e45",
+          "225765fdc882f62dcbf7873f75d613a5eb58c1e2c535be283ffbc77709b06ed7")),
     ], ids=["default", "k3"])
     def test_solve_bytes_are_pinned(self, argv, digests, tmp_path, capsys):
         code, _ = run(capsys, "solve", *argv, "--out", str(tmp_path))
@@ -442,8 +445,9 @@ class TestSolveRows:
         assert type_labels(*system.observations) == [t.label for t in types]
         half = system.L // 2
         for p, t in enumerate(types[:half]):
-            assert _hexed(system.beliefs[0, p].tolist()) == _hexed(t.shares)
-            assert _hexed(system.beliefs[1, p].tolist()) == \
+            u = system.share_row[p]
+            assert _hexed(system.beliefs[0, u].tolist()) == _hexed(t.shares)
+            assert _hexed(system.beliefs[1, u].tolist()) == \
                 _hexed(sophisticated_mle(t.shares, model.degrees))
 
 
@@ -549,23 +553,47 @@ class TestConfigAndErrors:
                               "16 int64 node arrays need")
         assert not fresh.exists()
 
-    @pytest.mark.parametrize("argv, types", [
-        (["solve", "--model", "200,400,600:0.5,0.3,0.2"], 563_606),
-        (["solve", "--model", "1000,2000,3000:0.5,0.3,0.2"], 14_018_006),
-        (["pi", "--model", "3000,9000:0.5,0.5"], 24_004),
-        (["sweep", "precision", "--d1", "100000,inf"], 800_004),
+    @pytest.mark.parametrize("argv, types, shares", [
+        (["solve", "--model", "200,400,600:0.5,0.3,0.2"], 563_606, 241_201),
+        (["solve", "--model", "1000,2000,3000:0.5,0.3,0.2"], 14_018_006, 6_006_001),
+        (["pi", "--model", "3000,9000:0.5,0.5"], 24_004, 9_001),
+        (["sweep", "precision", "--d1", "100000,inf"], 800_004, 300_001),
     ], ids=["solve", "solve-huge", "pi", "sweep-precision"])
-    def test_a_type_system_over_the_budget_exits_two_at_once(self, argv, types, tmp_path,
-                                                            capsys):
-        # refused from the closed-form type count, before any type is enumerated
+    def test_a_type_system_over_the_budget_exits_two_at_once(self, argv, types, shares,
+                                                            tmp_path, capsys):
+        # refused from the closed-form type and share counts, before any type is
+        # enumerated
         fresh = tmp_path / "fresh"
         start = time.perf_counter()
         assert main([*argv, "--out", str(fresh)]) == 2
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: L = {types} types: the (L/2)^2 table, a solve block "
-                              f"and LAPACK's copy of it need {24 * (types // 2) ** 2} bytes")
+        need = 8 * shares * (types // 2 + 2 * shares)
+        assert err.startswith(f"error: L = {types} types over U = {shares} distinct shares: "
+                              "the U x (L/2) table, a U^2 solve block and LAPACK's copy of "
+                              f"it need {need} bytes")
         assert not fresh.exists()
+
+    @pytest.mark.parametrize("argv, rows, cells", [
+        (["sweep", "bias", "--grid", "101"], 2 * 101, 3),
+        (["sweep", "sophistication", "--grid", "101"], 101, 4),
+        (["sweep", "outcomes", "--grid", "101"], 101 * 3 * 2, 5),
+    ], ids=["bias", "sophistication", "outcomes"])
+    def test_a_sweep_is_charged_its_rows_before_it_builds_one(self, argv, rows, cells,
+                                                              tmp_path, capsys, monkeypatch):
+        # 160 bytes a cell: bias rows per eps (two by default), outcomes rows per
+        # rule and degree; the grid's own 808 bytes fit either budget
+        from netgame import population
+        need = 160 * rows * cells
+        monkeypatch.setattr(population, "MEMORY_BUDGET", need - 1)
+        fresh = tmp_path / "fresh"
+        assert main([*argv, "--out", str(fresh)]) == 2
+        out, err = capsys.readouterr()
+        assert err == (f"error: {rows} rows of {cells} cells need {need} bytes "
+                       f"({need / 2**30:.3g} GiB), over the budget of {need - 1} bytes\n")
+        assert out == "" and not fresh.exists()
+        monkeypatch.setattr(population, "MEMORY_BUDGET", need)
+        assert main([*argv, "--out", str(fresh)]) == 0
 
     @pytest.mark.parametrize("argv, named", [
         (["sweep", "bias", "--grid", "100000000000"], "the 100000000000 grid points"),
@@ -587,7 +615,8 @@ class TestConfigAndErrors:
 
     def test_precision_type_weights_over_the_budget_exit_two(self, tmp_path, capsys,
                                                              monkeypatch):
-        # d1 = 2: L/2 = 3 + 7 observations, a 2400-byte table and solve blocks, and
+        # d1 = 2: L/2 = 3 + 7 observations over U = 7 shares, 1344 bytes of table and
+        # solve blocks, and
         # 39 interior grid points of 10 type weights each, 3120 bytes
         from netgame import population
         monkeypatch.setattr(population, "MEMORY_BUDGET", 3119)

@@ -301,6 +301,23 @@ class TestExactOracle:
             got = solution.value(rule, d, (d - j, j))
             assert abs(got - value) <= 1e-14 * value
 
+    @pytest.mark.parametrize("margin", 10.0 ** -np.arange(2, 11))
+    def test_direct_solve_matches_exact_system_near_the_stability_edge(self, margin):
+        # (2, 6) at alpha = 1 and c = 3 (1 + margin): a backward error within
+        # BACKWARD_TOL moves xi by at most about kappa times it, with kappa the
+        # infinity-norm condition number (1 + (alpha/c) d_K/d_1) / margin
+        degrees, cost, sigma = (2, 6), 3 * (1 + margin), 0.5
+        model = DegreeModel(degrees, (0.5, 0.5))
+        params = GameParams(1.0, 1.0, cost, sigma, model)
+        solution = solve_direct(build_pi(model, params), params)
+        exact = _exact_two_class_solution(degrees, Fraction(1.0), Fraction(cost),
+                                          Fraction(1.0), Fraction(sigma))
+        a_rho = 1.0 / cost * 3
+        kappa = (1 + a_rho) / (1 - a_rho)
+        worst = max(abs(Fraction(solution.value(rule, d, (d - j, j))) - value) / value
+                    for (rule, d, j), value in exact.items())
+        assert worst <= 2 * kappa * equilibrium.BACKWARD_TOL
+
 
 def _dense_oracle(system, params) -> np.ndarray:
     """xi from one dense LU of the whole system I - (alpha/c) Pi D."""
@@ -412,6 +429,24 @@ class TestBlockSolve:
         finally:
             tracemalloc.stop()
         assert peak < 0.35 * system.L ** 2 * 8
+
+
+class TestOneUnknownPerShare:
+    """Observers with equal rule and observed shares read equal rows, so the model
+    gives them one expectation, whatever their degree."""
+
+    # the shares that more than one degree sees: 90 and 306 (rule, shares) groups
+    @pytest.mark.parametrize("degrees, shared", [((8, 16, 24), 45), ((16, 32, 48), 153)])
+    def test_types_that_see_the_same_shares_hold_the_same_bits(self, degrees, shared):
+        params, system = block_system(degrees, (0.5, 0.3, 0.2), 0.5)
+        xi = solve_direct(system, params).xi.reshape(2, -1)
+        groups = {}
+        for q, (d, counts) in enumerate(zip(system.degrees.tolist(), system.counts.tolist())):
+            groups.setdefault(tuple(Fraction(c, d) for c in counts), []).append(q)
+        groups = [group for group in groups.values() if len(group) > 1]
+        assert len(groups) == shared
+        for rule in xi:
+            assert [group for group in groups if len({rule[q].hex() for q in group}) > 1] == []
 
 
 SIGMAS = (0.0, 0.25, 0.5, 0.75, 1.0)

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgame import population
+from netgame.population import feasible_observed_shares
+from netgame.typespace import distinct_share_count
 from netgame import (
     AgentType,
     DegreeModel,
@@ -62,6 +64,41 @@ class TestAgentType:
     def test_rejects_an_unknown_rule(self):
         with pytest.raises(ModelError, match="unknown updating rule"):
             AgentType("bayesian", 2, (1, 1))
+
+
+def _enumerated_shares(degrees) -> list:
+    """Each observation's shares as exact fractions, in the order of either rule block."""
+    return [tuple(Fraction(c, d) for c in counts)
+            for d in degrees for counts in feasible_observed_shares(d, len(degrees))]
+
+
+class TestDistinctShares:
+    @pytest.mark.parametrize("degrees, count", [
+        ((2, 6), 7), ((8, 16, 24), 433), ((16, 32, 48), 1633), ((10, 15, 21), 424),
+        ((3, 7, 11, 20), 2263), ((2, 3, 5, 7, 11), 1851),
+    ])
+    def test_closed_form_counts(self, degrees, count):
+        assert distinct_share_count(degrees) == count
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(
+        lambda k: st.lists(st.integers(1, 12), min_size=k, max_size=k, unique=True)))
+    def test_closed_form_equals_the_enumerated_count(self, degrees):
+        degrees = tuple(sorted(degrees))
+        assert distinct_share_count(degrees) == len(set(_enumerated_shares(degrees)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_models())
+    def test_each_observation_reads_its_shares_row(self, m):
+        # shares numbered in order of first appearance; each row's beliefs are
+        # its shares, and U rows of the table
+        system = build_pi(m, _stable_params(m))
+        shares = _enumerated_shares(m.degrees)
+        first = list(dict.fromkeys(shares))
+        assert system.share_row.tolist() == [first.index(v) for v in shares]
+        assert system.U == len(first) == distinct_share_count(m.degrees)
+        assert system.pmf.shape == (system.U, system.L // 2)
+        assert system.beliefs[0].tolist() == [[float(v) for v in row] for row in first]
 
 
 class TestEnumerateTypes:
@@ -116,7 +153,8 @@ class TestEnumerateTypes:
         assert calls == [2, 3, 5, 2, 3, 5]
         for system in systems:
             assert not any(array.flags.writeable for array in (
-                system.pmf, system.beliefs, system.counts, system.degrees, system.rho))
+                system.pmf, system.beliefs, system.counts, system.degrees, system.rho,
+                system.share_row, *system.rho_sums))
 
     def test_index_bijection(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
@@ -229,7 +267,8 @@ class TestBuildPi:
             assert system.rho[q % half] == t.degree / 2
 
     def test_one_kernel_call_per_build_over_distinct_observations(self, monkeypatch):
-        # both rule blocks read the same observations, so the one call is L/2 by L/2
+        # both rule blocks read the same observations, and observers with equal
+        # shares the same row, so the one call is L/2 count vectors by U shares
         import netgame.typespace
         calls = []
         real = netgame.typespace.multinomial_pmf
@@ -237,8 +276,8 @@ class TestBuildPi:
                             lambda c, p: calls.append((len(c), len(p))) or real(c, p))
         m = DegreeModel((8, 16, 24), (0.5, 0.3, 0.2))
         system = build_pi(m, _stable_params(m, sigma=0.5))
-        assert system.L == 1046
-        assert calls == [(523, 523)]
+        assert (system.L, system.U) == (1046, 433)
+        assert calls == [(523, 433)]
         # each target degree's columns hold the bits of a call over that degree alone
         for cols in system.blocks:
             assert system.pmf[:, cols].tobytes() == \
@@ -341,23 +380,24 @@ class TestBuildPi:
         import netgame.typespace
         monkeypatch.setattr(netgame.typespace, "enumerate_types", None)
         m = DegreeModel((200, 400, 600), (0.5, 0.3, 0.2))   # L = 563,606
-        with pytest.raises(ModelError, match=r"^L = 563606 types: the \(L/2\)\^2 table, "
-                                             r"a solve block and LAPACK's copy of it need "
-                                             r"1905910339416 bytes"):
+        with pytest.raises(ModelError, match=r"^L = 563606 types over U = 241201 distinct "
+                                             r"shares: the U x \(L/2\) table, a U\^2 solve "
+                                             r"block and LAPACK's copy of it need "
+                                             r"1474616081640 bytes"):
             build_pi(m, _stable_params(m))
 
     def test_a_build_is_charged_the_lapack_copy_of_its_solve_block(self, monkeypatch):
-        # L = 16: the table, a solve block and the Fortran copy np.linalg.solve
-        # makes of it take 3 * 8^2 * 8 = 1536 bytes
+        # L = 16 over U = 5 shares: the 5 x 8 table, a solve block and the Fortran
+        # copy np.linalg.solve makes of it take (5 * 8 + 2 * 5^2) * 8 = 720 bytes
         m = DegreeModel((2, 4), (0.5, 0.5))
-        monkeypatch.setattr(population, "MEMORY_BUDGET", 1535)
-        with pytest.raises(ModelError, match=r"^L = 16 types: .* need 1536 bytes"):
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 719)
+        with pytest.raises(ModelError, match=r"^L = 16 types over U = 5 .* need 720 bytes"):
             build_pi(m, _stable_params(m))
-        monkeypatch.setattr(population, "MEMORY_BUDGET", 1536)
+        monkeypatch.setattr(population, "MEMORY_BUDGET", 720)
         assert build_pi(m, _stable_params(m)).L == 16
 
     def test_the_pi_view_is_charged_when_assembled(self, monkeypatch):
-        # L = 16: the build is charged 3 * 8^2 * 8 = 1536 bytes, pi 2048
+        # L = 16: the build is charged 720 bytes, pi 2048
         m = DegreeModel((2, 4), (0.5, 0.5))
         monkeypatch.setattr(population, "MEMORY_BUDGET", 2047)
         system = build_pi(m, _stable_params(m))
