@@ -318,8 +318,9 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     :func:`netgame.equilibrium.average_expectation` returns; then ``inf``
     adds the three closed-form values, or one "unstable" row where they are
     undefined.  Returns rows (sigma, d1, delta2, rule, value, flag).  Every
-    sigma is checked with the other scalars as ``GameParams`` checks them,
-    even where only ``inf`` is asked for; no sigma or an empty grid is an error.
+    sigma is checked with the other scalars as ``GameParams`` checks them, and
+    every delta2 as a ``DegreeModel`` checks its shares, even where only ``inf``
+    is asked for; no sigma or an empty grid is an error.
 
     A d1's table, naive block and type weights depend on neither sigma nor the
     solution, so each takes one build, one naive solve and one kernel call for
@@ -338,9 +339,8 @@ def population_precision_sweep(eps, alpha, cost, etheta, sigmas, d1_list, grid) 
     grid = [float(x) for x in grid]
     if not grid:
         raise ModelError("grid has no true high share delta2 inside (0, 1)")
-    if models:  # each delta2's shares are checked as a DegreeModel checks them
-        for x in grid:
-            check_shares((1 - x, x))
+    for x in grid:  # each delta2's shares are checked as a DegreeModel checks them
+        check_shares((1 - x, x))
     for model in models:  # the (grid, L/2) type weights of each, before any is built
         half = sum(d + 1 for d in model.degrees)
         check_budget(8 * len(grid) * half, f"{len(grid)} true high shares at d1 = "

@@ -104,41 +104,23 @@ def _fixed_point_residual(system, sigma, a_c, t_c, xi) -> float:
                                                                      t_c, xi)))))
 
 
-def _share_layout(system) -> tuple:
-    """The pieces a rule block is formed from, as two lists of (k, observations,
-    rows), each piece at most ``SCRATCH_BYTES`` of the table's columns, all of
-    target degree k.  The first list writes: each observation is its share's
-    first, and rows is the slice of the transposed block's rows they take
-    (shares are numbered in order of first appearance, so these rows run on).
-    The second adds, in degree order, into the shares a lower degree saw first."""
-    step = max(1, SCRATCH_BYTES // (8 * system.U))
-    writes, adds, fresh = [], [], 0
-    for k, cols in enumerate(system.blocks):
-        rows = system.share_row[cols]
-        new = rows >= fresh
-        first, later = cols.start + np.flatnonzero(new), cols.start + np.flatnonzero(~new)
-        for i in range(0, len(first), step):
-            piece = first[i:i + step]
-            writes.append((k, piece, slice(fresh + i, fresh + i + len(piece))))
-        adds.extend((k, later[i:i + step], rows[~new][i:i + step])
-                    for i in range(0, len(later), step))
-        fresh += len(first)
-    return writes, adds
-
-
-def _solve_block(system, layout, weights, a_c, b) -> np.ndarray:
+def _solve_block(system, weights, a_c, b) -> np.ndarray:
     """Solve (I - a_c Pi_bb D) y = b on the U distinct shares of one rule block,
     whose row u is ``pmf[u]`` times ``weights[u]`` per target degree.  Equal
     shares hold equal xi, so each observation's column adds into its share's
-    column, in degree order (:func:`_share_layout`).  The block is formed
-    transposed, a column per row, a piece of the table at a time."""
-    m = np.empty((len(b), len(b)))  # m[v, u]: share v's coefficient in share u's row
+    column.  The block is formed transposed, a column per row, from zeros: each
+    degree in turn adds pieces of at most ``SCRATCH_BYTES`` of its table columns
+    into the rows of their shares.  One degree's lattice holds each share at
+    most once, so no row is named twice in one add."""
+    # m[v, u]: share v's coefficient in share u's row.  Filled, not calloc'd: a
+    # fresh zero page faults twice under an add, once to read and once to write
+    m = np.full((len(b), len(b)), 0.0)
     scaled = weights * (-a_c * system.rho[[cols.start for cols in system.blocks]])
-    writes, adds = layout
-    for k, cols, rows in writes:
-        np.multiply(system.pmf[:, cols].T, scaled[:, k], out=m[rows])
-    for k, cols, rows in adds:
-        m[rows] += system.pmf[:, cols].T * scaled[:, k]
+    step = max(1, SCRATCH_BYTES // (8 * system.U))
+    for k, cols in enumerate(system.blocks):
+        for i in range(cols.start, cols.stop, step):
+            piece = slice(i, min(i + step, cols.stop))
+            m[system.share_row[piece]] += system.pmf[:, piece].T * scaled[:, k]
     m.flat[::len(b) + 1] += 1.0
     try:
         return np.linalg.solve(m.T, b)
@@ -172,15 +154,14 @@ def _solve_sigmas(system, params, sigmas):
     sigma then solves its sophisticated block and passes the gate of
     :func:`_gated_residual`."""
     a_c, t_c = _rates(system, params)
-    layout = _share_layout(system)
-    naive = _solve_block(system, layout, system.beliefs[0], a_c, np.full(system.U, t_c))
+    naive = _solve_block(system, system.beliefs[0], a_c, np.full(system.U, t_c))
     # (alpha/c) Pi_sn D_n xi_n per unit of 1 - sigma
     cross = _best_response(system, 0.0, a_c, 0.0, _per_type(system, np.stack([naive, naive])))[1]
     shares = np.empty((2, system.U))
     shares[0] = naive
     for sigma in sigmas:
         b = t_c + float(1 - sigma) * cross
-        shares[1] = _solve_block(system, layout, float(sigma) * system.beliefs[1], a_c, b)
+        shares[1] = _solve_block(system, float(sigma) * system.beliefs[1], a_c, b)
         xi = _per_type(system, shares)
         yield xi, _gated_residual(system, sigma, a_c, t_c, xi)
 
@@ -191,10 +172,14 @@ def _gated_residual(system, sigma, a_c, t_c, xi) -> float:
     normwise backward error ||b - M xi|| / (||M|| ||xi|| + ||b||)
     (Rigal-Gaches; Higham 2002, Thm 7.1) passes ``BACKWARD_TOL``.  Below the
     stability edge M's diagonal is non-negative, so row p of |M| sums to
-    1 + (alpha/c) ((Pi D 1)_p - 2 pi_pp rho_p), from the system's sigma-free
-    ``rho_sums``."""
+    1 + (alpha/c) ((Pi D 1)_p - 2 pi_pp rho_p).  (Pi D 1)_p is one
+    :func:`_best_response` of a ones vector, which no sigma changes; pi_pp rho_p
+    is the table at p's own column, times p's belief in its own degree class
+    and rule."""
     res = _fixed_point_residual(system, sigma, a_c, t_c, xi)
-    mass, diagonal = system.rho_sums
+    rows, own = system.share_row, np.searchsorted(system.model.degrees, system.degrees)
+    mass = _best_response(system, 0.0, 1.0, 0.0, np.ones(system.L))[:, rows]
+    diagonal = system.beliefs[:, rows, own] * (system.pmf[rows, np.arange(len(rows))] * system.rho)
     # pi_pp: a sophisticated observer's believed share of its own rule is sigma
     norms = 1.0 + a_c * (mass - 2 * np.array([[1.0], [float(sigma)]]) * diagonal)
     scale = float(np.max(norms)) * float(np.max(np.abs(xi))) + abs(t_c)

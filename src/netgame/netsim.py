@@ -10,17 +10,17 @@ stub total is odd, the last node of the highest-degree class loses one stub
 
 ``monte_carlo_estimator_check`` splits its trials over the calling thread,
 which takes the even ones, and one more thread, which takes the odd ones.
-Each thread draws a trial and summarizes it before it draws its next.  Trial
-0, kept for export, comes from ``generate``; a later multigraph trial is
-shuffled from the unshuffled draw (nodes class by class, each node's stubs
-paired in node order) into its thread's one stub buffer, and a later simple
-trial is a ``generate`` call.  Each trial's seed fixes its network, so the
-output bytes do not depend on which thread draws it or when.  A thread
-summarizes its trials in work arrays of its own.  A trial's summary counts
-one neighbor count table, from keys formed in the thread's stub buffer: the
-shares divide it by the degrees, and the assortativity takes four exact
-integer moments from it.  Every float sum of the shares keeps the order of
-the numpy reduction it replaces, so the results keep their bits.
+Each thread draws a trial and summarizes it before it draws its next.  A
+multigraph trial is shuffled from the unshuffled draw (nodes class by class,
+each node's stubs paired in node order), laid out once per run: trial 0,
+kept for export, into edges of its own, a later one into its thread's one
+stub buffer.  A simple trial is a ``generate`` call.  Each trial's seed fixes
+its network, so the output bytes do not depend on which thread draws it or
+when.  A thread summarizes its trials in work arrays of its own.  A trial's
+summary counts one neighbor count table, from keys formed in the thread's
+stub buffer: the shares divide it by the degrees, and the assortativity takes
+four exact integer moments from it.  Every float sum of the shares keeps the
+order of the numpy reduction it replaces, so the results keep their bits.
 ``sampling_error_scaling`` reads only the average shares of the same trials.
 """
 
@@ -443,12 +443,12 @@ def _run_trials(model: DegreeModel, n: int, trials: int, seed, simple: bool, sum
     thread draws it or when.  The calling thread takes the even trials and, in
     a run of two or more, one ``threading.Thread`` the odd ones.  Each thread
     draws a trial, calls ``summarize(t, net, work)`` with work arrays of its
-    own, and only then draws its next.  Trial 0 comes from ``generate`` and
-    owns its edges, since it is kept for export.  A later multigraph trial is
-    shuffled by ``draw_multigraph`` from one layout into its thread's
-    ``work.stubs``, where its summary then counts; a simple trial is a
-    ``generate`` call.  A failure on either thread stops the other before its
-    next trial; the thread is joined on every exit, and its error raised.
+    own, and only then draws its next.  A multigraph trial is shuffled by
+    ``draw_multigraph`` from one layout: trial 0, kept for export, into edges
+    of its own, a later one into its thread's ``work.stubs``, where its summary
+    then counts.  A simple trial is a ``generate`` call.  A failure on either
+    thread stops the other before its next trial; the thread is joined on
+    every exit, and its error raised.
     """
     if simple:
         # Two simple draws, and trial 0's network beside them; or, once drawn,
@@ -456,10 +456,11 @@ def _run_trials(model: DegreeModel, n: int, trials: int, seed, simple: bool, sum
         _check_stub_budget(model, n, 2 * DRAW_ARRAYS[True][0] + 1, 4 * model.K + 6)
     else:
         # The layout, trial 0's edges and each thread's draw buffer, and one more
-        # for trial 0's own layout or the threads' partner classes; and per node
-        # the node arrays of the layout and of trial 0, each thread's work arrays
-        # and count table, and two for temporaries (at most 0.97 of this under
-        # tracemalloc at n = 1e4 and 1e5, K = 2, 3 and 6).
+        # for the threads' partner classes; and per node the layout's two node
+        # arrays, which trial 0 shares, each thread's work arrays and count table,
+        # and four for temporaries (at most 0.93 of this under tracemalloc at
+        # n = 1e4 and 1e5, K = 2, 3 and 6; at n = 1e4 and one or two stubs per
+        # node the peak passes it less two node arrays).
         _check_stub_budget(model, n, 5, 4 * model.K + 8)
     layout = None if simple else _layout(model, n)
 
@@ -470,12 +471,14 @@ def _run_trials(model: DegreeModel, n: int, trials: int, seed, simple: bool, sum
         for t in range(first, trials, 2):
             if stop.is_set():
                 break
-            if t == 0 or simple:
-                net = generate(model, n, seed=_trial_seed(seed, t), simple=simple)
+            if simple:
+                net = generate(model, n, seed=_trial_seed(seed, t), simple=True)
                 work = work or _Work(net)
             else:
                 work = work or _Work(layout)
-                net = draw_multigraph(layout, _trial_seed(seed, t), work.stubs)
+                # trial 0 is kept for export, so it is drawn into edges of its own
+                out = np.empty_like(work.stubs) if t == 0 else work.stubs
+                net = draw_multigraph(layout, _trial_seed(seed, t), out)
             summarize(t, net, work)
             if t == 0:
                 kept = net

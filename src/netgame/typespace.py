@@ -188,7 +188,8 @@ class ExpectationMatrix:
     share u as cell probabilities, from one :func:`multinomial_pmf` call that
     both rules read.  Observers with equal shares thus read one row.  The rule
     is an axis: type q is observation q mod L/2 under ``RULES[q // (L/2)]``.
-    Systems compare and hash by model and sigma.
+    Nothing else is cached for a solve: it forms its blocks, and its gate's
+    norm, from these arrays.  Systems compare and hash by model and sigma.
     """
 
     model: DegreeModel
@@ -234,22 +235,6 @@ class ExpectationMatrix:
         """Degree and observed shares of each of the L/2 observations, as a list
         of ints and a list of float lists, in the row order of either rule block."""
         return self.degrees.tolist(), self.beliefs[0, self.share_row].tolist()
-
-    @functools.cached_property
-    def rho_sums(self) -> tuple:
-        """Two (2, L/2) arrays, made when first read: each type p's (pi D 1)_p,
-        its row of pi weighed by the targets' degree ratios and summed, which no
-        sigma changes; and pi_pp rho_p over p's believed share of its own rule
-        (1 for naive observers, sigma for sophisticated ones)."""
-        per_class = np.stack([self.pmf[:, cols].sum(axis=1) * self.rho[cols.start]
-                              for cols in self.blocks], axis=1)
-        mass = (self.beliefs * per_class).sum(axis=2)[:, self.share_row]
-        own = np.searchsorted(self.model.degrees, self.degrees)
-        diagonal = (self.beliefs[:, self.share_row, own]
-                    * (self.pmf[self.share_row, np.arange(len(own))] * self.rho))
-        for array in (mass, diagonal):
-            array.setflags(write=False)
-        return mass, diagonal
 
     @functools.cached_property
     def types(self) -> tuple:

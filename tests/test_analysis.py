@@ -416,6 +416,15 @@ class TestPopulationPrecisionSweep:
             population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0.5], [2, 4, math.inf],
                                        [0.5, delta2])
 
+    @pytest.mark.parametrize("delta2, share", [
+        (1.5, "-0.5"), (-0.2, "1.2"), (math.nan, "nan"),
+    ], ids=["above", "below", "nan"])
+    def test_a_limit_only_sweep_checks_its_grid(self, delta2, share):
+        # the closed forms alone take no DegreeModel, yet the shares are checked
+        message = f"shares must lie strictly inside (0, 1), got {share}"
+        with pytest.raises(ModelError, match=re.escape(message) + "$"):
+            population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0.5], [math.inf], [0.5, delta2])
+
     @pytest.mark.parametrize("study, models", [
         (lambda: population_precision_sweep(2.0, 1.2, 3.7, 1.0, [0, 0.5, 1], [2, 4, 8],
                                             [0.5]), 3),

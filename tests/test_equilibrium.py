@@ -448,6 +448,21 @@ class TestOneUnknownPerShare:
         for rule in xi:
             assert [group for group in groups if len({rule[q].hex() for q in group}) > 1] == []
 
+    @pytest.mark.parametrize("degrees, shares", [((8, 16, 24), (0.5, 0.3, 0.2)),
+                                                 ((3, 7, 11, 20), (0.4, 0.3, 0.2, 0.1))])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    def test_xi_keeps_its_bits_whatever_the_piece_size(self, degrees, shares, sigma,
+                                                       monkeypatch):
+        # a block adds the same products in the same order whether its table
+        # columns come one at a time, in the default pieces or all at once
+        model = DegreeModel(degrees, shares)
+        params = GameParams(1.0, 0.5, 3.7, sigma, model)
+        system = build_pi(model, params)
+        want = solve_direct(system, params).xi.tobytes()
+        for scratch in (8 * system.U, 8 * system.U * system.L // 2):
+            monkeypatch.setattr(equilibrium, "SCRATCH_BYTES", scratch)
+            assert solve_direct(system, params).xi.tobytes() == want
+
 
 SIGMAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 

@@ -573,9 +573,10 @@ class TestMonteCarloCheck:
 
     def test_each_traced_layer_is_called_once_per_trial(self, monkeypatch):
         # the benchmark times these by wrapping the module attributes; a call
-        # inlined or bound under another name would read as zero time.
-        # ``generate`` draws trial 0 through ``draw_multigraph``; trial 1 is
-        # drawn at the same time, so the draws come in no fixed order.
+        # inlined or bound under another name would read as zero time.  Every
+        # multigraph trial, trial 0 too, is a ``draw_multigraph`` call from the
+        # run's one layout; trial 1 is drawn at the same time as trial 0, so the
+        # draws come in no fixed order.
         calls = []  # list appends, since two threads record
         draws = []
         for name in ("generate", "draw_multigraph", "empirical_neighbor_shares",
@@ -590,8 +591,8 @@ class TestMonteCarloCheck:
                 return result
             monkeypatch.setattr(netsim, name, counting)
         monte_carlo_estimator_check(EXAMPLE, 2000, trials=3)
-        assert Counter(calls) == {"generate": 1, "draw_multigraph": 3,
-                                  "empirical_neighbor_shares": 3, "degree_assortativity": 3}
+        assert Counter(calls) == {"draw_multigraph": 3, "empirical_neighbor_shares": 3,
+                                  "degree_assortativity": 3}
         assert sorted(draws) == [[0, 0], [0, 1], [0, 2]]
 
     def test_simple_trials_each_call_generate(self, monkeypatch):
@@ -723,8 +724,8 @@ class TestPipeline:
     @staticmethod
     def _record_draws(monkeypatch, simple, record):
         """Call ``record(t, out)`` as trial t's draw begins: a simple trial is a
-        generate call, a multigraph trial a draw_multigraph call into ``out``
-        (trial 0's inside generate); ``out`` is None for a simple trial."""
+        generate call, a multigraph trial a draw_multigraph call into ``out``;
+        ``out`` is None for a simple trial."""
         name = "generate" if simple else "draw_multigraph"
         real = getattr(netsim, name)
 

@@ -154,7 +154,7 @@ class TestEnumerateTypes:
         for system in systems:
             assert not any(array.flags.writeable for array in (
                 system.pmf, system.beliefs, system.counts, system.degrees, system.rho,
-                system.share_row, *system.rho_sums))
+                system.share_row))
 
     def test_index_bijection(self):
         m = DegreeModel((2, 4), (0.5, 0.5))
